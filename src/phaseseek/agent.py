@@ -16,7 +16,12 @@ from enum import Enum
 import numpy as np
 
 from . import analysis
-from .fields import OriginSingularityError, RadialField, wrap_angle
+from .fields import (
+    OriginSingularityError,
+    RadialField,
+    UndefinedDirectionError,
+    wrap_angle,
+)
 from .sensing import (
     DegenerateMagnitudeError,
     SensingConfig,
@@ -304,7 +309,9 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
 
     Stops at t_end, on source proximity (r < r_stop), escape (r > r_escape,
     default 10x the largest of r0, rho, ell), leaving a gridded field's
-    domain, or a sensing failure. Returns a Trajectory sampled every dt.
+    domain, or a sensing failure (a magnitude below the floor, the origin
+    singularity, or a phase gradient with no direction). Returns a
+    Trajectory sampled every dt.
 
     Q is recorded per sample when the field is radial and the law has a
     finite turning radius; it is NaN otherwise.
@@ -334,7 +341,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             grad = spectral_sample(field, (init.x, init.y), init.t,
                                    init.theta, config).grad_phi
             check_quasi_steady(v, field.period, math.hypot(*grad))
-        except DegenerateMagnitudeError:
+        except (DegenerateMagnitudeError, UndefinedDirectionError):
             pass
 
     rows = []
@@ -398,7 +405,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         try:
             new_state, (sample, g, _) = _step_with_diag(
                 state, field, law, config, dt, v, mode)
-        except (DegenerateMagnitudeError, OriginSingularityError):
+        except (DegenerateMagnitudeError, OriginSingularityError,
+                UndefinedDirectionError):
             termination = TERM_SENSING
             break
         record(state, sample, g)

@@ -22,6 +22,11 @@ class OriginSingularityError(ValueError):
     """A direction is undefined at the requested point (radius zero)."""
 
 
+class UndefinedDirectionError(ValueError):
+    """The phase gradient has no direction: it is zero, or the first mode
+    vanishes."""
+
+
 def wrap_angle(a):
     """Wrap an angle (or array of angles) to (-pi, pi]."""
     return math.pi - (math.pi - a) % TWO_PI
@@ -63,10 +68,21 @@ class Field(ABC):
     def eval(self, x, t):
         """Signal value at position x = (x, y) and time t."""
 
+    def eval_windows(self, points, t0, n):
+        """Sample one period at each of k points: shape (k, n).
+
+        Row i holds f(points[i], t0 + j*T/n) for j = 0..n-1. Subclasses
+        vectorise this; each row must not depend on the other points.
+        """
+        step = self.period / n
+        return np.array(
+            [[self.eval(x, t0 + j * step) for j in range(n)] for x in points],
+            dtype=float,
+        ).reshape(len(points), n)
+
     def eval_window(self, x, t0, n):
         """Sample one period: f(x, t0 + k*T/n) for k = 0..n-1."""
-        step = self.period / n
-        return np.array([self.eval(x, t0 + k * step) for k in range(n)], dtype=float)
+        return self.eval_windows(np.asarray([x], dtype=float), t0, n)[0]
 
     def analytic_spectra(self, x) -> SpectralTruth:
         """Exact first-mode spectrum at x, if the field supports it."""
@@ -141,10 +157,13 @@ class RadialField(Field):
     def eval(self, x, t):
         return radial_field_eval(self.params, x, t)
 
-    def eval_window(self, x, t0, n):
-        r = math.hypot(x[0], x[1])
+    def eval_windows(self, points, t0, n):
+        # math.hypot and math.exp per point: their numpy twins differ by an
+        # ulp, which would move windowed results
+        r = [math.hypot(x[0], x[1]) for x in points]
+        amp = [2.0 * math.exp(-ri / self.params.ell) for ri in r]
         t = t0 + np.arange(n) * (self.period / n)
-        return 2.0 * math.exp(-r / self.params.ell) * np.cos(r - t)
+        return np.array(amp)[:, None] * np.cos(np.array(r)[:, None] - t)
 
     def analytic_spectra(self, x):
         return radial_spectral_truth(self.params, x)
@@ -214,13 +233,15 @@ class TravelingWaveField(Field):
             total += mode.alpha * math.cos(u) + mode.beta * math.sin(u)
         return total
 
-    def eval_window(self, x, t0, n):
-        dx = float(x[0]) - self.base_point[0]
-        dy = float(x[1]) - self.base_point[1]
+    def eval_windows(self, points, t0, n):
+        points = np.asarray(points, dtype=float)
+        dx = points[:, 0] - self.base_point[0]
+        dy = points[:, 1] - self.base_point[1]
         t = t0 + np.arange(n) * (self.period / n)
-        total = np.zeros(n)
+        total = np.zeros((len(points), n))
         for mode in self.modes:
-            u = mode.k_vec[0] * dx + mode.k_vec[1] * dy - mode.omega_n * t
+            phase = mode.k_vec[0] * dx + mode.k_vec[1] * dy
+            u = phase[:, None] - mode.omega_n * t
             total += mode.alpha * np.cos(u) + mode.beta * np.sin(u)
         return total
 
@@ -240,7 +261,8 @@ class TravelingWaveField(Field):
             dc += -1j * mode.k_vec * term
         m = abs(c)
         if m == 0.0:
-            raise ValueError("first-mode amplitude vanishes; phase undefined")
+            raise UndefinedDirectionError(
+                "first-mode amplitude vanishes; phase undefined")
         phi = wrap_phase(np.angle(c))
         grad = (np.conj(c) * dc).imag / (m * m)
         return SpectralTruth(m=m, phi=float(phi), grad_phi=grad)
@@ -283,7 +305,7 @@ def alignment_error(x, grad_phi, source=(0.0, 0.0)):
     gx = float(grad_phi[0])
     gy = float(grad_phi[1])
     if gx == 0.0 and gy == 0.0:
-        raise ValueError("zero phase gradient has no direction")
+        raise UndefinedDirectionError("zero phase gradient has no direction")
     # atan2(cross, dot) is scale invariant; no need to normalize first
     delta = math.atan2(ux * gy - uy * gx, ux * gx + uy * gy)
     if delta == -math.pi:

@@ -4,18 +4,21 @@ grad phi, and the scalar steering signal s.
 The sensor holds still for one signal period, samples the field uniformly,
 and projects onto the first temporal mode. Phase gradients come from
 repeating that estimate on a small cross-shaped stencil and differencing
-the wrapped phases.
+the wrapped phases. The centre and the four stencil probes are one batched
+field evaluation (Field.eval_windows) and one single-bin DFT over its rows
+(first_mode_coeffs), the same kernel the gridded spectral maps use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TWO_PI, wrap_angle, wrap_phase
+from .fields import TWO_PI, UndefinedDirectionError, wrap_angle, wrap_phase
 
 
 class DegenerateMagnitudeError(RuntimeError):
@@ -82,20 +85,43 @@ def sample_window(field, x, t0, config):
     return field.eval_window(x, t0, config.n_samples)
 
 
+@functools.lru_cache(maxsize=32)
+def _twiddle(n, period):
+    """exp(-i * omega1 * t_k) for t_k = k * period / n, k = 0..n-1.
+
+    Cached per (n, period) and shared by every caller, so it is read-only.
+    """
+    omega1 = TWO_PI / period
+    t = np.arange(n) * (period / n)
+    twiddle = np.exp(-1j * omega1 * t)
+    twiddle.flags.writeable = False
+    return twiddle
+
+
+def first_mode_coeffs(windows, period):
+    """Single-bin DFT of each row of windows, shape (k, N): complex (k,).
+
+    Row i gives (1/N) * sum_j windows[i, j] * exp(-i * omega1 * t_j) with
+    t_j = j * period / N and omega1 = 2*pi / period. Rows are made
+    C-contiguous first, because the order of the sum depends on the memory
+    layout and every caller must round alike.
+    """
+    windows = np.ascontiguousarray(windows, dtype=float)
+    n = windows.shape[-1]
+    if n < 8:
+        raise ValueError(f"window must hold at least 8 samples, got {n}")
+    # the same rounding as np.mean, without its per-call overhead
+    return (windows * _twiddle(n, period)).sum(axis=-1) / n
+
+
 def dft_first_mode(series, period):
     """Single-bin DFT of one uniformly sampled period.
 
-    Returns (1/N) * sum_k series[k] * exp(-i * omega1 * t_k) with
-    t_k = k * period / N and omega1 = 2*pi / period. For a pure tone
+    The one-row case of first_mode_coeffs. For a pure tone
     2 m cos(omega1 t - phi0) this is exactly m * exp(-i phi0).
     """
     series = np.asarray(series, dtype=float)
-    n = series.shape[0]
-    if n < 8:
-        raise ValueError(f"window must hold at least 8 samples, got {n}")
-    omega1 = TWO_PI / period
-    t = np.arange(n) * (period / n)
-    return complex(np.mean(series * np.exp(-1j * omega1 * t)))
+    return complex(first_mode_coeffs(series[np.newaxis], period)[0])
 
 
 def magnitude_phase(coeff):
@@ -106,8 +132,34 @@ def magnitude_phase(coeff):
     return m, wrap_phase(math.atan2(coeff.imag, coeff.real))
 
 
-def _window_coeff(field, x, t0, config):
-    return dft_first_mode(sample_window(field, x, t0, config), field.period)
+# Unit offsets of the centre and the probes +e_x, -e_x, +e_y, -e_y. The
+# signed zeros make x + h * offset round exactly like x, x + (h, 0),
+# x - (h, 0), x + (0, h) and x - (0, h), even for a coordinate of -0.0.
+_STENCIL = np.array([[-0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 1.0],
+                     [-0.0, -1.0]])
+
+
+def _stencil(x, h):
+    """Centre x, then the probes x +/- h e_x and x +/- h e_y: shape (5, 2)."""
+    return x + h * _STENCIL
+
+
+def _stencil_coeffs(field, points, t0, config):
+    windows = field.eval_windows(points, t0, config.n_samples)
+    return [complex(c) for c in first_mode_coeffs(windows, field.period)]
+
+
+def _stencil_gradient(coeffs, h, m_floor):
+    """grad phi from the four probe coefficients, in _stencil order."""
+    mags = [abs(c) for c in coeffs]
+    if min(mags) < m_floor:
+        raise DegenerateMagnitudeError(
+            f"stencil magnitude {min(mags):.3e} below floor {m_floor:.3e}"
+        )
+    phis = [math.atan2(c.imag, c.real) for c in coeffs]
+    gx = wrap_angle(phis[0] - phis[1]) / (2.0 * h)
+    gy = wrap_angle(phis[2] - phis[3]) / (2.0 * h)
+    return np.array([gx, gy])
 
 
 def phase_gradient(field, x, t0, config):
@@ -120,22 +172,8 @@ def phase_gradient(field, x, t0, config):
     """
     x = np.asarray(x, dtype=float)
     h = config.stencil_h
-    probes = (
-        x + np.array([h, 0.0]),
-        x - np.array([h, 0.0]),
-        x + np.array([0.0, h]),
-        x - np.array([0.0, h]),
-    )
-    coeffs = [_window_coeff(field, p, t0, config) for p in probes]
-    mags = [abs(c) for c in coeffs]
-    if min(mags) < config.m_floor:
-        raise DegenerateMagnitudeError(
-            f"stencil magnitude {min(mags):.3e} below floor {config.m_floor:.3e}"
-        )
-    phis = [math.atan2(c.imag, c.real) for c in coeffs]
-    gx = wrap_angle(phis[0] - phis[1]) / (2.0 * h)
-    gy = wrap_angle(phis[2] - phis[3]) / (2.0 * h)
-    return np.array([gx, gy])
+    coeffs = _stencil_coeffs(field, _stencil(x, h)[1:], t0, config)
+    return _stencil_gradient(coeffs, h, config.m_floor)
 
 
 def sensory_output(grad_phi, theta):
@@ -148,7 +186,7 @@ def sensory_output(grad_phi, theta):
     gy = float(grad_phi[1])
     norm = math.hypot(gx, gy)
     if norm == 0.0:
-        raise ValueError("zero phase gradient has no direction")
+        raise UndefinedDirectionError("zero phase gradient has no direction")
     s = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
     return min(1.0, max(-1.0, s))
 
@@ -156,19 +194,20 @@ def sensory_output(grad_phi, theta):
 def spectral_sample(field, x, t0, theta, config):
     """Full onboard estimate at pose (x, theta) from a window starting at t0.
 
-    Five spectral windows are taken: the centre point for (m, phi) and four
-    stencil probes for grad phi. The centre phase is rotated by
-    exp(-i omega1 t0) so estimates are referenced to absolute time t = 0
-    regardless of when the window starts.
+    Five spectral windows are taken in one batch: the centre point for
+    (m, phi) and four stencil probes for grad phi. The centre phase is
+    rotated by exp(-i omega1 t0) so estimates are referenced to absolute
+    time t = 0 regardless of when the window starts.
     """
     x = np.asarray(x, dtype=float)
-    centre = _window_coeff(field, x, t0, config)
+    h = config.stencil_h
+    centre, *probes = _stencil_coeffs(field, _stencil(x, h), t0, config)
     m = abs(centre)
     if m < config.m_floor:
         raise DegenerateMagnitudeError(
             f"magnitude {m:.3e} below floor {config.m_floor:.3e}"
         )
-    grad = phase_gradient(field, x, t0, config)
+    grad = _stencil_gradient(probes, h, config.m_floor)
     omega1 = TWO_PI / field.period
     phi = wrap_phase(math.atan2(centre.imag, centre.real) - omega1 * t0)
     s = sensory_output(grad, theta)

@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .fields import TWO_PI, Field, alignment_error, wrap_angle, wrap_phase
-from .sensing import dft_first_mode
+# dft_first_mode stays importable from this module, where perfbench's
+# tracer looks it up
+from .sensing import dft_first_mode, first_mode_coeffs  # noqa: F401
 
 MAGIC = b"WAVF"
 VERSION = 1
@@ -280,17 +282,18 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
     """First-mode m, phi, grad phi (and optionally delta) over the grid.
 
     Each gridpoint's time series goes through the same single-bin DFT the
-    onboard sensor uses, so pointwise values agree exactly with
-    sensing.dft_first_mode. Phase gradients use wrapped differences; points
-    whose magnitude (or any contributing neighbour's) falls below m_floor
-    are masked to NaN in the gradient and delta maps.
+    onboard sensor uses (first_mode_coeffs, one grid row per call), so
+    pointwise values agree exactly with sensing.dft_first_mode. Phase
+    gradients use wrapped differences; points whose magnitude (or any
+    contributing neighbour's) falls below m_floor are masked to NaN in the
+    gradient and delta maps.
     """
     period = bundle.period
     ny, nx = bundle.ny, bundle.nx
     coeff = np.empty((ny, nx), dtype=complex)
+    # row by row: a whole-grid (ny*nx, nt) temporary would raise peak memory
     for j in range(ny):
-        for i in range(nx):
-            coeff[j, i] = dft_first_mode(bundle.frames[:, j, i], period)
+        coeff[j] = first_mode_coeffs(bundle.frames[:, j, :].T, period)
     m = np.abs(coeff)
     phi = np.where(m > 0.0, wrap_phase(np.angle(coeff)), 0.0)
 
@@ -371,6 +374,9 @@ class BundleField(Field):
         self.period = bundle.period
         self._x_max = bundle.x0 + bundle.dx * (bundle.nx - 1)
         self._y_max = bundle.y0 + bundle.dy * (bundle.ny - 1)
+        # node offsets of the corners (i0, j0), (i0+1, j0), (i0, j0+1) and
+        # (i0+1, j0+1) from node (i0, j0)
+        self._corner_offsets = np.array([0, 1, bundle.nx, bundle.nx + 1])
 
     def in_domain(self, x):
         b = self.bundle
@@ -384,37 +390,41 @@ class BundleField(Field):
         j0 = min(max(int(math.floor(v)), 0), b.ny - 2)
         return i0, j0, u - i0, v - j0
 
-    def _corner_series(self, px, py):
-        """Bilinear weights applied to every frame at once: shape (nt,)."""
-        b = self.bundle
-        i0, j0, fu, fv = self._spatial_cell(px, py)
-        c00 = b.frames[:, j0, i0]
-        c10 = b.frames[:, j0, i0 + 1]
-        c01 = b.frames[:, j0 + 1, i0]
-        c11 = b.frames[:, j0 + 1, i0 + 1]
-        return ((1 - fu) * (1 - fv) * c00 + fu * (1 - fv) * c10
-                + (1 - fu) * fv * c01 + fu * fv * c11)
-
     def eval(self, x, t):
-        if not self.in_domain(x):
-            return 0.0
-        series = self._corner_series(float(x[0]), float(x[1]))
-        s = (t % self.period) / self.bundle.dt
-        k0 = int(math.floor(s)) % self.bundle.nt
-        k1 = (k0 + 1) % self.bundle.nt
-        w = s - math.floor(s)
-        return float((1.0 - w) * series[k0] + w * series[k1])
+        return float(self.eval_windows([x], t, 1)[0, 0])
 
-    def eval_window(self, x, t0, n):
-        if not self.in_domain(x):
-            return np.zeros(n)
-        series = self._corner_series(float(x[0]), float(x[1]))
+    def eval_windows(self, points, t0, n):
+        """Windows at k points: one gather of the 4k corner node series,
+        one bilinear combine, one periodic-linear time interpolation.
+
+        Rows of points outside the grid are zero.
+        """
+        b = self.bundle
+        nodes, weights, inside = [], [], []
+        for x in points:
+            px, py = float(x[0]), float(x[1])
+            ok = self.in_domain((px, py))
+            i0, j0, fu, fv = (self._spatial_cell(px, py) if ok
+                              else (0, 0, 0.0, 0.0))
+            inside.append(ok)
+            nodes.append(j0 * b.nx + i0)
+            weights.append(((1 - fu) * (1 - fv), fu * (1 - fv),
+                            (1 - fu) * fv, fu * fv))
+        # (4, k, nt): corner node series in the order of the weights
+        corners = b.frames.reshape(b.nt, -1).T[
+            np.add.outer(self._corner_offsets, nodes)]
+        terms = np.array(weights).T[:, :, None] * corners
+        series = terms[0] + terms[1] + terms[2] + terms[3]
+
         t = t0 + np.arange(n) * (self.period / n)
-        s = (t % self.period) / self.bundle.dt
-        k0 = np.floor(s).astype(int) % self.bundle.nt
-        k1 = (k0 + 1) % self.bundle.nt
+        s = (t % self.period) / b.dt
+        k0 = np.floor(s).astype(int) % b.nt
+        k1 = (k0 + 1) % b.nt
         w = s - np.floor(s)
-        return (1.0 - w) * series[k0] + w * series[k1]
+        windows = ((1.0 - w) * np.take(series, k0, axis=1)
+                   + w * np.take(series, k1, axis=1))
+        windows[~np.array(inside, dtype=bool)] = 0.0
+        return windows
 
     def describe(self):
         b = self.bundle

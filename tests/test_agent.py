@@ -15,6 +15,7 @@ from phaseseek import (
     QuasiSteadyWarning,
     RadialField,
     SensingConfig,
+    TravelingWaveMode,
     conserved_quantity,
     field_from_bundle,
     from_polar,
@@ -25,6 +26,7 @@ from phaseseek import (
     simulate,
     simulate_polar,
     step,
+    synth_traveling_field,
     synth_wake,
     to_polar,
 )
@@ -336,6 +338,17 @@ def test_simulate_sensing_failure_in_dead_zone():
                          dt=5e-3, t_end=2.0)
     assert tr.termination == "sensing_failure"
     assert len(tr) >= 1
+
+
+def test_simulate_sensing_failure_on_vanishing_first_mode():
+    # the analytic phase is undefined everywhere: a named termination, not
+    # an exception out of the driver
+    field = synth_traveling_field(
+        [TravelingWaveMode(0.0, 0.0, 1.0, (1.0, 0.0))])
+    tr = simulate(AgentState(1.0, 1.0, 0.0), field, STATIC, dt=1e-2,
+                  t_end=1.0, sensing="analytic")
+    assert tr.termination == "sensing_failure"
+    assert len(tr) == 1
 
 
 def test_trajectory_csv_and_sidecar(tmp_path):

@@ -89,6 +89,25 @@ def test_simulate_sensing_failure_exit_code(tmp_path):
     assert summary["runs"][0]["termination"] == "sensing_failure"
 
 
+def test_simulate_zero_gradient_is_a_sensing_failure(tmp_path):
+    # this wake seek crosses x = 0, where the stencil sees no phase gradient
+    bundle_path = tmp_path / "wake.wavf"
+    assert main(["synth-wake", "--out", str(bundle_path)]) == 0
+    with pytest.warns(UserWarning):
+        code = main(["simulate", "--field", "bundle",
+                     "--bundle", str(bundle_path), "--gain", "proportional",
+                     "--g0", "0.5", "--init=6,1.2,3.0", "--dt", "5e-3",
+                     "--t-end", "40", "--r-stop", "0.5",
+                     "--sensing", "windowed", "--out", str(tmp_path)])
+    assert code == 3
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    run = summary["runs"][0]
+    assert run["termination"] == "sensing_failure"
+    rows = np.loadtxt(tmp_path / run["csv"], delimiter=",", skiprows=1)
+    assert len(rows) == run["n_samples"] > 1
+    assert np.isfinite(rows[:, :5]).all()
+
+
 def test_simulate_bundle_short_run(tmp_path):
     bundle_path = tmp_path / "wake.wavf"
     assert main(["synth-wake", "--out", str(bundle_path)]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from phaseseek import (
     TWO_PI,
+    Field,
     OriginSingularityError,
     RadialField,
     RadialFieldParams,
@@ -85,6 +86,59 @@ def test_radial_eval_window_matches_scalar_eval():
     ts = 0.3 + np.arange(16) * (field.period / 16)
     for k in range(16):
         assert window[k] == pytest.approx(field.eval(x, float(ts[k])), abs=1e-12)
+
+
+def _per_point_radial_window(field, x, t0, n):
+    # the per-point window of the radial field, written out independently
+    r = math.hypot(x[0], x[1])
+    t = t0 + np.arange(n) * (field.period / n)
+    return 2.0 * math.exp(-r / field.ell) * np.cos(r - t)
+
+
+def _per_point_traveling_window(field, x, t0, n):
+    dx = float(x[0]) - field.base_point[0]
+    dy = float(x[1]) - field.base_point[1]
+    t = t0 + np.arange(n) * (field.period / n)
+    total = np.zeros(n)
+    for mode in field.modes:
+        u = mode.k_vec[0] * dx + mode.k_vec[1] * dy - mode.omega_n * t
+        total += mode.alpha * np.cos(u) + mode.beta * np.sin(u)
+    return total
+
+
+@pytest.mark.parametrize("field, oracle", [
+    (RadialField(6.5), _per_point_radial_window),
+    (synth_traveling_field([
+        TravelingWaveMode(0.9, 0.4, 1.0, (1.0, 0.0)),
+        TravelingWaveMode(0.5, -0.3, 2.0, (0.3, 0.8)),
+    ], base_point=(0.4, -0.2)), _per_point_traveling_window),
+])
+def test_eval_windows_rows_equal_single_point_windows(field, oracle):
+    # batching changes no bit: every row equals the point's own window
+    rng = np.random.default_rng(21)
+    points = rng.uniform(-9.0, 9.0, size=(7, 2))
+    for n, t0 in ((64, 0.0), (16, 3.7), (13, 41.2)):
+        windows = field.eval_windows(points, t0, n)
+        assert windows.shape == (7, n)
+        for x, row in zip(points, windows):
+            assert np.array_equal(row, field.eval_window(x, t0, n))
+            assert np.array_equal(row, oracle(field, x, t0, n))
+
+
+def test_base_eval_windows_samples_eval():
+    class Ripple(Field):
+        period = 2.5
+
+        def eval(self, x, t):
+            return math.sin(x[0] - 2.0 * x[1] + 2.0 * math.pi * t / 2.5)
+
+    field = Ripple()
+    points = np.array([[0.3, -1.0], [2.0, 0.5]])
+    windows = field.eval_windows(points, 0.7, 8)
+    for x, row in zip(points, windows):
+        assert np.array_equal(row, field.eval_window(x, 0.7, 8))
+        assert list(row) == [field.eval(x, 0.7 + k * (2.5 / 8))
+                             for k in range(8)]
 
 
 def test_radial_spectral_truth():

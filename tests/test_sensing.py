@@ -17,14 +17,19 @@ from phaseseek import (
     analytic_sample,
     check_quasi_steady,
     dft_first_mode,
+    field_from_bundle,
+    first_mode_coeffs,
     magnitude_phase,
     phase_gradient,
     sample_window,
     sensory_output,
     spectral_sample,
     synth_traveling_field,
+    synth_wake,
     wrap_angle,
+    wrap_phase,
 )
+from phaseseek.sensing import _twiddle
 
 
 class _ZeroField(Field):
@@ -99,6 +104,67 @@ def test_dft_rejects_higher_harmonics():
 def test_dft_needs_enough_samples():
     with pytest.raises(ValueError):
         dft_first_mode(np.zeros(4), TWO_PI)
+
+
+def test_twiddle_is_cached_and_read_only():
+    twiddle = _twiddle(64, TWO_PI)
+    assert _twiddle(64, TWO_PI) is twiddle
+    assert not twiddle.flags.writeable
+    with pytest.raises(ValueError):
+        twiddle[0] = 0.0
+    assert _twiddle(32, TWO_PI) is not twiddle
+
+
+def test_first_mode_coeffs_rows_equal_one_window_dft():
+    # the one-window DFT, written out independently, is the reference for
+    # each row, also when the rows arrive as a transposed (non-contiguous)
+    # view
+    def one_window_dft(series, period):
+        n = len(series)
+        t = np.arange(n) * (period / n)
+        return complex(np.mean(series * np.exp(-1j * (TWO_PI / period) * t)))
+
+    rng = np.random.default_rng(14)
+    for n, period in ((64, TWO_PI), (37, 2.9), (8, 0.5)):
+        windows = rng.normal(size=(n, 6)).T
+        coeffs = first_mode_coeffs(windows, period)
+        assert coeffs.shape == (6,)
+        for row, c in zip(windows, coeffs):
+            assert complex(c) == one_window_dft(row, period)
+            assert dft_first_mode(row, period) == complex(c)
+    with pytest.raises(ValueError):
+        first_mode_coeffs(np.zeros((3, 4)), TWO_PI)
+
+
+def test_bundle_spectral_sample_equals_five_window_oracle():
+    # five separate windows and DFTs, as the sensor took them one by one
+    field = field_from_bundle(synth_wake())
+    cfg = SensingConfig()
+    h = cfg.stencil_h
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        x = np.array([rng.uniform(0.5, 12.0), rng.uniform(-3.0, 3.0)])
+        t0 = float(rng.uniform(0.0, 30.0))
+        theta = float(rng.uniform(-math.pi, math.pi))
+
+        def coeff(p):
+            return dft_first_mode(field.eval_window(p, t0, cfg.n_samples),
+                                  field.period)
+
+        centre = coeff(x)
+        probes = [coeff(x + d) for d in
+                  ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+        phis = [math.atan2(c.imag, c.real) for c in probes]
+        grad = np.array([wrap_angle(phis[0] - phis[1]) / (2.0 * h),
+                         wrap_angle(phis[2] - phis[3]) / (2.0 * h)])
+        phi = wrap_phase(math.atan2(centre.imag, centre.real)
+                         - TWO_PI / field.period * t0)
+
+        got = spectral_sample(field, x, t0, theta, cfg)
+        assert got.m == abs(centre)
+        assert got.phi == phi
+        assert np.array_equal(got.grad_phi, grad)
+        assert got.s == sensory_output(grad, theta)
 
 
 def test_magnitude_phase():

@@ -303,6 +303,59 @@ def test_bundle_field_window_matches_eval():
                                           abs=1e-12)
 
 
+def _per_point_bundle_window(field, x, t0, n):
+    # the per-point window of a bundle field, written out independently:
+    # bilinear in space over every frame, then periodic-linear in time
+    b = field.bundle
+    x_max = b.x0 + b.dx * (b.nx - 1)
+    y_max = b.y0 + b.dy * (b.ny - 1)
+    if not (b.x0 <= x[0] <= x_max and b.y0 <= x[1] <= y_max):
+        return np.zeros(n)
+    u = (float(x[0]) - b.x0) / b.dx
+    v = (float(x[1]) - b.y0) / b.dy
+    i0 = min(max(int(math.floor(u)), 0), b.nx - 2)
+    j0 = min(max(int(math.floor(v)), 0), b.ny - 2)
+    fu, fv = u - i0, v - j0
+    f = b.frames
+    series = ((1 - fu) * (1 - fv) * f[:, j0, i0]
+              + fu * (1 - fv) * f[:, j0, i0 + 1]
+              + (1 - fu) * fv * f[:, j0 + 1, i0]
+              + fu * fv * f[:, j0 + 1, i0 + 1])
+    t = t0 + np.arange(n) * (field.period / n)
+    s = (t % field.period) / b.dt
+    k0 = np.floor(s).astype(int) % b.nt
+    k1 = (k0 + 1) % b.nt
+    w = s - np.floor(s)
+    return (1.0 - w) * series[k0] + w * series[k1]
+
+
+def test_bundle_eval_windows_rows_equal_single_point_windows():
+    bundle = synth_wake(nx=16, ny=9, nt=16)
+    field = field_from_bundle(bundle)
+    x_max = bundle.x0 + bundle.dx * 15
+    y_max = bundle.y0 + bundle.dy * 8
+    rng = np.random.default_rng(22)
+    points = np.vstack([
+        # inside the wake, where the signal is not zero
+        np.column_stack([rng.uniform(0.05, x_max, 6),
+                         rng.uniform(bundle.y0, y_max, 6)]),
+        # last column, last row, the far corner, and a node
+        [[x_max, 0.37], [1.1, y_max], [x_max, y_max],
+         [bundle.x0 + 3 * bundle.dx, bundle.y0 + 2 * bundle.dy]],
+        # off the grid, including non-finite points: zero rows
+        [[x_max + 1e-9, 0.0], [0.0, bundle.y0 - 5.0], [50.0, 50.0],
+         [math.nan, 0.0], [math.inf, -math.inf]],
+    ])
+    for n, t0 in ((16, 0.2), (64, 7.9), (13, -3.3)):
+        windows = field.eval_windows(points, t0, n)
+        assert windows.shape == (len(points), n)
+        for x, row in zip(points, windows):
+            assert np.array_equal(row, field.eval_window(x, t0, n))
+            assert np.array_equal(row, _per_point_bundle_window(field, x, t0, n))
+        assert not windows[-5:].any()
+        assert (np.abs(windows[:6]).max(axis=1) > 0).all()
+
+
 def test_bundle_field_describe():
     bundle = synth_wake(meta_re=150.0, meta_st=0.2)
     desc = field_from_bundle(bundle).describe()
