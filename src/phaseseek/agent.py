@@ -22,11 +22,14 @@ from .fields import (
     UndefinedDirectionError,
     wrap_angle,
 )
-from .sensing import (
+# analytic_sample stays importable from this module, where perfbench's
+# tracer looks it up
+from .sensing import (  # noqa: F401
     DegenerateMagnitudeError,
     SensingConfig,
     analytic_sample,
     check_quasi_steady,
+    lateral_signal,
     spectral_sample,
 )
 
@@ -72,14 +75,36 @@ class GainLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GainKind(self.kind))
-        if self.g0 < 0:
-            raise ValueError(f"g0 must be nonnegative, got {self.g0}")
-        if not self.m_floor > 0:
-            raise ValueError(f"m_floor must be positive, got {self.m_floor}")
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError(
+                f"g0 must be finite and nonnegative, got {self.g0}")
+        if not 0 < self.m_floor < math.inf:
+            raise ValueError(
+                f"m_floor must be finite and positive, got {self.m_floor}")
 
     def rho(self, v=1.0):
         """Turning radius scale V / g0."""
         return v / self.g0 if self.g0 > 0 else math.inf
+
+
+def _gain_fn(law):
+    """G(m) for one law, its kind resolved once: the drivers call it per stage.
+
+    Raises ValueError for a negative magnitude; gain_value adds the
+    saturation flag.
+    """
+    g0, m_floor = law.g0, law.m_floor
+    formula = {
+        GainKind.STATIC: lambda m: g0,
+        GainKind.PROPORTIONAL: lambda m: g0 * m,
+        GainKind.INVERSE: lambda m: g0 / m_floor if m < m_floor else g0 / m,
+    }[law.kind]
+
+    def gain(m):
+        if m < 0:
+            raise ValueError(f"magnitude must be nonnegative, got {m}")
+        return formula(m)
+    return gain
 
 
 def gain_value(law, m):
@@ -88,15 +113,8 @@ def gain_value(law, m):
     saturated is True only for the inverse law when m fell below the floor
     and the gain was clamped to g0 / m_floor.
     """
-    if m < 0:
-        raise ValueError(f"magnitude must be nonnegative, got {m}")
-    if law.kind is GainKind.STATIC:
-        return law.g0, False
-    if law.kind is GainKind.PROPORTIONAL:
-        return law.g0 * m, False
-    if m < law.m_floor:
-        return law.g0 / law.m_floor, True
-    return law.g0 / m, False
+    g = _gain_fn(law)(m)
+    return g, law.kind is GainKind.INVERSE and m < law.m_floor
 
 
 def heading_rate(g, s):
@@ -161,6 +179,11 @@ def from_polar(polar, t=0.0):
 # Closed-loop stepping
 # ----------------------------------------------------------------------
 
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
+
+
 def _resolve_sensing(field, mode):
     if mode not in SENSING_MODES:
         raise ValueError(f"unknown sensing mode {mode!r}, expected {SENSING_MODES}")
@@ -171,64 +194,58 @@ def _resolve_sensing(field, mode):
     return mode
 
 
-def _sense(field, x, y, theta, t, config, mode):
-    if mode == ANALYTIC:
-        return analytic_sample(field, (x, y), theta)
-    return spectral_sample(field, (x, y), t, theta, config)
+def _sensor(field, config, mode):
+    """sense(x, y, theta, t) -> (m, s), resolved once per run."""
+    if mode == WINDOWED:
+        def sense(x, y, theta, t):
+            sample = spectral_sample(field, (x, y), t, theta, config)
+            return sample.m, sample.s
+        return sense
+    mode_at = field.analytic_mode
+
+    def sense(x, y, theta, t):
+        m, gx, gy = mode_at(x, y)
+        return m, lateral_signal(gx, gy, theta)
+    return sense
 
 
-def _deriv(field, law, config, v, mode, x, y, theta, t):
-    sample = _sense(field, x, y, theta, t, config, mode)
-    g, saturated = gain_value(law, sample.m)
-    sample.saturated = saturated
-    omega = heading_rate(g, sample.s)
-    return (v * math.cos(theta), v * math.sin(theta), omega, sample, g)
+def _rk4_step(sense, gain, v, dt, x, y, th, t):
+    """One RK4 step of the closed loop on plain floats, re-sensing per stage.
 
-
-def _step_with_diag(state, field, law, config, dt, v, mode):
-    x, y, th, t = state.x, state.y, state.theta, state.t
-    dx1, dy1, dh1, sample1, g1 = _deriv(field, law, config, v, mode, x, y, th, t)
+    Returns the new (x, y, theta, t) and the first stage's (m, s, G), which
+    belong to the starting pose.
+    """
+    m, s = sense(x, y, th, t)
+    g = gain(m)
+    dx1, dy1, dh1 = v * math.cos(th), v * math.sin(th), g * s
     half = 0.5 * dt
-    dx2, dy2, dh2, _, _ = _deriv(
-        field, law, config, v, mode, x + half * dx1, y + half * dy1,
-        th + half * dh1, t + half)
-    dx3, dy3, dh3, _, _ = _deriv(
-        field, law, config, v, mode, x + half * dx2, y + half * dy2,
-        th + half * dh2, t + half)
-    dx4, dy4, dh4, _, _ = _deriv(
-        field, law, config, v, mode, x + dt * dx3, y + dt * dy3,
-        th + dt * dh3, t + dt)
+    th2 = th + half * dh1
+    m2, s2 = sense(x + half * dx1, y + half * dy1, th2, t + half)
+    dx2, dy2, dh2 = v * math.cos(th2), v * math.sin(th2), gain(m2) * s2
+    th3 = th + half * dh2
+    m3, s3 = sense(x + half * dx2, y + half * dy2, th3, t + half)
+    dx3, dy3, dh3 = v * math.cos(th3), v * math.sin(th3), gain(m3) * s3
+    th4 = th + dt * dh3
+    m4, s4 = sense(x + dt * dx3, y + dt * dy3, th4, t + dt)
+    dx4, dy4, dh4 = v * math.cos(th4), v * math.sin(th4), gain(m4) * s4
     sixth = dt / 6.0
-    new = AgentState(
-        x=x + sixth * (dx1 + 2 * dx2 + 2 * dx3 + dx4),
-        y=y + sixth * (dy1 + 2 * dy2 + 2 * dy3 + dy4),
-        theta=th + sixth * (dh1 + 2 * dh2 + 2 * dh3 + dh4),
-        t=t + dt,
-    )
-    return new, (sample1, g1, heading_rate(g1, sample1.s))
+    return (x + sixth * (dx1 + 2 * dx2 + 2 * dx3 + dx4),
+            y + sixth * (dy1 + 2 * dy2 + 2 * dy3 + dy4),
+            th + sixth * (dh1 + 2 * dh2 + 2 * dh3 + dh4),
+            t + dt, m, s, g)
 
 
 def step(state, field, law, config, dt, v=1.0, sensing=AUTO):
     """One RK4 step of the closed loop, re-sensing at every stage."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    mode = _resolve_sensing(field, sensing)
-    new_state, _ = _step_with_diag(state, field, law, config, dt, v, mode)
-    return new_state
+    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
+    sense = _sensor(field, config, _resolve_sensing(field, sensing))
+    return AgentState(*_rk4_step(sense, _gain_fn(law), v, dt, state.x,
+                                 state.y, state.theta, state.t)[:4])
 
 
 # ----------------------------------------------------------------------
 # Trajectory records
 # ----------------------------------------------------------------------
-
-def _fmt(value):
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
-
 
 @dataclass
 class Trajectory:
@@ -269,11 +286,13 @@ class Trajectory:
     def write_csv(self, path):
         cols = (self.t, self.x, self.y, self.theta, self.r, self.eta,
                 self.psi, self.m, self.s, self.gain, self.omega, self.q)
-        lines = [",".join(TRAJECTORY_COLUMNS)]
-        for row in zip(*cols):
-            lines.append(",".join(_fmt(v) for v in row))
+        cols = [np.asarray(c, dtype=float) for c in cols]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+            # row blocks keep memory flat; repr(float) spells nan and inf
+            for i in range(0, len(cols[0]), 4096):
+                rows = zip(*(c[i:i + 4096].tolist() for c in cols))
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     def write_sidecar(self, path):
         payload = {
@@ -314,13 +333,23 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     Trajectory sampled every dt.
 
     Q is recorded per sample when the field is radial and the law has a
-    finite turning radius; it is NaN otherwise.
+    finite turning radius; it is NaN otherwise. Non-finite or out-of-range
+    start poses and settings raise ValueError before the first step.
     """
     if config is None:
         config = SensingConfig()
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require(all(map(math.isfinite, (init.x, init.y, init.theta, init.t))),
+             f"start pose must be finite, got {init}")
+    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
+    _require(math.isfinite(t_end), f"t_end must be finite, got {t_end}")
+    _require(0 <= r_stop < math.inf,
+             f"r_stop must be finite and nonnegative, got {r_stop}")
+    _require(r_escape is None or r_escape > 0,
+             f"r_escape must be positive, got {r_escape}")
+    _require(0 < v < math.inf, f"v must be finite and positive, got {v}")
     mode = _resolve_sensing(field, sensing)
+    sense = _sensor(field, config, mode)
+    gain = _gain_fn(law)
 
     rho = law.rho(v)
     ell = getattr(field, "ell", None)
@@ -328,65 +357,25 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     if r_escape is None:
         r_escape = _default_r_escape(r0, rho, ell)
 
-    q_of = None
-    if isinstance(field, RadialField) and math.isfinite(rho):
-        kind = law.kind.value
-
-        def q_of(r, psi):
-            return analysis.conserved_quantity(kind, r, psi, rho, ell)
-
-    # one-shot quasi-steady check at the initial point
+    offsets = ((0.0, 0.0),)
     if mode == WINDOWED:
+        # one-shot quasi-steady check at the initial point
         try:
             grad = spectral_sample(field, (init.x, init.y), init.t,
                                    init.theta, config).grad_phi
             check_quasi_steady(v, field.period, math.hypot(*grad))
         except (DegenerateMagnitudeError, UndefinedDirectionError):
             pass
-
-    rows = []
-
-    def record(state, sample, g):
-        r = math.hypot(state.x, state.y)
-        eta = math.atan2(state.y, state.x)
-        psi = wrap_angle(math.pi - (state.theta - eta)) if r > 0 else math.nan
-        if sample is None:
-            m = s = gain = omega = math.nan
-        else:
-            m, s = sample.m, sample.s
-            gain, omega = g, heading_rate(g, sample.s)
-        q = math.nan
-        if q_of is not None and r > 0:
-            q = q_of(r, psi)
-        rows.append((state.t, state.x, state.y, wrap_angle(state.theta),
-                     r, eta, psi, m, s, gain, omega, q))
-
-    def guarded_sense(state):
-        try:
-            sample = _sense(field, state.x, state.y, state.theta, state.t,
-                            config, mode)
-            g, saturated = gain_value(law, sample.m)
-            sample.saturated = saturated
-            return sample, g
-        except (DegenerateMagnitudeError, OriginSingularityError, ValueError):
-            return None, math.nan
-
-    # windowed sensing needs the whole stencil (plus one step of travel)
-    # inside the domain, not just the vehicle position
-    if mode == WINDOWED:
+        # windowed sensing needs the whole stencil (plus one step of
+        # travel) inside the domain, not just the vehicle position
         pad = config.stencil_h + v * dt
-        offsets = [(-pad, -pad), (-pad, pad), (pad, -pad), (pad, pad)]
-    else:
-        offsets = [(0.0, 0.0)]
+        offsets = ((-pad, -pad), (-pad, pad), (pad, -pad), (pad, pad))
 
-    def footprint_in_domain(state):
-        return all(field.in_domain((state.x + ox, state.y + oy))
-                   for ox, oy in offsets)
-
-    state = init
-    termination = TERM_T_END
+    # kept per step: t, x, y, unwrapped theta, r, m, s, G; the rest after
+    rows = []
+    x, y, th, t = init.x, init.y, init.theta, init.t
     while True:
-        r = math.hypot(state.x, state.y)
+        r = math.hypot(x, y)
         if r == 0.0:
             termination = TERM_ORIGIN
             break
@@ -396,26 +385,40 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         if r > r_escape:
             termination = TERM_ESCAPED
             break
-        if not footprint_in_domain(state):
+        if not all(field.in_domain((x + ox, y + oy)) for ox, oy in offsets):
             termination = TERM_LEFT_DOMAIN
             break
-        if state.t >= t_end - 0.5 * dt:
+        if t >= t_end - 0.5 * dt:
             termination = TERM_T_END
             break
         try:
-            new_state, (sample, g, _) = _step_with_diag(
-                state, field, law, config, dt, v, mode)
+            x1, y1, th1, t1, m, s, g = _rk4_step(sense, gain, v, dt,
+                                                 x, y, th, t)
         except (DegenerateMagnitudeError, OriginSingularityError,
                 UndefinedDirectionError):
             termination = TERM_SENSING
             break
-        record(state, sample, g)
-        state = new_state
+        rows.append((t, x, y, th, r, m, s, g))
+        x, y, th, t = x1, y1, th1, t1
 
-    final_sample, final_g = guarded_sense(state)
-    record(state, final_sample, final_g)
+    try:
+        m, s = sense(x, y, th, t)
+        g = gain(m)
+    except (DegenerateMagnitudeError, OriginSingularityError, ValueError):
+        m = s = g = math.nan
+    rows.append((t, x, y, th, math.hypot(x, y), m, s, g))
 
-    arrays = [np.array(col, dtype=float) for col in zip(*rows)]
+    t, x, y, th, r, m, s, g = zip(*rows)
+    # math.atan2 and math.sin per element: numpy's round differently
+    eta = np.array(list(map(math.atan2, y, x)))
+    t, x, y, th, r, m, s, g = (np.array(c, dtype=float)
+                               for c in (t, x, y, th, r, m, s, g))
+    psi = np.where(r > 0, wrap_angle(math.pi - (th - eta)), math.nan)
+    q = np.full(len(t), math.nan)
+    if isinstance(field, RadialField) and math.isfinite(rho):
+        sin_psi = np.array(list(map(math.sin, psi.tolist())))
+        q = (r / rho) * sin_psi * analysis._gain_integral_factor(
+            law.kind.value, r, rho, ell)
     params = {
         "field": field.describe(),
         "law": {"kind": law.kind.value, "g0": law.g0, "m_floor": law.m_floor},
@@ -436,10 +439,9 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     if extra_params:
         params.update(extra_params)
     return Trajectory(
-        t=arrays[0], x=arrays[1], y=arrays[2], theta=arrays[3], r=arrays[4],
-        eta=arrays[5], psi=arrays[6], m=arrays[7], s=arrays[8],
-        gain=arrays[9], omega=arrays[10], q=arrays[11],
-        dt=dt, termination=termination, params=params,
+        t=t, x=x, y=y, theta=wrap_angle(th), r=r, eta=eta, psi=psi, m=m,
+        s=s, gain=g, omega=g * s, q=q, dt=dt, termination=termination,
+        params=params,
     )
 
 
@@ -482,19 +484,21 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     m_field(r, eta) the sensed magnitude. Terminates at t_end, when r falls
     to r_floor (the coordinates degenerate), or when r exceeds r_escape.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require(all(map(math.isfinite, (init.r, init.eta, init.psi))),
+             f"start must be finite, got {init}")
+    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
+    _require(math.isfinite(t_end), f"t_end must be finite, got {t_end}")
     if delta_field is None:
         def delta_field(r, eta):
             return 0.0
     if r_escape is None:
         r_escape = math.inf
+    gain = _gain_fn(law)
 
     def deriv(r, eta, psi):
         if r <= 0.0:
             raise _OriginCrossing
-        m = m_field(r, eta)
-        g, _ = gain_value(law, m)
+        g = gain(m_field(r, eta))
         d = delta_field(r, eta)
         sp, cp = math.sin(psi), math.cos(psi)
         steer = g * (math.cos(d) * sp + math.sin(d) * cp)
@@ -502,8 +506,8 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
 
     t = 0.0
     r, eta, psi = init.r, init.eta, init.psi
-    ts, rs, etas, psis = [t], [r], [eta], [psi]
-    termination = TERM_T_END
+    # one flat list: per-step tuples would cost memory on long runs
+    flat = [t, r, eta, psi]
     half = 0.5 * dt
     sixth = dt / 6.0
     while True:
@@ -530,12 +534,8 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
         eta = eta + sixth * (de1 + 2 * de2 + 2 * de3 + de4)
         psi = psi + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
         t = t + dt
-        ts.append(t)
-        rs.append(r)
-        etas.append(eta)
-        psis.append(psi)
+        flat += (t, r, eta, psi)
 
-    return PolarTrajectory(
-        t=np.array(ts), r=np.array(rs), eta=np.array(etas),
-        psi=np.array(psis), dt=dt, termination=termination,
-    )
+    t, r, eta, psi = (np.array(flat[k::4]) for k in range(4))
+    return PolarTrajectory(t=t, r=r, eta=eta, psi=psi, dt=dt,
+                           termination=termination)

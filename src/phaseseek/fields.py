@@ -88,6 +88,15 @@ class Field(ABC):
         """Exact first-mode spectrum at x, if the field supports it."""
         raise NotImplementedError(f"{type(self).__name__} has no analytic spectra")
 
+    def analytic_mode(self, x, y):
+        """Exact magnitude and phase gradient at (x, y) as floats: (m, gx, gy).
+
+        The scalar kernel of analytic sensing. This default reads
+        analytic_spectra; a field may override it with plain float code.
+        """
+        truth = self.analytic_spectra((x, y))
+        return truth.m, float(truth.grad_phi[0]), float(truth.grad_phi[1])
+
     def in_domain(self, x) -> bool:
         """Whether x lies inside the field's valid domain."""
         return True
@@ -129,13 +138,7 @@ def radial_spectral_truth(params, x):
     m = exp(-r / ell), phi = (-r) mod 2*pi, grad phi = -x / ||x||.
     The gradient direction is undefined at the origin.
     """
-    r = math.hypot(x[0], x[1])
-    if r == 0.0:
-        raise OriginSingularityError("phase gradient undefined at the source")
-    m = math.exp(-r / params.ell)
-    phi = wrap_phase(-r)
-    grad = np.array([-x[0] / r, -x[1] / r])
-    return SpectralTruth(m=m, phi=phi, grad_phi=grad)
+    return RadialField(params).analytic_spectra(x)
 
 
 class RadialField(Field):
@@ -165,8 +168,17 @@ class RadialField(Field):
         t = t0 + np.arange(n) * (self.period / n)
         return np.array(amp)[:, None] * np.cos(np.array(r)[:, None] - t)
 
+    def analytic_mode(self, x, y):
+        # math per call: this runs at every RK4 stage of an analytic run
+        r = math.hypot(x, y)
+        if r == 0.0:
+            raise OriginSingularityError("phase gradient undefined at the source")
+        return math.exp(-r / self.params.ell), -x / r, -y / r
+
     def analytic_spectra(self, x):
-        return radial_spectral_truth(self.params, x)
+        m, gx, gy = self.analytic_mode(x[0], x[1])
+        phi = wrap_phase(-math.hypot(x[0], x[1]))
+        return SpectralTruth(m=m, phi=phi, grad_phi=np.array([gx, gy]))
 
     def spectral_magnitude(self, r):
         """First-mode magnitude as a function of radius alone."""

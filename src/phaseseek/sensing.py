@@ -182,13 +182,17 @@ def sensory_output(grad_phi, theta):
     s = (grad phi / ||grad phi||) . (-sin theta, cos theta), clipped to [-1, 1]
     against roundoff.
     """
-    gx = float(grad_phi[0])
-    gy = float(grad_phi[1])
+    return lateral_signal(float(grad_phi[0]), float(grad_phi[1]), theta)
+
+
+def lateral_signal(gx, gy, theta):
+    """sensory_output on plain floats, the form called per RK4 stage."""
     norm = math.hypot(gx, gy)
     if norm == 0.0:
         raise UndefinedDirectionError("zero phase gradient has no direction")
     s = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
-    return min(1.0, max(-1.0, s))
+    # min(1.0, max(-1.0, s)) without two calls; NaN still maps to -1.0
+    return s if -1.0 < s < 1.0 else 1.0 if s >= 1.0 else -1.0
 
 
 def spectral_sample(field, x, t0, theta, config):

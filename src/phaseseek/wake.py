@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import TWO_PI, Field, alignment_error, wrap_angle, wrap_phase
+from .fields import TWO_PI, Field, wrap_angle, wrap_phase
 # dft_first_mode stays importable from this module, where perfbench's
 # tracer looks it up
 from .sensing import dft_first_mode, first_mode_coeffs  # noqa: F401
@@ -330,23 +330,20 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
 
     delta = None
     if source is not None:
+        # alignment_error at every node where it is defined: the masks and
+        # the cross and dot products in numpy, math.atan2 per node because
+        # np.arctan2 rounds differently
         sx, sy = float(source[0]), float(source[1])
+        px, py = np.meshgrid(bundle.x_coords, bundle.y_coords)
+        ux, uy = sx - px, sy - py
+        gx, gy = grad[..., 0], grad[..., 1]
+        valid = (ok & np.isfinite(gx) & np.isfinite(gy)
+                 & ~((px == sx) & (py == sy)) & ~((gx == 0.0) & (gy == 0.0)))
+        cross = (ux * gy - uy * gx)[valid].tolist()
+        dot = (ux * gx + uy * gy)[valid].tolist()
         delta = np.full((ny, nx), np.nan)
-        xs = bundle.x_coords
-        ys = bundle.y_coords
-        for j in range(ny):
-            for i in range(nx):
-                if not ok[j, i]:
-                    continue
-                gvec = grad[j, i]
-                if not np.isfinite(gvec).all():
-                    continue
-                px, py = xs[i], ys[j]
-                if px == sx and py == sy:
-                    continue
-                if gvec[0] == 0.0 and gvec[1] == 0.0:
-                    continue
-                delta[j, i] = alignment_error((px, py), gvec, source=(sx, sy))
+        delta[valid] = list(map(math.atan2, cross, dot))
+        delta[delta == -math.pi] = math.pi
 
     return SpectralGrids(
         x=bundle.x_coords, y=bundle.y_coords, m_grid=m, phi_grid=phi,

@@ -1,8 +1,10 @@
 """Slow, independent reference computations backing the unit tests.
 
-Everything here is deliberately naive: bisection on monotone brackets and
-brute-force residual checks. The point is to agree with the fast library
-code without sharing any of its machinery.
+Everything here is deliberately naive: bisection on monotone brackets,
+brute-force residual checks, and a closed loop that builds a spectrum
+object at every RK4 stage. The point is to agree with the fast library
+code without sharing any of its machinery; the closed loop shares only the
+public per-stage pieces (spectra, steering signal, gain law).
 """
 
 import math
@@ -58,3 +60,72 @@ def center_radius_ref(kind, rho, ell):
 def saddle_radius_ref(rho, ell):
     """Larger balance root of the proportional law (exists for ell > rho e)."""
     return bisect(lambda r: r * math.exp(-r / ell) - rho, ell, 60.0 * ell)
+
+
+def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
+                    q_of=None):
+    """Analytic closed loop the plain way: one spectrum object per RK4 stage.
+
+    Built only from the public field.analytic_spectra, sensory_output and
+    gain_value, one recorded row at a time, in TRAJECTORY_COLUMNS order.
+    q_of(r, psi) supplies Q where one is defined. Returns (termination,
+    rows).
+    """
+    from phaseseek import (OriginSingularityError, UndefinedDirectionError,
+                           gain_value, sensory_output)
+
+    def deriv(x, y, th):
+        truth = field.analytic_spectra((x, y))
+        s = sensory_output(truth.grad_phi, th)
+        g, _ = gain_value(law, truth.m)
+        return (v * math.cos(th), v * math.sin(th), g * s), (truth.m, s, g)
+
+    def wrap(a):
+        return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+    def row(t, x, y, th, sample):
+        r = math.hypot(x, y)
+        eta = math.atan2(y, x)
+        psi = wrap(math.pi - (th - eta)) if r > 0 else math.nan
+        q = q_of(r, psi) if q_of is not None and r > 0 else math.nan
+        m, s, g = sample
+        return (t, x, y, wrap(th), r, eta, psi, m, s, g, g * s, q)
+
+    x, y, th = pose
+    t = 0.0
+    rows = []
+    while True:
+        r = math.hypot(x, y)
+        if r == 0.0:
+            termination = "origin_singularity"
+            break
+        if r < r_stop:
+            termination = "reached_source"
+            break
+        if r > r_escape:
+            termination = "escaped"
+            break
+        if t >= t_end - 0.5 * dt:
+            termination = "t_end"
+            break
+        try:
+            k1, sample = deriv(x, y, th)
+            k2, _ = deriv(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1],
+                          th + 0.5 * dt * k1[2])
+            k3, _ = deriv(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1],
+                          th + 0.5 * dt * k2[2])
+            k4, _ = deriv(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2])
+        except (OriginSingularityError, UndefinedDirectionError):
+            termination = "sensing_failure"
+            break
+        rows.append(row(t, x, y, th, sample))
+        x, y, th = (
+            p + dt / 6.0 * (a + 2 * b + 2 * c + d)
+            for p, a, b, c, d in zip((x, y, th), k1, k2, k3, k4))
+        t = t + dt
+    try:
+        _, sample = deriv(x, y, th)
+    except ValueError:
+        sample = (math.nan, math.nan, math.nan)
+    rows.append(row(t, x, y, th, sample))
+    return termination, rows

@@ -30,7 +30,10 @@ from phaseseek import (
     synth_wake,
     to_polar,
 )
-from phaseseek.agent import TRAJECTORY_COLUMNS
+from phaseseek.agent import TRAJECTORY_COLUMNS, Trajectory
+from phaseseek.fields import TravelingWaveField, UndefinedDirectionError
+
+from oracles import closed_loop_ref
 
 FIELD = RadialField(6.5)
 STATIC = GainLaw("static", 0.5)
@@ -380,3 +383,188 @@ def test_q_drift_nan_without_conserved_level(tmp_path):
                          dt=1e-2, t_end=0.3)
     assert math.isnan(tr.q_drift())
     assert np.isnan(tr.q).all()
+
+
+# ----------------------------------------------------------------------
+# The scalar loop against the per-stage oracle
+# ----------------------------------------------------------------------
+
+TRAJ_ATTRS = ("t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "gain",
+              "omega", "q")
+
+WAVE_MODES = [(1.0, 0.3, 1.0, (0.8, 0.1)), (0.4, -0.2, 1.0, (-0.3, 0.9)),
+              (0.2, 0.1, 2.0, (0.5, 0.5))]
+
+
+class _HoledWave(TravelingWaveField):
+    """A traveling wave whose phase is undefined at a few exact points and
+    everywhere left of x_dead."""
+
+    def __init__(self, modes, holes=(), x_dead=-math.inf):
+        super().__init__([TravelingWaveMode(*mode) for mode in modes])
+        self.holes = set(holes)
+        self.x_dead = x_dead
+
+    def analytic_spectra(self, x):
+        point = (float(x[0]), float(x[1]))
+        if point in self.holes or point[0] < self.x_dead:
+            raise UndefinedDirectionError("phase undefined here")
+        return super().analytic_spectra(x)
+
+
+def _assert_matches_oracle(field, law, pose, dt, t_end, r_stop=0.05,
+                           r_escape=50.0):
+    tr = simulate(AgentState(*pose), field, law, dt=dt, t_end=t_end,
+                  r_stop=r_stop, r_escape=r_escape)
+    q_of = None
+    if isinstance(field, RadialField) and law.g0 > 0:
+        def q_of(r, psi):
+            return conserved_quantity(law.kind, r, psi, law.rho(), field.ell)
+    termination, rows = closed_loop_ref(field, law, pose, dt, t_end, r_stop,
+                                        r_escape, q_of=q_of)
+    assert tr.termination == termination
+    for name, want in zip(TRAJ_ATTRS, zip(*rows)):
+        assert np.array_equal(getattr(tr, name), np.array(want, dtype=float),
+                              equal_nan=True), name
+    return tr
+
+
+@pytest.mark.parametrize("law, ell, pose", [
+    (GainLaw("static", 0.5), 6.5, (4.0, 0.0, 1.3)),
+    (GainLaw("proportional", 0.5), 6.5, (3.0, 1.0, 2.0)),
+    (GainLaw("inverse", 0.5), 5.8, (-3.0, 0.4, -1.9)),
+    (GainLaw("inverse", 0.05, m_floor=1e-3), 0.5, (6.0, 0.0, 1.5)),
+    (GainLaw("static", 0.0), 6.5, (2.0, -1.0, 0.4)),
+])
+def test_radial_loop_matches_oracle(law, ell, pose):
+    tr = _assert_matches_oracle(RadialField(ell), law, pose, 1e-2, 5.0)
+    assert tr.termination == "t_end"
+
+
+def test_radial_loop_matches_oracle_to_the_source():
+    tr = _assert_matches_oracle(RadialField(6.5), STATIC,
+                                (1.0, 0.0, math.pi - 0.05), 1e-3, 10.0)
+    assert tr.termination == "reached_source"
+
+
+def test_radial_loop_matches_oracle_on_escape():
+    tr = _assert_matches_oracle(RadialField(5.4), GainLaw("proportional", 0.5),
+                                (4.0, 0.0, 2.74), 2e-2, 100.0, r_escape=12.0)
+    assert tr.termination == "escaped"
+
+
+def test_traveling_wave_loop_matches_oracle():
+    field = synth_traveling_field(WAVE_MODES)
+    tr = _assert_matches_oracle(field, GainLaw("proportional", 0.7),
+                                (1.0, 2.0, 0.3), 1e-2, 5.0)
+    assert tr.termination == "t_end"
+    assert np.isnan(tr.q).all()
+
+
+def test_sensing_failure_matches_oracle_with_nan_final_row():
+    law = GainLaw("static", 0.7)
+    healthy = simulate(AgentState(1.0, 2.0, 0.3),
+                       synth_traveling_field(WAVE_MODES), law, dt=1e-2,
+                       t_end=5.0)
+    hole = (float(healthy.x[40]), float(healthy.y[40]))
+    field = _HoledWave(WAVE_MODES, holes=[hole])
+    tr = _assert_matches_oracle(field, law, (1.0, 2.0, 0.3), 1e-2, 5.0)
+    assert tr.termination == "sensing_failure"
+    assert len(tr) == 41
+    assert (tr.x[-1], tr.y[-1]) == hole
+    for col in (tr.m, tr.s, tr.gain, tr.omega):
+        assert math.isnan(col[-1]) and np.isfinite(col[:-1]).all()
+
+
+def test_sensing_failure_mid_step_matches_oracle():
+    # a later RK4 stage enters the dead zone: the last pose still senses
+    field = _HoledWave([(1.0, 0.0, 1.0, (1.0, 0.0))], x_dead=0.5)
+    tr = _assert_matches_oracle(field, STATIC, (2.0, 0.0, math.pi), 1e-2,
+                                5.0)
+    assert tr.termination == "sensing_failure"
+    assert np.isfinite(tr.m).all()
+    assert tr.x[-1] >= 0.5
+
+
+# ----------------------------------------------------------------------
+# Non-finite input is rejected at entry
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("g0, m_floor", [
+    (math.nan, 1e-6), (math.inf, 1e-6), (0.5, math.nan), (0.5, math.inf),
+])
+def test_gain_law_rejects_non_finite(g0, m_floor):
+    with pytest.raises(ValueError):
+        GainLaw("static", g0, m_floor=m_floor)
+
+
+@pytest.mark.parametrize("pose", [
+    (math.nan, 0.0, 0.0, 0.0), (4.0, math.inf, 0.0, 0.0),
+    (4.0, 0.0, math.nan, 0.0), (4.0, 0.0, -math.inf, 0.0),
+    (4.0, 0.0, 0.0, math.nan), (4.0, 0.0, 0.0, math.inf),
+])
+def test_simulate_rejects_non_finite_start(pose):
+    with pytest.raises(ValueError):
+        simulate(AgentState(*pose), FIELD, STATIC, dt=1e-2, t_end=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan},
+    {"t_end": math.inf}, {"r_stop": math.nan}, {"r_stop": math.inf},
+    {"r_stop": -1.0}, {"r_escape": math.nan}, {"r_escape": 0.0},
+    {"v": math.nan}, {"v": math.inf}, {"v": 0.0}, {"v": -1.0},
+])
+def test_simulate_rejects_bad_settings(kwargs):
+    settings = {"dt": 1e-2, "t_end": 1.0, **kwargs}
+    with pytest.raises(ValueError):
+        simulate(AgentState(4.0, 0.0, 0.0), FIELD, STATIC, **settings)
+
+
+@pytest.mark.parametrize("start, dt, t_end", [
+    (PolarState(4.0, math.nan, 0.3), 1e-2, 1.0),
+    (PolarState(4.0, 0.0, math.inf), 1e-2, 1.0),
+    (PolarState(math.inf, 0.0, 0.3), 1e-2, 1.0),
+    (PolarState(4.0, 0.0, 0.3), math.nan, 1.0),
+    (PolarState(4.0, 0.0, 0.3), math.inf, 1.0),
+    (PolarState(4.0, 0.0, 0.3), 1e-2, math.nan),
+    (PolarState(4.0, 0.0, 0.3), 1e-2, math.inf),
+])
+def test_simulate_polar_rejects_non_finite(start, dt, t_end):
+    with pytest.raises(ValueError):
+        simulate_polar(start, None, STATIC, radial_m_field(6.5), dt, t_end,
+                       r_escape=50.0)
+
+
+# ----------------------------------------------------------------------
+# CSV bytes
+# ----------------------------------------------------------------------
+
+def test_trajectory_csv_bytes_are_pinned(tmp_path):
+    rows = [
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1 / 3, 2.5,
+         1e300, -7.0, 123456789.125, np.float64(0.2)],
+        [0.0, 1e-7, -2.0, 3.0, 1e16, -1.5e-310, 0.5, 7, 0.0, 4.0, -0.25,
+         np.float64(math.nan)],
+    ]
+    cols = [list(c) for c in zip(*rows)]
+    tr = Trajectory(*(np.array(c, dtype=float) for c in cols[:11]),
+                    q=cols[11], dt=0.1, termination="t_end", params={})
+    path = tmp_path / "pinned.csv"
+    tr.write_csv(path)
+    assert path.read_bytes() == (
+        b"t,x,y,theta,r,eta,psi,m,s,G,Omega,Q\n"
+        b"nan,inf,-inf,-0.0,5e-324,0.1,0.3333333333333333,2.5,1e+300,-7.0,"
+        b"123456789.125,0.2\n"
+        b"0.0,1e-07,-2.0,3.0,1e+16,-1.5e-310,0.5,7.0,0.0,4.0,-0.25,nan\n")
+
+
+def test_trajectory_csv_bytes_across_row_blocks(tmp_path):
+    # longer than one block of rows: every row written exactly once, in order
+    rng = np.random.default_rng(23)
+    cols = rng.normal(size=(12, 9000)) * 10.0 ** rng.integers(-5, 5, (12, 1))
+    tr = Trajectory(*cols, dt=0.1, termination="t_end", params={})
+    path = tmp_path / "long.csv"
+    tr.write_csv(path)
+    want = [",".join(TRAJECTORY_COLUMNS)]
+    want += [",".join(repr(float(v)) for v in row) for row in cols.T]
+    assert path.read_text() == "\n".join(want) + "\n"

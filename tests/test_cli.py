@@ -143,6 +143,27 @@ def test_simulate_config_errors(tmp_path):
                  "--init", "4,0,0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--init", "nan,0,0"],
+    ["--init", "4,0,inf"],
+    ["--t-end", "nan"],
+    ["--t-end", "inf"],
+    ["--dt", "nan"],
+    ["--v", "nan"],
+    ["--r-stop", "nan"],
+    ["--r-escape", "nan"],
+    ["--g0", "nan"],
+    ["--g0", "inf"],
+])
+def test_simulate_rejects_non_finite_input(tmp_path, flags):
+    argv = ["simulate", "--field", "radial", "--ell", "6.5", "--dt", "1e-2",
+            "--t-end", "1", "--out", str(tmp_path)]
+    if "--init" not in flags:
+        argv += ["--init", "4,0,0"]
+    assert main(argv + flags) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_rejects_corrupt_bundle(tmp_path):
     bad = tmp_path / "bad.wavf"
     bad.write_bytes(b"WAVGjunkjunkjunk")

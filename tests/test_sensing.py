@@ -29,7 +29,7 @@ from phaseseek import (
     wrap_angle,
     wrap_phase,
 )
-from phaseseek.sensing import _twiddle
+from phaseseek.sensing import _twiddle, lateral_signal
 
 
 class _ZeroField(Field):
@@ -255,6 +255,28 @@ def test_sensory_output():
         assert -1.0 <= s <= 1.0
     with pytest.raises(ValueError):
         sensory_output((0.0, 0.0), 0.3)
+
+
+def test_lateral_signal_clips_like_min_max():
+    # the chained-comparison clip must agree with min(1, max(-1, s)) on
+    # every float, NaN and signed zeros included
+    rng = np.random.default_rng(17)
+    cases = [((-1.0, 0.0), math.pi / 2), ((0.0, 1.0), 0.0),
+             ((0.0, -0.0), 0.0), ((-0.0, 3.0), math.pi / 2),
+             ((math.inf, 1.0), 0.2), ((math.nan, 1.0), 0.2),
+             ((1.0, 1.0), math.nan)]
+    cases += [(tuple(rng.uniform(-2.0, 2.0, size=2)),
+               float(rng.uniform(-10.0, 10.0))) for _ in range(2000)]
+    for (gx, gy), theta in cases:
+        norm = math.hypot(gx, gy)
+        if norm == 0.0:
+            continue
+        raw = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
+        got = lateral_signal(gx, gy, theta)
+        want = min(1.0, max(-1.0, raw))
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert sensory_output(np.array([gx, gy]), theta) == got
 
 
 def test_analytic_sample_matches_truth_exactly():

@@ -12,6 +12,7 @@ from phaseseek import (
     BundleFormatError,
     GridFieldBundle,
     GridPeriodError,
+    alignment_error,
     dft_first_mode,
     field_from_bundle,
     load_bundle,
@@ -212,6 +213,27 @@ def test_spectral_grids_gradient_and_delta():
     center = grids.delta_grid[j0, inside]
     center = center[~np.isnan(center)]
     assert np.max(np.abs(center)) < 1e-9
+
+
+@pytest.mark.parametrize("pick_source", [
+    lambda grids: (0.0, 0.0),
+    # a source on a grid node, where delta is undefined
+    lambda grids: (float(grids.x[40]), float(grids.y[30])),
+    lambda grids: (3.1, -1.7),
+])
+def test_delta_grid_equals_per_node_alignment_error(pick_source):
+    bundle = synth_wake()
+    source = pick_source(spectral_grids(bundle))
+    grids = spectral_grids(bundle, source=source)
+    want = np.full((bundle.ny, bundle.nx), np.nan)
+    for j, i in np.ndindex(want.shape):
+        try:
+            want[j, i] = alignment_error((grids.x[i], grids.y[j]),
+                                         grids.grad_phi_grid[j, i], source)
+        except ValueError:
+            pass
+    assert np.array_equal(grids.delta_grid, want, equal_nan=True)
+    assert np.isfinite(want).sum() > 1000
 
 
 def test_spectral_grids_nan_outside_support():
