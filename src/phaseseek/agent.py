@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import analysis
+# GainKind lives in analysis, the lower module; agent re-exports it
+from .analysis import GainKind
 from .fields import (
     OriginSingularityError,
     RadialField,
@@ -50,12 +51,6 @@ TERM_ORIGIN = "origin_singularity"
 TRAJECTORY_COLUMNS = (
     "t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "G", "Omega", "Q"
 )
-
-
-class GainKind(str, Enum):
-    STATIC = "static"
-    PROPORTIONAL = "proportional"
-    INVERSE = "inverse"
 
 
 @dataclass(frozen=True)
@@ -115,11 +110,6 @@ def gain_value(law, m):
     """
     g = _gain_fn(law)(m)
     return g, law.kind is GainKind.INVERSE and m < law.m_floor
-
-
-def heading_rate(g, s):
-    """Steering command Omega = G * s."""
-    return g * s
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +174,24 @@ def _require(ok, message):
         raise ValueError(message)
 
 
+def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
+    """Entry checks of simulate and simulate_polar: ValueError on bad input.
+
+    start is an AgentState or a PolarState. r_stop (r_floor for
+    simulate_polar) must be finite and nonnegative and r_escape None or
+    positive; r_escape = inf means no escape bound.
+    """
+    _require(all(map(math.isfinite, vars(start).values())),
+             f"start must be finite, got {start}")
+    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
+    _require(math.isfinite(t_end), f"t_end must be finite, got {t_end}")
+    _require(0 <= r_stop < math.inf,
+             f"{stop_name} must be finite and nonnegative, got {r_stop}")
+    _require(r_escape is None or r_escape > 0,
+             f"r_escape must be positive, got {r_escape}")
+    _require(0 < v < math.inf, f"v must be finite and positive, got {v}")
+
+
 def _resolve_sensing(field, mode):
     if mode not in SENSING_MODES:
         raise ValueError(f"unknown sensing mode {mode!r}, expected {SENSING_MODES}")
@@ -233,14 +241,6 @@ def _rk4_step(sense, gain, v, dt, x, y, th, t):
             y + sixth * (dy1 + 2 * dy2 + 2 * dy3 + dy4),
             th + sixth * (dh1 + 2 * dh2 + 2 * dh3 + dh4),
             t + dt, m, s, g)
-
-
-def step(state, field, law, config, dt, v=1.0, sensing=AUTO):
-    """One RK4 step of the closed loop, re-sensing at every stage."""
-    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
-    sense = _sensor(field, config, _resolve_sensing(field, sensing))
-    return AgentState(*_rk4_step(sense, _gain_fn(law), v, dt, state.x,
-                                 state.y, state.theta, state.t)[:4])
 
 
 # ----------------------------------------------------------------------
@@ -338,15 +338,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     """
     if config is None:
         config = SensingConfig()
-    _require(all(map(math.isfinite, (init.x, init.y, init.theta, init.t))),
-             f"start pose must be finite, got {init}")
-    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
-    _require(math.isfinite(t_end), f"t_end must be finite, got {t_end}")
-    _require(0 <= r_stop < math.inf,
-             f"r_stop must be finite and nonnegative, got {r_stop}")
-    _require(r_escape is None or r_escape > 0,
-             f"r_escape must be positive, got {r_escape}")
-    _require(0 < v < math.inf, f"v must be finite and positive, got {v}")
+    _check_run(init, dt, t_end, r_stop, r_escape, v)
     mode = _resolve_sensing(field, sensing)
     sense = _sensor(field, config, mode)
     gain = _gain_fn(law)
@@ -418,7 +410,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     if isinstance(field, RadialField) and math.isfinite(rho):
         sin_psi = np.array(list(map(math.sin, psi.tolist())))
         q = (r / rho) * sin_psi * analysis._gain_integral_factor(
-            law.kind.value, r, rho, ell)
+            law.kind, r, rho, ell)
     params = {
         "field": field.describe(),
         "law": {"kind": law.kind.value, "g0": law.g0, "m_floor": law.m_floor},
@@ -482,12 +474,11 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
 
     delta_field(r, eta) supplies the alignment error (None means zero) and
     m_field(r, eta) the sensed magnitude. Terminates at t_end, when r falls
-    to r_floor (the coordinates degenerate), or when r exceeds r_escape.
+    to r_floor (the coordinates degenerate), or when r exceeds r_escape
+    (default: no bound). Non-finite or out-of-range starts and settings
+    raise ValueError before the first step, as in simulate.
     """
-    _require(all(map(math.isfinite, (init.r, init.eta, init.psi))),
-             f"start must be finite, got {init}")
-    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
-    _require(math.isfinite(t_end), f"t_end must be finite, got {t_end}")
+    _check_run(init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
     if delta_field is None:
         def delta_field(r, eta):
             return 0.0

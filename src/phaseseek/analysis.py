@@ -23,13 +23,17 @@ from enum import Enum
 import numpy as np
 
 # ----------------------------------------------------------------------
-# Gain-law kinds and classification labels (string constants)
+# Gain-law kinds and classification labels
 # ----------------------------------------------------------------------
 
-STATIC = "static"
-PROPORTIONAL = "proportional"
-INVERSE = "inverse"
-GAIN_KINDS = (STATIC, PROPORTIONAL, INVERSE)
+class GainKind(str, Enum):
+    """The three gain laws. Every entry taking a kind coerces it with
+    GainKind(kind), so the plain strings work too."""
+
+    STATIC = "static"
+    PROPORTIONAL = "proportional"
+    INVERSE = "inverse"
+
 
 CENTER = "center"
 SADDLE = "saddle"
@@ -64,18 +68,11 @@ class QOutOfRangeError(ValueError):
     """No orbit exists at this value of the conserved quantity."""
 
 
-def _kind_str(kind):
-    """Accept plain strings or string-valued enums for the gain kind."""
-    kind = getattr(kind, "value", kind)
-    if kind not in GAIN_KINDS:
-        raise ValueError(f"unknown gain kind {kind!r}, expected one of {GAIN_KINDS}")
-    return kind
-
-
 def _require_ell(kind, ell):
-    if kind != STATIC:
+    if kind is not GainKind.STATIC:
         if ell is None or not ell > 0:
-            raise ValueError(f"{kind} gain needs a positive decay length ell")
+            raise ValueError(
+                f"{kind.value} gain needs a positive decay length ell")
     return ell
 
 
@@ -108,20 +105,37 @@ def _lambert_guess_wm1(z):
     return l1 - l2 + l2 / l1
 
 
+def _lambert_w_log(b, z, max_iter):
+    """W where w e^w leaves the normal float range (W0 above 1e300, Wm1
+    above -1e-300): Newton on w + log|w| = log|z| from the asymptotic guess.
+    """
+    lz = math.log(abs(z))
+    w = lz - math.log(abs(lz))
+    for _ in range(max_iter):
+        step = (w + math.log(abs(w)) - lz) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 4.5e-16 * abs(w):
+            return w
+    raise RuntimeError(f"Lambert W failed to converge for branch {b}, z = {z}")
+
+
 def lambert_w(branch, z, tol=5e-13, max_iter=50):
     """Real Lambert W on the principal (W0) or lower (Wm1) branch.
 
     Solves w * exp(w) = z by Halley iteration from a branch-specific initial
-    guess, stopping when |w e^w - z| <= tol. W0 is defined on [-1/e, inf),
-    Wm1 on [-1/e, 0). Arguments within 1e-12 below -1/e are snapped to the
-    branch point.
+    guess, stopping when |w e^w - z| <= tol (tol * |z| for |z| < 1e-3, where
+    an absolute target would accept a poor Wm1) or when the step falls to
+    rounding level. Where w e^w leaves the normal float range (W0 above
+    z = 1e300, Wm1 above -1e-300), Newton on w + log|w| = log|z| takes
+    over. W0 is defined on [-1/e, inf), Wm1 on [-1/e, 0). Arguments within
+    1e-12 below -1/e are snapped to the branch point.
 
     Parameters
     ----------
     branch : LambertBranch, "W0", "Wm1", 0 or -1
     z : float
     tol : float
-        Absolute residual target.
+        Residual target, absolute for |z| >= 1e-3 and relative below.
     max_iter : int
 
     Returns
@@ -158,8 +172,13 @@ def lambert_w(branch, z, tol=5e-13, max_iter=50):
             p = -p
         return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
 
-    # for huge |z| the absolute target is below float resolution of w e^w
-    floor = max(tol, 4e-16 * abs(z))
+    if z > 1e300 or (b is LambertBranch.WM1 and z > -1e-300):
+        return _lambert_w_log(b, z, max_iter)
+
+    # an absolute target means nothing once |z| nears it (Wm1 near 0- would
+    # pass on its first guess), so below |z| = 1e-3 it is taken relative to
+    # z; for huge |z| it is the float resolution of w e^w
+    floor = max(tol * abs(z) if abs(z) < 1e-3 else tol, 4e-16 * abs(z))
     w = _lambert_guess_w0(z) if b is LambertBranch.W0 else _lambert_guess_wm1(z)
     for _ in range(max_iter):
         ew = math.exp(w)
@@ -170,8 +189,9 @@ def lambert_w(branch, z, tol=5e-13, max_iter=50):
         denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
         step = f / denom
         w -= step
-        # steps at rounding level mean w is as good as float64 allows
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
+        # steps at rounding level mean w is as good as float64 allows; a
+        # step of up to two ulps ends the swing between neighbouring floats
+        if abs(step) <= max(1e-16 * (1.0 + abs(w)), 4.5e-16 * abs(w)):
             return w
     raise RuntimeError(f"Lambert W failed to converge for branch {b}, z = {z}")
 
@@ -197,9 +217,9 @@ def _gain_integral_factor(kind, r, rho, ell=None):
 
     Works elementwise on arrays.
     """
-    if kind == STATIC:
+    if kind is GainKind.STATIC:
         return np.exp(-np.asarray(r) / rho)
-    if kind == PROPORTIONAL:
+    if kind is GainKind.PROPORTIONAL:
         return np.exp((ell / rho) * np.exp(-np.asarray(r) / ell))
     return np.exp(-(ell / rho) * np.exp(np.asarray(r) / ell))
 
@@ -209,7 +229,7 @@ def conserved_quantity(kind, r, psi, rho, ell=None):
 
     Constant along closed-loop trajectories for every gain law.
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     if not rho > 0:
@@ -224,6 +244,8 @@ def radial_envelope(kind, r, rho, ell=None):
     Orbits with conserved level Q satisfy |Q| <= h(r) wherever they go, with
     equality exactly at radial turning points.
     """
+    kind = GainKind(kind)
+    ell = _require_ell(kind, ell)
     return (np.asarray(r) / rho) * _gain_integral_factor(kind, r, rho, ell)
 
 
@@ -233,7 +255,7 @@ def radial_velocity(kind, r, q, rho, ell=None, v=1.0):
     |dr/dt| = V sqrt(1 - q^2 / h(r)^2) with h the radial envelope. Radicands
     within 1e-12 of zero count as turning points and return 0.
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     ell = _require_ell(kind, ell)
@@ -253,16 +275,17 @@ def radial_velocity(kind, r, q, rho, ell=None, v=1.0):
 
 def gain_profile(kind, r, rho, ell=None, v=1.0):
     """G(r) for the zero-alignment-error loop: V/rho times the law's m-shaping."""
-    if kind == STATIC:
+    kind = GainKind(kind)
+    if kind is GainKind.STATIC:
         return v / rho
-    if kind == PROPORTIONAL:
+    if kind is GainKind.PROPORTIONAL:
         return (v / rho) * math.exp(-r / ell)
     return (v / rho) * math.exp(r / ell)
 
 
 def radial_vector_field(kind, rho, ell=None, v=1.0):
     """Return f(r, psi) -> (dr/dt, dpsi/dt) for the reduced closed loop."""
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     ell = _require_ell(kind, ell)
 
     def f(r, psi):
@@ -319,7 +342,7 @@ def jacobian_eigenvalues(kind, fixed_point, rho, ell=None, v=1.0):
     Central differences with step 1e-5 * max(1, r*); returned sorted by
     (real, imag) for determinism.
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     ell = _require_ell(kind, ell)
     return _eigs_at(kind, fixed_point.r_star, fixed_point.psi_star, rho, ell, v)
 
@@ -334,11 +357,11 @@ def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
     Magnitudes are the cross-check target; the numerical Jacobian is the
     ground truth for signs.
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     ell = _require_ell(kind, ell)
-    if kind == STATIC:
+    if kind is GainKind.STATIC:
         lam2 = -((v / rho) ** 2)
-    elif kind == PROPORTIONAL:
+    elif kind is GainKind.PROPORTIONAL:
         lam2 = v * v * (r_star - ell) / (ell * r_star * r_star)
     else:
         lam2 = -v * v * (ell + r_star) / (ell * r_star * r_star)
@@ -358,7 +381,7 @@ def fixed_points(kind, rho, ell=None, v=1.0, degenerate_tol=1e-9):
                    degenerate_tol of ell = rho e
     inverse:       r* = ell W0(rho/ell) (centers)
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not v > 0:
@@ -366,9 +389,9 @@ def fixed_points(kind, rho, ell=None, v=1.0, degenerate_tol=1e-9):
     ell = _require_ell(kind, ell)
 
     radii = []
-    if kind == STATIC:
+    if kind is GainKind.STATIC:
         radii.append((rho, CENTER))
-    elif kind == PROPORTIONAL:
+    elif kind is GainKind.PROPORTIONAL:
         ell_c = rho * math.e
         if abs(ell - ell_c) < degenerate_tol:
             radii.append((ell, DEGENERATE))
@@ -455,7 +478,7 @@ def radial_bounds(kind, q, rho, ell=None):
     is unbounded below the critical level and conditionally bounded above
     it (up to the envelope's local maximum at the center radius).
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     ell = _require_ell(kind, ell)
@@ -464,7 +487,7 @@ def radial_bounds(kind, q, rho, ell=None):
     def envelope(r):
         return float(radial_envelope(kind, r, rho, ell))
 
-    if kind == STATIC:
+    if kind is GainKind.STATIC:
         if aq == 0.0:
             return RadialBounds(BOUNDED, 0.0, math.inf)
         if aq > _INV_E + 1e-12:
@@ -476,7 +499,7 @@ def radial_bounds(kind, q, rho, ell=None):
             BOUNDED, -rho * lambert_w0(-aq), -rho * lambert_wm1(-aq)
         )
 
-    if kind == INVERSE:
+    if kind is GainKind.INVERSE:
         if aq == 0.0:
             return RadialBounds(BOUNDED, 0.0, math.inf)
         r_fp = ell * lambert_w0(rho / ell)
@@ -534,7 +557,7 @@ def bifurcation_scan(rho, ell_min, ell_max, step=0.1, refine_tol=1e-9):
         raise ValueError("step must be positive")
 
     def has_points(ell):
-        return len(fixed_points(PROPORTIONAL, rho, ell)) > 0
+        return len(fixed_points(GainKind.PROPORTIONAL, rho, ell)) > 0
 
     grid = [ell_min]
     while grid[-1] < ell_max:
@@ -566,6 +589,21 @@ def bifurcation_scan(rho, ell_min, ell_max, step=0.1, refine_tol=1e-9):
 # Convergence classification
 # ----------------------------------------------------------------------
 
+def _regime(kind, rho, ell, tol):
+    """The convergence class a gain law gives every orbit alike.
+
+    "unconditional" for static and inverse gain; for proportional gain
+    "indeterminate" within tol of ell = rho e, "divergent" below it and
+    "conditional" above it, where the start decides.
+    """
+    if kind is not GainKind.PROPORTIONAL:
+        return UNCONDITIONAL
+    ell_c = rho * math.e
+    if abs(ell - ell_c) < tol:
+        return INDETERMINATE
+    return DIVERGENT if ell < ell_c else CONDITIONAL
+
+
 def classify_convergence(kind, rho, ell, init, boundary_tol=1e-9):
     """Classify the long-run radial behaviour of the orbit through `init`.
 
@@ -576,14 +614,10 @@ def classify_convergence(kind, rho, ell, init, boundary_tol=1e-9):
     saddle, "conditional_unbounded" otherwise. Inits within boundary_tol of
     a separating level (or ell of rho e) come back "indeterminate".
     """
-    kind = _kind_str(kind)
-    if kind in (STATIC, INVERSE):
-        return UNCONDITIONAL
-    ell_c = rho * math.e
-    if abs(ell - ell_c) < boundary_tol:
-        return INDETERMINATE
-    if ell < ell_c:
-        return DIVERGENT
+    kind = GainKind(kind)
+    regime = _regime(kind, rho, _require_ell(kind, ell), boundary_tol)
+    if regime != CONDITIONAL:
+        return regime
     q_cr = critical_q(rho, ell)
     q = conserved_quantity(kind, init.r, init.psi, rho, ell)
     if abs(abs(q) - q_cr) < boundary_tol:
@@ -691,25 +725,16 @@ def portrait(kind, rho, ell=None, v=1.0, grid=None):
     boundary. Every grid value is finite (the envelope factor decays in all
     regimes, and Q -> 0 at the origin).
     """
-    kind = _kind_str(kind)
+    kind = GainKind(kind)
     ell = _require_ell(kind, ell)
     grid = grid if grid is not None else PortraitGrid()
 
     fps = fixed_points(kind, rho, ell, v)
     q_critical = None
     separatrix = None
-    if kind == PROPORTIONAL and any(fp.kind == SADDLE for fp in fps):
+    if any(fp.kind == SADDLE for fp in fps):
         q_critical = critical_q(rho, ell)
         separatrix = (-q_critical, q_critical)
-
-    if kind in (STATIC, INVERSE):
-        classification = UNCONDITIONAL
-    elif abs(ell - rho * math.e) < 1e-9:
-        classification = INDETERMINATE
-    elif ell < rho * math.e:
-        classification = DIVERGENT
-    else:
-        classification = CONDITIONAL
 
     u_axis = np.linspace(grid.u_min, grid.u_max, grid.nu)
     w_axis = np.linspace(grid.w_min, grid.w_max, grid.nw)
@@ -722,14 +747,14 @@ def portrait(kind, rho, ell=None, v=1.0, grid=None):
         "psi = 0 heads straight down-gradient at dr/dt = -V"
     )
     return PortraitReport(
-        kind=kind,
+        kind=kind.value,
         rho=rho,
         ell=ell,
         v=v,
         fixed_points=fps,
         q_critical=q_critical,
         separatrix_q=separatrix,
-        classification=classification,
+        classification=_regime(kind, rho, ell, 1e-9),
         relative_equilibria=note,
         grid=grid,
         u_axis=u_axis,

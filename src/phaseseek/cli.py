@@ -195,26 +195,36 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    integ = config["integration"]
+    settings = {
+        "dt": float(integ["dt"]), "t_end": float(integ["t_end"]),
+        "r_stop": float(integ["r_stop"]),
+        "r_escape": (None if integ["r_escape"] is None
+                     else float(integ["r_escape"])),
+        "v": float(config["agent"]["v"]),
+    }
+    starts = []
+    for init in config["agent"]["inits"]:
+        x0, y0, theta0 = (float(v) for v in init)
+        starts.append(agent.AgentState(x=x0, y=y0, theta=theta0, t=0.0))
+    # every start is checked before the first file is written
+    try:
+        for state in starts:
+            agent._check_run(state, **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
     out_dir = Path(config["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = config["output"]["prefix"]
-    integ = config["integration"]
 
     runs = []
     any_sensing_failure = False
-    for index, init in enumerate(config["agent"]["inits"]):
-        x0, y0, theta0 = (float(v) for v in init)
-        state = agent.AgentState(x=x0, y=y0, theta=theta0, t=0.0)
+    for index, state in enumerate(starts):
         try:
-            traj = agent.simulate(
-                state, field, law, sensing_cfg,
-                dt=float(integ["dt"]), t_end=float(integ["t_end"]),
-                r_stop=float(integ["r_stop"]),
-                r_escape=(None if integ["r_escape"] is None
-                          else float(integ["r_escape"])),
-                v=float(config["agent"]["v"]),
-                sensing=config["sensing"]["mode"],
-            )
+            traj = agent.simulate(state, field, law, sensing_cfg,
+                                  sensing=config["sensing"]["mode"],
+                                  **settings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         csv_name = f"{prefix}_run{index:03d}.csv"
@@ -226,7 +236,7 @@ def cmd_simulate(args):
         drift = traj.q_drift()
         runs.append({
             "index": index,
-            "init": [x0, y0, theta0],
+            "init": [state.x, state.y, state.theta],
             "csv": csv_name,
             "sidecar": sidecar_name,
             "termination": traj.termination,

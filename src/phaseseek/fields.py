@@ -29,7 +29,13 @@ class UndefinedDirectionError(ValueError):
 
 def wrap_angle(a):
     """Wrap an angle (or array of angles) to (-pi, pi]."""
-    return math.pi - (math.pi - a) % TWO_PI
+    w = math.pi - (math.pi - a) % TWO_PI
+    # a remainder that rounds up to 2*pi gives -pi, the same angle as pi
+    if isinstance(w, np.ndarray):
+        w[w == -math.pi] = math.pi
+    elif w == -math.pi:
+        w = math.pi
+    return w
 
 
 def wrap_phase(a):
@@ -110,61 +116,31 @@ class Field(ABC):
 # Radially symmetric source field
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialFieldParams:
-    """Parameters of the radially symmetric source field.
-
-    The field is f(r, t) = 2 exp(-r / ell) cos(r - t): an outgoing wave of
-    unit angular frequency and unit wavenumber whose amplitude decays on
-    the length scale ell. Time period is 2*pi.
-    """
-
-    ell: float
-
-    def __post_init__(self):
-        if not self.ell > 0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
-
-
-def radial_field_eval(params, x, t):
-    """Evaluate the radial field at position x and time t."""
-    r = math.hypot(x[0], x[1])
-    return 2.0 * math.exp(-r / params.ell) * math.cos(r - t)
-
-
-def radial_spectral_truth(params, x):
-    """Exact first-mode spectrum of the radial field at x.
-
-    m = exp(-r / ell), phi = (-r) mod 2*pi, grad phi = -x / ||x||.
-    The gradient direction is undefined at the origin.
-    """
-    return RadialField(params).analytic_spectra(x)
-
-
 class RadialField(Field):
-    """The radially symmetric source field f(r, t) = 2 exp(-r/ell) cos(r - t)."""
+    """The radially symmetric source field f(r, t) = 2 exp(-r/ell) cos(r - t).
+
+    An outgoing wave of unit angular frequency and unit wavenumber whose
+    amplitude decays on the length scale ell > 0. Time period is 2*pi.
+    """
 
     has_analytic_spectra = True
 
     def __init__(self, ell):
-        if isinstance(ell, RadialFieldParams):
-            self.params = ell
-        else:
-            self.params = RadialFieldParams(float(ell))
+        ell = float(ell)
+        if not ell > 0:
+            raise ValueError(f"ell must be positive, got {ell}")
+        self.ell = ell
         self.period = TWO_PI
 
-    @property
-    def ell(self):
-        return self.params.ell
-
     def eval(self, x, t):
-        return radial_field_eval(self.params, x, t)
+        r = math.hypot(x[0], x[1])
+        return 2.0 * math.exp(-r / self.ell) * math.cos(r - t)
 
     def eval_windows(self, points, t0, n):
         # math.hypot and math.exp per point: their numpy twins differ by an
         # ulp, which would move windowed results
         r = [math.hypot(x[0], x[1]) for x in points]
-        amp = [2.0 * math.exp(-ri / self.params.ell) for ri in r]
+        amp = [2.0 * math.exp(-ri / self.ell) for ri in r]
         t = t0 + np.arange(n) * (self.period / n)
         return np.array(amp)[:, None] * np.cos(np.array(r)[:, None] - t)
 
@@ -173,19 +149,15 @@ class RadialField(Field):
         r = math.hypot(x, y)
         if r == 0.0:
             raise OriginSingularityError("phase gradient undefined at the source")
-        return math.exp(-r / self.params.ell), -x / r, -y / r
+        return math.exp(-r / self.ell), -x / r, -y / r
 
     def analytic_spectra(self, x):
         m, gx, gy = self.analytic_mode(x[0], x[1])
         phi = wrap_phase(-math.hypot(x[0], x[1]))
         return SpectralTruth(m=m, phi=phi, grad_phi=np.array([gx, gy]))
 
-    def spectral_magnitude(self, r):
-        """First-mode magnitude as a function of radius alone."""
-        return math.exp(-r / self.params.ell)
-
     def describe(self):
-        return {"kind": "radial", "ell": self.params.ell}
+        return {"kind": "radial", "ell": self.ell}
 
 
 # ----------------------------------------------------------------------
@@ -285,18 +257,6 @@ class TravelingWaveField(Field):
             "n_modes": len(self.modes),
             "omega1": self.omega1,
         }
-
-
-def synth_traveling_field(modes, base_point=(0.0, 0.0)):
-    """Build a TravelingWaveField from (alpha, beta, omega_n, k_vec) tuples or modes."""
-    built = []
-    for m in modes:
-        if isinstance(m, TravelingWaveMode):
-            built.append(m)
-        else:
-            alpha, beta, omega_n, k_vec = m
-            built.append(TravelingWaveMode(alpha, beta, omega_n, k_vec))
-    return TravelingWaveField(built, base_point=base_point)
 
 
 # ----------------------------------------------------------------------

@@ -39,15 +39,12 @@ class SensingConfig:
         Samples per window, at least 8.
     stencil_h : float
         Half-width of the gradient stencil, 0 < h <= 0.1.
-    mode_index : int
-        Temporal mode to extract; only the first mode is supported.
     m_floor : float
         Magnitude below which the phase is treated as degenerate.
     """
 
     n_samples: int = 64
     stencil_h: float = 0.01
-    mode_index: int = 1
     m_floor: float = 1e-9
 
     def __post_init__(self):
@@ -55,8 +52,6 @@ class SensingConfig:
             raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
         if not 0.0 < self.stencil_h <= 0.1:
             raise ValueError(f"stencil_h must lie in (0, 0.1], got {self.stencil_h}")
-        if self.mode_index != 1:
-            raise ValueError("only the first temporal mode is supported")
         if not self.m_floor > 0:
             raise ValueError("m_floor must be positive")
 
@@ -75,14 +70,6 @@ class SpectralSample:
     grad_phi: np.ndarray
     s: float
     saturated: bool = False
-
-
-def sample_window(field, x, t0, config):
-    """Uniform one-period window f(x, t0 + k*T/N), k = 0..N-1.
-
-    The sensor is treated as frozen at x for the whole window.
-    """
-    return field.eval_window(x, t0, config.n_samples)
 
 
 @functools.lru_cache(maxsize=32)

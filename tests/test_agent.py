@@ -20,13 +20,10 @@ from phaseseek import (
     field_from_bundle,
     from_polar,
     gain_value,
-    heading_rate,
     radial_bounds,
     radial_m_field,
     simulate,
     simulate_polar,
-    step,
-    synth_traveling_field,
     synth_wake,
     to_polar,
 )
@@ -85,9 +82,11 @@ def test_gain_value():
 
 
 def test_heading_rate():
-    assert heading_rate(0.5, 1.0) == 0.5
-    assert heading_rate(0.5, -0.4) == -0.2
-    assert heading_rate(0.0, 1.0) == 0.0
+    # the recorded steering command is Omega = G * s, row by row
+    tr = simulate(AgentState(4.0, 0.0, 0.3), FIELD, STATIC, dt=1e-2,
+                  t_end=1.0)
+    assert np.array_equal(tr.omega, tr.gain * tr.s)
+    assert tr.omega[0] == 0.5 * tr.s[0]
 
 
 # ----------------------------------------------------------------------
@@ -135,35 +134,33 @@ def test_polar_state_validation():
 
 
 # ----------------------------------------------------------------------
-# Single steps
+# Single steps: short simulate runs, read at the last row
 # ----------------------------------------------------------------------
 
 def test_step_down_gradient_ray_goes_straight():
     # psi = 0: zero steering signal, the agent just drives at the source
-    state = AgentState(4.0, 0.0, math.pi)
-    cfg = SensingConfig()
-    for _ in range(10):
-        state = step(state, FIELD, STATIC, cfg, 1e-2)
-    assert state.x == pytest.approx(4.0 - 0.1, abs=1e-10)
-    assert state.y == pytest.approx(0.0, abs=1e-10)
-    assert state.theta == pytest.approx(math.pi, abs=1e-10)
-    assert state.t == pytest.approx(0.1)
+    tr = simulate(AgentState(4.0, 0.0, math.pi), FIELD, STATIC, SensingConfig(),
+                  dt=1e-2, t_end=10 * 1e-2)
+    assert tr.x[-1] == pytest.approx(4.0 - 0.1, abs=1e-10)
+    assert tr.y[-1] == pytest.approx(0.0, abs=1e-10)
+    assert tr.theta[-1] == pytest.approx(math.pi, abs=1e-10)
+    assert tr.t[-1] == pytest.approx(0.1)
 
 
 def test_step_conserves_q():
-    state = from_polar(PolarState(r=4.0, eta=0.0, psi=math.pi / 2))
+    init = from_polar(PolarState(r=4.0, eta=0.0, psi=math.pi / 2))
     q0 = conserved_quantity("static", 4.0, math.pi / 2, 2.0)
-    cfg = SensingConfig()
-    for _ in range(20):
-        state = step(state, FIELD, STATIC, cfg, 1e-3)
-    p = to_polar(state)
+    tr = simulate(init, FIELD, STATIC, SensingConfig(), dt=1e-3,
+                  t_end=20 * 1e-3)
+    p = to_polar(AgentState(tr.x[-1], tr.y[-1], tr.theta[-1]))
     q = conserved_quantity("static", p.r, p.psi, 2.0)
     assert q == pytest.approx(q0, abs=1e-12)
 
 
 def test_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        step(AgentState(4.0, 0.0, 0.0), FIELD, STATIC, SensingConfig(), 0.0)
+        simulate(AgentState(4.0, 0.0, 0.0), FIELD, STATIC, SensingConfig(),
+                 dt=0.0, t_end=1.0)
 
 
 def test_rk4_is_fourth_order():
@@ -346,7 +343,7 @@ def test_simulate_sensing_failure_in_dead_zone():
 def test_simulate_sensing_failure_on_vanishing_first_mode():
     # the analytic phase is undefined everywhere: a named termination, not
     # an exception out of the driver
-    field = synth_traveling_field(
+    field = TravelingWaveField(
         [TravelingWaveMode(0.0, 0.0, 1.0, (1.0, 0.0))])
     tr = simulate(AgentState(1.0, 1.0, 0.0), field, STATIC, dt=1e-2,
                   t_end=1.0, sensing="analytic")
@@ -394,6 +391,10 @@ TRAJ_ATTRS = ("t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "gain",
 
 WAVE_MODES = [(1.0, 0.3, 1.0, (0.8, 0.1)), (0.4, -0.2, 1.0, (-0.3, 0.9)),
               (0.2, 0.1, 2.0, (0.5, 0.5))]
+
+
+def _wave(modes):
+    return TravelingWaveField([TravelingWaveMode(*mode) for mode in modes])
 
 
 class _HoledWave(TravelingWaveField):
@@ -454,7 +455,7 @@ def test_radial_loop_matches_oracle_on_escape():
 
 
 def test_traveling_wave_loop_matches_oracle():
-    field = synth_traveling_field(WAVE_MODES)
+    field = _wave(WAVE_MODES)
     tr = _assert_matches_oracle(field, GainLaw("proportional", 0.7),
                                 (1.0, 2.0, 0.3), 1e-2, 5.0)
     assert tr.termination == "t_end"
@@ -464,7 +465,7 @@ def test_traveling_wave_loop_matches_oracle():
 def test_sensing_failure_matches_oracle_with_nan_final_row():
     law = GainLaw("static", 0.7)
     healthy = simulate(AgentState(1.0, 2.0, 0.3),
-                       synth_traveling_field(WAVE_MODES), law, dt=1e-2,
+                       _wave(WAVE_MODES), law, dt=1e-2,
                        t_end=5.0)
     hole = (float(healthy.x[40]), float(healthy.y[40]))
     field = _HoledWave(WAVE_MODES, holes=[hole])
@@ -533,6 +534,27 @@ def test_simulate_polar_rejects_non_finite(start, dt, t_end):
     with pytest.raises(ValueError):
         simulate_polar(start, None, STATIC, radial_m_field(6.5), dt, t_end,
                        r_escape=50.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"v": math.nan}, {"v": math.inf}, {"v": 0.0}, {"v": -1.0},
+    {"r_floor": math.nan}, {"r_floor": -1.0}, {"r_floor": math.inf},
+    {"r_escape": math.nan}, {"r_escape": 0.0}, {"r_escape": -1.0},
+])
+def test_simulate_polar_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        simulate_polar(PolarState(4.0, 0.0, 0.3), None, STATIC,
+                       radial_m_field(6.5), 1e-2, 1.0, **kwargs)
+
+
+def test_simulate_polar_infinite_escape_means_no_bound():
+    bounded = simulate_polar(PolarState(4.0, 0.0, 0.3), None, STATIC,
+                             radial_m_field(6.5), 1e-2, 1.0,
+                             r_escape=math.inf)
+    default = simulate_polar(PolarState(4.0, 0.0, 0.3), None, STATIC,
+                             radial_m_field(6.5), 1e-2, 1.0)
+    assert bounded.termination == default.termination == "t_end"
+    assert np.array_equal(bounded.r, default.r)
 
 
 # ----------------------------------------------------------------------

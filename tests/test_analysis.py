@@ -3,6 +3,7 @@ points, turning radii, bifurcation threshold, and convergence taxonomy."""
 
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import oracles
 from phaseseek import (
+    GainKind,
     LambertBranch,
     LambertDomainError,
     NoSaddleError,
@@ -34,6 +36,7 @@ from phaseseek import (
 )
 
 INV_E = math.exp(-1.0)
+EPS = sys.float_info.epsilon
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +110,52 @@ def test_lambert_branch_dispatch():
     assert lambert_w("W0", 1.0) == lambert_w0(1.0)
 
 
+def _lambert_error_bound(w, z):
+    """How far lambert_w may sit from the true W(z) = w.
+
+    Its residual target (5e-13, relative to z below |z| = 1e-3, and never
+    below 4e-16 |z|) carried through W'(z) = 1 / (e^W (1 + W)), plus the
+    rounding of z carried through z W'(z) = W / (1 + W), plus an ulp of W.
+    """
+    target = max(5e-13 * abs(z) if abs(z) < 1e-3 else 5e-13, 4e-16 * abs(z))
+    return (2.0 * target / abs(math.exp(w) * (1.0 + w))
+            + 8.0 * EPS * abs(w / (1.0 + w)) + 2.0 * EPS * abs(w))
+
+
+_NEAR_BRANCH = [-INV_E + d for d in np.logspace(-15, -1, 57)]
+
+
+@pytest.mark.parametrize("branch, k, zs", [
+    ("W0", 0, _NEAR_BRANCH),
+    ("Wm1", -1, _NEAR_BRANCH),
+    ("W0", 0, list(np.linspace(-INV_E, 20.0, 101)[1:])),
+    ("Wm1", -1, list(np.linspace(-INV_E, -1e-3, 101)[1:])),
+    # around 0- for Wm1, down to the smallest normal float
+    ("Wm1", -1, list(-np.logspace(-1, -307, 121)) + [-sys.float_info.min]),
+    # around 0 for W0, both signs
+    ("W0", 0, list(np.logspace(-300, -1, 61)) + list(-np.logspace(-300, -1, 61))),
+    # large z for W0, up to the largest float
+    ("W0", 0, list(np.logspace(0, 308, 155)) + [sys.float_info.max]),
+])
+def test_lambert_matches_scipy(branch, k, zs):
+    special = pytest.importorskip("scipy.special")
+    for z in zs:
+        z = float(z)
+        ref = float(special.lambertw(z, k).real)
+        assert abs(lambert_w(branch, z) - ref) <= _lambert_error_bound(ref, z), z
+
+
+def test_lambert_extreme_arguments():
+    # where w e^w leaves the normal float range: w + log|w| = log|z|, and
+    # on subnormal z (scipy returns -inf at -5e-324)
+    for z in (1e306, 1.7e308, sys.float_info.max):
+        w = lambert_w0(z)
+        assert w + math.log(w) == pytest.approx(math.log(z), abs=1e-12)
+    for z in (-1e-301, -1e-310, -5e-324):
+        w = lambert_wm1(z)
+        assert w + math.log(-w) == pytest.approx(math.log(-z), abs=1e-12)
+
+
 # ----------------------------------------------------------------------
 # Conserved level and radial envelope
 # ----------------------------------------------------------------------
@@ -135,6 +184,46 @@ def test_conserved_quantity_validation():
         conserved_quantity("static", 1.0, 0.3, 0.0)
     with pytest.raises(ValueError):
         conserved_quantity("proportional", 1.0, 0.3, 2.0)  # ell required
+
+
+def test_radial_envelope_validates_kind_and_ell():
+    with pytest.raises(ValueError):
+        radial_envelope("bogus", 3.0, 2.0, 6.5)
+    with pytest.raises(ValueError):
+        radial_envelope("proportional", 3.0, 2.0, None)
+    with pytest.raises(ValueError):
+        radial_envelope("inverse", 3.0, 2.0, -1.0)
+    assert radial_envelope(GainKind.PROPORTIONAL, 3.0, 2.0, 6.5) == (
+        radial_envelope("proportional", 3.0, 2.0, 6.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: conserved_quantity(kind, 3.0, 0.4, 2.0, 6.5),
+    lambda kind: radial_envelope(kind, 3.0, 2.0, 6.5),
+    lambda kind: radial_velocity(kind, 3.0, 0.0, 2.0, 6.5),
+    lambda kind: radial_bounds(kind, 0.01, 2.0, 6.5),
+    lambda kind: fixed_points(kind, 2.0, 6.5),
+    lambda kind: closed_form_eigenvalues(kind, 3.0, 2.0, 6.5),
+    lambda kind: classify_convergence(kind, 2.0, 6.5,
+                                      SimpleNamespace(r=4.0, psi=1.0)),
+    lambda kind: portrait(kind, 2.0, 6.5, grid=PortraitGrid(nu=3, nw=3)),
+])
+def test_every_entry_takes_one_gain_vocabulary(call):
+    # strings and GainKind members give the same answer; unknown kinds are
+    # rejected, never read as another law
+    for kind in GainKind:
+        a, b = call(kind.value), call(kind)
+        if hasattr(a, "to_json_dict"):
+            a, b = a.to_json_dict(), b.to_json_dict()
+        assert repr(a) == repr(b)
+    with pytest.raises(ValueError):
+        call("bogus")
+
+
+def test_gain_kind_errors_name_the_plain_kind():
+    with pytest.raises(ValueError, match=r"^proportional gain needs"):
+        conserved_quantity(GainKind.PROPORTIONAL, 3.0, 0.4, 2.0)
+    assert portrait(GainKind.STATIC, 2.0).kind == "static"
 
 
 def test_envelope_bounds_conserved_level():
@@ -395,6 +484,24 @@ def test_classify_proportional_cases():
         "proportional", 2.0, 6.5, outside) == "conditional_unbounded"
     assert classify_convergence(
         "proportional", 2.0, 5.4, trapped) == "divergent"
+
+
+def test_classify_and_portrait_share_one_ladder():
+    # the portrait's class is the classifier's before the start refines it
+    init = SimpleNamespace(r=4.0, psi=math.pi / 2)
+    for kind, ell in (("static", 6.5), ("inverse", 5.8),
+                      ("proportional", 5.4), ("proportional", 6.5),
+                      ("proportional", 2.0 * math.e + 1e-12)):
+        label = classify_convergence(kind, 2.0, ell, init)
+        ladder = portrait(kind, 2.0, ell,
+                          grid=PortraitGrid(nu=3, nw=3)).classification
+        assert label.startswith(ladder)
+
+
+def test_classify_needs_ell_for_proportional():
+    with pytest.raises(ValueError):
+        classify_convergence("proportional", 2.0, None,
+                             SimpleNamespace(r=4.0, psi=1.0))
 
 
 def test_classify_indeterminate_cases():

@@ -1,0 +1,36 @@
+"""The public surface: one export list, one gain vocabulary, no stale names."""
+
+import pytest
+
+import phaseseek
+from phaseseek import agent, analysis
+
+
+def test_all_has_no_duplicates_and_every_name_resolves():
+    assert len(phaseseek.__all__) == len(set(phaseseek.__all__))
+    for name in phaseseek.__all__:
+        assert hasattr(phaseseek, name), name
+
+
+@pytest.mark.parametrize("name", [
+    "heading_rate", "sample_window", "synth_traveling_field",
+    "radial_spectral_truth", "radial_field_eval", "RadialFieldParams", "step",
+])
+def test_deleted_wrappers_are_gone(name):
+    assert name not in phaseseek.__all__
+    with pytest.raises(ImportError):
+        exec(f"from phaseseek import {name}", {})
+
+
+def test_gain_kind_is_one_object():
+    assert phaseseek.GainKind is agent.GainKind is analysis.GainKind
+    for stale in ("STATIC", "PROPORTIONAL", "INVERSE", "GAIN_KINDS",
+                  "_kind_str"):
+        assert not hasattr(analysis, stale), stale
+
+
+def test_radial_field_has_no_spectral_magnitude():
+    field = phaseseek.RadialField(6.5)
+    assert field.ell == 6.5
+    assert not hasattr(field, "spectral_magnitude")
+    assert not hasattr(field, "params")

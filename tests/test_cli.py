@@ -164,6 +164,15 @@ def test_simulate_rejects_non_finite_input(tmp_path, flags):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_simulate_checks_every_start_before_writing(tmp_path):
+    # a bad second start must not leave the first run's files behind
+    assert main(["simulate", "--field", "radial", "--ell", "6.5",
+                 "--init", "4,0,0", "--init", "nan,0,0", "--t-end", "0.1",
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("run_run*.csv"))
+    assert not list(tmp_path.glob("run_run*.json"))
+
+
 def test_simulate_rejects_corrupt_bundle(tmp_path):
     bad = tmp_path / "bad.wavf"
     bad.write_bytes(b"WAVGjunkjunkjunk")

@@ -10,12 +10,9 @@ from phaseseek import (
     Field,
     OriginSingularityError,
     RadialField,
-    RadialFieldParams,
+    TravelingWaveField,
     TravelingWaveMode,
     alignment_error,
-    radial_field_eval,
-    radial_spectral_truth,
-    synth_traveling_field,
     wrap_angle,
     wrap_phase,
 )
@@ -56,14 +53,14 @@ def test_wrap_helpers_accept_arrays():
 
 def test_radial_params_validation():
     with pytest.raises(ValueError):
-        RadialFieldParams(ell=0.0)
+        RadialField(ell=0.0)
     with pytest.raises(ValueError):
-        RadialFieldParams(ell=-2.0)
+        RadialField(ell=-2.0)
 
 
 def test_radial_eval_value():
     # frozen spot value at r = 5
-    got = radial_field_eval(RadialFieldParams(ell=6.5), (3.0, 4.0), 1.2)
+    got = RadialField(ell=6.5).eval((3.0, 4.0), 1.2)
     assert got == pytest.approx(-0.7330204195040186, abs=1e-12)
     assert got == pytest.approx(2.0 * math.exp(-5.0 / 6.5) * math.cos(5.0 - 1.2))
 
@@ -108,7 +105,7 @@ def _per_point_traveling_window(field, x, t0, n):
 
 @pytest.mark.parametrize("field, oracle", [
     (RadialField(6.5), _per_point_radial_window),
-    (synth_traveling_field([
+    (TravelingWaveField([
         TravelingWaveMode(0.9, 0.4, 1.0, (1.0, 0.0)),
         TravelingWaveMode(0.5, -0.3, 2.0, (0.3, 0.8)),
     ], base_point=(0.4, -0.2)), _per_point_traveling_window),
@@ -142,7 +139,7 @@ def test_base_eval_windows_samples_eval():
 
 
 def test_radial_spectral_truth():
-    truth = radial_spectral_truth(RadialFieldParams(ell=6.5), (3.0, 0.0))
+    truth = RadialField(ell=6.5).analytic_spectra((3.0, 0.0))
     assert truth.m == pytest.approx(math.exp(-3.0 / 6.5), abs=1e-15)
     assert truth.phi == pytest.approx(TWO_PI - 3.0, abs=1e-12)
     assert truth.grad_phi[0] == pytest.approx(-1.0)
@@ -154,7 +151,7 @@ def test_radial_spectral_truth():
         r = math.hypot(*x)
         if r < 1e-6:
             continue
-        truth = radial_spectral_truth(RadialFieldParams(ell=6.5), x)
+        truth = RadialField(ell=6.5).analytic_spectra(x)
         assert math.hypot(*truth.grad_phi) == pytest.approx(1.0, abs=1e-12)
         assert truth.grad_phi[0] == pytest.approx(-x[0] / r, abs=1e-12)
         assert truth.grad_phi[1] == pytest.approx(-x[1] / r, abs=1e-12)
@@ -162,7 +159,7 @@ def test_radial_spectral_truth():
 
 def test_radial_truth_rejects_origin():
     with pytest.raises(OriginSingularityError):
-        radial_spectral_truth(RadialFieldParams(ell=6.5), (0.0, 0.0))
+        RadialField(ell=6.5).analytic_spectra((0.0, 0.0))
 
 
 def test_radial_field_has_analytic_spectra():
@@ -176,7 +173,7 @@ def test_radial_field_has_analytic_spectra():
 
 
 def test_traveling_wave_first_mode_spectrum():
-    field = synth_traveling_field(
+    field = TravelingWaveField(
         [TravelingWaveMode(alpha=1.2, beta=-0.7, omega_n=1.0, k_vec=(0.7, -0.7))])
     truth = field.analytic_spectra((0.0, 0.0))
     assert truth.m == pytest.approx(abs(1.2 - 0.7j) / 2.0, abs=1e-12)
@@ -189,9 +186,9 @@ def test_traveling_wave_first_mode_spectrum():
 
 
 def test_traveling_wave_higher_modes_do_not_shift_first_mode():
-    base = synth_traveling_field(
+    base = TravelingWaveField(
         [TravelingWaveMode(0.9, 0.4, 1.0, (1.0, 0.0))])
-    rich = synth_traveling_field([
+    rich = TravelingWaveField([
         TravelingWaveMode(0.9, 0.4, 1.0, (1.0, 0.0)),
         TravelingWaveMode(0.5, -0.3, 2.0, (0.3, 0.8)),
         TravelingWaveMode(0.2, 0.1, 3.0, (-0.4, 0.4)),
@@ -206,13 +203,13 @@ def test_traveling_wave_higher_modes_do_not_shift_first_mode():
 
 def test_traveling_wave_rejects_bad_modes():
     with pytest.raises(ValueError):
-        synth_traveling_field([
+        TravelingWaveField([
             TravelingWaveMode(1.0, 0.0, 1.0, (1.0, 0.0)),
             TravelingWaveMode(0.5, 0.0, 1.5, (1.0, 0.0)),  # not a harmonic
         ])
     with pytest.raises(ValueError):
-        synth_traveling_field([])
-    field = synth_traveling_field(
+        TravelingWaveField([])
+    field = TravelingWaveField(
         [TravelingWaveMode(0.0, 0.0, 1.0, (1.0, 0.0))])
     with pytest.raises(ValueError):
         field.analytic_spectra((1.0, 1.0))  # zero first-mode amplitude
