@@ -8,7 +8,6 @@ sensor re-evaluated at every stage.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,8 @@ from .fields import (
     RadialField,
     UndefinedDirectionError,
     wrap_angle,
+    write_float_csv,
+    write_json,
 )
 # analytic_sample stays importable from this module, where perfbench's
 # tracer looks it up
@@ -125,10 +126,6 @@ class AgentState:
     theta: float
     t: float = 0.0
 
-    @property
-    def theta_wrapped(self):
-        return wrap_angle(self.theta)
-
 
 @dataclass(frozen=True)
 class PolarState:
@@ -217,30 +214,26 @@ def _sensor(field, config, mode):
     return sense
 
 
-def _rk4_step(sense, gain, v, dt, x, y, th, t):
-    """One RK4 step of the closed loop on plain floats, re-sensing per stage.
+def _rk4_step(deriv, dt, t, a, b, c):
+    """One classic RK4 step of a three-state system on plain floats.
 
-    Returns the new (x, y, theta, t) and the first stage's (m, s, G), which
-    belong to the starting pose.
+    deriv(t, a, b, c) returns the three rates and a diagnostic. Returns
+    the new (a, b, c, t) and the first stage's diagnostic, which belongs
+    to the starting state. simulate and simulate_polar both step here.
     """
-    m, s = sense(x, y, th, t)
-    g = gain(m)
-    dx1, dy1, dh1 = v * math.cos(th), v * math.sin(th), g * s
+    da1, db1, dc1, diag = deriv(t, a, b, c)
     half = 0.5 * dt
-    th2 = th + half * dh1
-    m2, s2 = sense(x + half * dx1, y + half * dy1, th2, t + half)
-    dx2, dy2, dh2 = v * math.cos(th2), v * math.sin(th2), gain(m2) * s2
-    th3 = th + half * dh2
-    m3, s3 = sense(x + half * dx2, y + half * dy2, th3, t + half)
-    dx3, dy3, dh3 = v * math.cos(th3), v * math.sin(th3), gain(m3) * s3
-    th4 = th + dt * dh3
-    m4, s4 = sense(x + dt * dx3, y + dt * dy3, th4, t + dt)
-    dx4, dy4, dh4 = v * math.cos(th4), v * math.sin(th4), gain(m4) * s4
+    da2, db2, dc2, _ = deriv(t + half, a + half * da1, b + half * db1,
+                             c + half * dc1)
+    da3, db3, dc3, _ = deriv(t + half, a + half * da2, b + half * db2,
+                             c + half * dc2)
+    da4, db4, dc4, _ = deriv(t + dt, a + dt * da3, b + dt * db3,
+                             c + dt * dc3)
     sixth = dt / 6.0
-    return (x + sixth * (dx1 + 2 * dx2 + 2 * dx3 + dx4),
-            y + sixth * (dy1 + 2 * dy2 + 2 * dy3 + dy4),
-            th + sixth * (dh1 + 2 * dh2 + 2 * dh3 + dh4),
-            t + dt, m, s, g)
+    return (a + sixth * (da1 + 2 * da2 + 2 * da3 + da4),
+            b + sixth * (db1 + 2 * db2 + 2 * db3 + db4),
+            c + sixth * (dc1 + 2 * dc2 + 2 * dc3 + dc4),
+            t + dt, diag)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +263,6 @@ class Trajectory:
     dt: float
     termination: str
     params: dict
-    integrator: str = "rk4"
 
     def __len__(self):
         return len(self.t)
@@ -284,28 +276,19 @@ class Trajectory:
         return float(np.max(np.abs(self.q - q0)) / scale)
 
     def write_csv(self, path):
-        cols = (self.t, self.x, self.y, self.theta, self.r, self.eta,
-                self.psi, self.m, self.s, self.gain, self.omega, self.q)
-        cols = [np.asarray(c, dtype=float) for c in cols]
-        with open(path, "w") as fh:
-            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            # row blocks keep memory flat; repr(float) spells nan and inf
-            for i in range(0, len(cols[0]), 4096):
-                rows = zip(*(c[i:i + 4096].tolist() for c in cols))
-                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        write_float_csv(path, TRAJECTORY_COLUMNS, (
+            self.t, self.x, self.y, self.theta, self.r, self.eta, self.psi,
+            self.m, self.s, self.gain, self.omega, self.q))
 
     def write_sidecar(self, path):
-        payload = {
+        write_json(path, {
             "columns": list(TRAJECTORY_COLUMNS),
             "dt": self.dt,
-            "integrator": self.integrator,
+            "integrator": "rk4",
             "n_samples": len(self.t),
             "termination": self.termination,
             "params": self.params,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +325,11 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     mode = _resolve_sensing(field, sensing)
     sense = _sensor(field, config, mode)
     gain = _gain_fn(law)
+
+    def deriv(t, x, y, th):
+        m, s = sense(x, y, th, t)
+        g = gain(m)
+        return v * math.cos(th), v * math.sin(th), g * s, (m, s, g)
 
     rho = law.rho(v)
     ell = getattr(field, "ell", None)
@@ -384,8 +372,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             termination = TERM_T_END
             break
         try:
-            x1, y1, th1, t1, m, s, g = _rk4_step(sense, gain, v, dt,
-                                                 x, y, th, t)
+            x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
         except (DegenerateMagnitudeError, OriginSingularityError,
                 UndefinedDirectionError):
             termination = TERM_SENSING
@@ -453,10 +440,6 @@ class PolarTrajectory:
     termination: str
 
 
-class _OriginCrossing(Exception):
-    pass
-
-
 def radial_m_field(ell):
     """Magnitude profile m(r, eta) of the radial field, for simulate_polar."""
     def m_field(r, eta):
@@ -486,21 +469,19 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
         r_escape = math.inf
     gain = _gain_fn(law)
 
-    def deriv(r, eta, psi):
+    def deriv(t, r, eta, psi):
         if r <= 0.0:
-            raise _OriginCrossing
+            raise OriginSingularityError("a stage crossed the source")
         g = gain(m_field(r, eta))
         d = delta_field(r, eta)
         sp, cp = math.sin(psi), math.cos(psi)
         steer = g * (math.cos(d) * sp + math.sin(d) * cp)
-        return (-v * cp, v * sp / r, v * sp / r - steer)
+        return -v * cp, v * sp / r, v * sp / r - steer, None
 
     t = 0.0
     r, eta, psi = init.r, init.eta, init.psi
     # one flat list: per-step tuples would cost memory on long runs
     flat = [t, r, eta, psi]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     while True:
         if r <= r_floor:
             termination = TERM_ORIGIN
@@ -512,19 +493,10 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
             termination = TERM_T_END
             break
         try:
-            dr1, de1, dp1 = deriv(r, eta, psi)
-            dr2, de2, dp2 = deriv(r + half * dr1, eta + half * de1,
-                                  psi + half * dp1)
-            dr3, de3, dp3 = deriv(r + half * dr2, eta + half * de2,
-                                  psi + half * dp2)
-            dr4, de4, dp4 = deriv(r + dt * dr3, eta + dt * de3, psi + dt * dp3)
-        except _OriginCrossing:
+            r, eta, psi, t, _ = _rk4_step(deriv, dt, t, r, eta, psi)
+        except OriginSingularityError:
             termination = TERM_ORIGIN
             break
-        r = r + sixth * (dr1 + 2 * dr2 + 2 * dr3 + dr4)
-        eta = eta + sixth * (de1 + 2 * de2 + 2 * de3 + de4)
-        psi = psi + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        t = t + dt
         flat += (t, r, eta, psi)
 
     t, r, eta, psi = (np.array(flat[k::4]) for k in range(4))

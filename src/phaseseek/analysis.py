@@ -15,12 +15,13 @@ the closed-form radii.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .fields import write_float_csv, write_json
 
 # ----------------------------------------------------------------------
 # Gain-law kinds and classification labels
@@ -702,19 +703,14 @@ class PortraitReport:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_grid_csv(self, path):
-        lines = ["r_cos_psi,r_sin_psi,Q"]
-        for j, w in enumerate(self.w_axis):
-            for i, u in enumerate(self.u_axis):
-                lines.append(
-                    f"{float(u)!r},{float(w)!r},{float(self.q_grid[j, i])!r}"
-                )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """One row per grid node, u fastest: r_cos_psi,r_sin_psi,Q."""
+        nu, nw = len(self.u_axis), len(self.w_axis)
+        write_float_csv(path, ("r_cos_psi", "r_sin_psi", "Q"), (
+            np.tile(self.u_axis, nw), np.repeat(self.w_axis, nu),
+            self.q_grid.ravel()))
 
 
 def portrait(kind, rho, ell=None, v=1.0, grid=None):

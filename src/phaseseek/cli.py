@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent, analysis, wake
-from .fields import RadialField, wrap_phase
+from .fields import RadialField, wrap_phase, write_json
 from .sensing import DegenerateMagnitudeError, SensingConfig
 from .wake import (
     BundleFormatError,
@@ -50,6 +50,22 @@ SIM_DEFAULTS = {
     "sensing": {"mode": "auto", "n_samples": 64, "stencil_h": 0.01,
                 "m_floor": 1e-9},
     "output": {"dir": ".", "prefix": "run"},
+}
+
+# simulate flag (argparse dest) -> the config slot it overlays
+SIM_FLAGS = {
+    "field": ("field", "kind"), "ell": ("field", "ell"),
+    "bundle": ("field", "path"),
+    "gain": ("law", "kind"), "g0": ("law", "g0"),
+    "gain_m_floor": ("law", "m_floor"),
+    "v": ("agent", "v"), "init": ("agent", "inits"),
+    "dt": ("integration", "dt"), "t_end": ("integration", "t_end"),
+    "r_stop": ("integration", "r_stop"),
+    "r_escape": ("integration", "r_escape"),
+    "sensing": ("sensing", "mode"), "n_samples": ("sensing", "n_samples"),
+    "stencil_h": ("sensing", "stencil_h"),
+    "sensing_m_floor": ("sensing", "m_floor"),
+    "out": ("output", "dir"), "prefix": ("output", "prefix"),
 }
 
 WAKE_DEFAULTS = {
@@ -129,48 +145,16 @@ def _default_inits(field_cfg):
 
 def _resolve_sim_config(args):
     file_cfg = _load_config_file(args.config)
-    flag_cfg = {
-        "field": {},
-        "law": {},
-        "agent": {},
-        "integration": {},
-        "sensing": {},
-        "output": {},
-    }
+    # an unset flag stays None, which _deep_merge skips
+    flag_cfg = {section: {} for section in SIM_DEFAULTS}
+    for flag, (section, key) in SIM_FLAGS.items():
+        flag_cfg[section][key] = getattr(args, flag)
     if args.field is not None:
         flag_cfg["field"]["kind"] = args.field.replace("-", "_")
-    if args.ell is not None:
-        flag_cfg["field"]["ell"] = args.ell
-    if args.bundle is not None:
-        flag_cfg["field"]["path"] = args.bundle
-    if args.gain is not None:
-        flag_cfg["law"]["kind"] = args.gain
-    if args.g0 is not None:
-        flag_cfg["law"]["g0"] = args.g0
-    if args.gain_m_floor is not None:
-        flag_cfg["law"]["m_floor"] = args.gain_m_floor
-    if args.v is not None:
-        flag_cfg["agent"]["v"] = args.v
-    if args.init:
+    if args.init is not None:
         flag_cfg["agent"]["inits"] = [
             _parse_floats(text, 3, "--init") for text in args.init
         ]
-    for name in ("dt", "t_end", "r_stop", "r_escape"):
-        value = getattr(args, name)
-        if value is not None:
-            flag_cfg["integration"][name] = value
-    if args.sensing is not None:
-        flag_cfg["sensing"]["mode"] = args.sensing
-    if args.n_samples is not None:
-        flag_cfg["sensing"]["n_samples"] = args.n_samples
-    if args.stencil_h is not None:
-        flag_cfg["sensing"]["stencil_h"] = args.stencil_h
-    if args.sensing_m_floor is not None:
-        flag_cfg["sensing"]["m_floor"] = args.sensing_m_floor
-    if args.out is not None:
-        flag_cfg["output"]["dir"] = args.out
-    if args.prefix is not None:
-        flag_cfg["output"]["prefix"] = args.prefix
 
     config = _deep_merge(_deep_merge(SIM_DEFAULTS, file_cfg), flag_cfg)
     if config["agent"]["inits"] is None:
@@ -247,11 +231,8 @@ def cmd_simulate(args):
             "q_drift": None if math.isnan(drift) else drift,
         })
 
-    summary = {"config": config, "runs": runs}
     summary_path = out_dir / f"{prefix}_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary_path, {"config": config, "runs": runs})
     print(summary_path)
     return 3 if any_sensing_failure else 0
 
@@ -296,17 +277,14 @@ def cmd_scan(args):
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = {
+    path = out_dir / f"{args.prefix}_scan.json"
+    write_json(path, {
         "rho": args.rho,
         "ell_min": args.ell_min,
         "ell_max": args.ell_max,
         "step": args.step,
         "ell_critical": ell_critical,
-    }
-    path = out_dir / f"{args.prefix}_scan.json"
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(path)
     return 0
 
@@ -357,8 +335,7 @@ def cmd_fields(args):
 
 
 def cmd_synth_wake(args):
-    params = {key: getattr(args, key.replace("-", "_"))
-              for key in WAKE_DEFAULTS}
+    params = {key: getattr(args, key) for key in WAKE_DEFAULTS}
     try:
         bundle = synth_wake(
             **params, meta_re=args.meta_re, meta_st=args.meta_st,
@@ -442,19 +419,9 @@ def build_parser():
     p_f.set_defaults(func=cmd_fields)
 
     p_w = sub.add_parser("synth-wake", help="write a synthetic wake bundle")
-    p_w.add_argument("--a-w", type=float, default=WAKE_DEFAULTS["a_w"])
-    p_w.add_argument("--k-x", type=float, default=WAKE_DEFAULTS["k_x"])
-    p_w.add_argument("--omega", type=float, default=WAKE_DEFAULTS["omega"])
-    p_w.add_argument("--sigma", type=float, default=WAKE_DEFAULTS["sigma"])
-    p_w.add_argument("--decay-l", type=float,
-                     default=WAKE_DEFAULTS["decay_l"])
-    p_w.add_argument("--x0", type=float, default=WAKE_DEFAULTS["x0"])
-    p_w.add_argument("--y0", type=float, default=WAKE_DEFAULTS["y0"])
-    p_w.add_argument("--dx", type=float, default=WAKE_DEFAULTS["dx"])
-    p_w.add_argument("--dy", type=float, default=WAKE_DEFAULTS["dy"])
-    p_w.add_argument("--nx", type=int, default=WAKE_DEFAULTS["nx"])
-    p_w.add_argument("--ny", type=int, default=WAKE_DEFAULTS["ny"])
-    p_w.add_argument("--nt", type=int, default=WAKE_DEFAULTS["nt"])
+    for key, default in WAKE_DEFAULTS.items():
+        p_w.add_argument("--" + key.replace("_", "-"), type=type(default),
+                         default=default)
     p_w.add_argument("--meta-re", type=float)
     p_w.add_argument("--meta-st", type=float)
     p_w.add_argument("--meta-a", type=float)

@@ -5,10 +5,14 @@ For source-seeking purposes the quantity of interest is not f itself but
 its first temporal Fourier mode at each point: a magnitude m(x), a phase
 phi(x), and the spatial phase gradient grad phi(x) whose direction encodes
 where the signal is coming from.
+
+Every module builds on this one, so it also holds the two on-disk record
+formats: write_float_csv for float tables and write_json for JSON records.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -40,7 +44,35 @@ def wrap_angle(a):
 
 def wrap_phase(a):
     """Wrap a phase (or array of phases) to [0, 2*pi)."""
-    return a % TWO_PI
+    w = a % TWO_PI
+    # a remainder that rounds up to 2*pi (a tiny negative a) is phase 0
+    if isinstance(w, np.ndarray):
+        w[w == TWO_PI] = 0.0
+    elif w == TWO_PI:
+        w = 0.0
+    return w
+
+
+def write_float_csv(path, header, columns):
+    """Write equal-length float columns as CSV under a header row.
+
+    Every value is spelled repr(float): it round-trips exactly and spells
+    nan and inf.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        # row blocks keep memory flat on long runs
+        for i in range(0, len(columns[0]), 4096):
+            rows = zip(*(c[i:i + 4096].tolist() for c in columns))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def write_json(path, payload):
+    """Write a JSON record deterministically: sorted keys, indent 2."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import TWO_PI, Field, wrap_angle, wrap_phase
+from .fields import TWO_PI, Field, wrap_angle, wrap_phase, write_float_csv
 # dft_first_mode stays importable from this module, where perfbench's
 # tracer looks it up
 from .sensing import dft_first_mode, first_mode_coeffs  # noqa: F401
@@ -236,25 +236,14 @@ class SpectralGrids:
     delta_grid: np.ndarray | None = None
 
     def write_csv(self, path):
-        lines = ["x,y,m,phi,gx,gy,delta"]
+        """One row per node, x fastest: x,y,m,phi,gx,gy,delta."""
         ny, nx = self.m_grid.shape
-        for j in range(ny):
-            for i in range(nx):
-                delta = (
-                    self.delta_grid[j, i] if self.delta_grid is not None
-                    else math.nan
-                )
-                values = (
-                    self.x[i], self.y[j], self.m_grid[j, i],
-                    self.phi_grid[j, i], self.grad_phi_grid[j, i, 0],
-                    self.grad_phi_grid[j, i, 1], delta,
-                )
-                lines.append(",".join(
-                    "nan" if math.isnan(float(v)) else repr(float(v))
-                    for v in values
-                ))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        delta = (self.delta_grid if self.delta_grid is not None
+                 else np.full((ny, nx), math.nan))
+        write_float_csv(path, ("x", "y", "m", "phi", "gx", "gy", "delta"), (
+            np.tile(self.x, ny), np.repeat(self.y, nx), self.m_grid.ravel(),
+            self.phi_grid.ravel(), self.grad_phi_grid[..., 0].ravel(),
+            self.grad_phi_grid[..., 1].ravel(), delta.ravel()))
 
 
 def _wrapped_gradient(phi, spacing, axis):

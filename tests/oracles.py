@@ -1,10 +1,12 @@
 """Slow, independent reference computations backing the unit tests.
 
 Everything here is deliberately naive: bisection on monotone brackets,
-brute-force residual checks, and a closed loop that builds a spectrum
-object at every RK4 stage. The point is to agree with the fast library
-code without sharing any of its machinery; the closed loop shares only the
-public per-stage pieces (spectra, steering signal, gain law).
+brute-force residual checks, a closed loop that builds a spectrum
+object at every RK4 stage, and the reduced polar loop written out stage
+by stage. The point is to agree with the fast library code without
+sharing any of its machinery; the closed loop shares only the public
+per-stage pieces (spectra, steering signal, gain law), and the polar loop
+shares nothing.
 """
 
 import math
@@ -129,3 +131,54 @@ def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
         sample = (math.nan, math.nan, math.nan)
     rows.append(row(t, x, y, th, sample))
     return termination, rows
+
+
+def polar_ref(r, eta, psi, delta_field, law, m_field, dt, t_end, v=1.0,
+              r_floor=1e-9, r_escape=math.inf):
+    """Reduced (r, eta, psi) dynamics the plain way: four written-out stages.
+
+    The gain law is spelled out from law.kind, law.g0 and law.m_floor;
+    delta_field None means zero alignment error. A stage at r <= 0 ends
+    the run at the origin. Returns (termination, rows of (t, r, eta, psi)).
+    """
+    kind = getattr(law.kind, "value", law.kind)
+
+    def gain(m):
+        if kind == "static":
+            return law.g0
+        if kind == "proportional":
+            return law.g0 * m
+        return law.g0 / max(m, law.m_floor)
+
+    def deriv(r, eta, psi):
+        if r <= 0.0:
+            return None
+        d = 0.0 if delta_field is None else delta_field(r, eta)
+        g = gain(m_field(r, eta))
+        sp, cp = math.sin(psi), math.cos(psi)
+        return (-v * cp, v * sp / r,
+                v * sp / r - g * (math.cos(d) * sp + math.sin(d) * cp))
+
+    t = 0.0
+    rows = [(t, r, eta, psi)]
+    while True:
+        if r <= r_floor:
+            return "origin_singularity", rows
+        if r >= r_escape:
+            return "escaped", rows
+        if t >= t_end - 0.5 * dt:
+            return "t_end", rows
+        # deriv gives None for a stage at r <= 0; the chain keeps it
+        k1 = deriv(r, eta, psi)
+        k2 = k1 and deriv(r + 0.5 * dt * k1[0], eta + 0.5 * dt * k1[1],
+                          psi + 0.5 * dt * k1[2])
+        k3 = k2 and deriv(r + 0.5 * dt * k2[0], eta + 0.5 * dt * k2[1],
+                          psi + 0.5 * dt * k2[2])
+        k4 = k3 and deriv(r + dt * k3[0], eta + dt * k3[1], psi + dt * k3[2])
+        if k4 is None:
+            return "origin_singularity", rows
+        r, eta, psi = (
+            p + dt / 6.0 * (a + 2 * b + 2 * c + d)
+            for p, a, b, c, d in zip((r, eta, psi), k1, k2, k3, k4))
+        t = t + dt
+        rows.append((t, r, eta, psi))

@@ -30,7 +30,7 @@ from phaseseek import (
 from phaseseek.agent import TRAJECTORY_COLUMNS, Trajectory
 from phaseseek.fields import TravelingWaveField, UndefinedDirectionError
 
-from oracles import closed_loop_ref
+from oracles import closed_loop_ref, polar_ref
 
 FIELD = RadialField(6.5)
 STATIC = GainLaw("static", 0.5)
@@ -293,6 +293,39 @@ def test_simulate_polar_escape():
                         r_escape=30.0)
     assert tr.termination == "escaped"
     assert tr.r[-1] >= 30.0
+
+
+def _tilt(r, eta):
+    return 0.3 * math.sin(eta) + 0.1 * math.exp(-r)
+
+
+@pytest.mark.parametrize("init, delta, law, ell, dt, t_end, kwargs, want", [
+    ((4.0, 0.0, 1.5), None, GainLaw("static", 0.5), 6.5, 1e-2, 40.0, {},
+     "t_end"),
+    ((3.5, 0.2, 1.2), None, GainLaw("proportional", 0.5), 6.5, 1e-2, 40.0,
+     {}, "t_end"),
+    # m = exp(-r / 0.5) stays below m_floor: the clamped inverse gain
+    ((6.0, 0.0, 1.5), None, GainLaw("inverse", 0.5, m_floor=1e-3), 0.5,
+     1e-2, 40.0, {}, "t_end"),
+    ((4.0, 0.5, 1.0), _tilt, GainLaw("proportional", 0.5), 6.5, 1e-2, 30.0,
+     {}, "t_end"),
+    ((4.0, 0.0, 0.4), None, GainLaw("proportional", 0.5), 5.4, 1e-2, 200.0,
+     {"r_escape": 30.0}, "escaped"),
+    ((2.0, 0.3, 0.0), None, STATIC, 6.5, 1e-2, 10.0, {"r_floor": 0.5},
+     "origin_singularity"),
+    # r = 0.01 heading in: the second stage lands at r = -0.04
+    ((0.01, 0.0, 0.0), None, STATIC, 6.5, 0.1, 10.0, {},
+     "origin_singularity"),
+])
+def test_simulate_polar_matches_oracle(init, delta, law, ell, dt, t_end,
+                                       kwargs, want):
+    tr = simulate_polar(PolarState(*init), delta, law, radial_m_field(ell),
+                        dt, t_end, **kwargs)
+    termination, rows = polar_ref(*init, delta, law, radial_m_field(ell),
+                                  dt, t_end, **kwargs)
+    assert tr.termination == termination == want
+    for name, column in zip(("t", "r", "eta", "psi"), zip(*rows)):
+        assert np.array_equal(getattr(tr, name), np.array(column)), name
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import filecmp
+import importlib.util
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phaseseek import load_bundle
-from phaseseek.cli import main
+from phaseseek import analysis, load_bundle
+from phaseseek.cli import SIM_FLAGS, WAKE_DEFAULTS, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_simulate_radial_default_inits(tmp_path):
@@ -214,6 +219,25 @@ def test_analyze_proportional_with_grid(tmp_path):
     assert np.isfinite(values).all()
 
 
+def test_analyze_writes_pinned_bytes_on_a_non_square_grid(tmp_path):
+    assert main(["analyze", "--gain", "proportional", "--rho", "2.0",
+                 "--ell", "6.5", "--grid=-3,3,-2,2,4,3",
+                 "--out", str(tmp_path)]) == 0
+    grid = analysis.PortraitGrid(-3.0, 3.0, -2.0, 2.0, 4, 3)
+    rep = analysis.portrait("proportional", 2.0, 6.5, grid=grid)
+    lines = ["r_cos_psi,r_sin_psi,Q"]
+    for j, w in enumerate(rep.w_axis):
+        for i, u in enumerate(rep.u_axis):
+            lines.append(",".join(
+                repr(float(c)) for c in (u, w, rep.q_grid[j, i])))
+    assert len(lines) == 1 + 4 * 3
+    assert ((tmp_path / "portrait_q_grid.csv").read_text()
+            == "\n".join(lines) + "\n")
+    assert ((tmp_path / "portrait_report.json").read_text()
+            == json.dumps(rep.to_json_dict(), indent=2, sort_keys=True)
+            + "\n")
+
+
 def test_analyze_needs_ell_for_proportional(tmp_path):
     assert main(["analyze", "--gain", "proportional", "--rho", "2.0",
                  "--out", str(tmp_path)]) == 2
@@ -286,3 +310,30 @@ def test_synth_wake_rejects_bad_grid(tmp_path):
                  "--out", str(tmp_path / "w.wavf")]) == 2
     assert main(["synth-wake", "--k-x", "16.0",
                  "--out", str(tmp_path / "w.wavf")]) == 2
+
+
+def test_flag_tables_cover_the_parsers():
+    parser = build_parser()
+    sim = vars(parser.parse_args(["simulate"]))
+    assert set(sim) - {"command", "config", "func"} == set(SIM_FLAGS)
+    # an unset flag must read None, which the config overlay skips
+    assert all(sim[flag] is None for flag in SIM_FLAGS)
+    wake_args = vars(parser.parse_args(["synth-wake", "--out", "w.wavf"]))
+    for key, default in WAKE_DEFAULTS.items():
+        assert wake_args[key] == default
+        assert type(wake_args[key]) is type(default)
+
+
+def test_readme_outputs_runs_every_readme_command():
+    spec = importlib.util.spec_from_file_location(
+        "readme_outputs", ROOT / "tools" / "readme_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    readme = (ROOT / "README.md").read_text()
+    commands = [
+        " ".join(line.split())
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("phaseseek ")
+    ]
+    assert sorted(commands) == sorted(c for _, c in tool.COMMANDS)

@@ -5,6 +5,7 @@ Skipped when hypothesis is not installed.
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,6 +27,13 @@ def test_wrap_angle_range(a):
 @given(moderate)
 def test_wrap_angle_keeps_the_angle(a):
     assert abs(math.remainder(wrap_angle(a) - a, TWO_PI)) < 1e-9
+
+
+@given(finite)
+@example(-1e-300)  # remainder rounds up to 2*pi
+def test_wrap_phase_range(a):
+    for w in (wrap_phase(a), wrap_phase(np.array([a]))[0]):
+        assert 0.0 <= w < TWO_PI
 
 
 @given(moderate)

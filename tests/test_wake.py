@@ -263,6 +263,28 @@ def test_spectral_grids_csv(tmp_path):
     assert float(cells[0]) == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("source", [None, (0.0, 0.0)])
+def test_spectral_grids_csv_bytes(tmp_path, source):
+    # x from -2 to 1: the nodes left of x = 0 have no signal, so their
+    # gradient (and delta) cells are NaN
+    grids = spectral_grids(synth_wake(nx=7, ny=4, nt=16, dx=0.5),
+                           source=source)
+    assert np.isnan(grids.grad_phi_grid).any()
+    assert not np.isnan(grids.grad_phi_grid).all()
+    lines = ["x,y,m,phi,gx,gy,delta"]
+    for j in range(4):
+        for i in range(7):
+            delta = (math.nan if grids.delta_grid is None
+                     else grids.delta_grid[j, i])
+            cells = (grids.x[i], grids.y[j], grids.m_grid[j, i],
+                     grids.phi_grid[j, i], grids.grad_phi_grid[j, i, 0],
+                     grids.grad_phi_grid[j, i, 1], delta)
+            lines.append(",".join(repr(float(c)) for c in cells))
+    path = tmp_path / "grids.csv"
+    grids.write_csv(path)
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 # ----------------------------------------------------------------------
 # Bundle-backed field
 # ----------------------------------------------------------------------
