@@ -1,4 +1,4 @@
-"""Nonholonomic seeking agent: gain laws, closed-loop integration, records.
+"""Nonholonomic seeking agent: closed-loop integration and its records.
 
 The vehicle moves at constant speed V and is steered only through its
 heading rate, Omega = G(m) * s, where s is the spectral steering signal
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-# GainKind lives in analysis, the lower module; agent re-exports it
-from .analysis import GainKind
+# GainKind and GainLaw live in analysis, the lower module; agent re-exports
+# them
+from .analysis import GainKind, GainLaw  # noqa: F401
 from .fields import (
     OriginSingularityError,
     RadialField,
@@ -52,65 +53,6 @@ TERM_ORIGIN = "origin_singularity"
 TRAJECTORY_COLUMNS = (
     "t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "G", "Omega", "Q"
 )
-
-
-@dataclass(frozen=True)
-class GainLaw:
-    """Steering gain as a function of the sensed magnitude m.
-
-    static:        G = g0
-    proportional:  G = g0 * m
-    inverse:       G = g0 / max(m, m_floor)
-
-    g0 = 0 is allowed as an open-loop setting (no steering feedback).
-    """
-
-    kind: GainKind
-    g0: float
-    m_floor: float = 1e-6
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", GainKind(self.kind))
-        if not 0 <= self.g0 < math.inf:
-            raise ValueError(
-                f"g0 must be finite and nonnegative, got {self.g0}")
-        if not 0 < self.m_floor < math.inf:
-            raise ValueError(
-                f"m_floor must be finite and positive, got {self.m_floor}")
-
-    def rho(self, v=1.0):
-        """Turning radius scale V / g0."""
-        return v / self.g0 if self.g0 > 0 else math.inf
-
-
-def _gain_fn(law):
-    """G(m) for one law, its kind resolved once: the drivers call it per stage.
-
-    Raises ValueError for a negative magnitude; gain_value adds the
-    saturation flag.
-    """
-    g0, m_floor = law.g0, law.m_floor
-    formula = {
-        GainKind.STATIC: lambda m: g0,
-        GainKind.PROPORTIONAL: lambda m: g0 * m,
-        GainKind.INVERSE: lambda m: g0 / m_floor if m < m_floor else g0 / m,
-    }[law.kind]
-
-    def gain(m):
-        if m < 0:
-            raise ValueError(f"magnitude must be nonnegative, got {m}")
-        return formula(m)
-    return gain
-
-
-def gain_value(law, m):
-    """Gain at sensed magnitude m. Returns (G, saturated).
-
-    saturated is True only for the inverse law when m fell below the floor
-    and the gain was clamped to g0 / m_floor.
-    """
-    g = _gain_fn(law)(m)
-    return g, law.kind is GainKind.INVERSE and m < law.m_floor
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +247,7 @@ def _default_r_escape(r0, rho, ell):
 
 
 def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
-             r_stop=0.05, r_escape=None, v=1.0, sensing=AUTO,
-             extra_params=None):
+             r_stop=0.05, r_escape=None, v=1.0, sensing=AUTO):
     """Integrate the closed loop from an AgentState until a stop condition.
 
     Stops at t_end, on source proximity (r < r_stop), escape (r > r_escape,
@@ -324,7 +265,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     _check_run(init, dt, t_end, r_stop, r_escape, v)
     mode = _resolve_sensing(field, sensing)
     sense = _sensor(field, config, mode)
-    gain = _gain_fn(law)
+    gain = law.closure()
 
     def deriv(t, x, y, th):
         m, s = sense(x, y, th, t)
@@ -395,9 +336,10 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     psi = np.where(r > 0, wrap_angle(math.pi - (th - eta)), math.nan)
     q = np.full(len(t), math.nan)
     if isinstance(field, RadialField) and math.isfinite(rho):
-        sin_psi = np.array(list(map(math.sin, psi.tolist())))
-        q = (r / rho) * sin_psi * analysis._gain_integral_factor(
-            law.kind, r, rho, ell)
+        # a run that ends at the origin has no Q on its last row
+        defined = r > 0
+        q[defined] = analysis.conserved_quantity(
+            law.kind, r[defined], psi[defined], rho, ell)
     params = {
         "field": field.describe(),
         "law": {"kind": law.kind.value, "g0": law.g0, "m_floor": law.m_floor},
@@ -415,8 +357,6 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         "init": [init.x, init.y, init.theta],
         "rho": rho if math.isfinite(rho) else None,
     }
-    if extra_params:
-        params.update(extra_params)
     return Trajectory(
         t=t, x=x, y=y, theta=wrap_angle(th), r=r, eta=eta, psi=psi, m=m,
         s=s, gain=g, omega=g * s, q=q, dt=dt, termination=termination,
@@ -467,7 +407,7 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
             return 0.0
     if r_escape is None:
         r_escape = math.inf
-    gain = _gain_fn(law)
+    gain = law.closure()
 
     def deriv(t, r, eta, psi):
         if r <= 0.0:

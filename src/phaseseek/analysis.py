@@ -10,12 +10,15 @@ and carries an integral of motion Q = (r / rho) sin(psi) exp(-int G/V dr),
 rho = V / G0. Everything here (fixed points, eigenvalues, radial bounds,
 the saddle-node scan, convergence classification, phase portraits) is a
 consequence of that structure. A hand-rolled two-branch Lambert W supplies
-the closed-form radii.
+the closed-form radii. The gain law itself (GainKind, GainLaw and its one
+G(m) closure) lives here too, so the agent's drivers and this module's
+vector field share it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +39,54 @@ class GainKind(str, Enum):
     INVERSE = "inverse"
 
 
+@dataclass(frozen=True)
+class GainLaw:
+    """Steering gain as a function of the sensed magnitude m.
+
+    static:        G = g0
+    proportional:  G = g0 * m
+    inverse:       G = g0 / max(m, m_floor)
+
+    g0 = 0 is allowed as an open-loop setting (no steering feedback).
+    """
+
+    kind: GainKind
+    g0: float
+    m_floor: float = 1e-6
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", GainKind(self.kind))
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError(
+                f"g0 must be finite and nonnegative, got {self.g0}")
+        if not 0 < self.m_floor < math.inf:
+            raise ValueError(
+                f"m_floor must be finite and positive, got {self.m_floor}")
+
+    def rho(self, v=1.0):
+        """Turning radius scale V / g0."""
+        return v / self.g0 if self.g0 > 0 else math.inf
+
+    def closure(self):
+        """G(m) as a plain function, the kind resolved once: the drivers
+        and the analysis vector field call it per stage.
+
+        The function raises ValueError for a negative magnitude.
+        """
+        g0, m_floor = self.g0, self.m_floor
+        formula = {
+            GainKind.STATIC: lambda m: g0,
+            GainKind.PROPORTIONAL: lambda m: g0 * m,
+            GainKind.INVERSE: lambda m: g0 / m_floor if m < m_floor else g0 / m,
+        }[self.kind]
+
+        def gain(m):
+            if m < 0:
+                raise ValueError(f"magnitude must be nonnegative, got {m}")
+            return formula(m)
+        return gain
+
+
 CENTER = "center"
 SADDLE = "saddle"
 DEGENERATE = "degenerate"
@@ -51,6 +102,11 @@ DIVERGENT = "divergent"
 INDETERMINATE = "indeterminate"
 
 _INV_E = math.exp(-1.0)
+# half-width of the band around ell = rho e (and around |Q| = Q_cr) where
+# fixed points are "degenerate" and orbits "indeterminate"
+_BOUNDARY_TOL = 1e-9
+# iteration bound of the Lambert W solvers
+_LAMBERT_MAX_ITER = 50
 
 
 class LambertDomainError(ValueError):
@@ -106,13 +162,13 @@ def _lambert_guess_wm1(z):
     return l1 - l2 + l2 / l1
 
 
-def _lambert_w_log(b, z, max_iter):
+def _lambert_w_log(b, z):
     """W where w e^w leaves the normal float range (W0 above 1e300, Wm1
     above -1e-300): Newton on w + log|w| = log|z| from the asymptotic guess.
     """
     lz = math.log(abs(z))
     w = lz - math.log(abs(lz))
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         step = (w + math.log(abs(w)) - lz) * w / (w + 1.0)
         w -= step
         if abs(step) <= 4.5e-16 * abs(w):
@@ -120,28 +176,19 @@ def _lambert_w_log(b, z, max_iter):
     raise RuntimeError(f"Lambert W failed to converge for branch {b}, z = {z}")
 
 
-def lambert_w(branch, z, tol=5e-13, max_iter=50):
+def lambert_w(branch, z):
     """Real Lambert W on the principal (W0) or lower (Wm1) branch.
 
     Solves w * exp(w) = z by Halley iteration from a branch-specific initial
-    guess, stopping when |w e^w - z| <= tol (tol * |z| for |z| < 1e-3, where
-    an absolute target would accept a poor Wm1) or when the step falls to
-    rounding level. Where w e^w leaves the normal float range (W0 above
-    z = 1e300, Wm1 above -1e-300), Newton on w + log|w| = log|z| takes
-    over. W0 is defined on [-1/e, inf), Wm1 on [-1/e, 0). Arguments within
-    1e-12 below -1/e are snapped to the branch point.
+    guess, stopping when |w e^w - z| <= 4e-16 |z| (the float resolution of
+    z) or when the step falls to rounding level. Within 1e-9 of the branch
+    point the series is used instead. Where w e^w leaves the normal float
+    range (W0 above z = 1e300, Wm1 above -1e-300), Newton on
+    w + log|w| = log|z| takes over. W0 is defined on [-1/e, inf), Wm1 on
+    [-1/e, 0). Arguments within 1e-12 below -1/e are snapped to the branch
+    point.
 
-    Parameters
-    ----------
-    branch : LambertBranch, "W0", "Wm1", 0 or -1
-    z : float
-    tol : float
-        Residual target, absolute for |z| >= 1e-3 and relative below.
-    max_iter : int
-
-    Returns
-    -------
-    float
+    branch is a LambertBranch, "W0", "Wm1", 0 or -1; returns a float.
     """
     if isinstance(branch, LambertBranch):
         b = branch
@@ -174,14 +221,11 @@ def lambert_w(branch, z, tol=5e-13, max_iter=50):
         return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
 
     if z > 1e300 or (b is LambertBranch.WM1 and z > -1e-300):
-        return _lambert_w_log(b, z, max_iter)
+        return _lambert_w_log(b, z)
 
-    # an absolute target means nothing once |z| nears it (Wm1 near 0- would
-    # pass on its first guess), so below |z| = 1e-3 it is taken relative to
-    # z; for huge |z| it is the float resolution of w e^w
-    floor = max(tol * abs(z) if abs(z) < 1e-3 else tol, 4e-16 * abs(z))
+    floor = 4e-16 * abs(z)
     w = _lambert_guess_w0(z) if b is LambertBranch.W0 else _lambert_guess_wm1(z)
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
         if abs(f) <= floor:
@@ -195,14 +239,6 @@ def lambert_w(branch, z, tol=5e-13, max_iter=50):
         if abs(step) <= max(1e-16 * (1.0 + abs(w)), 4.5e-16 * abs(w)):
             return w
     raise RuntimeError(f"Lambert W failed to converge for branch {b}, z = {z}")
-
-
-def lambert_w0(z, **kwargs):
-    return lambert_w(LambertBranch.W0, z, **kwargs)
-
-
-def lambert_wm1(z, **kwargs):
-    return lambert_w(LambertBranch.WM1, z, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -228,15 +264,21 @@ def _gain_integral_factor(kind, r, rho, ell=None):
 def conserved_quantity(kind, r, psi, rho, ell=None):
     """Integral of motion Q = (r / rho) sin(psi) exp(-int G/V dr).
 
-    Constant along closed-loop trajectories for every gain law.
+    Constant along closed-loop trajectories for every gain law. r and psi
+    are floats (Q is a float) or equal-shape arrays (Q is an array); sin is
+    math.sin per element, because np.sin may round differently.
     """
     kind = GainKind(kind)
-    if not r > 0:
+    r = np.asarray(r, dtype=float)
+    if not (r > 0).all():
         raise ValueError(f"radius must be positive, got {r}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     ell = _require_ell(kind, ell)
-    return float((r / rho) * math.sin(psi) * _gain_integral_factor(kind, r, rho, ell))
+    sin_psi = np.array(list(map(math.sin, np.ravel(psi).tolist())))
+    sin_psi = sin_psi.reshape(r.shape)
+    q = (r / rho) * sin_psi * _gain_integral_factor(kind, r, rho, ell)
+    return float(q) if q.ndim == 0 else q
 
 
 def radial_envelope(kind, r, rho, ell=None):
@@ -250,48 +292,22 @@ def radial_envelope(kind, r, rho, ell=None):
     return (np.asarray(r) / rho) * _gain_integral_factor(kind, r, rho, ell)
 
 
-def radial_velocity(kind, r, q, rho, ell=None, v=1.0):
-    """Magnitude of dr/dt on the orbit with conserved level q, at radius r.
-
-    |dr/dt| = V sqrt(1 - q^2 / h(r)^2) with h the radial envelope. Radicands
-    within 1e-12 of zero count as turning points and return 0.
-    """
-    kind = GainKind(kind)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    ell = _require_ell(kind, ell)
-    h = float(radial_envelope(kind, r, rho, ell))
-    radicand = 1.0 - (q / h) ** 2
-    if radicand < -1e-12:
-        raise QOutOfRangeError(
-            f"no orbit with |Q| = {abs(q):.6g} reaches r = {r:.6g} "
-            f"(envelope {h:.6g})"
-        )
-    return v * math.sqrt(max(radicand, 0.0))
-
-
 # ----------------------------------------------------------------------
 # Closed-loop vector field, fixed points, eigenvalues
 # ----------------------------------------------------------------------
 
-def gain_profile(kind, r, rho, ell=None, v=1.0):
-    """G(r) for the zero-alignment-error loop: V/rho times the law's m-shaping."""
-    kind = GainKind(kind)
-    if kind is GainKind.STATIC:
-        return v / rho
-    if kind is GainKind.PROPORTIONAL:
-        return (v / rho) * math.exp(-r / ell)
-    return (v / rho) * math.exp(r / ell)
+def _radial_vector_field(kind, rho, ell, v):
+    """f(r, psi) -> (dr/dt, dpsi/dt) of the reduced closed loop on the
+    radial field, whose magnitude is m = exp(-r / ell).
 
-
-def radial_vector_field(kind, rho, ell=None, v=1.0):
-    """Return f(r, psi) -> (dr/dt, dpsi/dt) for the reduced closed loop."""
-    kind = GainKind(kind)
-    ell = _require_ell(kind, ell)
+    The gain is the GainLaw with g0 = V / rho; its floor is the smallest
+    normal float, so it never binds where exp(r / ell) is finite.
+    """
+    gain = GainLaw(kind, v / rho, m_floor=sys.float_info.min).closure()
 
     def f(r, psi):
-        g = gain_profile(kind, r, rho, ell, v)
-        return (-v * math.cos(psi), (v / r - g) * math.sin(psi))
+        m = 1.0 if ell is None else math.exp(-r / ell)
+        return (-v * math.cos(psi), (v / r - gain(m)) * math.sin(psi))
 
     return f
 
@@ -310,9 +326,8 @@ class FixedPoint:
     eigenvalues: np.ndarray
 
 
-def _numerical_jacobian(f, r, psi, h=None):
-    if h is None:
-        h = 1e-5 * max(1.0, abs(r))
+def _numerical_jacobian(f, r, psi):
+    h = 1e-5 * max(1.0, abs(r))
     fr_p = f(r + h, psi)
     fr_m = f(r - h, psi)
     fp_p = f(r, psi + h)
@@ -332,7 +347,7 @@ def _sorted_eigs(values):
 
 
 def _eigs_at(kind, r, psi, rho, ell, v):
-    f = radial_vector_field(kind, rho, ell, v)
+    f = _radial_vector_field(kind, rho, ell, v)
     jac = _numerical_jacobian(f, r, psi)
     return _sorted_eigs(np.linalg.eigvals(jac))
 
@@ -370,7 +385,7 @@ def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
     return _sorted_eigs([lam, -lam])
 
 
-def fixed_points(kind, rho, ell=None, v=1.0, degenerate_tol=1e-9):
+def fixed_points(kind, rho, ell=None, v=1.0):
     """All equilibria of the reduced flow, sorted by radius then psi.
 
     Equilibria sit at sin-psi = +/-1 and radii solving V/r = G(r):
@@ -379,7 +394,7 @@ def fixed_points(kind, rho, ell=None, v=1.0, degenerate_tol=1e-9):
     proportional:  r* = -ell Wm1(-rho/ell) (saddles) and
                    r** = -ell W0(-rho/ell) (centers), for ell > rho e;
                    none for ell < rho e; one degenerate pair within
-                   degenerate_tol of ell = rho e
+                   1e-9 of ell = rho e
     inverse:       r* = ell W0(rho/ell) (centers)
     """
     kind = GainKind(kind)
@@ -394,14 +409,14 @@ def fixed_points(kind, rho, ell=None, v=1.0, degenerate_tol=1e-9):
         radii.append((rho, CENTER))
     elif kind is GainKind.PROPORTIONAL:
         ell_c = rho * math.e
-        if abs(ell - ell_c) < degenerate_tol:
+        if abs(ell - ell_c) < _BOUNDARY_TOL:
             radii.append((ell, DEGENERATE))
         elif ell > ell_c:
             z = -rho / ell
-            radii.append((-ell * lambert_w0(z), CENTER))
-            radii.append((-ell * lambert_wm1(z), SADDLE))
+            radii.append((-ell * lambert_w(LambertBranch.W0, z), CENTER))
+            radii.append((-ell * lambert_w(LambertBranch.WM1, z), SADDLE))
     else:
-        radii.append((ell * lambert_w0(rho / ell), CENTER))
+        radii.append((ell * lambert_w(LambertBranch.W0, rho / ell), CENTER))
 
     points = []
     for r_star, label in sorted(radii):
@@ -431,7 +446,7 @@ def critical_q(rho, ell):
         raise NoSaddleError(
             f"no saddle for ell = {ell} <= rho e = {rho * math.e:.6g}"
         )
-    w = lambert_wm1(-rho / ell)
+    w = lambert_w(LambertBranch.WM1, -rho / ell)
     return (ell / rho) * abs(w) * math.exp(-1.0 / w)
 
 
@@ -496,14 +511,13 @@ def radial_bounds(kind, q, rho, ell=None):
                 f"static envelope peaks at 1/e; no orbit with |Q| = {aq:.6g}"
             )
         aq = min(aq, _INV_E)
-        return RadialBounds(
-            BOUNDED, -rho * lambert_w0(-aq), -rho * lambert_wm1(-aq)
-        )
+        return RadialBounds(BOUNDED, -rho * lambert_w(LambertBranch.W0, -aq),
+                            -rho * lambert_w(LambertBranch.WM1, -aq))
 
     if kind is GainKind.INVERSE:
         if aq == 0.0:
             return RadialBounds(BOUNDED, 0.0, math.inf)
-        r_fp = ell * lambert_w0(rho / ell)
+        r_fp = ell * lambert_w(LambertBranch.W0, rho / ell)
         q_max = envelope(r_fp)
         if aq > q_max * (1.0 + 1e-12):
             raise QOutOfRangeError(
@@ -528,8 +542,8 @@ def radial_bounds(kind, q, rho, ell=None):
     q_cr = critical_q(rho, ell)
     if aq <= q_cr:
         return RadialBounds(UNBOUNDED)
-    r_center = -ell * lambert_w0(-rho / ell)
-    r_saddle = -ell * lambert_wm1(-rho / ell)
+    r_center = -ell * lambert_w(LambertBranch.W0, -rho / ell)
+    r_saddle = -ell * lambert_w(LambertBranch.WM1, -rho / ell)
     q_max = envelope(r_center)
     if aq > q_max * (1.0 + 1e-12):
         return RadialBounds(UNBOUNDED)
@@ -590,40 +604,41 @@ def bifurcation_scan(rho, ell_min, ell_max, step=0.1, refine_tol=1e-9):
 # Convergence classification
 # ----------------------------------------------------------------------
 
-def _regime(kind, rho, ell, tol):
+def _regime(kind, rho, ell):
     """The convergence class a gain law gives every orbit alike.
 
     "unconditional" for static and inverse gain; for proportional gain
-    "indeterminate" within tol of ell = rho e, "divergent" below it and
-    "conditional" above it, where the start decides.
+    "indeterminate" within 1e-9 of ell = rho e (where fixed_points finds
+    the degenerate pair), "divergent" below it and "conditional" above it,
+    where the start decides.
     """
     if kind is not GainKind.PROPORTIONAL:
         return UNCONDITIONAL
     ell_c = rho * math.e
-    if abs(ell - ell_c) < tol:
+    if abs(ell - ell_c) < _BOUNDARY_TOL:
         return INDETERMINATE
     return DIVERGENT if ell < ell_c else CONDITIONAL
 
 
-def classify_convergence(kind, rho, ell, init, boundary_tol=1e-9):
+def classify_convergence(kind, rho, ell, init):
     """Classify the long-run radial behaviour of the orbit through `init`.
 
     init needs only .r and .psi attributes. Static and inverse gain trap
     every orbit ("unconditional"). Proportional gain below ell = rho e traps
     none ("divergent"); above it, orbits are "conditional_bounded" when
     |Q| exceeds the critical level and the start radius lies inside the
-    saddle, "conditional_unbounded" otherwise. Inits within boundary_tol of
-    a separating level (or ell of rho e) come back "indeterminate".
+    saddle, "conditional_unbounded" otherwise. Inits within 1e-9 of a
+    separating level (or ell of rho e) come back "indeterminate".
     """
     kind = GainKind(kind)
-    regime = _regime(kind, rho, _require_ell(kind, ell), boundary_tol)
+    regime = _regime(kind, rho, _require_ell(kind, ell))
     if regime != CONDITIONAL:
         return regime
     q_cr = critical_q(rho, ell)
     q = conserved_quantity(kind, init.r, init.psi, rho, ell)
-    if abs(abs(q) - q_cr) < boundary_tol:
+    if abs(abs(q) - q_cr) < _BOUNDARY_TOL:
         return INDETERMINATE
-    r_saddle = -ell * lambert_wm1(-rho / ell)
+    r_saddle = -ell * lambert_w(LambertBranch.WM1, -rho / ell)
     if abs(q) > q_cr and init.r < r_saddle:
         return CONDITIONAL_BOUNDED
     return CONDITIONAL_UNBOUNDED
@@ -750,7 +765,7 @@ def portrait(kind, rho, ell=None, v=1.0, grid=None):
         fixed_points=fps,
         q_critical=q_critical,
         separatrix_q=separatrix,
-        classification=_regime(kind, rho, ell, 1e-9),
+        classification=_regime(kind, rho, ell),
         relative_equilibria=note,
         grid=grid,
         u_axis=u_axis,

@@ -310,6 +310,9 @@ def cmd_fields(args):
     if args.field == "radial":
         if args.ell is None:
             raise ConfigError("radial field needs --ell")
+        if args.source is not None:
+            raise ConfigError("the radial field's source is the origin; "
+                              "--source applies to bundle maps only")
         x_range = _parse_floats(args.x_range, 2, "--x-range")
         y_range = _parse_floats(args.y_range, 2, "--y-range")
         grids = _radial_spectral_grids(args.ell, x_range, y_range,

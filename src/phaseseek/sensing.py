@@ -61,15 +61,14 @@ class SpectralSample:
     """One onboard spectral estimate.
 
     m is the first-mode magnitude, phi the phase in [0, 2*pi) referenced to
-    absolute time t = 0, grad_phi the stencil phase gradient, s the steering
-    signal in [-1, 1], and saturated flags an inverse-gain magnitude clamp.
+    absolute time t = 0, grad_phi the stencil phase gradient and s the
+    steering signal in [-1, 1].
     """
 
     m: float
     phi: float
     grad_phi: np.ndarray
     s: float
-    saturated: bool = False
 
 
 @functools.lru_cache(maxsize=32)
@@ -111,56 +110,14 @@ def dft_first_mode(series, period):
     return complex(first_mode_coeffs(series[np.newaxis], period)[0])
 
 
-def magnitude_phase(coeff):
-    """Split a complex first-mode coefficient into (m, phi) with phi in [0, 2*pi)."""
-    m = abs(coeff)
-    if m == 0.0:
-        return 0.0, 0.0
-    return m, wrap_phase(math.atan2(coeff.imag, coeff.real))
-
+# largest share of the local wavelength the sensor may cross per window
+_QUASI_STEADY_FRACTION = 0.1
 
 # Unit offsets of the centre and the probes +e_x, -e_x, +e_y, -e_y. The
 # signed zeros make x + h * offset round exactly like x, x + (h, 0),
 # x - (h, 0), x + (0, h) and x - (0, h), even for a coordinate of -0.0.
 _STENCIL = np.array([[-0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 1.0],
                      [-0.0, -1.0]])
-
-
-def _stencil(x, h):
-    """Centre x, then the probes x +/- h e_x and x +/- h e_y: shape (5, 2)."""
-    return x + h * _STENCIL
-
-
-def _stencil_coeffs(field, points, t0, config):
-    windows = field.eval_windows(points, t0, config.n_samples)
-    return [complex(c) for c in first_mode_coeffs(windows, field.period)]
-
-
-def _stencil_gradient(coeffs, h, m_floor):
-    """grad phi from the four probe coefficients, in _stencil order."""
-    mags = [abs(c) for c in coeffs]
-    if min(mags) < m_floor:
-        raise DegenerateMagnitudeError(
-            f"stencil magnitude {min(mags):.3e} below floor {m_floor:.3e}"
-        )
-    phis = [math.atan2(c.imag, c.real) for c in coeffs]
-    gx = wrap_angle(phis[0] - phis[1]) / (2.0 * h)
-    gy = wrap_angle(phis[2] - phis[3]) / (2.0 * h)
-    return np.array([gx, gy])
-
-
-def phase_gradient(field, x, t0, config):
-    """Stencil estimate of grad phi at x.
-
-    Four probes at x +/- h e_x and x +/- h e_y are spectrally sampled and
-    their wrapped phase differences centred. All probe magnitudes must stay
-    above config.m_floor. Probe phases share the window start t0, so the
-    absolute time reference cancels in the differences.
-    """
-    x = np.asarray(x, dtype=float)
-    h = config.stencil_h
-    coeffs = _stencil_coeffs(field, _stencil(x, h)[1:], t0, config)
-    return _stencil_gradient(coeffs, h, config.m_floor)
 
 
 def sensory_output(grad_phi, theta):
@@ -186,36 +143,43 @@ def spectral_sample(field, x, t0, theta, config):
     """Full onboard estimate at pose (x, theta) from a window starting at t0.
 
     Five spectral windows are taken in one batch: the centre point for
-    (m, phi) and four stencil probes for grad phi. The centre phase is
-    rotated by exp(-i omega1 t0) so estimates are referenced to absolute
-    time t = 0 regardless of when the window starts.
+    (m, phi) and four stencil probes at x +/- h e_x and x +/- h e_y for
+    grad phi, the centred wrapped phase differences of the probes. Every
+    magnitude must reach config.m_floor. The centre phase is rotated by
+    exp(-i omega1 t0) so estimates are referenced to absolute time t = 0
+    regardless of when the window starts; the probe phases share t0, so it
+    cancels in their differences.
     """
-    x = np.asarray(x, dtype=float)
     h = config.stencil_h
-    centre, *probes = _stencil_coeffs(field, _stencil(x, h), t0, config)
+    windows = field.eval_windows(np.asarray(x, dtype=float) + h * _STENCIL,
+                                 t0, config.n_samples)
+    centre, *probes = map(complex, first_mode_coeffs(windows, field.period))
     m = abs(centre)
-    if m < config.m_floor:
+    weakest = min(m, *map(abs, probes))
+    if weakest < config.m_floor:
         raise DegenerateMagnitudeError(
-            f"magnitude {m:.3e} below floor {config.m_floor:.3e}"
+            f"magnitude {weakest:.3e} below floor {config.m_floor:.3e}"
         )
-    grad = _stencil_gradient(probes, h, config.m_floor)
+    phis = [math.atan2(c.imag, c.real) for c in probes]
+    grad = np.array([wrap_angle(phis[0] - phis[1]) / (2.0 * h),
+                     wrap_angle(phis[2] - phis[3]) / (2.0 * h)])
     omega1 = TWO_PI / field.period
     phi = wrap_phase(math.atan2(centre.imag, centre.real) - omega1 * t0)
     s = sensory_output(grad, theta)
-    return SpectralSample(m=m, phi=phi, grad_phi=grad, s=s, saturated=False)
+    return SpectralSample(m=m, phi=phi, grad_phi=grad, s=s)
 
 
 def analytic_sample(field, x, theta):
     """Idealized sample from the field's exact spectra (no windowing error)."""
     truth = field.analytic_spectra(x)
     s = sensory_output(truth.grad_phi, theta)
-    return SpectralSample(
-        m=truth.m, phi=truth.phi, grad_phi=truth.grad_phi, s=s, saturated=False
-    )
+    return SpectralSample(m=truth.m, phi=truth.phi, grad_phi=truth.grad_phi,
+                          s=s)
 
 
-def check_quasi_steady(speed, period, grad_norm, fraction=0.1):
-    """Warn when the sensor crosses more than `fraction` of a wavelength per window.
+def check_quasi_steady(speed, period, grad_norm):
+    """Warn when the sensor crosses more than a tenth of a wavelength per
+    window.
 
     The windowed estimator assumes the sensor is effectively frozen while it
     samples; V * T small against the local wavelength 2*pi/||grad phi|| is the
@@ -224,7 +188,7 @@ def check_quasi_steady(speed, period, grad_norm, fraction=0.1):
     if grad_norm <= 0.0:
         return False
     wavelength = TWO_PI / grad_norm
-    if speed * period > fraction * wavelength:
+    if speed * period > _QUASI_STEADY_FRACTION * wavelength:
         warnings.warn(
             f"sensor travels {speed * period:.3g} per window against a local "
             f"wavelength of {wavelength:.3g}; windowed estimates degrade",

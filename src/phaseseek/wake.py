@@ -122,7 +122,11 @@ def save_bundle(bundle, path):
 
 
 def load_bundle(path):
-    """Read a WAVF1 bundle, validating the header and payload size."""
+    """Read a WAVF1 bundle, validating the header and payload size.
+
+    Malformed bytes, the GridFieldBundle checks included, raise
+    BundleFormatError.
+    """
     data = Path(path).read_bytes()
     if len(data) < 5:
         raise BundleFormatError(f"file holds {len(data)} bytes, no header")
@@ -154,10 +158,14 @@ def load_bundle(path):
             raise BundleFormatError("non-finite metadata field")
         return value
 
-    return GridFieldBundle(
-        nx=nx, ny=ny, nt=nt, x0=x0, y0=y0, dx=dx, dy=dy, dt=dt,
-        frames=frames, meta_re=meta(m_re), meta_st=meta(m_st), meta_a=meta(m_a),
-    )
+    meta_re, meta_st, meta_a = map(meta, (m_re, m_st, m_a))
+    try:
+        return GridFieldBundle(
+            nx=nx, ny=ny, nt=nt, x0=x0, y0=y0, dx=dx, dy=dy, dt=dt,
+            frames=frames, meta_re=meta_re, meta_st=meta_st, meta_a=meta_a,
+        )
+    except ValueError as exc:
+        raise BundleFormatError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ brute-force residual checks, a closed loop that builds a spectrum
 object at every RK4 stage, and the reduced polar loop written out stage
 by stage. The point is to agree with the fast library code without
 sharing any of its machinery; the closed loop shares only the public
-per-stage pieces (spectra, steering signal, gain law), and the polar loop
-shares nothing.
+per-stage pieces (spectra, steering signal), and the polar loop shares
+nothing. Both spell the gain law out (gain_ref).
 """
 
 import math
@@ -64,22 +64,32 @@ def saddle_radius_ref(rho, ell):
     return bisect(lambda r: r * math.exp(-r / ell) - rho, ell, 60.0 * ell)
 
 
+def gain_ref(law, m):
+    """G(m) spelled out from law.kind, law.g0 and law.m_floor."""
+    kind = getattr(law.kind, "value", law.kind)
+    if kind == "static":
+        return law.g0
+    if kind == "proportional":
+        return law.g0 * m
+    return law.g0 / max(m, law.m_floor)
+
+
 def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
                     q_of=None):
     """Analytic closed loop the plain way: one spectrum object per RK4 stage.
 
-    Built only from the public field.analytic_spectra, sensory_output and
-    gain_value, one recorded row at a time, in TRAJECTORY_COLUMNS order.
+    Built only from the public field.analytic_spectra and sensory_output
+    plus gain_ref, one recorded row at a time, in TRAJECTORY_COLUMNS order.
     q_of(r, psi) supplies Q where one is defined. Returns (termination,
     rows).
     """
     from phaseseek import (OriginSingularityError, UndefinedDirectionError,
-                           gain_value, sensory_output)
+                           sensory_output)
 
     def deriv(x, y, th):
         truth = field.analytic_spectra((x, y))
         s = sensory_output(truth.grad_phi, th)
-        g, _ = gain_value(law, truth.m)
+        g = gain_ref(law, truth.m)
         return (v * math.cos(th), v * math.sin(th), g * s), (truth.m, s, g)
 
     def wrap(a):
@@ -137,24 +147,14 @@ def polar_ref(r, eta, psi, delta_field, law, m_field, dt, t_end, v=1.0,
               r_floor=1e-9, r_escape=math.inf):
     """Reduced (r, eta, psi) dynamics the plain way: four written-out stages.
 
-    The gain law is spelled out from law.kind, law.g0 and law.m_floor;
     delta_field None means zero alignment error. A stage at r <= 0 ends
     the run at the origin. Returns (termination, rows of (t, r, eta, psi)).
     """
-    kind = getattr(law.kind, "value", law.kind)
-
-    def gain(m):
-        if kind == "static":
-            return law.g0
-        if kind == "proportional":
-            return law.g0 * m
-        return law.g0 / max(m, law.m_floor)
-
     def deriv(r, eta, psi):
         if r <= 0.0:
             return None
         d = 0.0 if delta_field is None else delta_field(r, eta)
-        g = gain(m_field(r, eta))
+        g = gain_ref(law, m_field(r, eta))
         sp, cp = math.sin(psi), math.cos(psi)
         return (-v * cp, v * sp / r,
                 v * sp / r - g * (math.cos(d) * sp + math.sin(d) * cp))

@@ -19,7 +19,6 @@ from phaseseek import (
     conserved_quantity,
     field_from_bundle,
     from_polar,
-    gain_value,
     radial_bounds,
     radial_m_field,
     simulate,
@@ -68,17 +67,14 @@ def test_gain_law_rho():
 
 def test_gain_value():
     m = 0.6303131865967198  # radial magnitude at r = 3
-    g, sat = gain_value(STATIC, m)
-    assert g == 0.5 and not sat
-    g, sat = gain_value(GainLaw("proportional", 0.5), m)
-    assert g == pytest.approx(0.5 * m) and not sat
-    g, sat = gain_value(GainLaw("inverse", 0.5), m)
-    assert g == pytest.approx(0.5 / m) and not sat
+    assert STATIC.closure()(m) == 0.5
+    assert GainLaw("proportional", 0.5).closure()(m) == 0.5 * m
+    inverse = GainLaw("inverse", 0.5).closure()
+    assert inverse(m) == 0.5 / m
     # magnitude floor guards the inverse law near zero signal
-    g, sat = gain_value(GainLaw("inverse", 0.5), 1e-9)
-    assert g == pytest.approx(0.5 / 1e-6) and sat
-    g, sat = gain_value(GainLaw("inverse", 0.5), 0.0)
-    assert g == pytest.approx(0.5 / 1e-6) and sat
+    assert inverse(1e-9) == inverse(0.0) == 0.5 / 1e-6
+    with pytest.raises(ValueError):
+        inverse(-1e-9)
 
 
 def test_heading_rate():
@@ -284,6 +280,14 @@ def test_simulate_polar_down_gradient_ray():
     # r shrinks at exactly V until the origin
     k = min(1500, len(tr.r) - 1)
     assert tr.r[k] == pytest.approx(2.0 - tr.t[k], abs=1e-9)
+
+
+def test_simulate_started_at_the_origin_has_no_q():
+    tr = simulate(AgentState(0.0, 0.0, 0.0), FIELD, STATIC, dt=1e-2,
+                  t_end=1.0, r_stop=0.0)
+    assert tr.termination == "origin_singularity"
+    assert len(tr) == 1 and tr.r[0] == 0.0
+    assert np.isnan([tr.psi[0], tr.m[0], tr.q[0]]).all()
 
 
 def test_simulate_polar_escape():

@@ -15,6 +15,8 @@ def test_all_has_no_duplicates_and_every_name_resolves():
 @pytest.mark.parametrize("name", [
     "heading_rate", "sample_window", "synth_traveling_field",
     "radial_spectral_truth", "radial_field_eval", "RadialFieldParams", "step",
+    "lambert_w0", "lambert_wm1", "magnitude_phase", "radial_velocity",
+    "gain_value", "phase_gradient", "radial_vector_field",
 ])
 def test_deleted_wrappers_are_gone(name):
     assert name not in phaseseek.__all__
@@ -24,6 +26,11 @@ def test_deleted_wrappers_are_gone(name):
 
 def test_gain_kind_is_one_object():
     assert phaseseek.GainKind is agent.GainKind is analysis.GainKind
+    assert phaseseek.GainLaw is agent.GainLaw is analysis.GainLaw
+    for stale in ("gain_profile", "radial_vector_field"):
+        assert not hasattr(analysis, stale), stale
+    for stale in ("_gain_fn", "gain_value"):
+        assert not hasattr(agent, stale), stale
     for stale in ("STATIC", "PROPORTIONAL", "INVERSE", "GAIN_KINDS",
                   "_kind_str"):
         assert not hasattr(analysis, stale), stale

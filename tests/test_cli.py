@@ -280,6 +280,17 @@ def test_fields_radial(tmp_path):
                  str(tmp_path / "x.csv")]) == 2  # ell missing
 
 
+def test_fields_radial_rejects_a_source(tmp_path, capsys):
+    # the radial map's delta is measured against the origin; a --source
+    # elsewhere would be ignored and the map quietly wrong
+    out = tmp_path / "maps.csv"
+    for source in ("3,0", "0,0"):
+        assert main(["fields", "--field", "radial", "--ell", "6.5",
+                     "--source", source, "--out", str(out)]) == 2
+    assert "--source" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fields_from_bundle(tmp_path):
     bundle_path = tmp_path / "wake.wavf"
     assert main(["synth-wake", "--nx", "16", "--ny", "9", "--nt", "16",
@@ -336,4 +347,5 @@ def test_readme_outputs_runs_every_readme_command():
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("phaseseek ")
     ]
-    assert sorted(commands) == sorted(c for _, c in tool.COMMANDS)
+    # same commands in the same order: the README runs top to bottom
+    assert commands == [c for _, c in tool.COMMANDS]

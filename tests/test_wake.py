@@ -16,11 +16,11 @@ from phaseseek import (
     dft_first_mode,
     field_from_bundle,
     load_bundle,
-    magnitude_phase,
     save_bundle,
     spectral_grids,
     synth_wake,
     wrap_angle,
+    wrap_phase,
 )
 from phaseseek.wake import MAGIC, VERSION, _HEADER
 
@@ -112,6 +112,21 @@ def test_load_rejects_non_finite_header(tmp_path):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("header, frame", [
+    ({"nx": 1}, 0.0),
+    ({"dx": -0.2}, 0.0),
+    ({}, math.nan),
+])
+def test_load_rejects_what_the_bundle_rejects(tmp_path, header, frame):
+    # the GridFieldBundle checks surface as BundleFormatError, not ValueError
+    nx = header.get("nx", 4)
+    path = tmp_path / "bad.wavf"
+    path.write_bytes(_header_bytes(**header) + np.full(
+        8 * 4 * nx, frame).astype("<f8").tobytes())
+    with pytest.raises(BundleFormatError):
+        load_bundle(path)
+
+
 def test_bundle_validation():
     frames = np.zeros((8, 4, 4))
     with pytest.raises(ValueError):
@@ -186,7 +201,7 @@ def test_spectral_grids_agree_with_single_point_dft():
     grids = spectral_grids(bundle)
     for (i, j) in ((3, 4), (7, 2), (11, 8)):
         c = dft_first_mode(bundle.frames[:, j, i], bundle.period)
-        m, phi = magnitude_phase(c)
+        m, phi = abs(c), wrap_phase(math.atan2(c.imag, c.real))
         assert grids.m_grid[j, i] == m
         assert grids.phi_grid[j, i] == phi
 

@@ -3,11 +3,12 @@
 Usage: python tools/readme_outputs.py OUT_DIR
 
 Each command below is copied verbatim from README.md (continuation lines
-joined) and runs as ``python -m phaseseek.cli`` against the ``src/`` next
-to this file, with OUT_DIR/<group> as its working directory. The groups
-keep the two ``maps.csv`` apart and hand the commands that read an earlier
-output (the --config rerun, the bundle map and the wake seek) the file
-they name. The outputs are deterministic, so two runs compared with
+joined), in README order, and runs as ``python -m phaseseek.cli`` against
+the ``src/`` next to this file, with OUT_DIR/<group> as its working
+directory. The README section runs top to bottom in one directory; the
+groups only sort the outputs by topic, and each group holds the files its
+later commands read (the --config rerun, the bundle map and the wake
+seek). The outputs are deterministic, so two runs compared with
 ``diff -r`` must show no difference, and a run on another checkout shows
 what a change did to the README outputs.
 """
@@ -22,8 +23,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# (group, command) in run order: synth-wake runs before the bundle map
-# that reads its wake.wavf
+# (group, command) in README order
 COMMANDS = (
     ("radial", "phaseseek simulate --field radial --ell 6.5 --gain static "
                "--g0 0.5 --t-end 100 --out runs/"),
@@ -36,7 +36,7 @@ COMMANDS = (
     ("maps", "phaseseek fields --field radial --ell 6.5 --out maps.csv"),
     ("wake", "phaseseek synth-wake --out wake.wavf"),
     ("wake", "phaseseek fields --field bundle --bundle wake.wavf "
-             "--source 0,0 --out maps.csv"),
+             "--source 0,0 --out wake_maps.csv"),
     ("wake", "phaseseek simulate --field bundle --bundle wake.wavf "
              "--gain proportional --g0 0.5 --init 8,0,3.141592653589793 "
              "--dt 5e-3 --t-end 40 --r-stop 0.5 --sensing windowed "
