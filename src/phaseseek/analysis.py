@@ -125,12 +125,20 @@ class QOutOfRangeError(ValueError):
     """No orbit exists at this value of the conserved quantity."""
 
 
-def _require_ell(kind, ell):
-    if kind is not GainKind.STATIC:
-        if ell is None or not ell > 0:
-            raise ValueError(
-                f"{kind.value} gain needs a positive decay length ell")
-    return ell
+def _params(kind, rho, ell, v=1.0):
+    """The one parameter gate every public entry passes first: coerces the
+    kind and rejects rho <= 0, v <= 0 (NaN included) and, for proportional
+    and inverse gain, a missing or nonpositive decay length ell.
+    """
+    kind = GainKind(kind)
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    if not v > 0:
+        raise ValueError(f"speed must be positive, got {v}")
+    if kind is not GainKind.STATIC and (ell is None or not ell > 0):
+        raise ValueError(
+            f"{kind.value} gain needs a positive decay length ell")
+    return kind
 
 
 # ----------------------------------------------------------------------
@@ -142,24 +150,26 @@ class LambertBranch(Enum):
     WM1 = "Wm1"
 
 
-def _lambert_guess_w0(z):
+def _branch_point_series(b, z):
+    """W about the branch point z = -1/e, to third order in
+    p = sqrt(2 (e z + 1)), with p negated on the Wm1 branch."""
+    p = math.sqrt(2.0 * (math.e * z + 1.0))
+    if b is LambertBranch.WM1:
+        p = -p
+    return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+
+
+def _lambert_guess(b, z):
     if z < -0.25:
-        # branch-point expansion about z = -1/e
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+        return _branch_point_series(b, z)
+    if b is LambertBranch.WM1:
+        # asymptotic form near 0-
+        l1 = math.log(-z)
+        l2 = math.log(-l1)
+        return l1 - l2 + l2 / l1
     if z < 0.0:
         return z * (1.0 - z + 1.5 * z * z)
     return math.log1p(z)
-
-
-def _lambert_guess_wm1(z):
-    if z < -0.25:
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        return -1.0 - p - p * p / 3.0 - (11.0 / 72.0) * p ** 3
-    # asymptotic form near 0-
-    l1 = math.log(-z)
-    l2 = math.log(-l1)
-    return l1 - l2 + l2 / l1
 
 
 def _lambert_w_log(b, z):
@@ -215,16 +225,13 @@ def lambert_w(branch, z):
     # The iteration loses its footing right at the branch point where
     # W' blows up; the series is already past machine accuracy there.
     if abs(z + _INV_E) < 1e-9:
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        if b is LambertBranch.WM1:
-            p = -p
-        return -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+        return _branch_point_series(b, z)
 
     if z > 1e300 or (b is LambertBranch.WM1 and z > -1e-300):
         return _lambert_w_log(b, z)
 
     floor = 4e-16 * abs(z)
-    w = _lambert_guess_w0(z) if b is LambertBranch.W0 else _lambert_guess_wm1(z)
+    w = _lambert_guess(b, z)
     for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
@@ -268,13 +275,10 @@ def conserved_quantity(kind, r, psi, rho, ell=None):
     are floats (Q is a float) or equal-shape arrays (Q is an array); sin is
     math.sin per element, because np.sin may round differently.
     """
-    kind = GainKind(kind)
+    kind = _params(kind, rho, ell)
     r = np.asarray(r, dtype=float)
     if not (r > 0).all():
         raise ValueError(f"radius must be positive, got {r}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    ell = _require_ell(kind, ell)
     sin_psi = np.array(list(map(math.sin, np.ravel(psi).tolist())))
     sin_psi = sin_psi.reshape(r.shape)
     q = (r / rho) * sin_psi * _gain_integral_factor(kind, r, rho, ell)
@@ -287,8 +291,7 @@ def radial_envelope(kind, r, rho, ell=None):
     Orbits with conserved level Q satisfy |Q| <= h(r) wherever they go, with
     equality exactly at radial turning points.
     """
-    kind = GainKind(kind)
-    ell = _require_ell(kind, ell)
+    kind = _params(kind, rho, ell)
     return (np.asarray(r) / rho) * _gain_integral_factor(kind, r, rho, ell)
 
 
@@ -358,8 +361,7 @@ def jacobian_eigenvalues(kind, fixed_point, rho, ell=None, v=1.0):
     Central differences with step 1e-5 * max(1, r*); returned sorted by
     (real, imag) for determinism.
     """
-    kind = GainKind(kind)
-    ell = _require_ell(kind, ell)
+    kind = _params(kind, rho, ell, v)
     return _eigs_at(kind, fixed_point.r_star, fixed_point.psi_star, rho, ell, v)
 
 
@@ -373,8 +375,7 @@ def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
     Magnitudes are the cross-check target; the numerical Jacobian is the
     ground truth for signs.
     """
-    kind = GainKind(kind)
-    ell = _require_ell(kind, ell)
+    kind = _params(kind, rho, ell, v)
     if kind is GainKind.STATIC:
         lam2 = -((v / rho) ** 2)
     elif kind is GainKind.PROPORTIONAL:
@@ -383,6 +384,14 @@ def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
         lam2 = -v * v * (ell + r_star) / (ell * r_star * r_star)
     lam = complex(lam2) ** 0.5
     return _sorted_eigs([lam, -lam])
+
+
+def _proportional_radii(rho, ell):
+    """(center, saddle) radii of proportional gain, -ell W0(-rho/ell) and
+    -ell Wm1(-rho/ell); defined for ell >= rho e."""
+    z = -rho / ell
+    return (-ell * lambert_w(LambertBranch.W0, z),
+            -ell * lambert_w(LambertBranch.WM1, z))
 
 
 def fixed_points(kind, rho, ell=None, v=1.0):
@@ -397,26 +406,18 @@ def fixed_points(kind, rho, ell=None, v=1.0):
                    1e-9 of ell = rho e
     inverse:       r* = ell W0(rho/ell) (centers)
     """
-    kind = GainKind(kind)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not v > 0:
-        raise ValueError(f"speed must be positive, got {v}")
-    ell = _require_ell(kind, ell)
-
+    kind = _params(kind, rho, ell, v)
+    regime = _regime(kind, rho, ell)
     radii = []
     if kind is GainKind.STATIC:
         radii.append((rho, CENTER))
-    elif kind is GainKind.PROPORTIONAL:
-        ell_c = rho * math.e
-        if abs(ell - ell_c) < _BOUNDARY_TOL:
-            radii.append((ell, DEGENERATE))
-        elif ell > ell_c:
-            z = -rho / ell
-            radii.append((-ell * lambert_w(LambertBranch.W0, z), CENTER))
-            radii.append((-ell * lambert_w(LambertBranch.WM1, z), SADDLE))
-    else:
+    elif kind is GainKind.INVERSE:
         radii.append((ell * lambert_w(LambertBranch.W0, rho / ell), CENTER))
+    elif regime == INDETERMINATE:
+        radii.append((ell, DEGENERATE))
+    elif regime == CONDITIONAL:
+        r_center, r_saddle = _proportional_radii(rho, ell)
+        radii += [(r_center, CENTER), (r_saddle, SADDLE)]
 
     points = []
     for r_star, label in sorted(radii):
@@ -438,13 +439,14 @@ def critical_q(rho, ell):
 
     |Q_cr| = (ell / rho) |Wm1(-rho/ell)| exp(-1 / Wm1(-rho/ell)); orbits with
     |Q| above this level (inside the saddle radius) are trapped. Requires the
-    saddle to exist, i.e. ell > rho e.
+    saddle to exist: ell above rho e and outside the 1e-9 band around it,
+    where fixed_points finds the degenerate pair.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not ell > rho * math.e:
+    kind = _params(GainKind.PROPORTIONAL, rho, ell)
+    if _regime(kind, rho, ell) != CONDITIONAL:
         raise NoSaddleError(
-            f"no saddle for ell = {ell} <= rho e = {rho * math.e:.6g}"
+            f"no saddle for ell = {ell}: not above rho e = {rho * math.e:.6g}"
+            " by more than 1e-9"
         )
     w = lambert_w(LambertBranch.WM1, -rho / ell)
     return (ell / rho) * abs(w) * math.exp(-1.0 / w)
@@ -471,6 +473,17 @@ def _bisect(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def _turning_radius(envelope, aq, r_peak, step):
+    """The radius on one side of the envelope's peak r_peak where it falls
+    to aq: step out from r_peak by the factor step (0.5 inward, 2.0
+    outward) until the envelope is no longer above aq, then bisect."""
+    r = r_peak
+    while envelope(r) > aq:
+        r *= step
+    bracket = (r, r_peak) if step < 1.0 else (r_peak, r)
+    return _bisect(lambda x: envelope(x) - aq, *bracket)
+
+
 @dataclass
 class RadialBounds:
     """Turning-point radii of the orbit at conserved level q.
@@ -494,10 +507,7 @@ def radial_bounds(kind, q, rho, ell=None):
     is unbounded below the critical level and conditionally bounded above
     it (up to the envelope's local maximum at the center radius).
     """
-    kind = GainKind(kind)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    ell = _require_ell(kind, ell)
+    kind = _params(kind, rho, ell)
     aq = abs(float(q))
 
     def envelope(r):
@@ -525,33 +535,21 @@ def radial_bounds(kind, q, rho, ell=None):
             )
         if aq >= q_max:
             return RadialBounds(BOUNDED, r_fp, r_fp)
-        lo = r_fp
-        while envelope(lo) > aq:
-            lo *= 0.5
-        hi = r_fp
-        while envelope(hi) > aq:
-            hi *= 2.0
-        r_min = _bisect(lambda r: envelope(r) - aq, lo, r_fp)
-        r_max = _bisect(lambda r: envelope(r) - aq, r_fp, hi)
-        return RadialBounds(BOUNDED, r_min, r_max)
+        return RadialBounds(BOUNDED, _turning_radius(envelope, aq, r_fp, 0.5),
+                            _turning_radius(envelope, aq, r_fp, 2.0))
 
     # proportional
-    ell_c = rho * math.e
-    if ell <= ell_c:
+    if _regime(kind, rho, ell) != CONDITIONAL:
         return RadialBounds(UNBOUNDED)
     q_cr = critical_q(rho, ell)
     if aq <= q_cr:
         return RadialBounds(UNBOUNDED)
-    r_center = -ell * lambert_w(LambertBranch.W0, -rho / ell)
-    r_saddle = -ell * lambert_w(LambertBranch.WM1, -rho / ell)
+    r_center, r_saddle = _proportional_radii(rho, ell)
     q_max = envelope(r_center)
     if aq > q_max * (1.0 + 1e-12):
         return RadialBounds(UNBOUNDED)
     aq = min(aq, q_max)
-    lo = r_center
-    while envelope(lo) > aq:
-        lo *= 0.5
-    r_min = _bisect(lambda r: envelope(r) - aq, lo, r_center)
+    r_min = _turning_radius(envelope, aq, r_center, 0.5)
     if aq >= q_max:
         r_max = r_center
     else:
@@ -605,7 +603,9 @@ def bifurcation_scan(rho, ell_min, ell_max, step=0.1, refine_tol=1e-9):
 # ----------------------------------------------------------------------
 
 def _regime(kind, rho, ell):
-    """The convergence class a gain law gives every orbit alike.
+    """The convergence class a gain law gives every orbit alike, and the
+    one place ell is compared with rho e: fixed_points, critical_q and
+    radial_bounds read it.
 
     "unconditional" for static and inverse gain; for proportional gain
     "indeterminate" within 1e-9 of ell = rho e (where fixed_points finds
@@ -630,15 +630,15 @@ def classify_convergence(kind, rho, ell, init):
     saddle, "conditional_unbounded" otherwise. Inits within 1e-9 of a
     separating level (or ell of rho e) come back "indeterminate".
     """
-    kind = GainKind(kind)
-    regime = _regime(kind, rho, _require_ell(kind, ell))
+    kind = _params(kind, rho, ell)
+    regime = _regime(kind, rho, ell)
     if regime != CONDITIONAL:
         return regime
     q_cr = critical_q(rho, ell)
     q = conserved_quantity(kind, init.r, init.psi, rho, ell)
     if abs(abs(q) - q_cr) < _BOUNDARY_TOL:
         return INDETERMINATE
-    r_saddle = -ell * lambert_w(LambertBranch.WM1, -rho / ell)
+    _, r_saddle = _proportional_radii(rho, ell)
     if abs(q) > q_cr and init.r < r_saddle:
         return CONDITIONAL_BOUNDED
     return CONDITIONAL_UNBOUNDED
@@ -736,8 +736,7 @@ def portrait(kind, rho, ell=None, v=1.0, grid=None):
     boundary. Every grid value is finite (the envelope factor decays in all
     regimes, and Q -> 0 at the origin).
     """
-    kind = GainKind(kind)
-    ell = _require_ell(kind, ell)
+    kind = _params(kind, rho, ell, v)
     grid = grid if grid is not None else PortraitGrid()
 
     fps = fixed_points(kind, rho, ell, v)

@@ -26,8 +26,6 @@ from . import agent, analysis, wake
 from .fields import RadialField, wrap_phase, write_json
 from .sensing import DegenerateMagnitudeError, SensingConfig
 from .wake import (
-    BundleFormatError,
-    GridPeriodError,
     SpectralGrids,
     field_from_bundle,
     load_bundle,
@@ -165,19 +163,16 @@ def _resolve_sim_config(args):
 def cmd_simulate(args):
     config = _resolve_sim_config(args)
     field = _build_field(config["field"])
-    try:
-        law = agent.GainLaw(
-            kind=config["law"]["kind"],
-            g0=float(config["law"]["g0"]),
-            m_floor=float(config["law"]["m_floor"]),
-        )
-        sensing_cfg = SensingConfig(
-            n_samples=int(config["sensing"]["n_samples"]),
-            stencil_h=float(config["sensing"]["stencil_h"]),
-            m_floor=float(config["sensing"]["m_floor"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    law = agent.GainLaw(
+        kind=config["law"]["kind"],
+        g0=float(config["law"]["g0"]),
+        m_floor=float(config["law"]["m_floor"]),
+    )
+    sensing_cfg = SensingConfig(
+        n_samples=int(config["sensing"]["n_samples"]),
+        stencil_h=float(config["sensing"]["stencil_h"]),
+        m_floor=float(config["sensing"]["m_floor"]),
+    )
 
     integ = config["integration"]
     settings = {
@@ -192,11 +187,8 @@ def cmd_simulate(args):
         x0, y0, theta0 = (float(v) for v in init)
         starts.append(agent.AgentState(x=x0, y=y0, theta=theta0, t=0.0))
     # every start is checked before the first file is written
-    try:
-        for state in starts:
-            agent._check_run(state, **settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for state in starts:
+        agent._check_run(state, **settings)
 
     out_dir = Path(config["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,12 +197,8 @@ def cmd_simulate(args):
     runs = []
     any_sensing_failure = False
     for index, state in enumerate(starts):
-        try:
-            traj = agent.simulate(state, field, law, sensing_cfg,
-                                  sensing=config["sensing"]["mode"],
-                                  **settings)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        traj = agent.simulate(state, field, law, sensing_cfg,
+                              sensing=config["sensing"]["mode"], **settings)
         csv_name = f"{prefix}_run{index:03d}.csv"
         sidecar_name = f"{prefix}_run{index:03d}.json"
         traj.write_csv(out_dir / csv_name)
@@ -238,11 +226,6 @@ def cmd_simulate(args):
 
 
 def cmd_analyze(args):
-    if args.rho is None or not args.rho > 0:
-        raise ConfigError("analyze needs a positive --rho")
-    kind = args.gain
-    if kind != "static" and (args.ell is None or not args.ell > 0):
-        raise ConfigError(f"{kind} gain needs a positive --ell")
     grid = analysis.PortraitGrid()
     if args.grid is not None:
         values = _parse_floats(args.grid, 6, "--grid")
@@ -250,11 +233,8 @@ def cmd_analyze(args):
             u_min=values[0], u_max=values[1], w_min=values[2],
             w_max=values[3], nu=int(values[4]), nw=int(values[5]),
         )
-    try:
-        report = analysis.portrait(kind, args.rho, args.ell, v=args.v,
-                                   grid=grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = analysis.portrait(args.gain, args.rho, args.ell, v=args.v,
+                               grid=grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"{args.prefix}_report.json"
@@ -267,10 +247,6 @@ def cmd_analyze(args):
 
 
 def cmd_scan(args):
-    if args.rho is None or not args.rho > 0:
-        raise ConfigError("scan needs a positive --rho")
-    if args.ell_min is None or args.ell_max is None:
-        raise ConfigError("scan needs --ell-min and --ell-max")
     ell_critical = analysis.bifurcation_scan(
         args.rho, args.ell_min, args.ell_max, step=args.step,
         refine_tol=args.refine_tol,
@@ -339,13 +315,8 @@ def cmd_fields(args):
 
 def cmd_synth_wake(args):
     params = {key: getattr(args, key) for key in WAKE_DEFAULTS}
-    try:
-        bundle = synth_wake(
-            **params, meta_re=args.meta_re, meta_st=args.meta_st,
-            meta_a=args.meta_a,
-        )
-    except (ValueError, GridPeriodError) as exc:
-        raise ConfigError(str(exc)) from exc
+    bundle = synth_wake(**params, meta_re=args.meta_re,
+                        meta_st=args.meta_st, meta_a=args.meta_a)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -445,8 +416,9 @@ def main(argv=None):
     except DegenerateMagnitudeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, BundleFormatError, GridPeriodError,
-            ValueError) as exc:
+    except ValueError as exc:
+        # ConfigError, BundleFormatError, GridPeriodError and every library
+        # parameter check are ValueErrors: exit 2 is decided here only
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -139,9 +139,6 @@ def load_bundle(path):
     nx, ny, nt, x0, y0, dx, dy, dt, m_re, m_st, m_a = _HEADER.unpack(
         data[5:_HEADER_SIZE]
     )
-    for name, value in (("x0", x0), ("y0", y0), ("dx", dx), ("dy", dy), ("dt", dt)):
-        if not math.isfinite(value):
-            raise BundleFormatError(f"non-finite header field {name}")
     expected = nt * ny * nx * 8
     body = len(data) - _HEADER_SIZE
     if body != expected:
@@ -150,15 +147,9 @@ def load_bundle(path):
         )
     frames = np.frombuffer(data, dtype="<f8", offset=_HEADER_SIZE)
     frames = frames.reshape((nt, ny, nx)).copy()
-
-    def meta(value):
-        if math.isnan(value):
-            return None
-        if not math.isfinite(value):
-            raise BundleFormatError("non-finite metadata field")
-        return value
-
-    meta_re, meta_st, meta_a = map(meta, (m_re, m_st, m_a))
+    # NaN marks an unset metadata slot
+    meta_re, meta_st, meta_a = (None if math.isnan(value) else value
+                                for value in (m_re, m_st, m_a))
     try:
         return GridFieldBundle(
             nx=nx, ny=ny, nt=nt, x0=x0, y0=y0, dx=dx, dy=dy, dt=dt,
@@ -254,25 +245,30 @@ class SpectralGrids:
             self.grad_phi_grid[..., 1].ravel(), delta.ravel()))
 
 
-def _wrapped_gradient(phi, spacing, axis):
-    """Gradient of a wrapped-phase grid along one axis.
+def _wrapped_gradient(phi, healthy, spacing):
+    """Gradient of a wrapped-phase grid along its last axis, the mask of
+    the entries to trust, and whether any step nears pi.
 
     Adjacent one-step differences are wrapped to (-pi, pi] and averaged in
     the interior (equal to a central difference whenever no wrap occurs
     between the two steps); edges keep the single wrapped one-step
     difference. Valid while the true phase step per cell stays below pi.
+    An entry is trusted only if the point and the neighbours it was
+    differenced against are all healthy (magnitude above the floor); the
+    flag is raised by a step above 0.95 pi between two healthy points.
     """
-    steps = wrap_angle(np.diff(phi, axis=axis)) / spacing
+    steps = wrap_angle(np.diff(phi, axis=-1)) / spacing
     grad = np.empty_like(phi)
-    if axis == 1:
-        grad[:, 1:-1] = 0.5 * (steps[:, 1:] + steps[:, :-1])
-        grad[:, 0] = steps[:, 0]
-        grad[:, -1] = steps[:, -1]
-    else:
-        grad[1:-1, :] = 0.5 * (steps[1:, :] + steps[:-1, :])
-        grad[0, :] = steps[0, :]
-        grad[-1, :] = steps[-1, :]
-    return grad, steps
+    grad[..., 1:-1] = 0.5 * (steps[..., 1:] + steps[..., :-1])
+    grad[..., 0] = steps[..., 0]
+    grad[..., -1] = steps[..., -1]
+    ok = healthy.copy()
+    ok[..., 1:-1] &= healthy[..., 2:] & healthy[..., :-2]
+    ok[..., 0] &= healthy[..., 1]
+    ok[..., -1] &= healthy[..., -2]
+    big = np.abs(steps * spacing) > 0.95 * math.pi
+    near_pi = (big & healthy[..., 1:] & healthy[..., :-1]).any()
+    return grad, ok, near_pi
 
 
 def spectral_grids(bundle, source=None, m_floor=1e-9):
@@ -294,27 +290,11 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
     m = np.abs(coeff)
     phi = np.where(m > 0.0, wrap_phase(np.angle(coeff)), 0.0)
 
-    gx, steps_x = _wrapped_gradient(phi, bundle.dx, axis=1)
-    gy, steps_y = _wrapped_gradient(phi, bundle.dy, axis=0)
-
     healthy = m >= m_floor
-    # a gradient entry is trustworthy only if the point and the neighbours
-    # it differenced against are all above the floor
-    ok_x = healthy.copy()
-    ok_x[:, 1:-1] &= healthy[:, 2:] & healthy[:, :-2]
-    ok_x[:, 0] &= healthy[:, 1]
-    ok_x[:, -1] &= healthy[:, -2]
-    ok_y = healthy.copy()
-    ok_y[1:-1, :] &= healthy[2:, :] & healthy[:-2, :]
-    ok_y[0, :] &= healthy[1, :]
-    ok_y[-1, :] &= healthy[-2, :]
-    ok = ok_x & ok_y
-
-    big_x = np.abs(steps_x * bundle.dx) > 0.95 * math.pi
-    big_y = np.abs(steps_y * bundle.dy) > 0.95 * math.pi
-    near_x = big_x & (healthy[:, 1:] & healthy[:, :-1])
-    near_y = big_y & (healthy[1:, :] & healthy[:-1, :])
-    if near_x.any() or near_y.any():
+    gx, ok_x, near_x = _wrapped_gradient(phi, healthy, bundle.dx)
+    gy, ok_y, near_y = _wrapped_gradient(phi.T, healthy.T, bundle.dy)
+    ok = ok_x & ok_y.T
+    if near_x or near_y:
         warnings.warn(
             "wrapped phase steps approach pi between healthy gridpoints; "
             "the grid is too coarse for reliable phase gradients",
@@ -322,7 +302,7 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
             stacklevel=2,
         )
 
-    grad = np.stack([gx, gy], axis=-1)
+    grad = np.stack([gx, gy.T], axis=-1)
     grad[~ok] = np.nan
 
     delta = None

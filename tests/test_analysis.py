@@ -112,13 +112,10 @@ def _lambert_error_bound(w, z):
 
     Its residual target, 4e-16 |z|, carried through W'(z) = 1 / (e^W (1 + W)),
     plus the rounding of z carried through z W'(z) = W / (1 + W), plus an
-    ulp of W. Within 1e-9 of the branch point lambert_w returns the series,
-    which never meets that target, and up to 2e-9 above it scipy's own Wm1
-    is off by about 1e-4 (it returns W = -1 - 1e-8 at -1/e + 1e-9, where
-    mpmath gives -1.0000737348695 and lambert_w is within 9e-13); there the
-    bound keeps its earlier 5e-13 residual target.
+    ulp of W. The branch-point series lambert_w returns within 1e-9 of -1/e
+    meets it too, because the bound widens as 1 + W goes to 0.
     """
-    target = 5e-13 if abs(z + INV_E) < 2e-9 else 4e-16 * abs(z)
+    target = 4e-16 * abs(z)
     return (2.0 * target / abs(math.exp(w) * (1.0 + w))
             + 8.0 * EPS * abs(w / (1.0 + w)) + 2.0 * EPS * abs(w))
 
@@ -139,10 +136,23 @@ _NEAR_BRANCH = [-INV_E + d for d in np.logspace(-15, -1, 57)]
     ("W0", 0, list(np.logspace(0, 308, 155)) + [sys.float_info.max]),
 ])
 def test_lambert_matches_scipy(branch, k, zs):
-    special = pytest.importorskip("scipy.special")
+    if zs is _NEAR_BRANCH:
+        # scipy's Wm1 is off by up to 1e-4 within 2e-9 of -1/e (it returns
+        # -1.0000000082 at -1/e + 1e-9, against -1.0000737348695), so the
+        # near-branch rows are judged against mpmath at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(z):
+            with mpmath.workdps(40):
+                return float(mpmath.lambertw(z, k).real)
+    else:
+        special = pytest.importorskip("scipy.special")
+
+        def reference(z):
+            return float(special.lambertw(z, k).real)
     for z in zs:
         z = float(z)
-        ref = float(special.lambertw(z, k).real)
+        ref = reference(z)
         assert abs(lambert_w(branch, z) - ref) <= _lambert_error_bound(ref, z), z
 
 
@@ -219,6 +229,43 @@ def test_every_entry_takes_one_gain_vocabulary(call):
         assert repr(a) == repr(b)
     with pytest.raises(ValueError):
         call("bogus")
+
+
+# every public entry with (kind, rho, v); v is passed only where it applies
+_GATED_ENTRIES = {
+    "conserved_quantity": lambda kind, rho, v: conserved_quantity(
+        kind, 3.0, 0.4, rho, 6.5),
+    "radial_envelope": lambda kind, rho, v: radial_envelope(
+        kind, 3.0, rho, 6.5),
+    "jacobian_eigenvalues": lambda kind, rho, v: jacobian_eigenvalues(
+        kind, SimpleNamespace(r_star=3.0, psi_star=math.pi / 2), rho, 6.5,
+        v=v),
+    "closed_form_eigenvalues": lambda kind, rho, v: closed_form_eigenvalues(
+        kind, 3.0, rho, 6.5, v=v),
+    "fixed_points": lambda kind, rho, v: fixed_points(kind, rho, 6.5, v=v),
+    "critical_q": lambda kind, rho, v: critical_q(rho, 6.5),
+    "radial_bounds": lambda kind, rho, v: radial_bounds(
+        kind, 0.01, rho, 6.5),
+    "bifurcation_scan": lambda kind, rho, v: bifurcation_scan(rho, 4.0, 7.0),
+    "classify_convergence": lambda kind, rho, v: classify_convergence(
+        kind, rho, 6.5, SimpleNamespace(r=4.0, psi=1.0)),
+    "portrait": lambda kind, rho, v: portrait(
+        kind, rho, 6.5, v=v, grid=PortraitGrid(nu=3, nw=3)),
+}
+_TAKES_V = ("jacobian_eigenvalues", "closed_form_eigenvalues", "fixed_points",
+            "portrait")
+
+
+@pytest.mark.parametrize("name, rho, v", [
+    *[(name, rho, 1.0) for name in _GATED_ENTRIES
+      for rho in (0.0, -2.0, math.nan)],
+    *[(name, 2.0, -1.0) for name in _TAKES_V],
+])
+def test_every_entry_rejects_nonpositive_rho_and_speed(name, rho, v):
+    what = "rho" if v > 0 else "speed"
+    for kind in GainKind:
+        with pytest.raises(ValueError, match=f"^{what} must be positive"):
+            _GATED_ENTRIES[name](kind, rho, v)
 
 
 def test_gain_kind_errors_name_the_plain_kind():
@@ -498,16 +545,31 @@ def test_classify_indeterminate_cases():
 
 
 def test_degenerate_and_indeterminate_mark_one_band():
-    # fixed_points and classify_convergence share the band around ell = rho e
+    # fixed_points, classify_convergence, critical_q and radial_bounds all
+    # read one band around ell = rho e
     init = SimpleNamespace(r=4.0, psi=math.pi / 2)
     ell_c = 2.0 * math.e
     for offset in (-1.5e-9, -0.9e-9, 0.0, 0.9e-9, 1.5e-9, 3e-9):
         ell = ell_c + offset
+        in_band = abs(offset) < 1e-9
+        conditional = offset > 0 and not in_band
         degenerate = [fp.kind for fp in fixed_points(
             "proportional", 2.0, ell)] == ["degenerate"] * 2
         indeterminate = classify_convergence(
             "proportional", 2.0, ell, init) == "indeterminate"
-        assert degenerate == indeterminate == (abs(offset) < 1e-9), offset
+        assert degenerate == indeterminate == in_band, offset
+        try:
+            critical_q(2.0, ell)
+            has_saddle = True
+        except NoSaddleError:
+            has_saddle = False
+        assert has_saddle == conditional, offset
+        # the envelope at r = ell, where center and saddle merge, is a
+        # trapped level wherever a saddle exists
+        h = float(radial_envelope("proportional", ell, 2.0, ell))
+        status = radial_bounds("proportional", h, 2.0, ell).status
+        assert status == ("conditional" if conditional else "unbounded"), (
+            offset)
 
 
 # ----------------------------------------------------------------------

@@ -243,6 +243,14 @@ def test_analyze_needs_ell_for_proportional(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_analyze_rejects_a_nonpositive_speed(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["analyze", "--gain", "static", "--rho", "2", "--v=-1",
+                 "--out", str(out)]) == 2
+    assert "speed must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_finds_threshold(tmp_path):
     code = main(["scan", "--rho", "2.0", "--ell-min", "4.0",
                  "--ell-max", "7.0", "--out", str(tmp_path)])

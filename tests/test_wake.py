@@ -3,6 +3,7 @@ maps, and time/space interpolation."""
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,33 @@ def test_spectral_grids_warn_near_wrap_limit():
     bundle = synth_wake(nx=24, ny=9, nt=16, k_x=15.0, dx=0.2)
     with pytest.warns(UserWarning):
         spectral_grids(bundle)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_spectral_grids_trust_and_warn_only_on_healthy_stencils(transpose):
+    # node signals a_i cos(w t + p_i) along one axis: nodes with a_i = 0
+    # fall below the floor, and the last node is half a period out of step
+    nt = 8
+    t = np.arange(nt) * (TWO_PI / nt)
+    phases = np.array([0.0, 0.0, 0.0, 0.0, math.pi])
+
+    def grids(amps):
+        frames = np.repeat(
+            np.array(amps) * np.cos(t[:, None, None] + phases), 2, axis=1)
+        if transpose:
+            frames = frames.transpose(0, 2, 1)
+        _, ny, nx = frames.shape
+        return spectral_grids(GridFieldBundle(
+            nx=nx, ny=ny, nt=nt, x0=0.0, y0=0.0, dx=1.0, dy=1.0,
+            dt=TWO_PI / nt, frames=frames))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # every node, edges included, differences against a dead one, and
+        # the step of pi has a dead end
+        assert np.isnan(grids([1, 0, 1, 0, 1]).grad_phi_grid).all()
+    with pytest.warns(UserWarning, match="approach pi"):
+        assert np.isfinite(grids([1, 1, 1, 1, 1]).grad_phi_grid).all()
 
 
 def test_spectral_grids_csv(tmp_path):
