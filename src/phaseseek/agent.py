@@ -30,6 +30,8 @@ from .fields import (
 from .sensing import (  # noqa: F401
     DegenerateMagnitudeError,
     SensingConfig,
+    _stencil_mode,
+    _stencil_points,
     analytic_sample,
     check_quasi_steady,
     lateral_signal,
@@ -142,11 +144,19 @@ def _resolve_sensing(field, mode):
 
 
 def _sensor(field, config, mode):
-    """sense(x, y, theta, t) -> (m, s), resolved once per run."""
+    """sense(x, y, theta, t) -> (m, s), resolved once per run.
+
+    A windowed stage is one field.window_coeffs call on the five stencil
+    points; an analytic stage is one field.analytic_mode call.
+    """
     if mode == WINDOWED:
+        coeffs_at = field.window_coeffs
+        n, h, m_floor = config.n_samples, config.stencil_h, config.m_floor
+
         def sense(x, y, theta, t):
-            sample = spectral_sample(field, (x, y), t, theta, config)
-            return sample.m, sample.s
+            coeffs = coeffs_at(_stencil_points(x, y, h), t, n)
+            m, gx, gy = _stencil_mode(coeffs, h, m_floor)
+            return m, lateral_signal(gx, gy, theta)
         return sense
     mode_at = field.analytic_mode
 

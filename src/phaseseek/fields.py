@@ -6,12 +6,15 @@ its first temporal Fourier mode at each point: a magnitude m(x), a phase
 phi(x), and the spatial phase gradient grad phi(x) whose direction encodes
 where the signal is coming from.
 
-Every module builds on this one, so it also holds the two on-disk record
-formats: write_float_csv for float tables and write_json for JSON records.
+Every module builds on this one, so it also holds the single-bin DFT
+kernel behind every first-mode estimate (first_mode_coeffs) and the two
+on-disk record formats: write_float_csv for float tables and write_json
+for JSON records.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from abc import ABC, abstractmethod
@@ -75,6 +78,35 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+@functools.lru_cache(maxsize=32)
+def _twiddle(n, period):
+    """exp(-i * omega1 * t_k) for t_k = k * period / n, k = 0..n-1.
+
+    Cached per (n, period) and shared by every caller, so it is read-only.
+    """
+    omega1 = TWO_PI / period
+    t = np.arange(n) * (period / n)
+    twiddle = np.exp(-1j * omega1 * t)
+    twiddle.flags.writeable = False
+    return twiddle
+
+
+def first_mode_coeffs(windows, period):
+    """Single-bin DFT of each row of windows, shape (k, N): complex (k,).
+
+    Row i gives (1/N) * sum_j windows[i, j] * exp(-i * omega1 * t_j) with
+    t_j = j * period / N and omega1 = 2*pi / period. Rows are made
+    C-contiguous first, because the order of the sum depends on the memory
+    layout and every caller must round alike.
+    """
+    windows = np.ascontiguousarray(windows, dtype=float)
+    n = windows.shape[-1]
+    if n < 8:
+        raise ValueError(f"window must hold at least 8 samples, got {n}")
+    # the same rounding as np.mean, without its per-call overhead
+    return (windows * _twiddle(n, period)).sum(axis=-1) / n
+
+
 @dataclass(frozen=True)
 class SpectralTruth:
     """Exact first-mode spectrum of a field at one point.
@@ -121,6 +153,19 @@ class Field(ABC):
     def eval_window(self, x, t0, n):
         """Sample one period: f(x, t0 + k*T/n) for k = 0..n-1."""
         return self.eval_windows(np.asarray([x], dtype=float), t0, n)[0]
+
+    def window_coeffs(self, points, t0, n):
+        """First-mode coefficient of the n-sample window at each of k
+        points: a list of k Python complex numbers.
+
+        This default is the single-bin DFT of eval_windows(points, t0, n).
+        A subclass may compute the same linear functional another way.
+        n < 8 raises ValueError.
+        """
+        if n < 8:
+            raise ValueError(f"window must hold at least 8 samples, got {n}")
+        return first_mode_coeffs(self.eval_windows(points, t0, n),
+                                 self.period).tolist()
 
     def analytic_spectra(self, x) -> SpectralTruth:
         """Exact first-mode spectrum at x, if the field supports it."""

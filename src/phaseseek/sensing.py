@@ -4,21 +4,31 @@ grad phi, and the scalar steering signal s.
 The sensor holds still for one signal period, samples the field uniformly,
 and projects onto the first temporal mode. Phase gradients come from
 repeating that estimate on a small cross-shaped stencil and differencing
-the wrapped phases. The centre and the four stencil probes are one batched
-field evaluation (Field.eval_windows) and one single-bin DFT over its rows
-(first_mode_coeffs), the same kernel the gridded spectral maps use.
+the wrapped phases. spectral_sample is the reference estimator: the centre
+and the four stencil probes are one batched field evaluation
+(Field.eval_windows) and one single-bin DFT over its rows
+(first_mode_coeffs), the same kernel the gridded spectral maps use. The
+closed loop asks the field for the five coefficients directly
+(Field.window_coeffs): that is the same window DFT by default, and a read
+of the cached first-mode map for a bundle-backed field. Both paths share
+one floor check and one wrapped stencil difference (_stencil_mode).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TWO_PI, UndefinedDirectionError, wrap_angle, wrap_phase
+from .fields import (
+    TWO_PI,
+    UndefinedDirectionError,
+    first_mode_coeffs,
+    wrap_angle,
+    wrap_phase,
+)
 
 
 class DegenerateMagnitudeError(RuntimeError):
@@ -71,35 +81,6 @@ class SpectralSample:
     s: float
 
 
-@functools.lru_cache(maxsize=32)
-def _twiddle(n, period):
-    """exp(-i * omega1 * t_k) for t_k = k * period / n, k = 0..n-1.
-
-    Cached per (n, period) and shared by every caller, so it is read-only.
-    """
-    omega1 = TWO_PI / period
-    t = np.arange(n) * (period / n)
-    twiddle = np.exp(-1j * omega1 * t)
-    twiddle.flags.writeable = False
-    return twiddle
-
-
-def first_mode_coeffs(windows, period):
-    """Single-bin DFT of each row of windows, shape (k, N): complex (k,).
-
-    Row i gives (1/N) * sum_j windows[i, j] * exp(-i * omega1 * t_j) with
-    t_j = j * period / N and omega1 = 2*pi / period. Rows are made
-    C-contiguous first, because the order of the sum depends on the memory
-    layout and every caller must round alike.
-    """
-    windows = np.ascontiguousarray(windows, dtype=float)
-    n = windows.shape[-1]
-    if n < 8:
-        raise ValueError(f"window must hold at least 8 samples, got {n}")
-    # the same rounding as np.mean, without its per-call overhead
-    return (windows * _twiddle(n, period)).sum(axis=-1) / n
-
-
 def dft_first_mode(series, period):
     """Single-bin DFT of one uniformly sampled period.
 
@@ -116,8 +97,35 @@ _QUASI_STEADY_FRACTION = 0.1
 # Unit offsets of the centre and the probes +e_x, -e_x, +e_y, -e_y. The
 # signed zeros make x + h * offset round exactly like x, x + (h, 0),
 # x - (h, 0), x + (0, h) and x - (0, h), even for a coordinate of -0.0.
-_STENCIL = np.array([[-0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 1.0],
-                     [-0.0, -1.0]])
+_STENCIL = ((-0.0, -0.0), (1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, -1.0))
+
+
+def _stencil_points(x, y, h):
+    """The centre (x, y) and its four probes at half-width h, as floats."""
+    return [(x + h * ox, y + h * oy) for ox, oy in _STENCIL]
+
+
+def _stencil_mode(coeffs, h, m_floor):
+    """Magnitude and phase gradient from the five stencil coefficients.
+
+    coeffs are the first-mode coefficients of the centre and of the probes
+    in _STENCIL order, as Python complex numbers. Every magnitude must
+    reach m_floor, or DegenerateMagnitudeError is raised. The gradient is
+    the centred wrapped phase difference of each probe pair. Returns the
+    floats (m, gx, gy).
+    """
+    centre, east, west, north, south = coeffs
+    m = abs(centre)
+    weakest = min(m, abs(east), abs(west), abs(north), abs(south))
+    if weakest < m_floor:
+        raise DegenerateMagnitudeError(
+            f"magnitude {weakest:.3e} below floor {m_floor:.3e}"
+        )
+    gx = wrap_angle(math.atan2(east.imag, east.real)
+                    - math.atan2(west.imag, west.real)) / (2.0 * h)
+    gy = wrap_angle(math.atan2(north.imag, north.real)
+                    - math.atan2(south.imag, south.real)) / (2.0 * h)
+    return m, gx, gy
 
 
 def sensory_output(grad_phi, theta):
@@ -151,22 +159,15 @@ def spectral_sample(field, x, t0, theta, config):
     cancels in their differences.
     """
     h = config.stencil_h
-    windows = field.eval_windows(np.asarray(x, dtype=float) + h * _STENCIL,
-                                 t0, config.n_samples)
-    centre, *probes = map(complex, first_mode_coeffs(windows, field.period))
-    m = abs(centre)
-    weakest = min(m, *map(abs, probes))
-    if weakest < config.m_floor:
-        raise DegenerateMagnitudeError(
-            f"magnitude {weakest:.3e} below floor {config.m_floor:.3e}"
-        )
-    phis = [math.atan2(c.imag, c.real) for c in probes]
-    grad = np.array([wrap_angle(phis[0] - phis[1]) / (2.0 * h),
-                     wrap_angle(phis[2] - phis[3]) / (2.0 * h)])
+    windows = field.eval_windows(
+        _stencil_points(float(x[0]), float(x[1]), h), t0, config.n_samples)
+    coeffs = first_mode_coeffs(windows, field.period).tolist()
+    m, gx, gy = _stencil_mode(coeffs, h, config.m_floor)
+    centre = coeffs[0]
     omega1 = TWO_PI / field.period
     phi = wrap_phase(math.atan2(centre.imag, centre.real) - omega1 * t0)
-    s = sensory_output(grad, theta)
-    return SpectralSample(m=m, phi=phi, grad_phi=grad, s=s)
+    return SpectralSample(m=m, phi=phi, grad_phi=np.array([gx, gy]),
+                          s=lateral_signal(gx, gy, theta))
 
 
 def analytic_sample(field, x, theta):

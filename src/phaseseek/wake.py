@@ -2,7 +2,8 @@
 
 Covers the WAVF1 binary container for sampled fields, a synthetic wake
 generator with known spectra, per-gridpoint first-mode spectral maps, and
-a space/time interpolating Field over a bundle.
+a space/time interpolating Field over a bundle that senses from its
+first-mode map.
 
 WAVF1 layout (little endian):
 
@@ -18,6 +19,7 @@ Unset metadata slots are stored as NaN. Frames must be finite.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 import warnings
@@ -26,10 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import TWO_PI, Field, wrap_angle, wrap_phase, write_float_csv
+from .fields import (
+    TWO_PI,
+    Field,
+    first_mode_coeffs,
+    wrap_angle,
+    wrap_phase,
+    write_float_csv,
+)
 # dft_first_mode stays importable from this module, where perfbench's
 # tracer looks it up
-from .sensing import dft_first_mode, first_mode_coeffs  # noqa: F401
+from .sensing import dft_first_mode  # noqa: F401
 
 MAGIC = b"WAVF"
 VERSION = 1
@@ -271,22 +280,31 @@ def _wrapped_gradient(phi, healthy, spacing):
     return grad, ok, near_pi
 
 
+def _first_mode_map(bundle):
+    """First-mode coefficient of every node's series: complex (ny, nx).
+
+    The same single-bin DFT the onboard sensor uses (first_mode_coeffs),
+    one grid row per call, so each node agrees exactly with
+    sensing.dft_first_mode of its series.
+    """
+    coeff = np.empty((bundle.ny, bundle.nx), dtype=complex)
+    # row by row: a whole-grid (ny*nx, nt) temporary would raise peak memory
+    for j in range(bundle.ny):
+        coeff[j] = first_mode_coeffs(bundle.frames[:, j, :].T, bundle.period)
+    return coeff
+
+
 def spectral_grids(bundle, source=None, m_floor=1e-9):
     """First-mode m, phi, grad phi (and optionally delta) over the grid.
 
-    Each gridpoint's time series goes through the same single-bin DFT the
-    onboard sensor uses (first_mode_coeffs, one grid row per call), so
-    pointwise values agree exactly with sensing.dft_first_mode. Phase
-    gradients use wrapped differences; points whose magnitude (or any
-    contributing neighbour's) falls below m_floor are masked to NaN in the
-    gradient and delta maps.
+    The coefficients are the first-mode map (_first_mode_map) that a
+    BundleField over the same bundle senses from, so pointwise values
+    agree exactly with sensing.dft_first_mode. Phase gradients use wrapped
+    differences; points whose magnitude (or any contributing neighbour's)
+    falls below m_floor are masked to NaN in the gradient and delta maps.
     """
-    period = bundle.period
     ny, nx = bundle.ny, bundle.nx
-    coeff = np.empty((ny, nx), dtype=complex)
-    # row by row: a whole-grid (ny*nx, nt) temporary would raise peak memory
-    for j in range(ny):
-        coeff[j] = first_mode_coeffs(bundle.frames[:, j, :].T, period)
+    coeff = _first_mode_map(bundle)
     m = np.abs(coeff)
     phi = np.where(m > 0.0, wrap_phase(np.angle(coeff)), 0.0)
 
@@ -338,7 +356,8 @@ class BundleField(Field):
     Outside the spatial grid the signal is zero and in_domain() is False;
     a simulation driver treats leaving the grid as a termination, not an
     error. Queries landing exactly on a node and frame return the stored
-    value.
+    value. The first window_coeffs call caches the bundle's first-mode
+    map, so the bundle must not change under the field.
     """
 
     has_analytic_spectra = False
@@ -348,20 +367,25 @@ class BundleField(Field):
         self.period = bundle.period
         self._x_max = bundle.x0 + bundle.dx * (bundle.nx - 1)
         self._y_max = bundle.y0 + bundle.dy * (bundle.ny - 1)
+        # what _spatial_cell reads, unpacked once: it runs per stencil point
+        self._cell_grid = (bundle.x0, bundle.y0, bundle.dx, bundle.dy,
+                           bundle.nx - 2, bundle.ny - 2)
         # node offsets of the corners (i0, j0), (i0+1, j0), (i0, j0+1) and
         # (i0+1, j0+1) from node (i0, j0)
         self._corner_offsets = np.array([0, 1, bundle.nx, bundle.nx + 1])
+        # first-mode map as a flat list, x fastest, built on first use
+        self._map = None
 
     def in_domain(self, x):
         b = self.bundle
         return (b.x0 <= x[0] <= self._x_max) and (b.y0 <= x[1] <= self._y_max)
 
     def _spatial_cell(self, px, py):
-        b = self.bundle
-        u = (px - b.x0) / b.dx
-        v = (py - b.y0) / b.dy
-        i0 = min(max(int(math.floor(u)), 0), b.nx - 2)
-        j0 = min(max(int(math.floor(v)), 0), b.ny - 2)
+        x0, y0, dx, dy, i_max, j_max = self._cell_grid
+        u = (px - x0) / dx
+        v = (py - y0) / dy
+        i0 = min(max(math.floor(u), 0), i_max)
+        j0 = min(max(math.floor(v), 0), j_max)
         return i0, j0, u - i0, v - j0
 
     def eval(self, x, t):
@@ -399,6 +423,57 @@ class BundleField(Field):
                    + w * np.take(series, k1, axis=1))
         windows[~np.array(inside, dtype=bool)] = 0.0
         return windows
+
+    def window_coeffs(self, points, t0, n):
+        """First-mode coefficients of the windows at k points, read from
+        the bundle's first-mode map C instead of from windows.
+
+        Both window steps are linear. When n is a multiple of nt, sample
+        j + n/nt lies exactly one frame after sample j, so the window DFT
+        at p factors as B(t0, n) * bilinear(C)(p), with
+        B = (nt/n) sum_{r < n/nt} exp(-i w r T/n) exp(i w k_r dt)
+        ((1 - w_r) + w_r exp(i w dt)), where k_r and w_r are the frame
+        index and fraction of sample r and w = 2 pi / T. This equals the
+        window DFT up to rounding. Points outside the grid give 0. Other n
+        take the window DFT.
+        """
+        b = self.bundle
+        # the base class rejects n < 8
+        if n < 8 or n % b.nt:
+            return super().window_coeffs(points, t0, n)
+        if self._map is None:
+            self._map = _first_mode_map(b).ravel().tolist()
+        factor = self._window_factor(t0, n)
+        cmap, nx = self._map, b.nx
+        coeffs = []
+        for x in points:
+            px, py = float(x[0]), float(x[1])
+            if not self.in_domain((px, py)):
+                coeffs.append(0j)
+                continue
+            i0, j0, fu, fv = self._spatial_cell(px, py)
+            k = j0 * nx + i0
+            coeffs.append(factor * ((1 - fu) * (1 - fv) * cmap[k]
+                                    + fu * (1 - fv) * cmap[k + 1]
+                                    + (1 - fu) * fv * cmap[k + nx]
+                                    + fu * fv * cmap[k + nx + 1]))
+        return coeffs
+
+    def _window_factor(self, t0, n):
+        """B(t0, n) of window_coeffs, with k_r and w_r found as
+        eval_windows finds them."""
+        b = self.bundle
+        period, dt = self.period, b.dt
+        omega = TWO_PI / period
+        step = period / n
+        total = 0j
+        for r in range(n // b.nt):
+            s = ((t0 + r * step) % period) / dt
+            k = math.floor(s)
+            w = s - k
+            total += (cmath.exp(1j * omega * ((k % b.nt) * dt - r * step))
+                      * ((1.0 - w) + w * cmath.exp(1j * omega * dt)))
+        return total * (b.nt / n)
 
     def describe(self):
         b = self.bundle

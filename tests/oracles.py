@@ -1,12 +1,13 @@
 """Slow, independent reference computations backing the unit tests.
 
 Everything here is deliberately naive: bisection on monotone brackets,
-brute-force residual checks, a closed loop that builds a spectrum
-object at every RK4 stage, and the reduced polar loop written out stage
-by stage. The point is to agree with the fast library code without
-sharing any of its machinery; the closed loop shares only the public
-per-stage pieces (spectra, steering signal), and the polar loop shares
-nothing. Both spell the gain law out (gain_ref).
+brute-force residual checks, closed loops that build a spectrum or a
+five-window sample object at every RK4 stage, and the reduced polar loop
+written out stage by stage. The point is to agree with the fast library
+code without sharing any of its machinery; the closed loops share only
+the public per-stage pieces (spectra or spectral_sample, steering
+signal), and the polar loop shares nothing. All spell the gain law out
+(gain_ref).
 """
 
 import math
@@ -74,23 +75,18 @@ def gain_ref(law, m):
     return law.g0 / max(m, law.m_floor)
 
 
-def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
-                    q_of=None):
-    """Analytic closed loop the plain way: one spectrum object per RK4 stage.
+def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
+              q_of, pad):
+    """The closed loop one recorded row at a time, in TRAJECTORY_COLUMNS
+    order. stage(x, y, th, t) gives the sensed (m, s); a pose steps only
+    while its four corners at +/- pad lie in the field's domain."""
+    from phaseseek import (DegenerateMagnitudeError, OriginSingularityError,
+                           UndefinedDirectionError)
 
-    Built only from the public field.analytic_spectra and sensory_output
-    plus gain_ref, one recorded row at a time, in TRAJECTORY_COLUMNS order.
-    q_of(r, psi) supplies Q where one is defined. Returns (termination,
-    rows).
-    """
-    from phaseseek import (OriginSingularityError, UndefinedDirectionError,
-                           sensory_output)
-
-    def deriv(x, y, th):
-        truth = field.analytic_spectra((x, y))
-        s = sensory_output(truth.grad_phi, th)
-        g = gain_ref(law, truth.m)
-        return (v * math.cos(th), v * math.sin(th), g * s), (truth.m, s, g)
+    def deriv(x, y, th, t):
+        m, s = stage(x, y, th, t)
+        g = gain_ref(law, m)
+        return (v * math.cos(th), v * math.sin(th), g * s), (m, s, g)
 
     def wrap(a):
         return math.pi - (math.pi - a) % (2.0 * math.pi)
@@ -117,17 +113,23 @@ def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
         if r > r_escape:
             termination = "escaped"
             break
+        if not all(field.in_domain((x + a * pad, y + b * pad))
+                   for a in (-1.0, 1.0) for b in (-1.0, 1.0)):
+            termination = "left_domain"
+            break
         if t >= t_end - 0.5 * dt:
             termination = "t_end"
             break
         try:
-            k1, sample = deriv(x, y, th)
+            k1, sample = deriv(x, y, th, t)
             k2, _ = deriv(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1],
-                          th + 0.5 * dt * k1[2])
+                          th + 0.5 * dt * k1[2], t + 0.5 * dt)
             k3, _ = deriv(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1],
-                          th + 0.5 * dt * k2[2])
-            k4, _ = deriv(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2])
-        except (OriginSingularityError, UndefinedDirectionError):
+                          th + 0.5 * dt * k2[2], t + 0.5 * dt)
+            k4, _ = deriv(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2],
+                          t + dt)
+        except (DegenerateMagnitudeError, OriginSingularityError,
+                UndefinedDirectionError):
             termination = "sensing_failure"
             break
         rows.append(row(t, x, y, th, sample))
@@ -136,11 +138,49 @@ def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
             for p, a, b, c, d in zip((x, y, th), k1, k2, k3, k4))
         t = t + dt
     try:
-        _, sample = deriv(x, y, th)
-    except ValueError:
+        _, sample = deriv(x, y, th, t)
+    except (ValueError, DegenerateMagnitudeError):
         sample = (math.nan, math.nan, math.nan)
     rows.append(row(t, x, y, th, sample))
     return termination, rows
+
+
+def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
+                    q_of=None):
+    """Analytic closed loop the plain way: one spectrum object per RK4 stage.
+
+    Built only from the public field.analytic_spectra and sensory_output
+    plus gain_ref. q_of(r, psi) supplies Q where one is defined. Returns
+    (termination, rows).
+    """
+    from phaseseek import sensory_output
+
+    def stage(x, y, th, t):
+        truth = field.analytic_spectra((x, y))
+        return truth.m, sensory_output(truth.grad_phi, th)
+
+    return _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
+                     q_of, pad=0.0)
+
+
+def windowed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
+                      q_of=None, config=None):
+    """Windowed closed loop the plain way: one five-window spectral_sample
+    per RK4 stage, taken at the stage's time.
+
+    The pose steps only while the stencil plus one step of travel lies in
+    the field's domain. Otherwise as closed_loop_ref.
+    """
+    from phaseseek import SensingConfig, spectral_sample
+
+    config = SensingConfig() if config is None else config
+
+    def stage(x, y, th, t):
+        sample = spectral_sample(field, (x, y), t, th, config)
+        return sample.m, sample.s
+
+    return _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
+                     q_of, pad=config.stencil_h + v * dt)
 
 
 def polar_ref(r, eta, psi, delta_field, law, m_field, dt, t_end, v=1.0,

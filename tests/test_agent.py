@@ -29,7 +29,7 @@ from phaseseek import (
 from phaseseek.agent import TRAJECTORY_COLUMNS, Trajectory
 from phaseseek.fields import TravelingWaveField, UndefinedDirectionError
 
-from oracles import closed_loop_ref, polar_ref
+from oracles import closed_loop_ref, polar_ref, windowed_loop_ref
 
 FIELD = RadialField(6.5)
 STATIC = GainLaw("static", 0.5)
@@ -522,6 +522,49 @@ def test_sensing_failure_mid_step_matches_oracle():
     assert tr.termination == "sensing_failure"
     assert np.isfinite(tr.m).all()
     assert tr.x[-1] >= 0.5
+
+
+def _windowed_run_and_oracle(field, law, pose, dt, t_end, r_stop=0.05,
+                             r_escape=50.0):
+    tr = _quiet_simulate(AgentState(*pose), field, law, dt=dt, t_end=t_end,
+                         r_stop=r_stop, r_escape=r_escape, sensing="windowed")
+    q_of = None
+    if isinstance(field, RadialField) and law.g0 > 0:
+        def q_of(r, psi):
+            return conserved_quantity(law.kind, r, psi, law.rho(), field.ell)
+    termination, rows = windowed_loop_ref(field, law, pose, dt, t_end,
+                                          r_stop, r_escape, q_of=q_of)
+    return tr, termination, rows
+
+
+@pytest.mark.parametrize("field, law, pose", [
+    (RadialField(6.5), STATIC, (4.0, 0.0, 1.3)),
+    (RadialField(5.8), GainLaw("inverse", 0.5), (-3.0, 0.4, -1.9)),
+    (_wave(WAVE_MODES), GainLaw("proportional", 0.7), (1.0, 2.0, 0.3)),
+])
+def test_windowed_loop_matches_five_window_oracle(field, law, pose):
+    # the sensor's window_coeffs path changes no bit against one
+    # spectral_sample per stage on fields that take the window DFT
+    tr, termination, rows = _windowed_run_and_oracle(field, law, pose, 1e-2,
+                                                     5.0)
+    assert tr.termination == termination == "t_end"
+    for name, want in zip(TRAJ_ATTRS, zip(*rows)):
+        assert np.array_equal(getattr(tr, name), np.array(want, dtype=float),
+                              equal_nan=True), name
+
+
+def test_windowed_bundle_loop_tracks_five_window_oracle():
+    # the bundle reads its first-mode map, equal to the windows up to
+    # rounding, so the wake seek follows the oracle to rounding level
+    field = field_from_bundle(synth_wake())
+    tr, termination, rows = _windowed_run_and_oracle(
+        field, GainLaw("proportional", 0.5), (8.0, 0.0, math.pi), 5e-3, 2.0,
+        r_stop=0.5, r_escape=math.inf)
+    assert tr.termination == termination == "t_end"
+    want = dict(zip(TRAJ_ATTRS, map(np.array, zip(*rows))))
+    assert np.array_equal(tr.t, want["t"])
+    for name in ("x", "y", "theta", "m", "s"):
+        assert np.abs(getattr(tr, name) - want[name]).max() < 1e-12, name
 
 
 # ----------------------------------------------------------------------

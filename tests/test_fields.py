@@ -13,6 +13,7 @@ from phaseseek import (
     TravelingWaveField,
     TravelingWaveMode,
     alignment_error,
+    first_mode_coeffs,
     wrap_angle,
     wrap_phase,
 )
@@ -120,6 +121,27 @@ def test_eval_windows_rows_equal_single_point_windows(field, oracle):
         for x, row in zip(points, windows):
             assert np.array_equal(row, field.eval_window(x, t0, n))
             assert np.array_equal(row, oracle(field, x, t0, n))
+
+
+@pytest.mark.parametrize("field", [
+    RadialField(6.5),
+    TravelingWaveField([
+        TravelingWaveMode(0.9, 0.4, 1.0, (1.0, 0.0)),
+        TravelingWaveMode(0.5, -0.3, 2.0, (0.3, 0.8)),
+    ], base_point=(0.4, -0.2)),
+])
+def test_window_coeffs_are_the_window_dft(field):
+    rng = np.random.default_rng(25)
+    points = [tuple(p) for p in rng.uniform(-9.0, 9.0, size=(5, 2))]
+    for n, t0 in ((64, 0.0), (16, 3.7), (13, -41.2)):
+        got = field.window_coeffs(points, t0, n)
+        assert all(type(c) is complex for c in got)
+        want = first_mode_coeffs(field.eval_windows(points, t0, n),
+                                 field.period)
+        assert np.array_equal(got, want)
+    for n in (0, 7):
+        with pytest.raises(ValueError):
+            field.window_coeffs(points, 0.0, n)
 
 
 def test_base_eval_windows_samples_eval():

@@ -26,7 +26,8 @@ from phaseseek import (
     wrap_angle,
     wrap_phase,
 )
-from phaseseek.sensing import _twiddle, lateral_signal
+from phaseseek.fields import _twiddle
+from phaseseek.sensing import lateral_signal
 
 
 class _ZeroField(Field):

@@ -16,6 +16,7 @@ from phaseseek import (
     alignment_error,
     dft_first_mode,
     field_from_bundle,
+    first_mode_coeffs,
     load_bundle,
     save_bundle,
     spectral_grids,
@@ -426,8 +427,9 @@ def test_bundle_eval_windows_rows_equal_single_point_windows():
         # inside the wake, where the signal is not zero
         np.column_stack([rng.uniform(0.05, x_max, 6),
                          rng.uniform(bundle.y0, y_max, 6)]),
-        # last column, last row, the far corner, and a node
-        [[x_max, 0.37], [1.1, y_max], [x_max, y_max],
+        # last column, last row and the far corner inside the wake, and a
+        # node upstream of it
+        [[x_max, -5.13], [0.37, y_max], [x_max, y_max],
          [bundle.x0 + 3 * bundle.dx, bundle.y0 + 2 * bundle.dy]],
         # off the grid, including non-finite points: zero rows
         [[x_max + 1e-9, 0.0], [0.0, bundle.y0 - 5.0], [50.0, 50.0],
@@ -440,7 +442,76 @@ def test_bundle_eval_windows_rows_equal_single_point_windows():
             assert np.array_equal(row, field.eval_window(x, t0, n))
             assert np.array_equal(row, _per_point_bundle_window(field, x, t0, n))
         assert not windows[-5:].any()
-        assert (np.abs(windows[:6]).max(axis=1) > 0).all()
+        assert (np.abs(windows[:9]).max(axis=1) > 0).all()
+
+
+def _noisy_wake(rng):
+    # noise on every frame, so the windows are not band-limited
+    wake = synth_wake(nx=16, ny=9, nt=64)
+    return GridFieldBundle(
+        nx=wake.nx, ny=wake.ny, nt=64, x0=wake.x0, y0=wake.y0, dx=wake.dx,
+        dy=wake.dy, dt=wake.dt,
+        frames=wake.frames + 0.1 * rng.normal(size=wake.frames.shape))
+
+
+def test_bundle_window_coeffs_equal_window_dft():
+    rng = np.random.default_rng(23)
+    bundle = _noisy_wake(rng)
+    field = field_from_bundle(bundle)
+    x_max = bundle.x0 + bundle.dx * 15
+    y_max = bundle.y0 + bundle.dy * 8
+    edges = np.array([
+        # last column, last row, the far corner, and a node
+        [x_max, -5.13], [0.37, y_max], [x_max, y_max],
+        [bundle.x0 + 3 * bundle.dx, bundle.y0 + 2 * bundle.dy],
+        # off the grid, including non-finite points: zero coefficients
+        [x_max + 1e-9, 0.0], [0.0, bundle.y0 - 5.0], [50.0, 50.0],
+        [math.nan, 0.0], [math.inf, -math.inf]])
+    # before the start, a window start well past the README seek's t_end
+    # of 40, and starts exactly on a frame
+    starts = (-3.3, 0.0, 0.1, 123.4, 5 * bundle.dt, 1234 * bundle.dt)
+    for n in (64, 128, 256, 96, 13):
+        for t0 in starts:
+            for _ in range(10):
+                points = np.vstack([
+                    np.column_stack([rng.uniform(bundle.x0, x_max, 5),
+                                     rng.uniform(bundle.y0, y_max, 5)]),
+                    edges])
+                got = np.array(field.window_coeffs(points, t0, n))
+                want = first_mode_coeffs(field.eval_windows(points, t0, n),
+                                         field.period)
+                if n % bundle.nt:
+                    # n is not a multiple of nt: the window DFT itself
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() < 1e-14
+                assert not got[-5:].any()
+                assert (np.abs(got[:9]) > 0).all()
+
+
+def test_bundle_window_coeffs_far_from_t0_zero():
+    # eval_windows rounds its sample times at the ulp of t0, which the
+    # map read does not, so their gap grows with t0 (about 1e-13 at
+    # t0 = 1e4). Against the window started a whole number of periods
+    # earlier the map read still agrees to rounding.
+    rng = np.random.default_rng(24)
+    bundle = _noisy_wake(rng)
+    field = field_from_bundle(bundle)
+    points = np.column_stack([
+        rng.uniform(bundle.x0, bundle.x0 + bundle.dx * 15, 20),
+        rng.uniform(bundle.y0, bundle.y0 + bundle.dy * 8, 20)])
+    t0 = 1e4
+    want = first_mode_coeffs(
+        field.eval_windows(points, t0 % field.period, 64), field.period)
+    got = np.array(field.window_coeffs(points, t0, 64))
+    assert np.abs(got - want).max() < 1e-14
+
+
+def test_bundle_window_coeffs_reject_short_windows():
+    field = field_from_bundle(synth_wake(nx=16, ny=9, nt=8))
+    for n in (0, 4, 7, -8):
+        with pytest.raises(ValueError):
+            field.window_coeffs([(1.0, 0.0)], 0.0, n)
 
 
 def test_bundle_field_describe():

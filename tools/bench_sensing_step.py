@@ -1,0 +1,84 @@
+"""Time one windowed RK4 step and the bundle's first-mode map build.
+
+Usage: python tools/bench_sensing_step.py [SRC_DIR] [REPEATS]
+
+Imports phaseseek from SRC_DIR (default: the src/ next to this file), so
+the same script times any checkout. It prints one JSON object:
+
+* bundle_step_us: one RK4 step of the README wake seek (synthetic wake,
+  proportional gain 0.5, windowed sensing from (8, 0, pi), dt 5e-3);
+* radial_windowed_step_us: one RK4 step of a windowed radial run
+  (ell 6.5, static gain 0.5, from (4, 0, 1.3), dt 1e-2);
+* map_build_ms: one build of the synthetic wake's first-mode map, the
+  one-off cost a bundle field pays on its first windowed sample (null on
+  a tree without the map);
+* spectral_grids_ms: one spectral_grids call on the synthetic wake.
+
+Each figure is the best of REPEATS (default 5) timed simulate runs of
+2 s of simulated time, divided by the run's step count, so a run's
+one-off set-up (the map build included) is spread over its steps. The
+two map figures are the best of 4 * REPEATS calls.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+import time
+import warnings
+from pathlib import Path
+
+
+def best(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def main(argv):
+    here = Path(__file__).resolve().parent
+    src = Path(argv[0]) if argv else here.parent / "src"
+    repeats = int(argv[1]) if len(argv) > 1 else 5
+    sys.path.insert(0, str(src))
+    # the quasi-steady check warns on these starts; the timing ignores it
+    warnings.simplefilter("ignore")
+    from phaseseek import (AgentState, GainLaw, RadialField, field_from_bundle,
+                           simulate, spectral_grids, synth_wake)
+
+    bundle = synth_wake()
+    wake_law = GainLaw("proportional", 0.5)
+
+    def bundle_run():
+        # a new field per run, as each CLI command builds one
+        return simulate(AgentState(8.0, 0.0, math.pi),
+                        field_from_bundle(bundle), wake_law, dt=5e-3,
+                        t_end=2.0, r_stop=0.5, sensing="windowed")
+
+    radial = RadialField(6.5)
+    radial_law = GainLaw("static", 0.5)
+
+    def radial_run():
+        return simulate(AgentState(4.0, 0.0, 1.3), radial, radial_law,
+                        dt=1e-2, t_end=2.0, sensing="windowed")
+
+    result = {}
+    for name, run in (("bundle_step_us", bundle_run),
+                      ("radial_windowed_step_us", radial_run)):
+        steps = len(run()) - 1
+        result[name] = best(run, repeats) / steps * 1e6
+    from phaseseek import wake
+    build = getattr(wake, "_first_mode_map", None)
+    result["map_build_ms"] = (None if build is None else
+                              best(lambda: build(bundle), repeats * 4) * 1e3)
+    result["spectral_grids_ms"] = best(lambda: spectral_grids(bundle),
+                                       repeats * 4) * 1e3
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
