@@ -2,14 +2,15 @@
 
 Subcommands: simulate (closed-loop runs), analyze (fixed points and Q
 portrait), scan (saddle-node location), fields (spectral maps to CSV),
-synth-wake (generate a sampled wake bundle).
+synth-wake (generate a sampled wake bundle). simulate and fields take a
+radial (--ell) or bundle (--bundle) field, built by _build_field alone.
 
-Configuration comes from an optional JSON file (--config) overlaid with
-command-line flags; the resolved configuration is embedded in the summary
-output so any run can be reproduced from its own records.
+simulate's configuration comes from an optional JSON file (--config)
+overlaid with command-line flags; the resolved configuration is embedded
+in the summary output so any run can be reproduced from its own records.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 sensing
-failure, 4 scan found no transition.
+failure (one stderr line per failed run), 4 scan found no transition.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import agent, analysis, wake
+from . import agent, analysis
 from .fields import RadialField, wrap_phase, write_json
 from .sensing import DegenerateMagnitudeError, SensingConfig
 from .wake import (
@@ -109,36 +110,36 @@ def _parse_floats(text, n, what):
         raise ConfigError(f"bad number in {what}: {text!r}") from exc
 
 
+def _number(value, slot, whole=False):
+    """A config value as a float, or as an int if whole. Anything else
+    raises ConfigError naming its slot, such as integration.dt."""
+    try:
+        number = float(value)
+        if whole and not number.is_integer():
+            raise ValueError
+    except (TypeError, ValueError):
+        kind = "a whole number" if whole else "a number"
+        raise ConfigError(f"{slot} must be {kind}, got {value!r}") from None
+    return int(number) if whole else number
+
+
 def _build_field(field_cfg):
+    """The Field of a field config (kind, ell, path): the one place the
+    CLI turns a field kind into a field."""
     kind = field_cfg.get("kind")
     if kind == "radial":
         ell = field_cfg.get("ell")
         if ell is None:
-            raise ConfigError("radial field needs ell")
-        return RadialField(float(ell))
+            raise ConfigError("radial field needs --ell")
+        return RadialField(_number(ell, "field.ell"))
     if kind == "bundle":
         path = field_cfg.get("path")
         if path is None:
-            raise ConfigError("bundle field needs a path")
+            raise ConfigError("bundle field needs --bundle")
         return field_from_bundle(load_bundle(path))
-    if kind == "synth_wake":
-        params = {k: field_cfg[k] for k in WAKE_DEFAULTS if k in field_cfg}
-        params = _deep_merge(WAKE_DEFAULTS, params)
-        return field_from_bundle(synth_wake(**params))
     if kind is None:
         raise ConfigError("no field specified (use --field or a config file)")
     raise ConfigError(f"unknown field kind {kind!r}")
-
-
-def _default_inits(field_cfg):
-    kind = field_cfg.get("kind")
-    if kind is None:
-        raise ConfigError("no field specified (use --field or a config file)")
-    if kind != "radial":
-        raise ConfigError("initial poses are required for gridded fields")
-    # successively more distant starts on the +x axis, heading tangentially
-    theta = math.pi / 2
-    return [[float(r), 0.0, theta] for r in (2.0, 4.0, 6.0, 8.0, 10.0)]
 
 
 def _resolve_sim_config(args):
@@ -147,45 +148,50 @@ def _resolve_sim_config(args):
     flag_cfg = {section: {} for section in SIM_DEFAULTS}
     for flag, (section, key) in SIM_FLAGS.items():
         flag_cfg[section][key] = getattr(args, flag)
-    if args.field is not None:
-        flag_cfg["field"]["kind"] = args.field.replace("-", "_")
     if args.init is not None:
         flag_cfg["agent"]["inits"] = [
             _parse_floats(text, 3, "--init") for text in args.init
         ]
 
-    config = _deep_merge(_deep_merge(SIM_DEFAULTS, file_cfg), flag_cfg)
-    if config["agent"]["inits"] is None:
-        config["agent"]["inits"] = _default_inits(config["field"])
-    return config
+    return _deep_merge(_deep_merge(SIM_DEFAULTS, file_cfg), flag_cfg)
 
 
 def cmd_simulate(args):
     config = _resolve_sim_config(args)
     field = _build_field(config["field"])
+    law_cfg, sens = config["law"], config["sensing"]
+    integ = config["integration"]
     law = agent.GainLaw(
-        kind=config["law"]["kind"],
-        g0=float(config["law"]["g0"]),
-        m_floor=float(config["law"]["m_floor"]),
+        kind=law_cfg["kind"],
+        g0=_number(law_cfg["g0"], "law.g0"),
+        m_floor=_number(law_cfg["m_floor"], "law.m_floor"),
     )
     sensing_cfg = SensingConfig(
-        n_samples=int(config["sensing"]["n_samples"]),
-        stencil_h=float(config["sensing"]["stencil_h"]),
-        m_floor=float(config["sensing"]["m_floor"]),
+        n_samples=_number(sens["n_samples"], "sensing.n_samples", whole=True),
+        stencil_h=_number(sens["stencil_h"], "sensing.stencil_h"),
+        m_floor=_number(sens["m_floor"], "sensing.m_floor"),
     )
-
-    integ = config["integration"]
     settings = {
-        "dt": float(integ["dt"]), "t_end": float(integ["t_end"]),
-        "r_stop": float(integ["r_stop"]),
+        "dt": _number(integ["dt"], "integration.dt"),
+        "t_end": _number(integ["t_end"], "integration.t_end"),
+        "r_stop": _number(integ["r_stop"], "integration.r_stop"),
         "r_escape": (None if integ["r_escape"] is None
-                     else float(integ["r_escape"])),
-        "v": float(config["agent"]["v"]),
+                     else _number(integ["r_escape"], "integration.r_escape")),
+        "v": _number(config["agent"]["v"], "agent.v"),
     }
-    starts = []
-    for init in config["agent"]["inits"]:
-        x0, y0, theta0 = (float(v) for v in init)
-        starts.append(agent.AgentState(x=x0, y=y0, theta=theta0, t=0.0))
+    inits = config["agent"]["inits"]
+    if inits is None:
+        if not isinstance(field, RadialField):
+            raise ConfigError("initial poses are required for gridded fields")
+        # successively more distant starts on the +x axis, heading tangentially
+        inits = config["agent"]["inits"] = [
+            [r, 0.0, math.pi / 2] for r in (2.0, 4.0, 6.0, 8.0, 10.0)]
+    if not (isinstance(inits, list)
+            and all(isinstance(i, list) and len(i) == 3 for i in inits)):
+        raise ConfigError(
+            f"agent.inits must be a list of x,y,theta triples, got {inits!r}")
+    starts = [agent.AgentState(*(_number(v, "agent.inits") for v in init))
+              for init in inits]
     # every start is checked before the first file is written
     for state in starts:
         agent._check_run(state, **settings)
@@ -195,7 +201,7 @@ def cmd_simulate(args):
     prefix = config["output"]["prefix"]
 
     runs = []
-    any_sensing_failure = False
+    failed = []
     for index, state in enumerate(starts):
         traj = agent.simulate(state, field, law, sensing_cfg,
                               sensing=config["sensing"]["mode"], **settings)
@@ -204,7 +210,9 @@ def cmd_simulate(args):
         traj.write_csv(out_dir / csv_name)
         traj.write_sidecar(out_dir / sidecar_name)
         if traj.termination == agent.TERM_SENSING:
-            any_sensing_failure = True
+            failed.append(index)
+            print(f"error: run {index:03d} ended {agent.TERM_SENSING}",
+                  file=sys.stderr)
         drift = traj.q_drift()
         runs.append({
             "index": index,
@@ -222,7 +230,7 @@ def cmd_simulate(args):
     summary_path = out_dir / f"{prefix}_summary.json"
     write_json(summary_path, {"config": config, "runs": runs})
     print(summary_path)
-    return 3 if any_sensing_failure else 0
+    return 3 if failed else 0
 
 
 def cmd_analyze(args):
@@ -283,31 +291,24 @@ def _radial_spectral_grids(ell, x_range, y_range, nx, ny):
 
 
 def cmd_fields(args):
+    field = _build_field({"kind": args.field, "ell": args.ell,
+                          "path": args.bundle})
     if args.field == "radial":
-        if args.ell is None:
-            raise ConfigError("radial field needs --ell")
         if args.source is not None:
             raise ConfigError("the radial field's source is the origin; "
                               "--source applies to bundle maps only")
         x_range = _parse_floats(args.x_range, 2, "--x-range")
         y_range = _parse_floats(args.y_range, 2, "--y-range")
-        grids = _radial_spectral_grids(args.ell, x_range, y_range,
+        grids = _radial_spectral_grids(field.ell, x_range, y_range,
                                        args.nx, args.ny)
     else:
-        if args.field == "bundle":
-            if args.bundle is None:
-                raise ConfigError("bundle field needs --bundle")
-            bundle = load_bundle(args.bundle)
-        else:  # synth-wake
-            bundle = synth_wake()
         source = None
         if args.source is not None:
             source = _parse_floats(args.source, 2, "--source")
-        grids = spectral_grids(bundle, source=source,
+        grids = spectral_grids(field.bundle, source=source,
                                m_floor=args.m_floor)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     grids.write_csv(out)
     print(out)
     return 0
@@ -318,8 +319,7 @@ def cmd_synth_wake(args):
     bundle = synth_wake(**params, meta_re=args.meta_re,
                         meta_st=args.meta_st, meta_a=args.meta_a)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_bundle(bundle, out)
     print(out)
     return 0
@@ -334,7 +334,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="run the closed loop")
     p_sim.add_argument("--config", help="JSON config file")
-    p_sim.add_argument("--field", choices=["radial", "bundle", "synth-wake"])
+    p_sim.add_argument("--field", choices=["radial", "bundle"])
     p_sim.add_argument("--ell", type=float)
     p_sim.add_argument("--bundle", help="WAVF1 bundle path")
     p_sim.add_argument("--gain",
@@ -379,8 +379,7 @@ def build_parser():
     p_scan.set_defaults(func=cmd_scan)
 
     p_f = sub.add_parser("fields", help="spectral maps to CSV")
-    p_f.add_argument("--field", required=True,
-                     choices=["radial", "bundle", "synth-wake"])
+    p_f.add_argument("--field", required=True, choices=["radial", "bundle"])
     p_f.add_argument("--ell", type=float)
     p_f.add_argument("--bundle")
     p_f.add_argument("--x-range", default="-15,15")

@@ -356,8 +356,9 @@ class BundleField(Field):
     Outside the spatial grid the signal is zero and in_domain() is False;
     a simulation driver treats leaving the grid as a termination, not an
     error. Queries landing exactly on a node and frame return the stored
-    value. The first window_coeffs call caches the bundle's first-mode
-    map, so the bundle must not change under the field.
+    value. Space is read by one bilinear rule (_bilinear) and time by one
+    frame rule (_frame). The first window_coeffs call caches the bundle's
+    first-mode map, so the bundle must not change under the field.
     """
 
     has_analytic_spectra = False
@@ -367,12 +368,9 @@ class BundleField(Field):
         self.period = bundle.period
         self._x_max = bundle.x0 + bundle.dx * (bundle.nx - 1)
         self._y_max = bundle.y0 + bundle.dy * (bundle.ny - 1)
-        # what _spatial_cell reads, unpacked once: it runs per stencil point
+        # what _bilinear reads, unpacked once: it runs per stencil point
         self._cell_grid = (bundle.x0, bundle.y0, bundle.dx, bundle.dy,
-                           bundle.nx - 2, bundle.ny - 2)
-        # node offsets of the corners (i0, j0), (i0+1, j0), (i0, j0+1) and
-        # (i0+1, j0+1) from node (i0, j0)
-        self._corner_offsets = np.array([0, 1, bundle.nx, bundle.nx + 1])
+                           bundle.nx, bundle.nx - 2, bundle.ny - 2)
         # first-mode map as a flat list, x fastest, built on first use
         self._map = None
 
@@ -380,49 +378,56 @@ class BundleField(Field):
         b = self.bundle
         return (b.x0 <= x[0] <= self._x_max) and (b.y0 <= x[1] <= self._y_max)
 
-    def _spatial_cell(self, px, py):
-        x0, y0, dx, dy, i_max, j_max = self._cell_grid
-        u = (px - x0) / dx
-        v = (py - y0) / dy
-        i0 = min(max(math.floor(u), 0), i_max)
-        j0 = min(max(math.floor(v), 0), j_max)
-        return i0, j0, u - i0, v - j0
+    def _bilinear(self, table, points, outside):
+        """Bilinear read of a per-node table at each point: a list.
+
+        table[j * nx + i] holds node (i, j)'s entry (a number or a numpy
+        row); a point outside the grid reads `outside`. Cells clamp at the
+        last row and column, so the far edges read their own nodes.
+        """
+        x0, y0, dx, dy, nx, i_max, j_max = self._cell_grid
+        values = []
+        for x in points:
+            px, py = float(x[0]), float(x[1])
+            if not self.in_domain((px, py)):
+                values.append(outside)
+                continue
+            u = (px - x0) / dx
+            v = (py - y0) / dy
+            i0 = min(math.floor(u), i_max)
+            j0 = min(math.floor(v), j_max)
+            fu, fv = u - i0, v - j0
+            k = j0 * nx + i0
+            values.append((1 - fu) * (1 - fv) * table[k]
+                          + fu * (1 - fv) * table[k + 1]
+                          + (1 - fu) * fv * table[k + nx]
+                          + fu * fv * table[k + nx + 1])
+        return values
+
+    def _frame(self, t):
+        """Frame index k (a whole number, 0 <= k < nt) and fraction w of
+        time t, a float or an array: t falls at frame k + w of the period.
+        """
+        s = (t % self.period) / self.bundle.dt
+        w = s % 1.0
+        return (s - w) % self.bundle.nt, w
 
     def eval(self, x, t):
         return float(self.eval_windows([x], t, 1)[0, 0])
 
     def eval_windows(self, points, t0, n):
-        """Windows at k points: one gather of the 4k corner node series,
-        one bilinear combine, one periodic-linear time interpolation.
+        """Windows at k points: the bilinear read of the node series, then
+        one periodic-linear time interpolation.
 
         Rows of points outside the grid are zero.
         """
         b = self.bundle
-        nodes, weights, inside = [], [], []
-        for x in points:
-            px, py = float(x[0]), float(x[1])
-            ok = self.in_domain((px, py))
-            i0, j0, fu, fv = (self._spatial_cell(px, py) if ok
-                              else (0, 0, 0.0, 0.0))
-            inside.append(ok)
-            nodes.append(j0 * b.nx + i0)
-            weights.append(((1 - fu) * (1 - fv), fu * (1 - fv),
-                            (1 - fu) * fv, fu * fv))
-        # (4, k, nt): corner node series in the order of the weights
-        corners = b.frames.reshape(b.nt, -1).T[
-            np.add.outer(self._corner_offsets, nodes)]
-        terms = np.array(weights).T[:, :, None] * corners
-        series = terms[0] + terms[1] + terms[2] + terms[3]
-
-        t = t0 + np.arange(n) * (self.period / n)
-        s = (t % self.period) / b.dt
-        k0 = np.floor(s).astype(int) % b.nt
-        k1 = (k0 + 1) % b.nt
-        w = s - np.floor(s)
-        windows = ((1.0 - w) * np.take(series, k0, axis=1)
-                   + w * np.take(series, k1, axis=1))
-        windows[~np.array(inside, dtype=bool)] = 0.0
-        return windows
+        series = np.array(self._bilinear(b.frames.reshape(b.nt, -1).T,
+                                         points, np.zeros(b.nt)))
+        k, w = self._frame(t0 + np.arange(n) * (self.period / n))
+        k0 = k.astype(int)
+        return ((1.0 - w) * np.take(series, k0, axis=1)
+                + w * np.take(series, (k0 + 1) % b.nt, axis=1))
 
     def window_coeffs(self, points, t0, n):
         """First-mode coefficients of the windows at k points, read from
@@ -444,34 +449,19 @@ class BundleField(Field):
         if self._map is None:
             self._map = _first_mode_map(b).ravel().tolist()
         factor = self._window_factor(t0, n)
-        cmap, nx = self._map, b.nx
-        coeffs = []
-        for x in points:
-            px, py = float(x[0]), float(x[1])
-            if not self.in_domain((px, py)):
-                coeffs.append(0j)
-                continue
-            i0, j0, fu, fv = self._spatial_cell(px, py)
-            k = j0 * nx + i0
-            coeffs.append(factor * ((1 - fu) * (1 - fv) * cmap[k]
-                                    + fu * (1 - fv) * cmap[k + 1]
-                                    + (1 - fu) * fv * cmap[k + nx]
-                                    + fu * fv * cmap[k + nx + 1]))
-        return coeffs
+        return [0j if c is None else factor * c
+                for c in self._bilinear(self._map, points, None)]
 
     def _window_factor(self, t0, n):
-        """B(t0, n) of window_coeffs, with k_r and w_r found as
-        eval_windows finds them."""
+        """B(t0, n) of window_coeffs, with k_r and w_r from _frame."""
         b = self.bundle
         period, dt = self.period, b.dt
         omega = TWO_PI / period
         step = period / n
         total = 0j
         for r in range(n // b.nt):
-            s = ((t0 + r * step) % period) / dt
-            k = math.floor(s)
-            w = s - k
-            total += (cmath.exp(1j * omega * ((k % b.nt) * dt - r * step))
+            k, w = self._frame(t0 + r * step)
+            total += (cmath.exp(1j * omega * (k * dt - r * step))
                       * ((1.0 - w) + w * cmath.exp(1j * omega * dt)))
         return total * (b.nt / n)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseseek import analysis, load_bundle
+from phaseseek import QuasiSteadyWarning, analysis, load_bundle
 from phaseseek.cli import SIM_FLAGS, WAKE_DEFAULTS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +113,28 @@ def test_simulate_zero_gradient_is_a_sensing_failure(tmp_path):
     assert np.isfinite(rows[:, :5]).all()
 
 
+def test_simulate_names_each_failed_run_on_stderr(tmp_path, capsys):
+    # run 000 starts with no phase gradient and fails at once; run 001 is
+    # the README wake seek, which reaches the source
+    bundle_path = tmp_path / "wake.wavf"
+    assert main(["synth-wake", "--out", str(bundle_path)]) == 0
+    capsys.readouterr()
+    with pytest.warns(QuasiSteadyWarning):
+        code = main(["simulate", "--field", "bundle",
+                     "--bundle", str(bundle_path), "--gain", "proportional",
+                     "--g0", "0.5", "--init=-0.1,0,0",
+                     "--init", "8,0,3.141592653589793", "--dt", "5e-3",
+                     "--t-end", "10", "--sensing", "windowed",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: run 000 ended sensing_failure\n"
+    assert captured.out == f"{tmp_path / 'run_summary.json'}\n"
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert [run["termination"] for run in summary["runs"]] == [
+        "sensing_failure", "reached_source"]
+
+
 def test_simulate_bundle_short_run(tmp_path):
     bundle_path = tmp_path / "wake.wavf"
     assert main(["synth-wake", "--out", str(bundle_path)]) == 0
@@ -146,6 +168,55 @@ def test_simulate_config_errors(tmp_path):
     # negative ell
     assert main(["simulate", "--field", "radial", "--ell", "-1",
                  "--init", "4,0,0", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("config, slot", [
+    ({"agent": {"inits": [5]}}, "agent.inits"),
+    ({"field": {"kind": "radial", "ell": [6.5]}}, "field.ell"),
+    ({"integration": {"dt": [1]}}, "integration.dt"),
+    ({"sensing": {"n_samples": 64.7}}, "sensing.n_samples"),
+])
+def test_simulate_rejects_malformed_config_values(tmp_path, capsys, config,
+                                                  slot):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"field": {"kind": "radial", "ell": 6.5}, **config}))
+    assert main(["simulate", "--config", str(path), "--t-end", "0.1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {slot} must be ")
+    assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--field", "radial"], "error: radial field needs --ell\n"),
+    (["--field", "bundle"], "error: bundle field needs --bundle\n"),
+], ids=["radial", "bundle"])
+def test_fields_and_simulate_report_a_missing_input_alike(tmp_path, capsys,
+                                                          flags, text):
+    out = tmp_path / "maps.csv"
+    assert main(["fields", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == text
+    assert main(["simulate", *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == text
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["fields", "simulate"])
+def test_synth_wake_is_not_a_field_kind(tmp_path, command):
+    # a synthetic wake is written by the synth-wake subcommand, then read
+    # with --field bundle
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--field", "synth-wake",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_simulate_config_rejects_the_synth_wake_kind(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"field": {"kind": "synth_wake"}}))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "unknown field kind 'synth_wake'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [
@@ -296,6 +367,15 @@ def test_fields_radial_rejects_a_source(tmp_path, capsys):
         assert main(["fields", "--field", "radial", "--ell", "6.5",
                      "--source", source, "--out", str(out)]) == 2
     assert "--source" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fields_radial_rejects_a_nonpositive_ell(tmp_path, capsys):
+    # the map's ell goes through the RadialField that simulate runs on
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "radial", "--ell=-1",
+                 "--out", str(out)]) == 2
+    assert "ell must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 
