@@ -144,7 +144,8 @@ def _resolve_sensing(field, mode):
 
 
 def _sensor(field, config, mode):
-    """sense(x, y, theta, t) -> (m, s), resolved once per run.
+    """sense(x, y, sin_theta, cos_theta, t) -> (m, s), resolved once per
+    run; it takes the heading's sine and cosine, not the heading.
 
     A windowed stage is one field.window_coeffs call on the five stencil
     points; an analytic stage is one field.analytic_mode call.
@@ -153,16 +154,16 @@ def _sensor(field, config, mode):
         coeffs_at = field.window_coeffs
         n, h, m_floor = config.n_samples, config.stencil_h, config.m_floor
 
-        def sense(x, y, theta, t):
+        def sense(x, y, sth, cth, t):
             coeffs = coeffs_at(_stencil_points(x, y, h), t, n)
             m, gx, gy = _stencil_mode(coeffs, h, m_floor)
-            return m, lateral_signal(gx, gy, theta)
+            return m, lateral_signal(gx, gy, sth, cth)
         return sense
     mode_at = field.analytic_mode
 
-    def sense(x, y, theta, t):
+    def sense(x, y, sth, cth, t):
         m, gx, gy = mode_at(x, y)
-        return m, lateral_signal(gx, gy, theta)
+        return m, lateral_signal(gx, gy, sth, cth)
     return sense
 
 
@@ -175,9 +176,10 @@ def _rk4_step(deriv, dt, t, a, b, c):
     """
     da1, db1, dc1, diag = deriv(t, a, b, c)
     half = 0.5 * dt
-    da2, db2, dc2, _ = deriv(t + half, a + half * da1, b + half * db1,
+    t_half = t + half
+    da2, db2, dc2, _ = deriv(t_half, a + half * da1, b + half * db1,
                              c + half * dc1)
-    da3, db3, dc3, _ = deriv(t + half, a + half * da2, b + half * db2,
+    da3, db3, dc3, _ = deriv(t_half, a + half * da2, b + half * db2,
                              c + half * dc2)
     da4, db4, dc4, _ = deriv(t + dt, a + dt * da3, b + dt * db3,
                              c + dt * dc3)
@@ -278,9 +280,11 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     gain = law.closure()
 
     def deriv(t, x, y, th):
-        m, s = sense(x, y, th, t)
+        # the heading's trig, once per stage, serves kinematics and sensor
+        sth, cth = math.sin(th), math.cos(th)
+        m, s = sense(x, y, sth, cth, t)
         g = gain(m)
-        return v * math.cos(th), v * math.sin(th), g * s, (m, s, g)
+        return v * cth, v * sth, g * s, (m, s, g)
 
     rho = law.rho(v)
     ell = getattr(field, "ell", None)
@@ -305,6 +309,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     # kept per step: t, x, y, unwrapped theta, r, m, s, G; the rest after
     rows = []
     x, y, th, t = init.x, init.y, init.theta, init.t
+    t_last = t_end - 0.5 * dt
     while True:
         r = math.hypot(x, y)
         if r == 0.0:
@@ -319,7 +324,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         if not all(field.in_domain((x + ox, y + oy)) for ox, oy in offsets):
             termination = TERM_LEFT_DOMAIN
             break
-        if t >= t_end - 0.5 * dt:
+        if t >= t_last:
             termination = TERM_T_END
             break
         try:
@@ -332,7 +337,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         x, y, th, t = x1, y1, th1, t1
 
     try:
-        m, s = sense(x, y, th, t)
+        m, s = sense(x, y, math.sin(th), math.cos(th), t)
         g = gain(m)
     except (DegenerateMagnitudeError, OriginSingularityError, ValueError):
         m = s = g = math.nan
@@ -405,16 +410,15 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     deta/dt =  V sin(psi) / r
     dpsi/dt =  V sin(psi) / r - G(m) [cos(delta) sin(psi) + sin(delta) cos(psi)]
 
-    delta_field(r, eta) supplies the alignment error (None means zero) and
-    m_field(r, eta) the sensed magnitude. Terminates at t_end, when r falls
-    to r_floor (the coordinates degenerate), or when r exceeds r_escape
-    (default: no bound). Non-finite or out-of-range starts and settings
+    delta_field(r, eta) supplies the alignment error and m_field(r, eta)
+    the sensed magnitude. delta_field None means zero error: the bracket
+    is then sin(psi) + 0.0 * cos(psi), the same bits, signed zeros
+    included, as cos(0) sin(psi) + sin(0) cos(psi). Terminates at t_end,
+    when r falls to r_floor (the coordinates degenerate), or when r
+    exceeds r_escape (default: no bound). Non-finite or out-of-range starts and settings
     raise ValueError before the first step, as in simulate.
     """
     _check_run(init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
-    if delta_field is None:
-        def delta_field(r, eta):
-            return 0.0
     if r_escape is None:
         r_escape = math.inf
     gain = law.closure()
@@ -423,13 +427,18 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
         if r <= 0.0:
             raise OriginSingularityError("a stage crossed the source")
         g = gain(m_field(r, eta))
-        d = delta_field(r, eta)
         sp, cp = math.sin(psi), math.cos(psi)
-        steer = g * (math.cos(d) * sp + math.sin(d) * cp)
-        return -v * cp, v * sp / r, v * sp / r - steer, None
+        if delta_field is None:
+            steer = g * (sp + 0.0 * cp)
+        else:
+            d = delta_field(r, eta)
+            steer = g * (math.cos(d) * sp + math.sin(d) * cp)
+        turn = v * sp / r
+        return -v * cp, turn, turn - steer, None
 
     t = 0.0
     r, eta, psi = init.r, init.eta, init.psi
+    t_last = t_end - 0.5 * dt
     # one flat list: per-step tuples would cost memory on long runs
     flat = [t, r, eta, psi]
     while True:
@@ -439,7 +448,7 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
         if r >= r_escape:
             termination = TERM_ESCAPED
             break
-        if t >= t_end - 0.5 * dt:
+        if t >= t_last:
             termination = TERM_T_END
             break
         try:

@@ -39,6 +39,11 @@ class GainKind(str, Enum):
     INVERSE = "inverse"
 
 
+def _negative_magnitude(m):
+    # the error path of every GainLaw.closure() function
+    raise ValueError(f"magnitude must be nonnegative, got {m}")
+
+
 @dataclass(frozen=True)
 class GainLaw:
     """Steering gain as a function of the sensed magnitude m.
@@ -71,19 +76,25 @@ class GainLaw:
         """G(m) as a plain function, the kind resolved once: the drivers
         and the analysis vector field call it per stage.
 
-        The function raises ValueError for a negative magnitude.
+        The function raises ValueError for a negative magnitude. Each kind
+        gets its own function, so one G(m) is one call.
         """
         g0, m_floor = self.g0, self.m_floor
-        formula = {
-            GainKind.STATIC: lambda m: g0,
-            GainKind.PROPORTIONAL: lambda m: g0 * m,
-            GainKind.INVERSE: lambda m: g0 / m_floor if m < m_floor else g0 / m,
-        }[self.kind]
-
-        def gain(m):
-            if m < 0:
-                raise ValueError(f"magnitude must be nonnegative, got {m}")
-            return formula(m)
+        if self.kind is GainKind.STATIC:
+            def gain(m):
+                if m < 0:
+                    _negative_magnitude(m)
+                return g0
+        elif self.kind is GainKind.PROPORTIONAL:
+            def gain(m):
+                if m < 0:
+                    _negative_magnitude(m)
+                return g0 * m
+        else:
+            def gain(m):
+                if m < 0:
+                    _negative_magnitude(m)
+                return g0 / m_floor if m < m_floor else g0 / m
         return gain
 
 

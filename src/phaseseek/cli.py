@@ -123,6 +123,14 @@ def _number(value, slot, whole=False):
     return int(number) if whole else number
 
 
+def _string(value, slot):
+    """A config value that must be a string, such as output.dir. Anything
+    else raises ConfigError naming its slot."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{slot} must be a string, got {value!r}")
+    return value
+
+
 def _build_field(field_cfg):
     """The Field of a field config (kind, ell, path): the one place the
     CLI turns a field kind into a field."""
@@ -136,7 +144,7 @@ def _build_field(field_cfg):
         path = field_cfg.get("path")
         if path is None:
             raise ConfigError("bundle field needs --bundle")
-        return field_from_bundle(load_bundle(path))
+        return field_from_bundle(load_bundle(_string(path, "field.path")))
     if kind is None:
         raise ConfigError("no field specified (use --field or a config file)")
     raise ConfigError(f"unknown field kind {kind!r}")
@@ -192,13 +200,13 @@ def cmd_simulate(args):
             f"agent.inits must be a list of x,y,theta triples, got {inits!r}")
     starts = [agent.AgentState(*(_number(v, "agent.inits") for v in init))
               for init in inits]
-    # every start is checked before the first file is written
+    # every start and output slot is checked before the first file is
+    # written
     for state in starts:
         agent._check_run(state, **settings)
-
-    out_dir = Path(config["output"]["dir"])
+    out_dir = Path(_string(config["output"]["dir"], "output.dir"))
+    prefix = _string(config["output"]["prefix"], "output.prefix")
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = config["output"]["prefix"]
 
     runs = []
     failed = []

@@ -134,15 +134,20 @@ def sensory_output(grad_phi, theta):
     s = (grad phi / ||grad phi||) . (-sin theta, cos theta), clipped to [-1, 1]
     against roundoff.
     """
-    return lateral_signal(float(grad_phi[0]), float(grad_phi[1]), theta)
+    return lateral_signal(float(grad_phi[0]), float(grad_phi[1]),
+                          math.sin(theta), math.cos(theta))
 
 
-def lateral_signal(gx, gy, theta):
-    """sensory_output on plain floats, the form called per RK4 stage."""
+def lateral_signal(gx, gy, sin_theta, cos_theta):
+    """sensory_output on plain floats, the form called per RK4 stage.
+
+    It takes the heading's sine and cosine, which a stage has already
+    computed for its kinematics.
+    """
     norm = math.hypot(gx, gy)
     if norm == 0.0:
         raise UndefinedDirectionError("zero phase gradient has no direction")
-    s = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
+    s = (-gx * sin_theta + gy * cos_theta) / norm
     # min(1.0, max(-1.0, s)) without two calls; NaN still maps to -1.0
     return s if -1.0 < s < 1.0 else 1.0 if s >= 1.0 else -1.0
 
@@ -167,7 +172,8 @@ def spectral_sample(field, x, t0, theta, config):
     omega1 = TWO_PI / field.period
     phi = wrap_phase(math.atan2(centre.imag, centre.real) - omega1 * t0)
     return SpectralSample(m=m, phi=phi, grad_phi=np.array([gx, gy]),
-                          s=lateral_signal(gx, gy, theta))
+                          s=lateral_signal(gx, gy, math.sin(theta),
+                                           math.cos(theta)))
 
 
 def analytic_sample(field, x, theta):

@@ -77,6 +77,29 @@ def test_gain_value():
         inverse(-1e-9)
 
 
+@pytest.mark.parametrize("kind, nan_out", [
+    ("static", 0.5), ("proportional", math.nan), ("inverse", math.nan)])
+def test_gain_closure_edges(kind, nan_out):
+    gain = GainLaw(kind, 0.5).closure()
+    # every kind rejects a negative magnitude, however small
+    with pytest.raises(ValueError, match="magnitude must be nonnegative"):
+        gain(-1e-9)
+    # NaN passes the m < 0 check: static ignores it, the others carry it
+    got = gain(math.nan)
+    assert got == nan_out or (math.isnan(got) and math.isnan(nan_out))
+    # -0.0 is not negative
+    assert gain(-0.0) == gain(0.0)
+
+
+def test_inverse_gain_at_its_floor():
+    floor = 1e-6
+    gain = GainLaw("inverse", 0.5, m_floor=floor).closure()
+    assert gain(floor) == 0.5 / floor
+    assert gain(math.nextafter(floor, 0.0)) == 0.5 / floor
+    above = math.nextafter(floor, 1.0)
+    assert gain(above) == 0.5 / above != 0.5 / floor
+
+
 def test_heading_rate():
     # the recorded steering command is Omega = G * s, row by row
     tr = simulate(AgentState(4.0, 0.0, 0.3), FIELD, STATIC, dt=1e-2,
@@ -330,6 +353,30 @@ def test_simulate_polar_matches_oracle(init, delta, law, ell, dt, t_end,
     assert tr.termination == termination == want
     for name, column in zip(("t", "r", "eta", "psi"), zip(*rows)):
         assert np.array_equal(getattr(tr, name), np.array(column)), name
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+@pytest.mark.parametrize("init, dt, t_end, want", [
+    ((3.0, 0.4, 1.2), 1e-2, 20.0, "t_end"),
+    ((4.0, 0.0, -1.5), 1e-2, 20.0, "t_end"),
+    # psi = -0.0 heads straight in and stays -0.0; the third step's last
+    # stage lands at r = -0.05, past the source
+    ((0.55, 0.0, -0.0), 0.2, 10.0, "origin_singularity"),
+])
+def test_simulate_polar_no_delta_matches_zero_delta(kind, init, dt, t_end,
+                                                    want):
+    # delta_field None must give the bits of a delta_field that returns 0.0
+    law = GainLaw(kind, 0.5)
+    runs = [simulate_polar(PolarState(*init), delta, law,
+                           radial_m_field(6.5), dt, t_end)
+            for delta in (None, lambda r, eta: 0.0)]
+    assert runs[0].termination == runs[1].termination == want
+    for name in ("t", "r", "eta", "psi"):
+        a, b = (getattr(run, name) for run in runs)
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    if init[2] == 0.0:
+        assert np.signbit(runs[0].psi).all()
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,28 @@ def test_simulate_rejects_malformed_config_values(tmp_path, capsys, config,
     assert not list(tmp_path.glob("run_*"))
 
 
+@pytest.mark.parametrize("config, slot, value", [
+    ({"field": {"kind": "radial", "ell": 6.5}, "output": {"dir": 5}},
+     "output.dir", 5),
+    ({"field": {"kind": "radial", "ell": 6.5}, "output": {"prefix": 7}},
+     "output.prefix", 7),
+    ({"field": {"kind": "bundle", "path": 5}, "agent": {"inits": [[1, 0, 0]]}},
+     "field.path", 5),
+], ids=["dir", "prefix", "bundle-path"])
+def test_simulate_rejects_non_string_config_slots(tmp_path, capsys,
+                                                  monkeypatch, config, slot,
+                                                  value):
+    # output.dir comes from the file alone, so the run would write under
+    # the working directory
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--t-end", "0.1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {slot} must be a string, got {value!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("flags, text", [
     (["--field", "radial"], "error: radial field needs --ell\n"),
     (["--field", "bundle"], "error: bundle field needs --bundle\n"),

@@ -274,7 +274,7 @@ def test_lateral_signal_clips_like_min_max():
         if norm == 0.0:
             continue
         raw = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
-        got = lateral_signal(gx, gy, theta)
+        got = lateral_signal(gx, gy, math.sin(theta), math.cos(theta))
         want = min(1.0, max(-1.0, raw))
         assert got == want
         assert math.copysign(1.0, got) == math.copysign(1.0, want)

@@ -1,4 +1,4 @@
-"""Time one windowed RK4 step and the bundle's first-mode map build.
+"""Time one RK4 step of each driver and the bundle's first-mode map build.
 
 Usage: python tools/bench_sensing_step.py [SRC_DIR] [REPEATS]
 
@@ -9,15 +9,21 @@ the same script times any checkout. It prints one JSON object:
   proportional gain 0.5, windowed sensing from (8, 0, pi), dt 5e-3);
 * radial_windowed_step_us: one RK4 step of a windowed radial run
   (ell 6.5, static gain 0.5, from (4, 0, 1.3), dt 1e-2);
+* analytic_step_us: one RK4 step of the README radial run with analytic
+  sensing (ell 6.5, static gain 0.5, from (4, 0, pi/2), dt 1e-3);
+* polar_step_us: one RK4 step of simulate_polar per gain kind, an object
+  keyed by kind, on the convergence taxonomy's reduced run (g0 0.5, no
+  alignment error, dt 1e-2, r_escape 50; ell 6.5 for static and
+  proportional gain and 5.8 for inverse, from r 3, psi 1.2) over 20 s;
 * map_build_ms: one build of the synthetic wake's first-mode map, the
   one-off cost a bundle field pays on its first windowed sample (null on
   a tree without the map);
 * spectral_grids_ms: one spectral_grids call on the synthetic wake.
 
-Each figure is the best of REPEATS (default 5) timed simulate runs of
-2 s of simulated time, divided by the run's step count, so a run's
-one-off set-up (the map build included) is spread over its steps. The
-two map figures are the best of 4 * REPEATS calls.
+Each step figure is the best of REPEATS (default 5) timed runs, of 2 s
+of simulated time unless stated, divided by the run's step count, so a
+run's one-off set-up (the map build included) is spread over its steps.
+The two map figures are the best of 4 * REPEATS calls.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ def main(argv):
     sys.path.insert(0, str(src))
     # the quasi-steady check warns on these starts; the timing ignores it
     warnings.simplefilter("ignore")
-    from phaseseek import (AgentState, GainLaw, RadialField, field_from_bundle,
-                           simulate, spectral_grids, synth_wake)
+    from phaseseek import (AgentState, GainLaw, PolarState, RadialField,
+                           field_from_bundle, radial_m_field, simulate,
+                           simulate_polar, spectral_grids, synth_wake)
 
     bundle = synth_wake()
     wake_law = GainLaw("proportional", 0.5)
@@ -65,11 +72,26 @@ def main(argv):
         return simulate(AgentState(4.0, 0.0, 1.3), radial, radial_law,
                         dt=1e-2, t_end=2.0, sensing="windowed")
 
-    result = {}
-    for name, run in (("bundle_step_us", bundle_run),
-                      ("radial_windowed_step_us", radial_run)):
-        steps = len(run()) - 1
-        result[name] = best(run, repeats) / steps * 1e6
+    def analytic_run():
+        return simulate(AgentState(4.0, 0.0, math.pi / 2), radial,
+                        radial_law, dt=1e-3, t_end=2.0)
+
+    def polar_run(kind, ell):
+        law, m_field = GainLaw(kind, 0.5), radial_m_field(ell)
+        return lambda: simulate_polar(PolarState(3.0, 0.0, 1.2), None, law,
+                                      m_field, 1e-2, 20.0, r_escape=50.0)
+
+    def step_us(run):
+        steps = len(run().t) - 1
+        return best(run, repeats) / steps * 1e6
+
+    result = {name: step_us(run) for name, run in (
+        ("bundle_step_us", bundle_run),
+        ("radial_windowed_step_us", radial_run),
+        ("analytic_step_us", analytic_run))}
+    result["polar_step_us"] = {
+        kind: step_us(polar_run(kind, ell)) for kind, ell in (
+            ("static", 6.5), ("proportional", 6.5), ("inverse", 5.8))}
     from phaseseek import wake
     build = getattr(wake, "_first_mode_map", None)
     result["map_build_ms"] = (None if build is None else
