@@ -292,7 +292,10 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     if r_escape is None:
         r_escape = _default_r_escape(r0, rho, ell)
 
-    offsets = ((0.0, 0.0),)
+    # the pose steps only while the box x +/- pad, y +/- pad lies in the
+    # field's bounds, edges included; a whole-plane field skips the test
+    bounds = field.bounds
+    pad = 0.0
     if mode == WINDOWED:
         # one-shot quasi-steady check at the initial point
         try:
@@ -304,7 +307,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         # windowed sensing needs the whole stencil (plus one step of
         # travel) inside the domain, not just the vehicle position
         pad = config.stencil_h + v * dt
-        offsets = ((-pad, -pad), (-pad, pad), (pad, -pad), (pad, pad))
+    if bounds is not None:
+        bx0, by0, bx1, by1 = bounds
 
     # kept per step: t, x, y, unwrapped theta, r, m, s, G; the rest after
     rows = []
@@ -321,7 +325,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         if r > r_escape:
             termination = TERM_ESCAPED
             break
-        if not all(field.in_domain((x + ox, y + oy)) for ox, oy in offsets):
+        if bounds is not None and not (bx0 <= x - pad and x + pad <= bx1
+                                       and by0 <= y - pad and y + pad <= by1):
             termination = TERM_LEFT_DOMAIN
             break
         if t >= t_last:

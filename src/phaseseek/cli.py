@@ -200,10 +200,11 @@ def cmd_simulate(args):
             f"agent.inits must be a list of x,y,theta triples, got {inits!r}")
     starts = [agent.AgentState(*(_number(v, "agent.inits") for v in init))
               for init in inits]
-    # every start and output slot is checked before the first file is
-    # written
+    # every start, the sensing mode and the output slots are checked
+    # before the first file is written
     for state in starts:
         agent._check_run(state, **settings)
+    mode = agent._resolve_sensing(field, config["sensing"]["mode"])
     out_dir = Path(_string(config["output"]["dir"], "output.dir"))
     prefix = _string(config["output"]["prefix"], "output.prefix")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +213,7 @@ def cmd_simulate(args):
     failed = []
     for index, state in enumerate(starts):
         traj = agent.simulate(state, field, law, sensing_cfg,
-                              sensing=config["sensing"]["mode"], **settings)
+                              sensing=mode, **settings)
         csv_name = f"{prefix}_run{index:03d}.csv"
         sidecar_name = f"{prefix}_run{index:03d}.json"
         traj.write_csv(out_dir / csv_name)

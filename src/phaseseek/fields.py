@@ -79,14 +79,22 @@ def write_json(path, payload):
 
 
 @functools.lru_cache(maxsize=32)
+def _offsets(n, period):
+    """k * period / n for k = 0..n-1: a window from t0 samples at
+    t0 + _offsets(n, period). Cached and shared, so it is read-only."""
+    offsets = np.arange(n) * (period / n)
+    offsets.flags.writeable = False
+    return offsets
+
+
+@functools.lru_cache(maxsize=32)
 def _twiddle(n, period):
     """exp(-i * omega1 * t_k) for t_k = k * period / n, k = 0..n-1.
 
     Cached per (n, period) and shared by every caller, so it is read-only.
     """
     omega1 = TWO_PI / period
-    t = np.arange(n) * (period / n)
-    twiddle = np.exp(-1j * omega1 * t)
+    twiddle = np.exp(-1j * omega1 * _offsets(n, period))
     twiddle.flags.writeable = False
     return twiddle
 
@@ -127,12 +135,20 @@ class SpectralTruth:
 
 
 class Field(ABC):
-    """Abstract time-periodic scalar field."""
+    """Abstract time-periodic scalar field.
+
+    Its domain is the rectangle bounds, edges included. in_domain and
+    agent.simulate both read bounds, and simulate never calls in_domain:
+    a field limits its domain by setting bounds, and overriding in_domain
+    does not change where a run ends.
+    """
 
     #: temporal period T > 0
     period: float
     #: whether analytic_spectra() is available
     has_analytic_spectra: bool = False
+    #: the domain rectangle (x0, y0, x1, y1), or None for the whole plane
+    bounds: tuple | None = None
 
     @abstractmethod
     def eval(self, x, t):
@@ -144,11 +160,9 @@ class Field(ABC):
         Row i holds f(points[i], t0 + j*T/n) for j = 0..n-1. Subclasses
         vectorise this; each row must not depend on the other points.
         """
-        step = self.period / n
-        return np.array(
-            [[self.eval(x, t0 + j * step) for j in range(n)] for x in points],
-            dtype=float,
-        ).reshape(len(points), n)
+        times = (t0 + _offsets(n, self.period)).tolist()
+        return np.array([[self.eval(x, t) for t in times] for x in points],
+                        dtype=float).reshape(len(points), n)
 
     def eval_window(self, x, t0, n):
         """Sample one period: f(x, t0 + k*T/n) for k = 0..n-1."""
@@ -181,8 +195,12 @@ class Field(ABC):
         return truth.m, float(truth.grad_phi[0]), float(truth.grad_phi[1])
 
     def in_domain(self, x) -> bool:
-        """Whether x lies inside the field's valid domain."""
-        return True
+        """Whether x lies in the bounds rectangle, edges included; always
+        True when bounds is None."""
+        if self.bounds is None:
+            return True
+        x0, y0, x1, y1 = self.bounds
+        return x0 <= x[0] <= x1 and y0 <= x[1] <= y1
 
     def describe(self) -> dict:
         """Small JSON-friendly summary of the field, for run records."""
@@ -218,7 +236,7 @@ class RadialField(Field):
         # ulp, which would move windowed results
         r = [math.hypot(x[0], x[1]) for x in points]
         amp = [2.0 * math.exp(-ri / self.ell) for ri in r]
-        t = t0 + np.arange(n) * (self.period / n)
+        t = t0 + _offsets(n, self.period)
         return np.array(amp)[:, None] * np.cos(np.array(r)[:, None] - t)
 
     def analytic_mode(self, x, y):
@@ -298,7 +316,7 @@ class TravelingWaveField(Field):
         points = np.asarray(points, dtype=float)
         dx = points[:, 0] - self.base_point[0]
         dy = points[:, 1] - self.base_point[1]
-        t = t0 + np.arange(n) * (self.period / n)
+        t = t0 + _offsets(n, self.period)
         total = np.zeros((len(points), n))
         for mode in self.modes:
             phase = mode.k_vec[0] * dx + mode.k_vec[1] * dy

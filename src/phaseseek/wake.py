@@ -31,6 +31,7 @@ import numpy as np
 from .fields import (
     TWO_PI,
     Field,
+    _offsets,
     first_mode_coeffs,
     wrap_angle,
     wrap_phase,
@@ -353,12 +354,13 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
 class BundleField(Field):
     """Bilinear-in-space, periodic-linear-in-time view of a bundle.
 
-    Outside the spatial grid the signal is zero and in_domain() is False;
-    a simulation driver treats leaving the grid as a termination, not an
-    error. Queries landing exactly on a node and frame return the stored
-    value. Space is read by one bilinear rule (_bilinear) and time by one
-    frame rule (_frame). The first window_coeffs call caches the bundle's
-    first-mode map, so the bundle must not change under the field.
+    Its bounds are the grid's rectangle: outside it the signal is zero and
+    in_domain() is False, and agent.simulate treats leaving it as a
+    termination, not an error. Queries landing exactly on a node and frame
+    return the stored value. Space is read by one bilinear rule
+    (_bilinear) and time by one frame rule (_frame). The first
+    window_coeffs call caches the bundle's first-mode map, so the bundle
+    must not change under the field.
     """
 
     has_analytic_spectra = False
@@ -366,42 +368,52 @@ class BundleField(Field):
     def __init__(self, bundle):
         self.bundle = bundle
         self.period = bundle.period
-        self._x_max = bundle.x0 + bundle.dx * (bundle.nx - 1)
-        self._y_max = bundle.y0 + bundle.dy * (bundle.ny - 1)
+        self.bounds = (bundle.x0, bundle.y0,
+                       bundle.x0 + bundle.dx * (bundle.nx - 1),
+                       bundle.y0 + bundle.dy * (bundle.ny - 1))
         # what _bilinear reads, unpacked once: it runs per stencil point
-        self._cell_grid = (bundle.x0, bundle.y0, bundle.dx, bundle.dy,
-                           bundle.nx, bundle.nx - 2, bundle.ny - 2)
+        self._cell_grid = (*self.bounds, bundle.dx, bundle.dy, bundle.nx,
+                           bundle.nx - 2, bundle.ny - 2)
+        # exp(i omega dt), the turn of one frame, for _window_factor
+        self._frame_turn = cmath.exp(1j * (TWO_PI / self.period) * bundle.dt)
         # first-mode map as a flat list, x fastest, built on first use
         self._map = None
-
-    def in_domain(self, x):
-        b = self.bundle
-        return (b.x0 <= x[0] <= self._x_max) and (b.y0 <= x[1] <= self._y_max)
 
     def _bilinear(self, table, points, outside):
         """Bilinear read of a per-node table at each point: a list.
 
         table[j * nx + i] holds node (i, j)'s entry (a number or a numpy
         row); a point outside the grid reads `outside`. Cells clamp at the
-        last row and column, so the far edges read their own nodes.
+        last row and column, so the far edges read their own nodes. At a
+        point at cell fractions (fu, fv) of corner node k the read is
+        (1 - fu) * (1 - fv) * table[k] + fu * (1 - fv) * table[k + 1]
+        + (1 - fu) * fv * table[k + nx] + fu * fv * table[k + nx + 1],
+        summed in that order.
         """
-        x0, y0, dx, dy, nx, i_max, j_max = self._cell_grid
+        # per stencil point: no calls but float and floor, the bounds
+        # test inline
+        x0, y0, x1, y1, dx, dy, nx, i_max, j_max = self._cell_grid
+        floor = math.floor
         values = []
-        for x in points:
-            px, py = float(x[0]), float(x[1])
-            if not self.in_domain((px, py)):
-                values.append(outside)
+        append = values.append
+        for px, py in points:
+            px, py = float(px), float(py)
+            if not (x0 <= px <= x1 and y0 <= py <= y1):
+                append(outside)
                 continue
             u = (px - x0) / dx
             v = (py - y0) / dy
-            i0 = min(math.floor(u), i_max)
-            j0 = min(math.floor(v), j_max)
+            i0 = floor(u)
+            if i0 > i_max:
+                i0 = i_max
+            j0 = floor(v)
+            if j0 > j_max:
+                j0 = j_max
             fu, fv = u - i0, v - j0
+            gu, gv = 1 - fu, 1 - fv
             k = j0 * nx + i0
-            values.append((1 - fu) * (1 - fv) * table[k]
-                          + fu * (1 - fv) * table[k + 1]
-                          + (1 - fu) * fv * table[k + nx]
-                          + fu * fv * table[k + nx + 1])
+            append(gu * gv * table[k] + fu * gv * table[k + 1]
+                   + gu * fv * table[k + nx] + fu * fv * table[k + nx + 1])
         return values
 
     def _frame(self, t):
@@ -424,7 +436,7 @@ class BundleField(Field):
         b = self.bundle
         series = np.array(self._bilinear(b.frames.reshape(b.nt, -1).T,
                                          points, np.zeros(b.nt)))
-        k, w = self._frame(t0 + np.arange(n) * (self.period / n))
+        k, w = self._frame(t0 + _offsets(n, self.period))
         k0 = k.astype(int)
         return ((1.0 - w) * np.take(series, k0, axis=1)
                 + w * np.take(series, (k0 + 1) % b.nt, axis=1))
@@ -455,14 +467,14 @@ class BundleField(Field):
     def _window_factor(self, t0, n):
         """B(t0, n) of window_coeffs, with k_r and w_r from _frame."""
         b = self.bundle
-        period, dt = self.period, b.dt
+        period, dt, turn = self.period, b.dt, self._frame_turn
         omega = TWO_PI / period
         step = period / n
         total = 0j
         for r in range(n // b.nt):
             k, w = self._frame(t0 + r * step)
             total += (cmath.exp(1j * omega * (k * dt - r * step))
-                      * ((1.0 - w) + w * cmath.exp(1j * omega * dt)))
+                      * ((1.0 - w) + w * turn))
         return total * (b.nt / n)
 
     def describe(self):

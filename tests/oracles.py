@@ -1,9 +1,10 @@
 """Slow, independent reference computations backing the unit tests.
 
 Everything here is deliberately naive: bisection on monotone brackets,
-brute-force residual checks, closed loops that build a spectrum or a
-five-window sample object at every RK4 stage, and the reduced polar loop
-written out stage by stage. The point is to agree with the fast library
+brute-force residual checks, a bundle's bilinear read one point at a
+time, closed loops that build a spectrum or a five-window sample object
+at every RK4 stage, and the reduced polar loop written out stage by
+stage. The point is to agree with the fast library
 code without sharing any of its machinery; the closed loops share only
 the public per-stage pieces (spectra or spectral_sample, steering
 signal), and the polar loop shares nothing. All spell the gain law out
@@ -73,6 +74,33 @@ def gain_ref(law, m):
     if kind == "proportional":
         return law.g0 * m
     return law.g0 / max(m, law.m_floor)
+
+
+def bilinear_ref(bundle, table, point, outside):
+    """Bilinear read of a per-node table at one point, as BundleField
+    documents it: table[j][i] holds node (i, j); a point outside the
+    rectangle of nodes, edges included, reads `outside`.
+
+    At u = (x - x0) / dx, v = (y - y0) / dy the cell corner is
+    i = min(floor(u), nx - 2), j = min(floor(v), ny - 2), so the far
+    edges read their own nodes, and with fu = u - i, fv = v - j the read
+    is (1 - fu) * (1 - fv) * c00 + fu * (1 - fv) * c10
+    + (1 - fu) * fv * c01 + fu * fv * c11, summed in that order.
+    """
+    x, y = float(point[0]), float(point[1])
+    x_last = bundle.x0 + bundle.dx * (bundle.nx - 1)
+    y_last = bundle.y0 + bundle.dy * (bundle.ny - 1)
+    if not (bundle.x0 <= x <= x_last and bundle.y0 <= y <= y_last):
+        return outside
+    u = (x - bundle.x0) / bundle.dx
+    v = (y - bundle.y0) / bundle.dy
+    i = min(math.floor(u), bundle.nx - 2)
+    j = min(math.floor(v), bundle.ny - 2)
+    fu, fv = u - i, v - j
+    c00, c10 = table[j][i], table[j][i + 1]
+    c01, c11 = table[j + 1][i], table[j + 1][i + 1]
+    return ((1 - fu) * (1 - fv) * c00 + fu * (1 - fv) * c10
+            + (1 - fu) * fv * c01 + fu * fv * c11)
 
 
 def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,

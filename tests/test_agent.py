@@ -414,6 +414,90 @@ def test_simulate_leaves_domain():
     assert tr.x[-1] > 11.0
 
 
+# a wake with signal up to every edge: it starts at x0 = 0.0
+EDGE_WAKE = synth_wake(x0=0.0, y0=-3.0, nx=41, ny=31)
+EDGE_PAD = SensingConfig().stencil_h + 1.0 * 5e-3
+
+
+def _box_inside(x, y):
+    # the four corners x +/- pad, y +/- pad lie on the grid, edges included
+    b = EDGE_WAKE
+    x_last, y_last = b.x0 + b.dx * (b.nx - 1), b.y0 + b.dy * (b.ny - 1)
+    return all(b.x0 <= x + a * EDGE_PAD <= x_last
+               and b.y0 <= y + c * EDGE_PAD <= y_last
+               for a in (-1.0, 1.0) for c in (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("edge, heading", [
+    ("west", 0.0), ("east", math.pi), ("south", math.pi / 2),
+    ("north", -math.pi / 2)])
+def test_windowed_start_on_the_domain_edge(edge, heading):
+    # the outermost start whose stencil box lies on the grid steps, and the
+    # next float outward ends left_domain at step 0, as the oracle's
+    # four-corner rule says
+    b = EDGE_WAKE
+    x_last, y_last = b.x0 + b.dx * (b.nx - 1), b.y0 + b.dy * (b.ny - 1)
+    start = {"west": b.x0 + EDGE_PAD, "east": x_last - EDGE_PAD,
+             "south": b.y0 + EDGE_PAD, "north": y_last - EDGE_PAD}[edge]
+    outward = -math.inf if edge in ("west", "south") else math.inf
+
+    def pose(c):
+        return (c, 1.0, heading) if edge in ("west", "east") else (
+            4.0, c, heading)
+
+    while not _box_inside(*pose(start)[:2]):
+        start = math.nextafter(start, -outward)
+    while _box_inside(*pose(math.nextafter(start, outward))[:2]):
+        start = math.nextafter(start, outward)
+    if edge == "west":
+        # x0 is 0.0, so the box touches it exactly
+        assert start - EDGE_PAD == b.x0
+    field = field_from_bundle(b)
+    law = GainLaw("proportional", 0.5)
+    for c, want, rows in ((start, "t_end", 5),
+                          (math.nextafter(start, outward), "left_domain", 1)):
+        tr, termination, ref_rows = _windowed_run_and_oracle(
+            field, law, pose(c), 5e-3, 0.02, r_escape=math.inf)
+        assert tr.termination == termination == want
+        assert len(tr) == len(ref_rows) == rows
+
+
+def test_unbounded_field_is_everywhere_in_domain():
+    assert FIELD.bounds is None
+    for point in ((0.0, 0.0), (-1e300, 1e300), (math.inf, 0.0),
+                  (math.nan, math.nan)):
+        assert FIELD.in_domain(point)
+
+
+class _InDomainOverride(RadialField):
+    # a field that answers in_domain itself instead of through bounds
+    def __init__(self, ell, bounds, answer):
+        super().__init__(ell)
+        self.bounds = bounds
+        self.answer = answer
+
+    def in_domain(self, x):
+        return self.answer
+
+
+def test_simulate_reads_bounds_not_in_domain():
+    # the domain is bounds alone: simulate never asks in_domain, so an
+    # override that rejects every point does not stop an unbounded run...
+    init = AgentState(4.0, 0.0, math.pi / 2)
+    free = _InDomainOverride(6.5, None, False)
+    tr = simulate(init, free, STATIC, dt=1e-2, t_end=0.5)
+    assert tr.termination == "t_end"
+    ref = simulate(init, FIELD, STATIC, dt=1e-2, t_end=0.5)
+    assert np.array_equal(tr.x, ref.x) and np.array_equal(tr.y, ref.y)
+    # ...and one that accepts every point does not widen the bounds
+    boxed = _InDomainOverride(6.5, (3.9, -1.0, 4.1, 1.0), True)
+    tr = simulate(init, boxed, STATIC, dt=1e-2, t_end=5.0)
+    assert tr.termination == "left_domain"
+    x0, y0, x1, y1 = boxed.bounds
+    inside = [x0 <= x <= x1 and y0 <= y <= y1 for x, y in zip(tr.x, tr.y)]
+    assert all(inside[:-1]) and not inside[-1]
+
+
 def test_simulate_sensing_failure_in_dead_zone():
     # upstream of the wake the signal is identically zero but in-domain
     field = field_from_bundle(synth_wake())

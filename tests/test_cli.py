@@ -209,6 +209,29 @@ def test_simulate_rejects_non_string_config_slots(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("case", ["unknown-mode", "analytic-on-bundle"])
+def test_simulate_checks_the_sensing_mode_before_writing(tmp_path, capsys,
+                                                         case):
+    if case == "unknown-mode":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sensing": {"mode": "bogus"}}))
+        flags = ["--config", str(config), "--field", "radial", "--ell",
+                 "6.5"]
+        text = "error: unknown sensing mode 'bogus'"
+    else:
+        bundle_path = tmp_path / "wake.wavf"
+        assert main(["synth-wake", "--out", str(bundle_path)]) == 0
+        flags = ["--field", "bundle", "--bundle", str(bundle_path),
+                 "--init", "8,0,3.141592653589793", "--sensing", "analytic"]
+        text = "error: BundleField has no analytic spectra"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["simulate", *flags, "--t-end", "0.1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(text)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, text", [
     (["--field", "radial"], "error: radial field needs --ell\n"),
     (["--field", "bundle"], "error: bundle field needs --bundle\n"),

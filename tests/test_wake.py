@@ -26,6 +26,8 @@ from phaseseek import (
 )
 from phaseseek.wake import MAGIC, VERSION, _HEADER
 
+from oracles import bilinear_ref
+
 
 def _random_bundle(rng):
     nx, ny, nt = (int(rng.integers(2, 9)), int(rng.integers(2, 9)),
@@ -512,6 +514,85 @@ def test_bundle_window_coeffs_reject_short_windows():
     for n in (0, 4, 7, -8):
         with pytest.raises(ValueError):
             field.window_coeffs([(1.0, 0.0)], 0.0, n)
+
+
+def _bits(z):
+    # equal bits: both parts and their signs, so -0.0 differs from 0.0
+    z = complex(z)
+    return z.real, z.imag, bool(np.signbit(z.real)), bool(np.signbit(z.imag))
+
+
+def _edge_points(rng, bundle):
+    # random points, nodes, the far edges (where the cell clamps), the
+    # next float outside each edge and -0.0 coordinates
+    x_last = bundle.x0 + bundle.dx * (bundle.nx - 1)
+    y_last = bundle.y0 + bundle.dy * (bundle.ny - 1)
+    xs = rng.uniform(bundle.x0, x_last, 8).tolist()
+    ys = rng.uniform(bundle.y0, y_last, 8).tolist()
+    points = list(zip(xs, ys))
+    points += [(bundle.x0 + int(rng.integers(bundle.nx)) * bundle.dx,
+                bundle.y0 + int(rng.integers(bundle.ny)) * bundle.dy)
+               for _ in range(4)]
+    points += [(x_last, ys[0]), (xs[1], y_last), (x_last, y_last),
+               (bundle.x0, bundle.y0)]
+    points += [(math.nextafter(bundle.x0, -math.inf), ys[2]),
+               (math.nextafter(x_last, math.inf), ys[3]),
+               (xs[4], math.nextafter(bundle.y0, -math.inf)),
+               (xs[5], math.nextafter(y_last, math.inf))]
+    points += [(-0.0, ys[6]), (xs[7], -0.0), (-0.0, -0.0)]
+    return points
+
+
+def _edge_bundles(rng):
+    # random grids, and grids whose x0 or y0 is 0.0 or straddles 0, so
+    # that -0.0 lands on an edge or inside
+    yield from (_random_bundle(rng) for _ in range(6))
+    for x0, y0 in ((0.0, 0.0), (-0.35, 0.0), (0.0, -0.2), (-0.3, -0.45)):
+        nx, ny, nt = 5, 4, 8
+        yield GridFieldBundle(nx=nx, ny=ny, nt=nt, x0=x0, y0=y0, dx=0.1,
+                              dy=0.15, dt=0.25,
+                              frames=rng.normal(size=(nt, ny, nx)))
+
+
+def test_bundle_bilinear_read_equals_oracle_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for bundle in _edge_bundles(rng):
+        field = field_from_bundle(bundle)
+        # a complex table with signed zeros in both parts
+        parts = rng.normal(size=(2, bundle.ny, bundle.nx))
+        parts[rng.random(parts.shape) < 0.3] = 0.0
+        parts[rng.random(parts.shape) < 0.3] = -0.0
+        # cells whose four corners share a -0.0 part read -0.0 there
+        parts[0, :2], parts[1, :, :2] = -0.0, -0.0
+        table = [list(map(complex, re, im))
+                 for re, im in zip(*parts.tolist())]
+        flat = [c for row in table for c in row]
+        for _ in range(5):
+            points = _edge_points(rng, bundle)
+            got = field._bilinear(flat, points, None)
+            want = [bilinear_ref(bundle, table, p, None) for p in points]
+            assert [c is None for c in got] == [c is None for c in want]
+            assert ([_bits(c) for c in got if c is not None]
+                    == [_bits(c) for c in want if c is not None])
+
+
+def test_bundle_window_coeffs_equal_oracle_bit_for_bit():
+    # window_coeffs is B(t0, n) times the bilinear read of the first-mode
+    # map, each node's coefficient being dft_first_mode of its series
+    rng = np.random.default_rng(32)
+    for bundle in _edge_bundles(rng):
+        field = field_from_bundle(bundle)
+        table = [[dft_first_mode(bundle.frames[:, j, i], bundle.period)
+                  for i in range(bundle.nx)] for j in range(bundle.ny)]
+        for t0 in (0.0, -0.0, 0.37, 3 * bundle.dt, -7.9, 1234.5):
+            for n in (bundle.nt, 2 * bundle.nt):
+                points = _edge_points(rng, bundle)
+                factor = field._window_factor(t0, n)
+                want = [0j if c is None else factor * c for c in
+                        (bilinear_ref(bundle, table, p, None)
+                         for p in points)]
+                got = field.window_coeffs(points, t0, n)
+                assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
 def test_bundle_field_describe():

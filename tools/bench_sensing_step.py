@@ -1,6 +1,6 @@
 """Time one RK4 step of each driver and the bundle's first-mode map build.
 
-Usage: python tools/bench_sensing_step.py [SRC_DIR] [REPEATS]
+Usage: python tools/bench_sensing_step.py [SRC_DIR] [ROUNDS]
 
 Imports phaseseek from SRC_DIR (default: the src/ next to this file), so
 the same script times any checkout. It prints one JSON object:
@@ -20,38 +20,51 @@ the same script times any checkout. It prints one JSON object:
   a tree without the map);
 * spectral_grids_ms: one spectral_grids call on the synthetic wake.
 
-Each step figure is the best of REPEATS (default 5) timed runs, of 2 s
-of simulated time unless stated, divided by the run's step count, so a
-run's one-off set-up (the map build included) is spread over its steps.
-The two map figures are the best of 4 * REPEATS calls.
+Every figure is scaled as perfbench scales its workloads: the reference
+kernel is timed before the first call and after each, and
+perfbench/harness.py's scale() multiplies each call's time by REFERENCE_S
+over the median of the four kernel times nearest to it, so a figure reads
+the same on a faster or a busier machine. Each step figure is the median
+over ROUNDS (default 5) scaled runs, of 2 s of simulated time unless
+stated, divided by the run's step count, so a run's one-off set-up (the
+map build included) is spread over its steps.
+The two map figures are medians over 4 * ROUNDS scaled calls.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import sys
 import time
 import warnings
 from pathlib import Path
 
 
-def best(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def main(argv):
     here = Path(__file__).resolve().parent
     src = Path(argv[0]) if argv else here.parent / "src"
-    repeats = int(argv[1]) if len(argv) > 1 else 5
-    sys.path.insert(0, str(src))
+    rounds = int(argv[1]) if len(argv) > 1 else 5
+    # phaseseek from src, the reference kernel from this checkout's
+    # perfbench, which is only read
+    sys.path[:0] = [str(src), str(here.parent / "perfbench")]
     # the quasi-steady check warns on these starts; the timing ignores it
     warnings.simplefilter("ignore")
+    from harness import scale, time_reference
+
+    def timed(fn, calls):
+        # median over calls of fn's time, with the reference kernel timed
+        # before the first call and after each, scaled as perfbench scales
+        # its ops
+        seconds, refs = [], [time_reference()]
+        for _ in range(calls):
+            start = time.perf_counter()
+            fn()
+            seconds.append(time.perf_counter() - start)
+            refs.append(time_reference())
+        return float(statistics.median(scale(seconds, refs)))
+
     from phaseseek import (AgentState, GainLaw, PolarState, RadialField,
                            field_from_bundle, radial_m_field, simulate,
                            simulate_polar, spectral_grids, synth_wake)
@@ -83,7 +96,7 @@ def main(argv):
 
     def step_us(run):
         steps = len(run().t) - 1
-        return best(run, repeats) / steps * 1e6
+        return timed(run, rounds) / steps * 1e6
 
     result = {name: step_us(run) for name, run in (
         ("bundle_step_us", bundle_run),
@@ -95,9 +108,9 @@ def main(argv):
     from phaseseek import wake
     build = getattr(wake, "_first_mode_map", None)
     result["map_build_ms"] = (None if build is None else
-                              best(lambda: build(bundle), repeats * 4) * 1e3)
-    result["spectral_grids_ms"] = best(lambda: spectral_grids(bundle),
-                                       repeats * 4) * 1e3
+                              timed(lambda: build(bundle), rounds * 4) * 1e3)
+    result["spectral_grids_ms"] = timed(lambda: spectral_grids(bundle),
+                                        rounds * 4) * 1e3
     print(json.dumps(result, sort_keys=True))
     return 0
 
