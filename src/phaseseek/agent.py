@@ -25,18 +25,17 @@ from .fields import (
     write_float_csv,
     write_json,
 )
-# analytic_sample stays importable from this module, where perfbench's
-# tracer looks it up
-from .sensing import (  # noqa: F401
+from .sensing import (
     DegenerateMagnitudeError,
     SensingConfig,
     _stencil_mode,
     _stencil_points,
-    analytic_sample,
     check_quasi_steady,
     lateral_signal,
-    spectral_sample,
 )
+# tracer-only imports: perfbench's tracer looks these two up in this
+# module; simulate calls neither
+from .sensing import analytic_sample, spectral_sample  # noqa: F401
 
 # sensing modes
 AUTO = "auto"
@@ -144,26 +143,25 @@ def _resolve_sensing(field, mode):
 
 
 def _sensor(field, config, mode):
-    """sense(x, y, sin_theta, cos_theta, t) -> (m, s), resolved once per
-    run; it takes the heading's sine and cosine, not the heading.
+    """sense(x, y, t) -> (m, gx, gy), the sensed magnitude and phase
+    gradient as floats, resolved once per run.
 
-    A windowed stage is one field.window_coeffs call on the five stencil
-    points; an analytic stage is one field.analytic_mode call.
+    An analytic stage is one field.analytic_mode call. A windowed stage is
+    one field.window_coeffs call on the five stencil points and the
+    stencil difference of their coefficients.
     """
     if mode == WINDOWED:
         coeffs_at = field.window_coeffs
         n, h, m_floor = config.n_samples, config.stencil_h, config.m_floor
 
-        def sense(x, y, sth, cth, t):
-            coeffs = coeffs_at(_stencil_points(x, y, h), t, n)
-            m, gx, gy = _stencil_mode(coeffs, h, m_floor)
-            return m, lateral_signal(gx, gy, sth, cth)
+        def sense(x, y, t):
+            return _stencil_mode(coeffs_at(_stencil_points(x, y, h), t, n),
+                                 h, m_floor)
         return sense
     mode_at = field.analytic_mode
 
-    def sense(x, y, sth, cth, t):
-        m, gx, gy = mode_at(x, y)
-        return m, lateral_signal(gx, gy, sth, cth)
+    def sense(x, y, t):
+        return mode_at(x, y)
     return sense
 
 
@@ -280,11 +278,22 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     gain = law.closure()
 
     def deriv(t, x, y, th):
-        # the heading's trig, once per stage, serves kinematics and sensor
+        # the heading's trig, once per stage, serves kinematics and steering
         sth, cth = math.sin(th), math.cos(th)
-        m, s = sense(x, y, sth, cth, t)
+        m, gx, gy = sense(x, y, t)
+        s = lateral_signal(gx, gy, sth, cth)
         g = gain(m)
         return v * cth, v * sth, g * s, (m, s, g)
+
+    def probe(x, y, th, t):
+        """(m, s, G, |grad phi|) at a pose outside the RK4 loop, as a stage
+        senses and steers there; all NaN after a sensing fault."""
+        try:
+            m, gx, gy = sense(x, y, t)
+            return (m, lateral_signal(gx, gy, math.sin(th), math.cos(th)),
+                    gain(m), math.hypot(gx, gy))
+        except (DegenerateMagnitudeError, ValueError):
+            return math.nan, math.nan, math.nan, math.nan
 
     rho = law.rho(v)
     ell = getattr(field, "ell", None)
@@ -298,12 +307,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     pad = 0.0
     if mode == WINDOWED:
         # one-shot quasi-steady check at the initial point
-        try:
-            grad = spectral_sample(field, (init.x, init.y), init.t,
-                                   init.theta, config).grad_phi
-            check_quasi_steady(v, field.period, math.hypot(*grad))
-        except (DegenerateMagnitudeError, UndefinedDirectionError):
-            pass
+        check_quasi_steady(v, field.period,
+                           probe(init.x, init.y, init.theta, init.t)[3])
         # windowed sensing needs the whole stencil (plus one step of
         # travel) inside the domain, not just the vehicle position
         pad = config.stencil_h + v * dt
@@ -341,11 +346,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         rows.append((t, x, y, th, r, m, s, g))
         x, y, th, t = x1, y1, th1, t1
 
-    try:
-        m, s = sense(x, y, math.sin(th), math.cos(th), t)
-        g = gain(m)
-    except (DegenerateMagnitudeError, OriginSingularityError, ValueError):
-        m = s = g = math.nan
+    m, s, g, _ = probe(x, y, th, t)
     rows.append((t, x, y, th, math.hypot(x, y), m, s, g))
 
     t, x, y, th, r, m, s, g = zip(*rows)

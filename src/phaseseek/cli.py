@@ -40,6 +40,10 @@ class ConfigError(ValueError):
     """The resolved configuration cannot be run."""
 
 
+# the field kinds _build_field makes, in --field's order
+FIELD_KINDS = ("radial", "bundle")
+GAIN_KINDS = tuple(kind.value for kind in analysis.GainKind)
+
 SIM_DEFAULTS = {
     "field": {},
     "law": {"kind": "static", "g0": 0.5, "m_floor": 1e-6},
@@ -343,11 +347,10 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="run the closed loop")
     p_sim.add_argument("--config", help="JSON config file")
-    p_sim.add_argument("--field", choices=["radial", "bundle"])
+    p_sim.add_argument("--field", choices=FIELD_KINDS)
     p_sim.add_argument("--ell", type=float)
     p_sim.add_argument("--bundle", help="WAVF1 bundle path")
-    p_sim.add_argument("--gain",
-                       choices=["static", "proportional", "inverse"])
+    p_sim.add_argument("--gain", choices=GAIN_KINDS)
     p_sim.add_argument("--g0", type=float)
     p_sim.add_argument("--gain-m-floor", type=float)
     p_sim.add_argument("--v", type=float)
@@ -357,8 +360,7 @@ def build_parser():
     p_sim.add_argument("--t-end", type=float)
     p_sim.add_argument("--r-stop", type=float)
     p_sim.add_argument("--r-escape", type=float)
-    p_sim.add_argument("--sensing",
-                       choices=["auto", "analytic", "windowed"])
+    p_sim.add_argument("--sensing", choices=agent.SENSING_MODES)
     p_sim.add_argument("--n-samples", type=int)
     p_sim.add_argument("--stencil-h", type=float)
     p_sim.add_argument("--sensing-m-floor", type=float)
@@ -367,8 +369,7 @@ def build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="fixed points and Q portrait")
-    p_an.add_argument("--gain", required=True,
-                      choices=["static", "proportional", "inverse"])
+    p_an.add_argument("--gain", required=True, choices=GAIN_KINDS)
     p_an.add_argument("--rho", type=float, required=True)
     p_an.add_argument("--ell", type=float)
     p_an.add_argument("--v", type=float, default=1.0)
@@ -388,7 +389,7 @@ def build_parser():
     p_scan.set_defaults(func=cmd_scan)
 
     p_f = sub.add_parser("fields", help="spectral maps to CSV")
-    p_f.add_argument("--field", required=True, choices=["radial", "bundle"])
+    p_f.add_argument("--field", required=True, choices=FIELD_KINDS)
     p_f.add_argument("--ell", type=float)
     p_f.add_argument("--bundle")
     p_f.add_argument("--x-range", default="-15,15")

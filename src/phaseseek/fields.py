@@ -137,10 +137,9 @@ class SpectralTruth:
 class Field(ABC):
     """Abstract time-periodic scalar field.
 
-    Its domain is the rectangle bounds, edges included. in_domain and
-    agent.simulate both read bounds, and simulate never calls in_domain:
-    a field limits its domain by setting bounds, and overriding in_domain
-    does not change where a run ends.
+    Its domain is the rectangle bounds, edges included, or the whole plane
+    when bounds is None. bounds is the one domain rule: agent.simulate
+    reads it, so a subclass limits its domain by setting bounds.
     """
 
     #: temporal period T > 0
@@ -193,14 +192,6 @@ class Field(ABC):
         """
         truth = self.analytic_spectra((x, y))
         return truth.m, float(truth.grad_phi[0]), float(truth.grad_phi[1])
-
-    def in_domain(self, x) -> bool:
-        """Whether x lies in the bounds rectangle, edges included; always
-        True when bounds is None."""
-        if self.bounds is None:
-            return True
-        x0, y0, x1, y1 = self.bounds
-        return x0 <= x[0] <= x1 and y0 <= x[1] <= y1
 
     def describe(self) -> dict:
         """Small JSON-friendly summary of the field, for run records."""
@@ -272,11 +263,13 @@ class TravelingWaveMode:
     k_vec: np.ndarray
 
     def __post_init__(self):
-        if not self.omega_n > 0:
-            raise ValueError(f"omega_n must be positive, got {self.omega_n}")
         self.k_vec = np.asarray(self.k_vec, dtype=float)
         if self.k_vec.shape != (2,):
             raise ValueError("k_vec must be a 2-vector")
+        if not (0 < self.omega_n < math.inf and all(
+                map(math.isfinite, (self.alpha, self.beta, *self.k_vec)))):
+            raise ValueError("alpha, beta and k_vec must be finite and "
+                             f"omega_n finite and positive, got {self}")
 
 
 class TravelingWaveField(Field):

@@ -1,5 +1,5 @@
-"""Onboard spectral sensing: windowed single-bin DFT estimates of m, phi,
-grad phi, and the scalar steering signal s.
+"""Onboard spectral sensing: windowed single-bin DFT estimates of m, phi
+and grad phi, and the one steering formula, lateral_signal.
 
 The sensor holds still for one signal period, samples the field uniformly,
 and projects onto the first temporal mode. Phase gradients come from
@@ -8,9 +8,10 @@ the wrapped phases. spectral_sample is the reference estimator: the centre
 and the four stencil probes are one batched field evaluation
 (Field.eval_windows) and one single-bin DFT over its rows
 (first_mode_coeffs), the same kernel the gridded spectral maps use. The
-closed loop asks the field for the five coefficients directly
-(Field.window_coeffs): that is the same window DFT by default, and a read
-of the cached first-mode map for a bundle-backed field. Both paths share
+closed loop senses (m, grad phi) only: it asks the field for the five
+coefficients directly (Field.window_coeffs), which is the same window DFT
+by default and a read of the cached first-mode map for a bundle-backed
+field, and steers with lateral_signal once per stage. Both paths share
 one floor check and one wrapped stencil difference (_stencil_mode).
 """
 
@@ -128,21 +129,13 @@ def _stencil_mode(coeffs, h, m_floor):
     return m, gx, gy
 
 
-def sensory_output(grad_phi, theta):
-    """Projection of the unit phase-gradient onto the body lateral axis.
-
-    s = (grad phi / ||grad phi||) . (-sin theta, cos theta), clipped to [-1, 1]
-    against roundoff.
-    """
-    return lateral_signal(float(grad_phi[0]), float(grad_phi[1]),
-                          math.sin(theta), math.cos(theta))
-
-
 def lateral_signal(gx, gy, sin_theta, cos_theta):
-    """sensory_output on plain floats, the form called per RK4 stage.
+    """The steering signal s from the phase gradient (gx, gy) and the
+    heading's sine and cosine.
 
-    It takes the heading's sine and cosine, which a stage has already
-    computed for its kinematics.
+    s = (grad phi / ||grad phi||) . (-sin theta, cos theta), clipped to
+    [-1, 1] against roundoff, computed as the projection over the norm. A
+    zero gradient has no direction and raises UndefinedDirectionError.
     """
     norm = math.hypot(gx, gy)
     if norm == 0.0:
@@ -179,7 +172,8 @@ def spectral_sample(field, x, t0, theta, config):
 def analytic_sample(field, x, theta):
     """Idealized sample from the field's exact spectra (no windowing error)."""
     truth = field.analytic_spectra(x)
-    s = sensory_output(truth.grad_phi, theta)
+    s = lateral_signal(float(truth.grad_phi[0]), float(truth.grad_phi[1]),
+                       math.sin(theta), math.cos(theta))
     return SpectralSample(m=truth.m, phi=truth.phi, grad_phi=truth.grad_phi,
                           s=s)
 
@@ -191,8 +185,9 @@ def check_quasi_steady(speed, period, grad_norm):
     The windowed estimator assumes the sensor is effectively frozen while it
     samples; V * T small against the local wavelength 2*pi/||grad phi|| is the
     operating regime. Violation degrades the estimate but is not an error.
+    A grad_norm that is zero or NaN gives no wavelength and never warns.
     """
-    if grad_norm <= 0.0:
+    if not grad_norm > 0.0:
         return False
     wavelength = TWO_PI / grad_norm
     if speed * period > _QUASI_STEADY_FRACTION * wavelength:

@@ -354,10 +354,10 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
 class BundleField(Field):
     """Bilinear-in-space, periodic-linear-in-time view of a bundle.
 
-    Its bounds are the grid's rectangle: outside it the signal is zero and
-    in_domain() is False, and agent.simulate treats leaving it as a
-    termination, not an error. Queries landing exactly on a node and frame
-    return the stored value. Space is read by one bilinear rule
+    Its bounds are the grid's rectangle, edges included: outside it the
+    signal is zero, and agent.simulate ends a run whose stencil leaves it
+    as left_domain, not an error. Queries landing exactly on a node and
+    frame return the stored value. Space is read by one bilinear rule
     (_bilinear) and time by one frame rule (_frame). The first
     window_coeffs call caches the bundle's first-mode map, so the bundle
     must not change under the field.

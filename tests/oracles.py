@@ -6,9 +6,9 @@ time, closed loops that build a spectrum or a five-window sample object
 at every RK4 stage, and the reduced polar loop written out stage by
 stage. The point is to agree with the fast library
 code without sharing any of its machinery; the closed loops share only
-the public per-stage pieces (spectra or spectral_sample, steering
-signal), and the polar loop shares nothing. All spell the gain law out
-(gain_ref).
+the public per-stage sensing pieces (spectra or spectral_sample), and the
+polar loop shares nothing. All spell the gain law out (gain_ref), and the
+closed loops spell the steering signal out too (steer_ref).
 """
 
 import math
@@ -76,6 +76,23 @@ def gain_ref(law, m):
     return law.g0 / max(m, law.m_floor)
 
 
+def steer_ref(gx, gy, theta):
+    """Steering signal s from the phase gradient (gx, gy) at heading theta.
+
+    The gradient is projected onto the body's lateral axis
+    (-sin theta, cos theta) and divided by its norm, which normalises it
+    with the library's rounding, then clipped to [-1, 1] with min and max.
+    A zero gradient has no direction.
+    """
+    from phaseseek import UndefinedDirectionError
+
+    norm = math.hypot(gx, gy)
+    if norm == 0.0:
+        raise UndefinedDirectionError("zero phase gradient has no direction")
+    s = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
+    return min(1.0, max(-1.0, s))
+
+
 def bilinear_ref(bundle, table, point, outside):
     """Bilinear read of a per-node table at one point, as BundleField
     documents it: table[j][i] holds node (i, j); a point outside the
@@ -107,7 +124,8 @@ def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
               q_of, pad):
     """The closed loop one recorded row at a time, in TRAJECTORY_COLUMNS
     order. stage(x, y, th, t) gives the sensed (m, s); a pose steps only
-    while its four corners at +/- pad lie in the field's domain."""
+    while its four corners at +/- pad lie in field.bounds, edges included
+    (everywhere when bounds is None)."""
     from phaseseek import (DegenerateMagnitudeError, OriginSingularityError,
                            UndefinedDirectionError)
 
@@ -127,6 +145,12 @@ def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
         m, s, g = sample
         return (t, x, y, wrap(th), r, eta, psi, m, s, g, g * s, q)
 
+    def inside(px, py):
+        if field.bounds is None:
+            return True
+        x0, y0, x1, y1 = field.bounds
+        return x0 <= px <= x1 and y0 <= py <= y1
+
     x, y, th = pose
     t = 0.0
     rows = []
@@ -141,7 +165,7 @@ def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
         if r > r_escape:
             termination = "escaped"
             break
-        if not all(field.in_domain((x + a * pad, y + b * pad))
+        if not all(inside(x + a * pad, y + b * pad)
                    for a in (-1.0, 1.0) for b in (-1.0, 1.0)):
             termination = "left_domain"
             break
@@ -177,15 +201,14 @@ def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
                     q_of=None):
     """Analytic closed loop the plain way: one spectrum object per RK4 stage.
 
-    Built only from the public field.analytic_spectra and sensory_output
-    plus gain_ref. q_of(r, psi) supplies Q where one is defined. Returns
+    Built only from the public field.analytic_spectra plus steer_ref and
+    gain_ref. q_of(r, psi) supplies Q where one is defined. Returns
     (termination, rows).
     """
-    from phaseseek import sensory_output
-
     def stage(x, y, th, t):
         truth = field.analytic_spectra((x, y))
-        return truth.m, sensory_output(truth.grad_phi, th)
+        gx, gy = truth.grad_phi
+        return truth.m, steer_ref(float(gx), float(gy), th)
 
     return _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
                      q_of, pad=0.0)
@@ -194,7 +217,7 @@ def closed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
 def windowed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
                       q_of=None, config=None):
     """Windowed closed loop the plain way: one five-window spectral_sample
-    per RK4 stage, taken at the stage's time.
+    per RK4 stage, taken at the stage's time, steered by steer_ref.
 
     The pose steps only while the stencil plus one step of travel lies in
     the field's domain. Otherwise as closed_loop_ref.
@@ -205,7 +228,8 @@ def windowed_loop_ref(field, law, pose, dt, t_end, r_stop, r_escape, v=1.0,
 
     def stage(x, y, th, t):
         sample = spectral_sample(field, (x, y), t, th, config)
-        return sample.m, sample.s
+        gx, gy = sample.grad_phi
+        return sample.m, steer_ref(float(gx), float(gy), th)
 
     return _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
                      q_of, pad=config.stencil_h + v * dt)

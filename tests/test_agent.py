@@ -463,39 +463,32 @@ def test_windowed_start_on_the_domain_edge(edge, heading):
 
 
 def test_unbounded_field_is_everywhere_in_domain():
+    # bounds None is the whole plane: a run far from anything steps on
     assert FIELD.bounds is None
-    for point in ((0.0, 0.0), (-1e300, 1e300), (math.inf, 0.0),
-                  (math.nan, math.nan)):
-        assert FIELD.in_domain(point)
+    for x, y in ((1e6, -1e6), (-1e300, 1e300)):
+        tr = simulate(AgentState(x, y, 0.3), FIELD, STATIC, dt=1e-2,
+                      t_end=0.05, r_escape=math.inf)
+        assert tr.termination == "t_end"
+        assert len(tr) == 6
 
 
-class _InDomainOverride(RadialField):
-    # a field that answers in_domain itself instead of through bounds
-    def __init__(self, ell, bounds, answer):
-        super().__init__(ell)
-        self.bounds = bounds
-        self.answer = answer
-
-    def in_domain(self, x):
-        return self.answer
+class _BoxedRadial(RadialField):
+    # a plain subclass that limits its domain the one way: it sets bounds
+    bounds = (3.9, -1.0, 4.1, 1.0)
 
 
-def test_simulate_reads_bounds_not_in_domain():
-    # the domain is bounds alone: simulate never asks in_domain, so an
-    # override that rejects every point does not stop an unbounded run...
+def test_simulate_ends_left_domain_at_a_subclass_bounds():
     init = AgentState(4.0, 0.0, math.pi / 2)
-    free = _InDomainOverride(6.5, None, False)
-    tr = simulate(init, free, STATIC, dt=1e-2, t_end=0.5)
-    assert tr.termination == "t_end"
-    ref = simulate(init, FIELD, STATIC, dt=1e-2, t_end=0.5)
-    assert np.array_equal(tr.x, ref.x) and np.array_equal(tr.y, ref.y)
-    # ...and one that accepts every point does not widen the bounds
-    boxed = _InDomainOverride(6.5, (3.9, -1.0, 4.1, 1.0), True)
+    boxed = _BoxedRadial(6.5)
     tr = simulate(init, boxed, STATIC, dt=1e-2, t_end=5.0)
     assert tr.termination == "left_domain"
     x0, y0, x1, y1 = boxed.bounds
     inside = [x0 <= x <= x1 and y0 <= y <= y1 for x, y in zip(tr.x, tr.y)]
     assert all(inside[:-1]) and not inside[-1]
+    # inside the box the run has the unbounded field's bits
+    ref = simulate(init, FIELD, STATIC, dt=1e-2, t_end=5.0)
+    n = len(tr)
+    assert np.array_equal(tr.x, ref.x[:n]) and np.array_equal(tr.y, ref.y[:n])
 
 
 def test_simulate_sensing_failure_in_dead_zone():
@@ -556,6 +549,29 @@ def test_q_drift_nan_without_conserved_level(tmp_path):
 
 TRAJ_ATTRS = ("t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "gain",
               "omega", "q")
+
+@pytest.mark.parametrize("field, pose, v, sensing, warns", [
+    (FIELD, (6.5, 0.0, math.pi / 2), 1.0, "windowed", 1),
+    (FIELD, (6.5, 0.0, math.pi / 2), 1.0, "analytic", 0),
+    (FIELD, (6.5, 0.0, math.pi / 2), 0.05, "windowed", 0),
+    # the synthetic wake's all-zero upstream region: no gradient to judge
+    (field_from_bundle(synth_wake()), (-1.0, 0.0, 0.0), 1.0, "windowed", 0),
+])
+def test_quasi_steady_check_once_at_the_start_pose(field, pose, v, sensing,
+                                                   warns):
+    # V T against the local wavelength 2 pi / |grad phi| is judged once, at
+    # the start pose, and only when the run senses windows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tr = simulate(AgentState(*pose), field, STATIC, dt=1e-2, t_end=1.0,
+                      v=v, sensing=sensing)
+    assert [w.category for w in caught] == [QuasiSteadyWarning] * warns
+    if field is FIELD:
+        assert tr.termination == "t_end"
+    else:
+        assert tr.termination == "sensing_failure"
+        assert len(tr) == 1
+
 
 WAVE_MODES = [(1.0, 0.3, 1.0, (0.8, 0.1)), (0.4, -0.2, 1.0, (-0.3, 0.9)),
               (0.2, 0.1, 2.0, (0.5, 0.5))]

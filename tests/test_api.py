@@ -16,12 +16,18 @@ def test_all_has_no_duplicates_and_every_name_resolves():
     "heading_rate", "sample_window", "synth_traveling_field",
     "radial_spectral_truth", "radial_field_eval", "RadialFieldParams", "step",
     "lambert_w0", "lambert_wm1", "magnitude_phase", "radial_velocity",
-    "gain_value", "phase_gradient", "radial_vector_field",
+    "gain_value", "phase_gradient", "radial_vector_field", "sensory_output",
 ])
 def test_deleted_wrappers_are_gone(name):
     assert name not in phaseseek.__all__
     with pytest.raises(ImportError):
         exec(f"from phaseseek import {name}", {})
+
+
+def test_bounds_is_the_one_domain_rule():
+    # a field limits its domain by setting bounds; no second rule exists
+    assert phaseseek.Field.bounds is None
+    assert not hasattr(phaseseek.Field, "in_domain")
 
 
 def test_gain_kind_is_one_object():

@@ -237,6 +237,19 @@ def test_traveling_wave_rejects_bad_modes():
         field.analytic_spectra((1.0, 1.0))  # zero first-mode amplitude
 
 
+@pytest.mark.parametrize("slot", ["alpha", "beta", "omega_n", "k_x", "k_y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_traveling_wave_mode_rejects_non_finite(slot, bad):
+    # a non-finite mode would sense a NaN phase gradient, which steers as
+    # s = -1.0 and ends a run t_end with NaN poses
+    mode = {"alpha": 1.0, "beta": 0.0, "omega_n": 1.0, "k_x": 1.0,
+            "k_y": 0.0}
+    mode[slot] = bad
+    with pytest.raises(ValueError):
+        TravelingWaveMode(mode["alpha"], mode["beta"], mode["omega_n"],
+                          (mode["k_x"], mode["k_y"]))
+
+
 def test_alignment_error_examples():
     # gradient pointing at the source: zero error
     assert alignment_error((5.0, 0.0), (-1.0, 0.0)) == pytest.approx(0.0)

@@ -20,13 +20,12 @@ from phaseseek import (
     dft_first_mode,
     field_from_bundle,
     first_mode_coeffs,
-    sensory_output,
     spectral_sample,
     synth_wake,
     wrap_angle,
     wrap_phase,
 )
-from phaseseek.fields import _twiddle
+from phaseseek.fields import UndefinedDirectionError, _twiddle
 from phaseseek.sensing import lateral_signal
 
 
@@ -39,6 +38,12 @@ class _ZeroField(Field):
 
     def eval(self, x, t):
         return 0.0
+
+
+def _steer(grad, theta):
+    # lateral_signal at heading theta on a gradient pair or array
+    return lateral_signal(float(grad[0]), float(grad[1]), math.sin(theta),
+                          math.cos(theta))
 
 
 def test_config_validation():
@@ -161,7 +166,7 @@ def test_bundle_spectral_sample_equals_five_window_oracle():
         assert got.m == abs(centre)
         assert got.phi == phi
         assert np.array_equal(got.grad_phi, grad)
-        assert got.s == sensory_output(grad, theta)
+        assert got.s == _steer(grad, theta)
 
 
 def test_spectral_sample_matches_truth():
@@ -240,23 +245,27 @@ def test_phase_gradient_degenerate_magnitude():
         spectral_sample(_ZeroField(), (1.0, 1.0), 0.0, 0.0, SensingConfig())
 
 
-def test_sensory_output():
+def test_lateral_signal():
     grad = (-1.0, 0.0)
     # heading +y puts the gradient 90 degrees to starboard: full turn signal
-    assert sensory_output(grad, math.pi / 2) == pytest.approx(1.0)
-    assert sensory_output(grad, -math.pi / 2) == pytest.approx(-1.0)
-    assert sensory_output(grad, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert _steer(grad, math.pi / 2) == pytest.approx(1.0)
+    assert _steer(grad, -math.pi / 2) == pytest.approx(-1.0)
+    assert _steer(grad, 0.0) == pytest.approx(0.0, abs=1e-15)
     # scale invariance and clipping
-    assert sensory_output((-9.0, 0.0), math.pi / 2) == pytest.approx(1.0)
+    assert _steer((-9.0, 0.0), math.pi / 2) == pytest.approx(1.0)
     rng = np.random.default_rng(13)
     for _ in range(100):
         g = rng.uniform(-2.0, 2.0, size=2)
         if math.hypot(*g) < 1e-6:
             continue
-        s = sensory_output(g, float(rng.uniform(-math.pi, math.pi)))
+        theta = float(rng.uniform(-math.pi, math.pi))
+        s = _steer(g, theta)
         assert -1.0 <= s <= 1.0
-    with pytest.raises(ValueError):
-        sensory_output((0.0, 0.0), 0.3)
+        assert _steer(3.0 * g, theta) == pytest.approx(s, abs=1e-15)
+    # no direction: UndefinedDirectionError, a ValueError
+    for grad in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+        with pytest.raises(UndefinedDirectionError):
+            _steer(grad, 0.3)
 
 
 def test_lateral_signal_clips_like_min_max():
@@ -278,7 +287,6 @@ def test_lateral_signal_clips_like_min_max():
         want = min(1.0, max(-1.0, raw))
         assert got == want
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert sensory_output(np.array([gx, gy]), theta) == got
 
 
 def test_analytic_sample_matches_truth_exactly():
@@ -287,8 +295,7 @@ def test_analytic_sample_matches_truth_exactly():
     truth = field.analytic_spectra((3.0, 0.0))
     assert sample.m == truth.m
     assert sample.phi == truth.phi
-    assert sample.s == pytest.approx(
-        sensory_output(truth.grad_phi, math.pi / 2))
+    assert sample.s == _steer(truth.grad_phi, math.pi / 2)
 
 
 def test_quasi_steady_warning():
@@ -301,3 +308,4 @@ def test_quasi_steady_warning():
         warnings.simplefilter("error")
         assert not check_quasi_steady(1.0, TWO_PI, 1e-4)
         assert not check_quasi_steady(1.0, TWO_PI, 0.0)
+        assert not check_quasi_steady(1.0, TWO_PI, math.nan)

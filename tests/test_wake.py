@@ -375,10 +375,8 @@ def test_bundle_field_linear_in_time():
 def test_bundle_field_domain():
     bundle = synth_wake()
     field = field_from_bundle(bundle)
-    assert field.in_domain((-2.0, -6.0))
-    assert field.in_domain((14.0, 6.0))
-    assert not field.in_domain((14.1, 0.0))
-    assert not field.in_domain((0.0, -6.1))
+    # the rectangle of the grid's nodes, x0 + dx (nx - 1) and so on
+    assert field.bounds == (-2.0, -6.0, 14.0, 6.0)
     assert field.eval((50.0, 50.0), 0.0) == 0.0
 
 
