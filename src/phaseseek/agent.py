@@ -9,7 +9,7 @@ sensor re-evaluated at every stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .analysis import GainKind, GainLaw  # noqa: F401
 from .fields import (
     OriginSingularityError,
     RadialField,
-    UndefinedDirectionError,
     wrap_angle,
     write_float_csv,
     write_json,
@@ -50,6 +49,10 @@ TERM_ESCAPED = "escaped"
 TERM_SENSING = "sensing_failure"
 TERM_LEFT_DOMAIN = "left_domain"
 TERM_ORIGIN = "origin_singularity"
+
+# a sensing fault, in the stage loop and at the last row: a magnitude
+# below the floor, or any ValueError raised while sensing
+_SENSING_FAULTS = (DegenerateMagnitudeError, ValueError)
 
 TRAJECTORY_COLUMNS = (
     "t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "G", "Omega", "Q"
@@ -262,8 +265,9 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
 
     Stops at t_end, on source proximity (r < r_stop), escape (r > r_escape,
     default 10x the largest of r0, rho, ell), leaving a gridded field's
-    domain, or a sensing failure (a magnitude below the floor, the origin
-    singularity, or a phase gradient with no direction). Returns a
+    domain, or a sensing failure (a magnitude below the floor, or any
+    ValueError the field raises while sensing: the origin singularity, a
+    phase gradient with no direction, or the field's own). Returns a
     Trajectory sampled every dt.
 
     Q is recorded per sample when the field is radial and the law has a
@@ -292,7 +296,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             m, gx, gy = sense(x, y, t)
             return (m, lateral_signal(gx, gy, math.sin(th), math.cos(th)),
                     gain(m), math.hypot(gx, gy))
-        except (DegenerateMagnitudeError, ValueError):
+        except _SENSING_FAULTS:
             return math.nan, math.nan, math.nan, math.nan
 
     rho = law.rho(v)
@@ -339,8 +343,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             break
         try:
             x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
-        except (DegenerateMagnitudeError, OriginSingularityError,
-                UndefinedDirectionError):
+        except _SENSING_FAULTS:
             termination = TERM_SENSING
             break
         rows.append((t, x, y, th, r, m, s, g))
@@ -363,13 +366,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             law.kind, r[defined], psi[defined], rho, ell)
     params = {
         "field": field.describe(),
-        "law": {"kind": law.kind.value, "g0": law.g0, "m_floor": law.m_floor},
-        "sensing": {
-            "mode": mode,
-            "n_samples": config.n_samples,
-            "stencil_h": config.stencil_h,
-            "m_floor": config.m_floor,
-        },
+        "law": {**asdict(law), "kind": law.kind.value},
+        "sensing": {**asdict(config), "mode": mode},
         "v": v,
         "dt": dt,
         "t_end": t_end,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -718,14 +718,7 @@ class PortraitReport:
             ),
             "classification": self.classification,
             "relative_equilibria": self.relative_equilibria,
-            "grid": {
-                "u_min": self.grid.u_min,
-                "u_max": self.grid.u_max,
-                "w_min": self.grid.w_min,
-                "w_max": self.grid.w_max,
-                "nu": self.grid.nu,
-                "nw": self.grid.nw,
-            },
+            "grid": asdict(self.grid),
         }
 
     def write_json(self, path):

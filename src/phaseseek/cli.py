@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate (closed-loop runs), analyze (fixed points and Q
-portrait), scan (saddle-node location), fields (spectral maps to CSV),
+portrait), scan (saddle-node location), fields (spectral maps to CSV:
+RadialField.spectral_grids, or wake.spectral_grids of a bundle),
 synth-wake (generate a sampled wake bundle). simulate and fields take a
 radial (--ell) or bundle (--bundle) field, built by _build_field alone.
 
@@ -9,8 +10,9 @@ simulate's configuration comes from an optional JSON file (--config)
 overlaid with command-line flags; the resolved configuration is embedded
 in the summary output so any run can be reproduced from its own records.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 sensing
-failure (one stderr line per failed run), 4 scan found no transition.
+Exit codes: 0 success, 2 configuration or validation error, 3 a run
+ended as a sensing failure (cmd_simulate writes its files and one stderr
+line per failed run), 4 scan found no transition.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import agent, analysis
-from .fields import RadialField, wrap_phase, write_json
-from .sensing import DegenerateMagnitudeError, SensingConfig
+from .fields import RadialField, write_json
+from .sensing import SensingConfig
 from .wake import (
-    SpectralGrids,
     field_from_bundle,
     load_bundle,
     save_bundle,
@@ -286,23 +287,6 @@ def cmd_scan(args):
     return 0
 
 
-def _radial_spectral_grids(ell, x_range, y_range, nx, ny):
-    xs = np.linspace(x_range[0], x_range[1], nx)
-    ys = np.linspace(y_range[0], y_range[1], ny)
-    xx, yy = np.meshgrid(xs, ys)
-    rr = np.hypot(xx, yy)
-    m = np.exp(-rr / ell)
-    phi = wrap_phase(-rr)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gx = np.where(rr > 0, -xx / rr, np.nan)
-        gy = np.where(rr > 0, -yy / rr, np.nan)
-    grad = np.stack([gx, gy], axis=-1)
-    # the gradient points at the source by construction
-    delta = np.where(rr > 0, 0.0, np.nan)
-    return SpectralGrids(x=xs, y=ys, m_grid=m, phi_grid=phi,
-                         grad_phi_grid=grad, delta_grid=delta)
-
-
 def cmd_fields(args):
     field = _build_field({"kind": args.field, "ell": args.ell,
                           "path": args.bundle})
@@ -312,8 +296,8 @@ def cmd_fields(args):
                               "--source applies to bundle maps only")
         x_range = _parse_floats(args.x_range, 2, "--x-range")
         y_range = _parse_floats(args.y_range, 2, "--y-range")
-        grids = _radial_spectral_grids(field.ell, x_range, y_range,
-                                       args.nx, args.ny)
+        grids = field.spectral_grids(np.linspace(*x_range, args.nx),
+                                     np.linspace(*y_range, args.ny))
     else:
         source = None
         if args.source is not None:
@@ -422,9 +406,6 @@ def main(argv=None):
     except analysis.NoTransitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DegenerateMagnitudeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         # ConfigError, BundleFormatError, GridPeriodError and every library
         # parameter check are ValueErrors: exit 2 is decided here only

@@ -7,9 +7,9 @@ phi(x), and the spatial phase gradient grad phi(x) whose direction encodes
 where the signal is coming from.
 
 Every module builds on this one, so it also holds the single-bin DFT
-kernel behind every first-mode estimate (first_mode_coeffs) and the two
-on-disk record formats: write_float_csv for float tables and write_json
-for JSON records.
+kernel behind every first-mode estimate (first_mode_coeffs), the
+spectral-map record (SpectralGrids) and the two on-disk record formats:
+write_float_csv for float tables and write_json for JSON records.
 """
 
 from __future__ import annotations
@@ -134,6 +134,36 @@ class SpectralTruth:
     grad_phi: np.ndarray
 
 
+@dataclass
+class SpectralGrids:
+    """First-mode spectral maps over the grid nodes (x[i], y[j]), measured
+    (wake.spectral_grids) or exact (RadialField.spectral_grids).
+
+    m_grid and phi_grid have shape (ny, nx); grad_phi_grid stacks the two
+    gradient components as (ny, nx, 2). delta_grid (alignment error
+    against a known source) is present only when a source is known. Nodes
+    with no phase gradient (a magnitude below the floor, or the source
+    itself) are NaN in the gradient and delta maps.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    m_grid: np.ndarray
+    phi_grid: np.ndarray
+    grad_phi_grid: np.ndarray
+    delta_grid: np.ndarray | None = None
+
+    def write_csv(self, path):
+        """One row per node, x fastest: x,y,m,phi,gx,gy,delta."""
+        ny, nx = self.m_grid.shape
+        delta = (self.delta_grid if self.delta_grid is not None
+                 else np.full((ny, nx), math.nan))
+        write_float_csv(path, ("x", "y", "m", "phi", "gx", "gy", "delta"), (
+            np.tile(self.x, ny), np.repeat(self.y, nx), self.m_grid.ravel(),
+            self.phi_grid.ravel(), self.grad_phi_grid[..., 0].ravel(),
+            self.grad_phi_grid[..., 1].ravel(), delta.ravel()))
+
+
 class Field(ABC):
     """Abstract time-periodic scalar field.
 
@@ -241,6 +271,26 @@ class RadialField(Field):
         m, gx, gy = self.analytic_mode(x[0], x[1])
         phi = wrap_phase(-math.hypot(x[0], x[1]))
         return SpectralTruth(m=m, phi=phi, grad_phi=np.array([gx, gy]))
+
+    def spectral_grids(self, xs, ys):
+        """The exact maps over the nodes (xs[i], ys[j]): analytic_spectra
+        at each node, with delta 0, as the gradient points at the source.
+        The source node has m = 1, phi = 0 and NaN gradient and delta.
+        """
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        m, phi, delta = (np.zeros((len(ys), len(xs))) for _ in range(3))
+        grad = np.full((len(ys), len(xs), 2), math.nan)
+        for j, y in enumerate(ys.tolist()):
+            for i, x in enumerate(xs.tolist()):
+                try:
+                    truth = self.analytic_spectra((x, y))
+                except OriginSingularityError:
+                    m[j, i], delta[j, i] = 1.0, math.nan
+                    continue
+                m[j, i], phi[j, i] = truth.m, truth.phi
+                grad[j, i] = truth.grad_phi
+        return SpectralGrids(x=xs, y=ys, m_grid=m, phi_grid=phi,
+                             grad_phi_grid=grad, delta_grid=delta)
 
     def describe(self):
         return {"kind": "radial", "ell": self.ell}

@@ -111,17 +111,17 @@ def _stencil_mode(coeffs, h, m_floor):
 
     coeffs are the first-mode coefficients of the centre and of the probes
     in _STENCIL order, as Python complex numbers. Every magnitude must
-    reach m_floor, or DegenerateMagnitudeError is raised. The gradient is
-    the centred wrapped phase difference of each probe pair. Returns the
-    floats (m, gx, gy).
+    reach m_floor, or DegenerateMagnitudeError is raised; a NaN magnitude
+    does not reach it. The gradient is the centred wrapped phase
+    difference of each probe pair. Returns the floats (m, gx, gy).
     """
     centre, east, west, north, south = coeffs
     m = abs(centre)
-    weakest = min(m, abs(east), abs(west), abs(north), abs(south))
-    if weakest < m_floor:
-        raise DegenerateMagnitudeError(
-            f"magnitude {weakest:.3e} below floor {m_floor:.3e}"
-        )
+    # each one tested: min() would drop a NaN that is not its first argument
+    for a in (m, abs(east), abs(west), abs(north), abs(south)):
+        if not a >= m_floor:
+            raise DegenerateMagnitudeError(
+                f"magnitude {a:.3e} below floor {m_floor:.3e}")
     gx = wrap_angle(math.atan2(east.imag, east.real)
                     - math.atan2(west.imag, west.real)) / (2.0 * h)
     gy = wrap_angle(math.atan2(north.imag, north.real)

@@ -1,9 +1,11 @@
 """Gridded time-periodic signal bundles.
 
 Covers the WAVF1 binary container for sampled fields, a synthetic wake
-generator with known spectra, per-gridpoint first-mode spectral maps, and
-a space/time interpolating Field over a bundle that senses from its
-first-mode map.
+generator with known spectra, per-gridpoint first-mode spectral maps
+(spectral_grids, whose delta map is fields.alignment_error node by node,
+in the SpectralGrids record that fields defines and this module
+re-exports), and a space/time interpolating Field over a bundle that
+senses from its first-mode map.
 
 WAVF1 layout (little endian):
 
@@ -31,11 +33,12 @@ import numpy as np
 from .fields import (
     TWO_PI,
     Field,
+    SpectralGrids,
     _offsets,
+    alignment_error,
     first_mode_coeffs,
     wrap_angle,
     wrap_phase,
-    write_float_csv,
 )
 # dft_first_mode stays importable from this module, where perfbench's
 # tracer looks it up
@@ -226,35 +229,6 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
 # Per-gridpoint spectra
 # ----------------------------------------------------------------------
 
-@dataclass
-class SpectralGrids:
-    """First-mode spectral maps over a bundle's spatial grid.
-
-    m_grid and phi_grid have shape (ny, nx); grad_phi_grid stacks the two
-    gradient components as (ny, nx, 2). delta_grid (alignment error against
-    a known source) is present only when a source was given. Entries where
-    the magnitude sits below the floor are NaN in the gradient and delta
-    maps.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    m_grid: np.ndarray
-    phi_grid: np.ndarray
-    grad_phi_grid: np.ndarray
-    delta_grid: np.ndarray | None = None
-
-    def write_csv(self, path):
-        """One row per node, x fastest: x,y,m,phi,gx,gy,delta."""
-        ny, nx = self.m_grid.shape
-        delta = (self.delta_grid if self.delta_grid is not None
-                 else np.full((ny, nx), math.nan))
-        write_float_csv(path, ("x", "y", "m", "phi", "gx", "gy", "delta"), (
-            np.tile(self.x, ny), np.repeat(self.y, nx), self.m_grid.ravel(),
-            self.phi_grid.ravel(), self.grad_phi_grid[..., 0].ravel(),
-            self.grad_phi_grid[..., 1].ravel(), delta.ravel()))
-
-
 def _wrapped_gradient(phi, healthy, spacing):
     """Gradient of a wrapped-phase grid along its last axis, the mask of
     the entries to trust, and whether any step nears pi.
@@ -326,20 +300,16 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
 
     delta = None
     if source is not None:
-        # alignment_error at every node where it is defined: the masks and
-        # the cross and dot products in numpy, math.atan2 per node because
-        # np.arctan2 rounds differently
-        sx, sy = float(source[0]), float(source[1])
-        px, py = np.meshgrid(bundle.x_coords, bundle.y_coords)
-        ux, uy = sx - px, sy - py
-        gx, gy = grad[..., 0], grad[..., 1]
-        valid = (ok & np.isfinite(gx) & np.isfinite(gy)
-                 & ~((px == sx) & (py == sy)) & ~((gx == 0.0) & (gy == 0.0)))
-        cross = (ux * gy - uy * gx)[valid].tolist()
-        dot = (ux * gx + uy * gy)[valid].tolist()
+        # alignment_error per node (NaN for a NaN gradient); NaN where it
+        # raises, at the source node or on a zero gradient
         delta = np.full((ny, nx), np.nan)
-        delta[valid] = list(map(math.atan2, cross, dot))
-        delta[delta == -math.pi] = math.pi
+        xs, ys, g = (bundle.x_coords.tolist(), bundle.y_coords.tolist(),
+                     grad.tolist())
+        for j, i in np.ndindex(ny, nx):
+            try:
+                delta[j, i] = alignment_error((xs[i], ys[j]), g[j][i], source)
+            except ValueError:
+                pass
 
     return SpectralGrids(
         x=bundle.x_coords, y=bundle.y_coords, m_grid=m, phi_grid=phi,

@@ -126,8 +126,11 @@ def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
     order. stage(x, y, th, t) gives the sensed (m, s); a pose steps only
     while its four corners at +/- pad lie in field.bounds, edges included
     (everywhere when bounds is None)."""
-    from phaseseek import (DegenerateMagnitudeError, OriginSingularityError,
-                           UndefinedDirectionError)
+    from phaseseek import DegenerateMagnitudeError
+
+    # a sensing fault: a magnitude below the floor, or any ValueError the
+    # field raises while sensing
+    faults = (DegenerateMagnitudeError, ValueError)
 
     def deriv(x, y, th, t):
         m, s = stage(x, y, th, t)
@@ -180,8 +183,7 @@ def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
                           th + 0.5 * dt * k2[2], t + 0.5 * dt)
             k4, _ = deriv(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2],
                           t + dt)
-        except (DegenerateMagnitudeError, OriginSingularityError,
-                UndefinedDirectionError):
+        except faults:
             termination = "sensing_failure"
             break
         rows.append(row(t, x, y, th, sample))
@@ -191,7 +193,7 @@ def _loop_ref(stage, field, law, pose, dt, t_end, r_stop, r_escape, v,
         t = t + dt
     try:
         _, sample = deriv(x, y, th, t)
-    except (ValueError, DegenerateMagnitudeError):
+    except faults:
         sample = (math.nan, math.nan, math.nan)
     rows.append(row(t, x, y, th, sample))
     return termination, rows

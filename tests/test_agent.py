@@ -671,6 +671,29 @@ def test_sensing_failure_mid_step_matches_oracle():
     assert tr.x[-1] >= 0.5
 
 
+class _FaultyRadial(RadialField):
+    """The radial field, whose analytic_mode raises a plain ValueError
+    left of x = 2."""
+
+    def analytic_mode(self, x, y):
+        if x < 2.0:
+            raise ValueError("no model left of x = 2")
+        return super().analytic_mode(x, y)
+
+
+def test_any_value_error_while_sensing_is_a_sensing_failure():
+    # a ValueError of the field's own ends the run by name, like the
+    # origin singularity; it does not escape the driver mid-run
+    tr = _assert_matches_oracle(_FaultyRadial(6.5), STATIC,
+                                (4.0, 0.0, math.pi), 1e-2, 5.0)
+    assert tr.termination == "sensing_failure"
+    assert len(tr) == 201
+    for col in (tr.x, tr.y, tr.theta, tr.r, tr.q):
+        assert np.isfinite(col).all()
+    for col in (tr.m, tr.s, tr.gain, tr.omega):
+        assert np.isfinite(col[:-1]).all()
+
+
 def _windowed_run_and_oracle(field, law, pose, dt, t_end, r_stop=0.05,
                              r_escape=50.0):
     tr = _quiet_simulate(AgentState(*pose), field, law, dt=dt, t_end=t_end,

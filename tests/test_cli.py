@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseseek import QuasiSteadyWarning, analysis, load_bundle
+from phaseseek import QuasiSteadyWarning, RadialField, analysis, load_bundle
 from phaseseek.cli import SIM_FLAGS, WAKE_DEFAULTS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -404,6 +404,27 @@ def test_fields_radial(tmp_path):
                  str(tmp_path / "x.csv")]) == 2  # ell missing
 
 
+def test_fields_radial_map_is_the_fields_own_spectra(tmp_path):
+    # the README map: every node is RadialField.analytic_spectra, bit for
+    # bit, with delta 0; the source node has m = 1, phi = 0 and no gradient
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "radial", "--ell", "6.5",
+                 "--out", str(out)]) == 0
+    field = RadialField(6.5)
+    rows = [[float(c) for c in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    nodes = np.linspace(-15.0, 15.0, 101).tolist()
+    assert [row[:2] for row in rows] == [[x, y] for y in nodes for x in nodes]
+    for x, y, m, phi, gx, gy, delta in rows:
+        if x == 0.0 and y == 0.0:
+            assert (m, phi) == (1.0, 0.0)
+            assert math.isnan(gx) and math.isnan(gy) and math.isnan(delta)
+            continue
+        truth = field.analytic_spectra((x, y))
+        assert (m, phi, gx, gy, delta) == (truth.m, truth.phi,
+                                           *truth.grad_phi, 0.0)
+
+
 def test_fields_radial_rejects_a_source(tmp_path, capsys):
     # the radial map's delta is measured against the origin; a --source
     # elsewhere would be ignored and the map quietly wrong
@@ -468,11 +489,16 @@ def test_flag_tables_cover_the_parsers():
         assert type(wake_args[key]) is type(default)
 
 
-def test_readme_outputs_runs_every_readme_command():
+def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "readme_outputs", ROOT / "tools" / "readme_outputs.py")
+        name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_readme_outputs_runs_every_readme_command():
+    tool = _load_tool("readme_outputs")
     readme = (ROOT / "README.md").read_text()
     commands = [
         " ".join(line.split())
@@ -482,3 +508,36 @@ def test_readme_outputs_runs_every_readme_command():
     ]
     # same commands in the same order: the README runs top to bottom
     assert commands == [c for _, c in tool.COMMANDS]
+
+
+def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
+    tool = _load_tool("csv_moves")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "sub").mkdir(parents=True)
+    (old / "sub" / "a.csv").write_text(
+        "x,m,phi\n1.0,0.5,-0.0\n2.0,0.25,3.0\n3.0,nan,1.0\n")
+    (new / "sub" / "a.csv").write_text(
+        "x,m,phi\n1.0,0.5,0.0\n2.0,0.26,3.0\n3.0,0.5,1.5\n")
+    for root in (old, new):
+        (root / "same.csv").write_text("x\n1.0\n")
+    (old / "report.json").write_text("{}\n")
+    (new / "report.json").write_text("{ }\n")
+    (old / "gone.csv").write_text("x\n1.0\n")
+    (new / "rows.csv").write_text("x\n1.0\n")
+    (old / "rows.csv").write_text("x\n1.0\n2.0\n")
+
+    assert tool.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {old}: gone.csv",
+        "differs: report.json",
+        "differs: rows.csv",
+        "sub/a.csv: column moved max_abs max_rel",
+        "  m 2 inf inf",
+        "  phi 2 0.5 0.5",
+    ]
+    moves = tool.column_moves(old / "sub" / "a.csv", new / "sub" / "a.csv")
+    # a NaN on one side differs by inf, more than 0.25 -> 0.26
+    assert moves == {"m": (2, math.inf, math.inf), "phi": (2, 0.5, 0.5)}
+    assert tool.compare(old / "sub", old / "sub") == []
+    assert tool.main([str(old / "sub"), str(old / "sub")]) == 0

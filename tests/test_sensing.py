@@ -26,7 +26,7 @@ from phaseseek import (
     wrap_phase,
 )
 from phaseseek.fields import UndefinedDirectionError, _twiddle
-from phaseseek.sensing import lateral_signal
+from phaseseek.sensing import _stencil_mode, lateral_signal
 
 
 class _ZeroField(Field):
@@ -243,6 +243,19 @@ def test_phase_gradient_degenerate_magnitude():
                            SensingConfig()).m > 0
     with pytest.raises(DegenerateMagnitudeError):
         spectral_sample(_ZeroField(), (1.0, 1.0), 0.0, 0.0, SensingConfig())
+
+
+@pytest.mark.parametrize("nan_at", range(5))
+def test_a_nan_magnitude_is_degenerate(nan_at):
+    # a NaN centre or probe fails the floor like a silent one; min() would
+    # drop a NaN that is not its first argument and steer a full hard turn
+    coeffs = [1.0, 1.0, 1j, 1.0, 1.0]
+    coeffs[nan_at] = math.nan
+    with pytest.raises(DegenerateMagnitudeError, match="nan below floor"):
+        _stencil_mode(coeffs, 0.01, 1e-9)
+    coeffs[nan_at] = complex(math.nan, 1.0)
+    with pytest.raises(DegenerateMagnitudeError):
+        _stencil_mode(coeffs, 0.01, 1e-9)
 
 
 def test_lateral_signal():

@@ -1,0 +1,105 @@
+"""List the values that moved between two output trees.
+
+Usage: python tools/csv_moves.py OLD_DIR NEW_DIR
+
+Compares every file under OLD_DIR with the file at the same relative path
+under NEW_DIR. For each CSV whose bytes differ it prints one line per
+column that holds moved values: the column, how many values moved, and
+the largest absolute and relative difference, |new - old| and
+|new - old| / |old|. A value moved when its spelling changed, so a
+-0.0 that became 0.0 counts, with difference 0. A NaN on one side only
+and a value that is not a number differ by inf. Other files that differ,
+files on one side only and CSVs whose header or row count changed are
+listed by name. Exits 0 when the two trees hold the same bytes and 1
+otherwise, so a byte-identical check can run it after ``diff -r`` to
+say what moved.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import math
+import sys
+from pathlib import Path
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.is_file()}
+
+
+def _difference(old, new):
+    """(abs, rel) difference of two spellings of a number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf, math.inf
+    if math.isnan(a) or math.isnan(b):
+        return ((0.0, 0.0) if math.isnan(a) and math.isnan(b)
+                else (math.inf, math.inf))
+    diff = abs(b - a)
+    if diff == 0.0:
+        return 0.0, 0.0
+    return diff, diff / abs(a) if a != 0.0 else math.inf
+
+
+def column_moves(old_path, new_path):
+    """{column: (moved, max_abs, max_rel)} for the columns with a moved
+    value, or None when the header or the row count changed."""
+    old_lines = Path(old_path).read_text().splitlines()
+    new_lines = Path(new_path).read_text().splitlines()
+    if (len(old_lines) != len(new_lines) or not old_lines
+            or old_lines[0] != new_lines[0]):
+        return None
+    header = old_lines[0].split(",")
+    moves = {}
+    for old_line, new_line in zip(old_lines[1:], new_lines[1:]):
+        if old_line == new_line:
+            continue
+        old_row, new_row = old_line.split(","), new_line.split(",")
+        if len(old_row) != len(header) or len(new_row) != len(header):
+            return None
+        for name, old, new in zip(header, old_row, new_row):
+            if old != new:
+                moved, max_abs, max_rel = moves.get(name, (0, 0.0, 0.0))
+                d_abs, d_rel = _difference(old, new)
+                moves[name] = (moved + 1, max(max_abs, d_abs),
+                               max(max_rel, d_rel))
+    return {name: moves[name] for name in header if name in moves}
+
+
+def compare(old_dir, new_dir):
+    """The report lines for two trees; empty when their bytes agree."""
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    old_files, new_files = _files(old_dir), _files(new_dir)
+    lines = [f"only in {old_dir}: {name}"
+             for name in sorted(old_files - new_files)]
+    lines += [f"only in {new_dir}: {name}"
+              for name in sorted(new_files - old_files)]
+    for name in sorted(old_files & new_files):
+        old, new = old_dir / name, new_dir / name
+        if filecmp.cmp(old, new, shallow=False):
+            continue
+        moves = column_moves(old, new) if name.endswith(".csv") else None
+        if moves is None:
+            lines.append(f"differs: {name}")
+            continue
+        lines.append(f"{name}: column moved max_abs max_rel")
+        lines += [f"  {column} {moved} {max_abs:.2g} {max_rel:.2g}"
+                  for column, (moved, max_abs, max_rel) in moves.items()]
+    return lines
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tools/csv_moves.py OLD_DIR NEW_DIR",
+              file=sys.stderr)
+        return 2
+    lines = compare(*argv)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
