@@ -267,8 +267,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     default 10x the largest of r0, rho, ell), leaving a gridded field's
     domain, or a sensing failure (a magnitude below the floor, or any
     ValueError the field raises while sensing: the origin singularity, a
-    phase gradient with no direction, or the field's own). Returns a
-    Trajectory sampled every dt.
+    phase gradient with no direction (zero, infinite or NaN), or the
+    field's own). Returns a Trajectory sampled every dt.
 
     Q is recorded per sample when the field is radial and the law has a
     finite turning radius; it is NaN otherwise. Non-finite or out-of-range

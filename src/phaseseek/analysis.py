@@ -568,45 +568,23 @@ def radial_bounds(kind, q, rho, ell=None):
     return RadialBounds(CONDITIONAL, r_min, r_max)
 
 
-def bifurcation_scan(rho, ell_min, ell_max, step=0.1, refine_tol=1e-9):
-    """Locate the ell at which proportional-gain fixed points appear.
+def bifurcation_scan(rho, ell_min, ell_max):
+    """The ell at which proportional-gain fixed points appear, rho e.
 
-    Walks ell over [ell_min, ell_max] in the given step, finds the first
-    interval where the fixed-point count changes, and bisects it down to
-    refine_tol. Raises NoTransitionError when the count never changes.
+    The convergence ladder decides the fixed-point count in closed form,
+    and it is monotone in ell, so the count changes over [ell_min, ell_max]
+    exactly when the ladder reads "divergent" at ell_min and not at
+    ell_max. Returns rho * e then; raises NoTransitionError otherwise.
     """
     if not ell_min < ell_max:
         raise ValueError("need ell_min < ell_max")
-    if not step > 0:
-        raise ValueError("step must be positive")
-
-    def has_points(ell):
-        return len(fixed_points(GainKind.PROPORTIONAL, rho, ell)) > 0
-
-    grid = [ell_min]
-    while grid[-1] < ell_max:
-        grid.append(min(grid[-1] + step, ell_max))
-    flags = [has_points(ell) for ell in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if flags[i] != flags[i + 1]:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    kind = _params(GainKind.PROPORTIONAL, rho, ell_min)
+    if not (_regime(kind, rho, ell_min) == DIVERGENT
+            and _regime(kind, rho, ell_max) != DIVERGENT):
         raise NoTransitionError(
             f"fixed-point count is constant over [{ell_min}, {ell_max}]"
         )
-    lo, hi = bracket
-    lo_flag = has_points(lo)
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if has_points(mid) == lo_flag:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return rho * math.e
 
 
 # ----------------------------------------------------------------------
@@ -615,8 +593,8 @@ def bifurcation_scan(rho, ell_min, ell_max, step=0.1, refine_tol=1e-9):
 
 def _regime(kind, rho, ell):
     """The convergence class a gain law gives every orbit alike, and the
-    one place ell is compared with rho e: fixed_points, critical_q and
-    radial_bounds read it.
+    one place ell is compared with rho e: fixed_points, critical_q,
+    radial_bounds and bifurcation_scan read it.
 
     "unconditional" for static and inverse gain; for proportional gain
     "indeterminate" within 1e-9 of ell = rho e (where fixed_points finds

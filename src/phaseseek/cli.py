@@ -253,7 +253,8 @@ def cmd_analyze(args):
         values = _parse_floats(args.grid, 6, "--grid")
         grid = analysis.PortraitGrid(
             u_min=values[0], u_max=values[1], w_min=values[2],
-            w_max=values[3], nu=int(values[4]), nw=int(values[5]),
+            w_max=values[3], nu=_number(values[4], "--grid nu", whole=True),
+            nw=_number(values[5], "--grid nw", whole=True),
         )
     report = analysis.portrait(args.gain, args.rho, args.ell, v=args.v,
                                grid=grid)
@@ -269,10 +270,8 @@ def cmd_analyze(args):
 
 
 def cmd_scan(args):
-    ell_critical = analysis.bifurcation_scan(
-        args.rho, args.ell_min, args.ell_max, step=args.step,
-        refine_tol=args.refine_tol,
-    )
+    ell_critical = analysis.bifurcation_scan(args.rho, args.ell_min,
+                                             args.ell_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.prefix}_scan.json"
@@ -280,7 +279,6 @@ def cmd_scan(args):
         "rho": args.rho,
         "ell_min": args.ell_min,
         "ell_max": args.ell_max,
-        "step": args.step,
         "ell_critical": ell_critical,
     })
     print(path)
@@ -362,12 +360,10 @@ def build_parser():
     p_an.add_argument("--prefix", default="portrait")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_scan = sub.add_parser("scan", help="locate the saddle-node threshold")
+    p_scan = sub.add_parser("scan", help="the saddle-node threshold rho e")
     p_scan.add_argument("--rho", type=float, required=True)
     p_scan.add_argument("--ell-min", type=float, required=True)
     p_scan.add_argument("--ell-max", type=float, required=True)
-    p_scan.add_argument("--step", type=float, default=0.1)
-    p_scan.add_argument("--refine-tol", type=float, default=1e-9)
     p_scan.add_argument("--out", default=".")
     p_scan.add_argument("--prefix", default="bifurcation")
     p_scan.set_defaults(func=cmd_scan)

@@ -92,6 +92,9 @@ def dft_first_mode(series, period):
     return complex(first_mode_coeffs(series[np.newaxis], period)[0])
 
 
+# a module name, so lateral_signal's per-stage test needs no attribute lookup
+_INF = math.inf
+
 # largest share of the local wavelength the sensor may cross per window
 _QUASI_STEADY_FRACTION = 0.1
 
@@ -135,11 +138,14 @@ def lateral_signal(gx, gy, sin_theta, cos_theta):
 
     s = (grad phi / ||grad phi||) . (-sin theta, cos theta), clipped to
     [-1, 1] against roundoff, computed as the projection over the norm. A
-    zero gradient has no direction and raises UndefinedDirectionError.
+    gradient whose norm is zero, infinite or NaN has no direction and
+    raises UndefinedDirectionError.
     """
     norm = math.hypot(gx, gy)
-    if norm == 0.0:
-        raise UndefinedDirectionError("zero phase gradient has no direction")
+    # phrased so that a NaN norm fails it
+    if not 0.0 < norm < _INF:
+        raise UndefinedDirectionError(
+            f"phase gradient ({gx:.3g}, {gy:.3g}) has no direction")
     s = (-gx * sin_theta + gy * cos_theta) / norm
     # min(1.0, max(-1.0, s)) without two calls; NaN still maps to -1.0
     return s if -1.0 < s < 1.0 else 1.0 if s >= 1.0 else -1.0

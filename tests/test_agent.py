@@ -694,6 +694,44 @@ def test_any_value_error_while_sensing_is_a_sensing_failure():
         assert np.isfinite(col[:-1]).all()
 
 
+class _NanRadial(RadialField):
+    """The radial field, whose analytic_mode reads NaN left of x = 2."""
+
+    def analytic_mode(self, x, y):
+        if x < 2.0:
+            return math.nan, math.nan, math.nan
+        return super().analytic_mode(x, y)
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+def test_a_nan_phase_gradient_is_a_sensing_failure(kind):
+    # a NaN gradient once steered a full hard turn, or carried NaN into
+    # the pose, and the run ended t_end
+    tr = simulate(AgentState(4.0, 0.0, math.pi), _NanRadial(6.5),
+                  GainLaw(kind, 0.5), dt=1e-2, t_end=20.0)
+    assert tr.termination == "sensing_failure"
+    assert len(tr) == 201
+    for col in (tr.x, tr.y, tr.theta, tr.m, tr.s, tr.gain):
+        assert np.isfinite(col[:-1]).all()
+
+
+class _InfiniteProbe(RadialField):
+    """The radial field, whose +x stencil probe reads a coefficient of
+    infinite magnitude and NaN phase, so the magnitudes pass the floor
+    and the gradient's x part is NaN."""
+
+    def window_coeffs(self, points, t0, n):
+        return [1, complex(math.inf, math.nan), 1j, 1, 1]
+
+
+def test_a_non_finite_windowed_gradient_is_a_sensing_failure():
+    tr = _quiet_simulate(AgentState(4.0, 0.0, math.pi), _InfiniteProbe(6.5),
+                         STATIC, dt=1e-2, t_end=1.0, sensing="windowed")
+    assert tr.termination == "sensing_failure"
+    assert len(tr) == 1
+    assert math.isnan(tr.s[0])
+
+
 def _windowed_run_and_oracle(field, law, pose, dt, t_end, r_stop=0.05,
                              r_escape=50.0):
     tr = _quiet_simulate(AgentState(*pose), field, law, dt=dt, t_end=t_end,

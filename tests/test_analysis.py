@@ -474,19 +474,28 @@ def test_bounds_match_lambert_inversion():
 # ----------------------------------------------------------------------
 
 def test_bifurcation_scan_finds_rho_e():
-    got = bifurcation_scan(2.0, 4.0, 7.0)
-    assert got == pytest.approx(2.0 * math.e, abs=1e-6)
-    got = bifurcation_scan(1.0, 2.0, 4.0)
-    assert got == pytest.approx(math.e, abs=1e-6)
+    # the threshold is the ladder's rho e exactly, not a search's estimate
+    for rho, ell_min, ell_max in [
+        (2.0, 4.0, 7.0),
+        (1.0, 2.0, 4.0),
+        (0.3, 0.5, 1.5),
+        # an ell_max inside the 1e-9 band below rho e already has the
+        # degenerate pair, so the count changes
+        (2.0, 4.0, 2.0 * math.e - 5e-10),
+    ]:
+        assert bifurcation_scan(rho, ell_min, ell_max) == rho * math.e
 
 
 def test_bifurcation_scan_no_transition():
     with pytest.raises(NoTransitionError):
         bifurcation_scan(2.0, 6.0, 7.0)  # already above threshold everywhere
+    with pytest.raises(NoTransitionError):
+        bifurcation_scan(2.0, 4.0, 5.0)  # below it everywhere
+    with pytest.raises(NoTransitionError):
+        # the degenerate pair at ell_min: points exist over the whole range
+        bifurcation_scan(2.0, 2.0 * math.e - 5e-10, 7.0)
     with pytest.raises(ValueError):
         bifurcation_scan(2.0, 7.0, 6.0)
-    with pytest.raises(ValueError):
-        bifurcation_scan(2.0, 4.0, 7.0, step=0.0)
 
 
 # ----------------------------------------------------------------------

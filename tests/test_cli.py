@@ -2,16 +2,33 @@
 
 import filecmp
 import importlib.util
+import inspect
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phaseseek import QuasiSteadyWarning, RadialField, analysis, load_bundle
-from phaseseek.cli import SIM_FLAGS, WAKE_DEFAULTS, build_parser, main
+from phaseseek import (
+    QuasiSteadyWarning,
+    RadialField,
+    SensingConfig,
+    agent,
+    analysis,
+    load_bundle,
+    spectral_grids,
+    synth_wake,
+)
+from phaseseek.cli import (
+    SIM_DEFAULTS,
+    SIM_FLAGS,
+    WAKE_DEFAULTS,
+    build_parser,
+    main,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -367,12 +384,35 @@ def test_analyze_rejects_a_nonpositive_speed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("slot, grid", [
+    ("--grid nu", "--grid=-12,12,-12,12,10.7,5"),
+    ("--grid nu", "--grid=-12,12,-12,12,inf,5"),
+    ("--grid nw", "--grid=-12,12,-12,12,10,5.5"),
+])
+def test_analyze_grid_counts_are_whole_numbers(tmp_path, capsys, slot, grid):
+    out = tmp_path / "reports"
+    assert main(["analyze", "--gain", "static", "--rho", "2", grid,
+                 "--out", str(out)]) == 2
+    assert f"{slot} must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_finds_threshold(tmp_path):
     code = main(["scan", "--rho", "2.0", "--ell-min", "4.0",
                  "--ell-max", "7.0", "--out", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "bifurcation_scan.json").read_text())
-    assert payload["ell_critical"] == pytest.approx(2.0 * math.e, abs=1e-6)
+    assert payload == {"rho": 2.0, "ell_min": 4.0, "ell_max": 7.0,
+                       "ell_critical": 2.0 * math.e}
+
+
+@pytest.mark.parametrize("flag", ["--step", "--refine-tol"])
+def test_scan_has_no_search_flags(tmp_path, flag):
+    # the threshold is read from the convergence ladder, not searched for
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--rho", "2.0", "--ell-min", "4.0", "--ell-max",
+              "7.0", flag, "0.1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_scan_without_transition_fails(tmp_path):
@@ -489,6 +529,35 @@ def test_flag_tables_cover_the_parsers():
         assert type(wake_args[key]) is type(default)
 
 
+def _defaults(fn):
+    return {name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_cli_defaults_restate_the_librarys():
+    # the CLI restates these library defaults; each must still match
+    sim = _defaults(agent.simulate)
+    integration = SIM_DEFAULTS["integration"]
+    assert {key: sim[key] for key in integration} == integration
+    assert sim["v"] == SIM_DEFAULTS["agent"]["v"]
+    sensing = dict(SIM_DEFAULTS["sensing"])
+    assert sim["sensing"] == sensing.pop("mode")
+    assert sensing == asdict(SensingConfig())
+    assert _defaults(analysis.GainLaw)["m_floor"] == \
+        SIM_DEFAULTS["law"]["m_floor"]
+    wake = _defaults(synth_wake)
+    for key, default in WAKE_DEFAULTS.items():
+        assert wake[key] == default and type(wake[key]) is type(default)
+    parser = build_parser()
+    fields_args = parser.parse_args(["fields", "--field", "radial",
+                                     "--out", "m.csv"])
+    assert fields_args.m_floor == _defaults(spectral_grids)["m_floor"]
+    analyze_args = parser.parse_args(["analyze", "--gain", "static",
+                                      "--rho", "2"])
+    assert analyze_args.v == _defaults(analysis.portrait)["v"]
+
+
 def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
         name, ROOT / "tools" / f"{name}.py")
@@ -523,6 +592,13 @@ def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
         (root / "same.csv").write_text("x\n1.0\n")
     (old / "report.json").write_text("{}\n")
     (new / "report.json").write_text("{ }\n")
+    (old / "scan.json").write_text(json.dumps(
+        {"rho": 2.0, "step": 0.1, "ell_critical": 5.436563656106587,
+         "runs": [{"t": 1, "r": [1.0, 2.0]}], "nan": math.nan}))
+    (new / "scan.json").write_text(json.dumps(
+        {"rho": 2.0, "ell_critical": 5.43656365691809,
+         "runs": [{"t": 1.0, "r": [1.0]}, {}], "nan": math.nan,
+         "extra": None}))
     (old / "gone.csv").write_text("x\n1.0\n")
     (new / "rows.csv").write_text("x\n1.0\n")
     (old / "rows.csv").write_text("x\n1.0\n2.0\n")
@@ -532,6 +608,13 @@ def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
         f"only in {old}: gone.csv",
         "differs: report.json",
         "differs: rows.csv",
+        "scan.json: moved keys",
+        "  step: only in old, 0.1",
+        "  ell_critical: 5.436563656106587 -> 5.43656365691809",
+        "  runs[0].t: 1 -> 1.0",
+        "  runs[0].r[1]: only in old, 2.0",
+        "  runs[1]: only in new, {}",
+        "  extra: only in new, null",
         "sub/a.csv: column moved max_abs max_rel",
         "  m 2 inf inf",
         "  phi 2 0.5 0.5",

@@ -283,7 +283,8 @@ def test_lateral_signal():
 
 def test_lateral_signal_clips_like_min_max():
     # the chained-comparison clip must agree with min(1, max(-1, s)) on
-    # every float, NaN and signed zeros included
+    # every float, NaN and signed zeros included; a gradient whose norm is
+    # zero, infinite or NaN has no direction
     rng = np.random.default_rng(17)
     cases = [((-1.0, 0.0), math.pi / 2), ((0.0, 1.0), 0.0),
              ((0.0, -0.0), 0.0), ((-0.0, 3.0), math.pi / 2),
@@ -293,7 +294,9 @@ def test_lateral_signal_clips_like_min_max():
                float(rng.uniform(-10.0, 10.0))) for _ in range(2000)]
     for (gx, gy), theta in cases:
         norm = math.hypot(gx, gy)
-        if norm == 0.0:
+        if not 0.0 < norm < math.inf:
+            with pytest.raises(UndefinedDirectionError):
+                lateral_signal(gx, gy, math.sin(theta), math.cos(theta))
             continue
         raw = (-gx * math.sin(theta) + gy * math.cos(theta)) / norm
         got = lateral_signal(gx, gy, math.sin(theta), math.cos(theta))

@@ -8,16 +8,22 @@ column that holds moved values: the column, how many values moved, and
 the largest absolute and relative difference, |new - old| and
 |new - old| / |old|. A value moved when its spelling changed, so a
 -0.0 that became 0.0 counts, with difference 0. A NaN on one side only
-and a value that is not a number differ by inf. Other files that differ,
-files on one side only and CSVs whose header or row count changed are
-listed by name. Exits 0 when the two trees hold the same bytes and 1
-otherwise, so a byte-identical check can run it after ``diff -r`` to
-say what moved.
+and a value that is not a number differ by inf. For each JSON file whose
+parsed contents differ it prints one line per moved leaf, by key path
+such as ``config.law.g0`` or ``runs[0].t_final``, with its old and new
+value, and one line per leaf found on one side only. A leaf moved when
+its JSON spelling changed, so 1 that became 1.0 counts. Other files that
+differ, among them a JSON file that differs only in layout or does not
+parse, files on one side only and CSVs whose header or row count
+changed are listed by name. Exits 0 when the two trees hold the same
+bytes and 1 otherwise, so a byte-identical check can run it after
+``diff -r`` to say what moved.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import math
 import sys
 from pathlib import Path
@@ -68,6 +74,42 @@ def column_moves(old_path, new_path):
     return {name: moves[name] for name in header if name in moves}
 
 
+def _leaves(value, path=""):
+    """{key path: JSON spelling} of every leaf of a parsed JSON value; an
+    empty object or list is a leaf."""
+    if isinstance(value, dict) and value:
+        items = ((f"{path}.{key}" if path else key, item)
+                 for key, item in value.items())
+    elif isinstance(value, list) and value:
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return {path or "(top level)": json.dumps(value)}
+    leaves = {}
+    for child, item in items:
+        leaves.update(_leaves(item, child))
+    return leaves
+
+
+def json_moves(old_path, new_path):
+    """Report lines for the leaves that moved between two JSON files, and
+    for those on one side only: empty when their contents spell the same
+    or either does not parse."""
+    try:
+        old = _leaves(json.loads(Path(old_path).read_text()))
+        new = _leaves(json.loads(Path(new_path).read_text()))
+    except ValueError:
+        return []
+    lines = []
+    for path, value in old.items():
+        if path not in new:
+            lines.append(f"  {path}: only in old, {value}")
+        elif new[path] != value:
+            lines.append(f"  {path}: {value} -> {new[path]}")
+    lines += [f"  {path}: only in new, {value}"
+              for path, value in new.items() if path not in old]
+    return lines
+
+
 def compare(old_dir, new_dir):
     """The report lines for two trees; empty when their bytes agree."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
@@ -79,6 +121,14 @@ def compare(old_dir, new_dir):
     for name in sorted(old_files & new_files):
         old, new = old_dir / name, new_dir / name
         if filecmp.cmp(old, new, shallow=False):
+            continue
+        if name.endswith(".json"):
+            moves = json_moves(old, new)
+            if moves:
+                lines.append(f"{name}: moved keys")
+                lines += moves
+            else:
+                lines.append(f"differs: {name}")
             continue
         moves = column_moves(old, new) if name.endswith(".csv") else None
         if moves is None:
