@@ -9,6 +9,7 @@ sensor re-evaluated at every stage.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ TERM_ORIGIN = "origin_singularity"
 # a sensing fault, in the stage loop and at the last row: a magnitude
 # below the floor, or any ValueError raised while sensing
 _SENSING_FAULTS = (DegenerateMagnitudeError, ValueError)
+
+# steps recorded per flat list chunk before it moves into the run's
+# array('d') buffer: a recorded value is then held as 8 bytes, not as a
+# Python float
+_CHUNK_STEPS = 256
 
 TRAJECTORY_COLUMNS = (
     "t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "G", "Omega", "Q"
@@ -191,6 +197,12 @@ def _rk4_step(deriv, dt, t, a, b, c):
             t + dt, diag)
 
 
+def _columns(buf, k):
+    """The k columns of a buffer of k-value records, one C-contiguous
+    float64 row each; simulate and simulate_polar both return these."""
+    return np.frombuffer(buf, dtype=float).reshape(-1, k).T.copy()
+
+
 # ----------------------------------------------------------------------
 # Trajectory records
 # ----------------------------------------------------------------------
@@ -320,43 +332,48 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         bx0, by0, bx1, by1 = bounds
 
     # kept per step: t, x, y, unwrapped theta, r, m, s, G; the rest after
-    rows = []
+    buf = array("d")
     x, y, th, t = init.x, init.y, init.theta, init.t
     t_last = t_end - 0.5 * dt
-    while True:
-        r = math.hypot(x, y)
-        if r == 0.0:
-            termination = TERM_ORIGIN
-            break
-        if r < r_stop:
-            termination = TERM_REACHED
-            break
-        if r > r_escape:
-            termination = TERM_ESCAPED
-            break
-        if bounds is not None and not (bx0 <= x - pad and x + pad <= bx1
-                                       and by0 <= y - pad and y + pad <= by1):
-            termination = TERM_LEFT_DOMAIN
-            break
-        if t >= t_last:
-            termination = TERM_T_END
-            break
-        try:
-            x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
-        except _SENSING_FAULTS:
-            termination = TERM_SENSING
-            break
-        rows.append((t, x, y, th, r, m, s, g))
-        x, y, th, t = x1, y1, th1, t1
+    termination = None
+    while termination is None:
+        flat = []
+        for _ in range(_CHUNK_STEPS):
+            r = math.hypot(x, y)
+            if r == 0.0:
+                termination = TERM_ORIGIN
+                break
+            if r < r_stop:
+                termination = TERM_REACHED
+                break
+            if r > r_escape:
+                termination = TERM_ESCAPED
+                break
+            if bounds is not None and not (
+                    bx0 <= x - pad and x + pad <= bx1
+                    and by0 <= y - pad and y + pad <= by1):
+                termination = TERM_LEFT_DOMAIN
+                break
+            if t >= t_last:
+                termination = TERM_T_END
+                break
+            try:
+                x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
+            except _SENSING_FAULTS:
+                termination = TERM_SENSING
+                break
+            flat += (t, x, y, th, r, m, s, g)
+            x, y, th, t = x1, y1, th1, t1
+        buf.fromlist(flat)
 
     m, s, g, _ = probe(x, y, th, t)
-    rows.append((t, x, y, th, math.hypot(x, y), m, s, g))
+    buf.fromlist([t, x, y, th, math.hypot(x, y), m, s, g])
 
-    t, x, y, th, r, m, s, g = zip(*rows)
+    t, x, y, th, r, m, s, g = _columns(buf, 8)
+    del buf  # freed before eta, psi and Q are built
     # math.atan2 and math.sin per element: numpy's round differently
-    eta = np.array(list(map(math.atan2, y, x)))
-    t, x, y, th, r, m, s, g = (np.array(c, dtype=float)
-                               for c in (t, x, y, th, r, m, s, g))
+    eta = np.fromiter(map(math.atan2, memoryview(y), memoryview(x)),
+                      dtype=float, count=len(y))
     psi = np.where(r > 0, wrap_angle(math.pi - (th - eta)), math.nan)
     q = np.full(len(t), math.nan)
     if isinstance(field, RadialField) and math.isfinite(rho):
@@ -443,25 +460,28 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     t = 0.0
     r, eta, psi = init.r, init.eta, init.psi
     t_last = t_end - 0.5 * dt
-    # one flat list: per-step tuples would cost memory on long runs
-    flat = [t, r, eta, psi]
-    while True:
-        if r <= r_floor:
-            termination = TERM_ORIGIN
-            break
-        if r >= r_escape:
-            termination = TERM_ESCAPED
-            break
-        if t >= t_last:
-            termination = TERM_T_END
-            break
-        try:
-            r, eta, psi, t, _ = _rk4_step(deriv, dt, t, r, eta, psi)
-        except OriginSingularityError:
-            termination = TERM_ORIGIN
-            break
-        flat += (t, r, eta, psi)
+    buf = array("d", (t, r, eta, psi))
+    termination = None
+    while termination is None:
+        flat = []
+        for _ in range(_CHUNK_STEPS):
+            if r <= r_floor:
+                termination = TERM_ORIGIN
+                break
+            if r >= r_escape:
+                termination = TERM_ESCAPED
+                break
+            if t >= t_last:
+                termination = TERM_T_END
+                break
+            try:
+                r, eta, psi, t, _ = _rk4_step(deriv, dt, t, r, eta, psi)
+            except OriginSingularityError:
+                termination = TERM_ORIGIN
+                break
+            flat += (t, r, eta, psi)
+        buf.fromlist(flat)
 
-    t, r, eta, psi = (np.array(flat[k::4]) for k in range(4))
+    t, r, eta, psi = _columns(buf, 4)
     return PolarTrajectory(t=t, r=r, eta=eta, psi=psi, dt=dt,
                            termination=termination)

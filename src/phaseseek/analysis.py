@@ -574,11 +574,16 @@ def bifurcation_scan(rho, ell_min, ell_max):
     The convergence ladder decides the fixed-point count in closed form,
     and it is monotone in ell, so the count changes over [ell_min, ell_max]
     exactly when the ladder reads "divergent" at ell_min and not at
-    ell_max. Returns rho * e then; raises NoTransitionError otherwise.
+    ell_max. Returns rho * e then; raises NoTransitionError otherwise,
+    and ValueError on a non-finite rho, ell_min or ell_max.
     """
     if not ell_min < ell_max:
         raise ValueError("need ell_min < ell_max")
     kind = _params(GainKind.PROPORTIONAL, rho, ell_min)
+    for name, value in (("rho", rho), ("ell_min", ell_min),
+                        ("ell_max", ell_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (_regime(kind, rho, ell_min) == DIVERGENT
             and _regime(kind, rho, ell_max) != DIVERGENT):
         raise NoTransitionError(

@@ -294,6 +294,12 @@ def cmd_fields(args):
                               "--source applies to bundle maps only")
         x_range = _parse_floats(args.x_range, 2, "--x-range")
         y_range = _parse_floats(args.y_range, 2, "--y-range")
+        for flag, ends in (("--x-range", x_range), ("--y-range", y_range)):
+            if not all(map(math.isfinite, ends)):
+                raise ConfigError(f"{flag} ends must be finite, got {ends}")
+        for flag, count in (("--nx", args.nx), ("--ny", args.ny)):
+            if count < 1:
+                raise ConfigError(f"{flag} must be at least 1, got {count}")
         grids = field.spectral_grids(np.linspace(*x_range, args.nx),
                                      np.linspace(*y_range, args.ny))
     else:

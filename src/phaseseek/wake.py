@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -140,26 +140,33 @@ def load_bundle(path):
     Malformed bytes, the GridFieldBundle checks included, raise
     BundleFormatError.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 5:
-        raise BundleFormatError(f"file holds {len(data)} bytes, no header")
-    if data[:4] != MAGIC:
-        raise BundleFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if data[4] != VERSION:
-        raise BundleFormatError(f"unsupported version {data[4]}, expected {VERSION}")
-    if len(data) < _HEADER_SIZE:
-        raise BundleFormatError("truncated header")
-    nx, ny, nt, x0, y0, dx, dy, dt, m_re, m_st, m_a = _HEADER.unpack(
-        data[5:_HEADER_SIZE]
-    )
-    expected = nt * ny * nx * 8
-    body = len(data) - _HEADER_SIZE
-    if body != expected:
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_SIZE)
+        if len(head) < 5:
+            raise BundleFormatError(f"file holds {len(head)} bytes, no header")
+        if head[:4] != MAGIC:
+            raise BundleFormatError(
+                f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        if head[4] != VERSION:
+            raise BundleFormatError(
+                f"unsupported version {head[4]}, expected {VERSION}")
+        if len(head) < _HEADER_SIZE:
+            raise BundleFormatError("truncated header")
+        nx, ny, nt, x0, y0, dx, dy, dt, m_re, m_st, m_a = _HEADER.unpack_from(
+            head, 5)
+        expected = nt * ny * nx * 8
+        body = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if body != expected:
+            raise BundleFormatError(
+                f"payload holds {body} bytes, header promises {expected}"
+            )
+        # the payload is read once, straight into the frames; a byte view
+        # of the flat array also serves a zero-size shape
+        frames = np.empty((nt, ny, nx), dtype="<f8")
+        got = fh.readinto(frames.reshape(-1).view(np.uint8))
+    if got != expected:
         raise BundleFormatError(
-            f"payload holds {body} bytes, header promises {expected}"
-        )
-    frames = np.frombuffer(data, dtype="<f8", offset=_HEADER_SIZE)
-    frames = frames.reshape((nt, ny, nx)).copy()
+            f"read {got} payload bytes, header promises {expected}")
     # NaN marks an unset metadata slot
     meta_re, meta_st, meta_a = (None if math.isnan(value) else value
                                 for value in (m_re, m_st, m_a))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -343,6 +344,8 @@ def _tilt(r, eta):
     # r = 0.01 heading in: the second stage lands at r = -0.04
     ((0.01, 0.0, 0.0), None, STATIC, 6.5, 0.1, 10.0, {},
      "origin_singularity"),
+    # 1024 steps: the run ends exactly where a recording chunk fills
+    ((4.0, 0.0, 1.5), None, STATIC, 6.5, 1e-2, 10.24, {}, "t_end"),
 ])
 def test_simulate_polar_matches_oracle(init, delta, law, ell, dt, t_end,
                                        kwargs, want):
@@ -843,6 +846,59 @@ def test_simulate_polar_infinite_escape_means_no_bound():
                              radial_m_field(6.5), 1e-2, 1.0)
     assert bounded.termination == default.termination == "t_end"
     assert np.array_equal(bounded.r, default.r)
+
+
+# ----------------------------------------------------------------------
+# Memory held by a recorded run
+# ----------------------------------------------------------------------
+
+def _traced_peak(run):
+    """run()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bytes_per_sample(run):
+    # the peaks of an n-step and a 2n-step run, n eight recording chunks
+    # long, differ by what each further sample costs: fixed costs and the
+    # open chunk's list cancel
+    n = 2048
+    (short, low), (long, high) = (_traced_peak(lambda: run(k * n))
+                                  for k in (1, 2))
+    assert short.termination == long.termination == "t_end"
+    assert (len(short.t), len(long.t)) == (n + 1, 2 * n + 1)
+    return (high - low) / n
+
+
+def _assert_float_columns(columns):
+    for column in columns:
+        assert column.dtype == np.float64
+        assert column.flags.c_contiguous and column.flags.writeable
+
+
+def test_simulate_polar_holds_a_sample_in_under_80_bytes():
+    # four doubles per sample and their returned copy, 64 bytes; a float
+    # object alone is 24 bytes and its list slot 8 more
+    def run(steps):
+        return simulate_polar(PolarState(3.0, 0.0, 1.2), None, STATIC,
+                              radial_m_field(6.5), 1e-2, steps * 1e-2)
+    assert _bytes_per_sample(run) <= 80
+    tr = run(3)
+    _assert_float_columns((tr.t, tr.r, tr.eta, tr.psi))
+
+
+def test_simulate_holds_a_row_in_under_250_bytes():
+    # the buffer's eight doubles per row, twelve returned columns and the
+    # build of eta, psi and Q
+    def run(steps):
+        return simulate(AgentState(4.0, 0.0, 1.0), FIELD, STATIC, dt=1e-2,
+                        t_end=steps * 1e-2, r_stop=0.0)
+    assert _bytes_per_sample(run) <= 250
+    tr = run(3)
+    _assert_float_columns(getattr(tr, name) for name in TRAJ_ATTRS)
 
 
 # ----------------------------------------------------------------------

@@ -415,6 +415,18 @@ def test_scan_has_no_search_flags(tmp_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, name", [("--rho", "rho"),
+                                        ("--ell-max", "ell_max")])
+def test_scan_rejects_an_infinite_bound(tmp_path, capsys, flag, name):
+    # an infinite bound has no strict-JSON form and no transition to find
+    args = {"--rho": "2.0", "--ell-min": "4.0", "--ell-max": "7.0",
+            flag: "inf"}
+    assert main(["scan", *(f"{k}={v}" for k, v in args.items()),
+                 "--out", str(tmp_path)]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bifurcation_scan.json").exists()
+
+
 def test_scan_without_transition_fails(tmp_path):
     assert main(["scan", "--rho", "2.0", "--ell-min", "6.0",
                  "--ell-max", "7.0", "--out", str(tmp_path)]) == 4
@@ -442,6 +454,21 @@ def test_fields_radial(tmp_path):
     assert rows[(0.0, 0.0)][2] == "nan"
     assert main(["fields", "--field", "radial", "--out",
                  str(tmp_path / "x.csv")]) == 2  # ell missing
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--x-range=nan,3"], "--x-range"),
+    (["--y-range=-3,inf"], "--y-range"),
+    (["--nx", "0"], "--nx"),
+    (["--ny=-2"], "--ny"),
+])
+def test_fields_radial_rejects_a_bad_grid(tmp_path, capsys, flags, named):
+    # a NaN end gives NaN nodes, and a zero count an empty map
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "radial", "--ell", "6.5", "--nx", "3",
+                 "--ny", "3", *flags, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fields_radial_map_is_the_fields_own_spectra(tmp_path):

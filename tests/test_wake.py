@@ -3,6 +3,7 @@ maps, and time/space interpolation."""
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -73,6 +74,23 @@ def test_bundle_roundtrip_bit_exact(tmp_path):
         save_bundle(back, path2)
         assert hashlib.sha256(path.read_bytes()).digest() == (
             hashlib.sha256(path2.read_bytes()).digest())
+
+
+def test_load_holds_the_payload_once(tmp_path):
+    # the payload is read straight into the frames and held once, not
+    # copied out of the file's bytes
+    bundle = synth_wake()
+    path = tmp_path / "wake.wavf"
+    save_bundle(bundle, path)
+    tracemalloc.start()
+    try:
+        back = load_bundle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * bundle.frames.nbytes
+    assert back.frames.dtype == np.float64
+    assert back.frames.flags.c_contiguous and back.frames.flags.writeable
 
 
 def test_load_rejects_bad_magic(tmp_path):
