@@ -262,15 +262,6 @@ class Trajectory:
 # Full simulation drivers
 # ----------------------------------------------------------------------
 
-def _default_r_escape(r0, rho, ell):
-    scales = [r0]
-    if rho is not None and math.isfinite(rho):
-        scales.append(rho)
-    if ell is not None:
-        scales.append(ell)
-    return 10.0 * max(scales)
-
-
 def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
              r_stop=0.05, r_escape=None, v=1.0, sensing=AUTO):
     """Integrate the closed loop from an AgentState until a stop condition.
@@ -278,9 +269,10 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     Stops at t_end, on source proximity (r < r_stop), escape (r > r_escape,
     default 10x the largest of r0, rho, ell), leaving a gridded field's
     domain, or a sensing failure (a magnitude below the floor, or any
-    ValueError the field raises while sensing: the origin singularity, a
-    phase gradient with no direction (zero, infinite or NaN), or the
-    field's own). Returns a Trajectory sampled every dt.
+    ValueError raised while sensing: the origin singularity, a phase
+    gradient with no direction (zero, infinite or NaN), the gain's on a
+    NaN magnitude, or the field's own). Returns a Trajectory sampled
+    every dt.
 
     Q is recorded per sample when the field is radial and the law has a
     finite turning radius; it is NaN otherwise. Non-finite or out-of-range
@@ -313,9 +305,10 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
 
     rho = law.rho(v)
     ell = getattr(field, "ell", None)
-    r0 = math.hypot(init.x, init.y)
     if r_escape is None:
-        r_escape = _default_r_escape(r0, rho, ell)
+        # 10x the largest of r0 and, where the run has them, rho and ell
+        r_escape = 10.0 * max(math.hypot(init.x, init.y),
+                              rho if math.isfinite(rho) else 0.0, ell or 0.0)
 
     # the pose steps only while the box x +/- pad, y +/- pad lies in the
     # field's bounds, edges included; a whole-plane field skips the test
@@ -435,9 +428,11 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     the sensed magnitude. delta_field None means zero error: the bracket
     is then sin(psi) + 0.0 * cos(psi), the same bits, signed zeros
     included, as cos(0) sin(psi) + sin(0) cos(psi). Terminates at t_end,
-    when r falls to r_floor (the coordinates degenerate), or when r
-    exceeds r_escape (default: no bound). Non-finite or out-of-range starts and settings
-    raise ValueError before the first step, as in simulate.
+    when r falls to r_floor (the coordinates degenerate), when r exceeds
+    r_escape (default: no bound), or on a sensing failure: any other
+    ValueError raised in a stage, such as the gain's on a negative or NaN
+    magnitude. Non-finite or out-of-range starts and settings raise
+    ValueError before the first step, as in simulate.
     """
     _check_run(init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
     if r_escape is None:
@@ -478,6 +473,9 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
                 r, eta, psi, t, _ = _rk4_step(deriv, dt, t, r, eta, psi)
             except OriginSingularityError:
                 termination = TERM_ORIGIN
+                break
+            except ValueError:
+                termination = TERM_SENSING
                 break
             flat += (t, r, eta, psi)
         buf.fromlist(flat)

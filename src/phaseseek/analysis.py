@@ -40,7 +40,8 @@ class GainKind(str, Enum):
 
 
 def _negative_magnitude(m):
-    # the error path of every GainLaw.closure() function
+    # the error path of every GainLaw.closure() function, for a negative
+    # or NaN m
     raise ValueError(f"magnitude must be nonnegative, got {m}")
 
 
@@ -76,23 +77,24 @@ class GainLaw:
         """G(m) as a plain function, the kind resolved once: the drivers
         and the analysis vector field call it per stage.
 
-        The function raises ValueError for a negative magnitude. Each kind
-        gets its own function, so one G(m) is one call.
+        The function raises ValueError for a negative or NaN magnitude,
+        which both drivers end as a sensing failure. Each kind gets its own
+        function, so one G(m) is one call.
         """
         g0, m_floor = self.g0, self.m_floor
         if self.kind is GainKind.STATIC:
             def gain(m):
-                if m < 0:
+                if not m >= 0:
                     _negative_magnitude(m)
                 return g0
         elif self.kind is GainKind.PROPORTIONAL:
             def gain(m):
-                if m < 0:
+                if not m >= 0:
                     _negative_magnitude(m)
                 return g0 * m
         else:
             def gain(m):
-                if m < 0:
+                if not m >= 0:
                     _negative_magnitude(m)
                 return g0 / m_floor if m < m_floor else g0 / m
         return gain
@@ -654,8 +656,11 @@ class PortraitGrid:
     nw: int = 121
 
     def __post_init__(self):
-        if not (self.u_max > self.u_min and self.w_max > self.w_min):
-            raise ValueError("portrait grid extents must be increasing")
+        extents = (self.u_min, self.u_max, self.w_min, self.w_max)
+        if not (all(map(math.isfinite, extents)) and self.u_max > self.u_min
+                and self.w_max > self.w_min):
+            raise ValueError("portrait grid extents must be finite and "
+                             "increasing")
         if self.nu < 2 or self.nw < 2:
             raise ValueError("portrait grid needs at least 2 points per axis")
 

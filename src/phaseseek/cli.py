@@ -9,6 +9,10 @@ radial (--ell) or bundle (--bundle) field, built by _build_field alone.
 simulate's configuration comes from an optional JSON file (--config)
 overlaid with command-line flags; the resolved configuration is embedded
 in the summary output so any run can be reproduced from its own records.
+Its defaults are the library's (agent.simulate, SensingConfig, GainLaw)
+but for the gain law, the start poses and the output names; SIM_FLAGS
+declares each simulate flag once. Every other default that a library
+function has, the CLI reads from its signature.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 a run
 ended as a sensing failure (cmd_simulate writes its files and one stderr
@@ -18,9 +22,11 @@ line per failed run), 4 scan found no transition.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,38 +51,49 @@ class ConfigError(ValueError):
 FIELD_KINDS = ("radial", "bundle")
 GAIN_KINDS = tuple(kind.value for kind in analysis.GainKind)
 
+
+def _defaults(fn):
+    """{name: default} of fn's parameters that have one, in order."""
+    return {name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+_SIMULATE = _defaults(agent.simulate)
+
 SIM_DEFAULTS = {
     "field": {},
-    "law": {"kind": "static", "g0": 0.5, "m_floor": 1e-6},
-    "agent": {"v": 1.0, "inits": None},
-    "integration": {"dt": 1e-3, "t_end": 100.0, "r_stop": 0.05,
-                    "r_escape": None},
-    "sensing": {"mode": "auto", "n_samples": 64, "stencil_h": 0.01,
-                "m_floor": 1e-9},
+    "law": {"kind": "static", "g0": 0.5,
+            "m_floor": analysis.GainLaw.m_floor},
+    "agent": {"v": _SIMULATE["v"], "inits": None},
+    "integration": {key: _SIMULATE[key]
+                    for key in ("dt", "t_end", "r_stop", "r_escape")},
+    "sensing": {"mode": _SIMULATE["sensing"], **asdict(SensingConfig())},
     "output": {"dir": ".", "prefix": "run"},
 }
 
-# simulate flag (argparse dest) -> the config slot it overlays
+# every simulate flag (argparse dest) -> the config slot it overlays, its
+# argparse type, choices or list (the repeatable --init), and maybe help
 SIM_FLAGS = {
-    "field": ("field", "kind"), "ell": ("field", "ell"),
-    "bundle": ("field", "path"),
-    "gain": ("law", "kind"), "g0": ("law", "g0"),
-    "gain_m_floor": ("law", "m_floor"),
-    "v": ("agent", "v"), "init": ("agent", "inits"),
-    "dt": ("integration", "dt"), "t_end": ("integration", "t_end"),
-    "r_stop": ("integration", "r_stop"),
-    "r_escape": ("integration", "r_escape"),
-    "sensing": ("sensing", "mode"), "n_samples": ("sensing", "n_samples"),
-    "stencil_h": ("sensing", "stencil_h"),
-    "sensing_m_floor": ("sensing", "m_floor"),
-    "out": ("output", "dir"), "prefix": ("output", "prefix"),
+    "field": ("field", "kind", FIELD_KINDS), "ell": ("field", "ell", float),
+    "bundle": ("field", "path", str, "WAVF1 bundle path"),
+    "gain": ("law", "kind", GAIN_KINDS), "g0": ("law", "g0", float),
+    "gain_m_floor": ("law", "m_floor", float), "v": ("agent", "v", float),
+    "init": ("agent", "inits", list, "x,y,theta (repeatable)"),
+    "dt": ("integration", "dt", float),
+    "t_end": ("integration", "t_end", float),
+    "r_stop": ("integration", "r_stop", float),
+    "r_escape": ("integration", "r_escape", float),
+    "sensing": ("sensing", "mode", agent.SENSING_MODES),
+    "n_samples": ("sensing", "n_samples", int),
+    "stencil_h": ("sensing", "stencil_h", float),
+    "sensing_m_floor": ("sensing", "m_floor", float),
+    "out": ("output", "dir", str), "prefix": ("output", "prefix", str),
 }
 
-WAKE_DEFAULTS = {
-    "a_w": 2.0, "k_x": 1.0, "omega": 1.0, "sigma": 2.0, "decay_l": 10.0,
-    "x0": -2.0, "y0": -6.0, "dx": 0.2, "dy": 0.2, "nx": 81, "ny": 61,
-    "nt": 64,
-}
+# synth_wake's settings; its dt and provenance slots default to None
+WAKE_DEFAULTS = {key: default for key, default in _defaults(synth_wake).items()
+                 if default is not None}
 
 
 def _deep_merge(base, overlay):
@@ -105,14 +122,22 @@ def _load_config_file(path):
     return config
 
 
-def _parse_floats(text, n, what):
+def _parse_floats(text, n, what, counts=None):
+    """The n comma-separated finite numbers of a flag such as --init, else
+    ConfigError. counts maps the index of a whole-number entry to its
+    name: that entry is an int, read by _number as `what name`."""
     parts = text.split(",")
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated numbers: {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad number in {what}: {text!r}") from exc
+    for index, name in (counts or {}).items():
+        values[index] = _number(values[index], f"{what} {name}", whole=True)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} needs finite numbers: {text!r}")
+    return values
 
 
 def _number(value, slot, whole=False):
@@ -126,6 +151,18 @@ def _number(value, slot, whole=False):
         kind = "a whole number" if whole else "a number"
         raise ConfigError(f"{slot} must be {kind}, got {value!r}") from None
     return int(number) if whole else number
+
+
+def _numbers(config, section):
+    """{key: number} of the slots of a config section that float and int
+    simulate flags set, each read by _number as section.key, whole for an
+    int flag. Only a slot whose default is None (r_escape) can hold None,
+    which stays None."""
+    values = config[section]
+    return {key: None if values[key] is None
+            else _number(values[key], f"{section}.{key}", whole=kind is int)
+            for slot, key, kind, *_ in SIM_FLAGS.values()
+            if slot == section and kind in (float, int)}
 
 
 def _string(value, slot):
@@ -159,7 +196,7 @@ def _resolve_sim_config(args):
     file_cfg = _load_config_file(args.config)
     # an unset flag stays None, which _deep_merge skips
     flag_cfg = {section: {} for section in SIM_DEFAULTS}
-    for flag, (section, key) in SIM_FLAGS.items():
+    for flag, (section, key, *_) in SIM_FLAGS.items():
         flag_cfg[section][key] = getattr(args, flag)
     if args.init is not None:
         flag_cfg["agent"]["inits"] = [
@@ -172,26 +209,11 @@ def _resolve_sim_config(args):
 def cmd_simulate(args):
     config = _resolve_sim_config(args)
     field = _build_field(config["field"])
-    law_cfg, sens = config["law"], config["sensing"]
-    integ = config["integration"]
-    law = agent.GainLaw(
-        kind=law_cfg["kind"],
-        g0=_number(law_cfg["g0"], "law.g0"),
-        m_floor=_number(law_cfg["m_floor"], "law.m_floor"),
-    )
-    sensing_cfg = SensingConfig(
-        n_samples=_number(sens["n_samples"], "sensing.n_samples", whole=True),
-        stencil_h=_number(sens["stencil_h"], "sensing.stencil_h"),
-        m_floor=_number(sens["m_floor"], "sensing.m_floor"),
-    )
-    settings = {
-        "dt": _number(integ["dt"], "integration.dt"),
-        "t_end": _number(integ["t_end"], "integration.t_end"),
-        "r_stop": _number(integ["r_stop"], "integration.r_stop"),
-        "r_escape": (None if integ["r_escape"] is None
-                     else _number(integ["r_escape"], "integration.r_escape")),
-        "v": _number(config["agent"]["v"], "agent.v"),
-    }
+    law = agent.GainLaw(kind=config["law"]["kind"],
+                        **_numbers(config, "law"))
+    sensing_cfg = SensingConfig(**_numbers(config, "sensing"))
+    settings = {**_numbers(config, "integration"),
+                **_numbers(config, "agent")}
     inits = config["agent"]["inits"]
     if inits is None:
         if not isinstance(field, RadialField):
@@ -250,12 +272,8 @@ def cmd_simulate(args):
 def cmd_analyze(args):
     grid = analysis.PortraitGrid()
     if args.grid is not None:
-        values = _parse_floats(args.grid, 6, "--grid")
-        grid = analysis.PortraitGrid(
-            u_min=values[0], u_max=values[1], w_min=values[2],
-            w_max=values[3], nu=_number(values[4], "--grid nu", whole=True),
-            nw=_number(values[5], "--grid nw", whole=True),
-        )
+        grid = analysis.PortraitGrid(*_parse_floats(
+            args.grid, 6, "--grid", counts={4: "nu", 5: "nw"}))
     report = analysis.portrait(args.gain, args.rho, args.ell, v=args.v,
                                grid=grid)
     out_dir = Path(args.out)
@@ -294,9 +312,6 @@ def cmd_fields(args):
                               "--source applies to bundle maps only")
         x_range = _parse_floats(args.x_range, 2, "--x-range")
         y_range = _parse_floats(args.y_range, 2, "--y-range")
-        for flag, ends in (("--x-range", x_range), ("--y-range", y_range)):
-            if not all(map(math.isfinite, ends)):
-                raise ConfigError(f"{flag} ends must be finite, got {ends}")
         for flag, count in (("--nx", args.nx), ("--ny", args.ny)):
             if count < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {count}")
@@ -335,32 +350,23 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="run the closed loop")
     p_sim.add_argument("--config", help="JSON config file")
-    p_sim.add_argument("--field", choices=FIELD_KINDS)
-    p_sim.add_argument("--ell", type=float)
-    p_sim.add_argument("--bundle", help="WAVF1 bundle path")
-    p_sim.add_argument("--gain", choices=GAIN_KINDS)
-    p_sim.add_argument("--g0", type=float)
-    p_sim.add_argument("--gain-m-floor", type=float)
-    p_sim.add_argument("--v", type=float)
-    p_sim.add_argument("--init", action="append",
-                       help="x,y,theta (repeatable)")
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--t-end", type=float)
-    p_sim.add_argument("--r-stop", type=float)
-    p_sim.add_argument("--r-escape", type=float)
-    p_sim.add_argument("--sensing", choices=agent.SENSING_MODES)
-    p_sim.add_argument("--n-samples", type=int)
-    p_sim.add_argument("--stencil-h", type=float)
-    p_sim.add_argument("--sensing-m-floor", type=float)
-    p_sim.add_argument("--out")
-    p_sim.add_argument("--prefix")
+    for dest, (_, _, kind, *about) in SIM_FLAGS.items():
+        options = {"help": about[0]} if about else {}
+        if kind is list:
+            options["action"] = "append"
+        elif isinstance(kind, tuple):
+            options["choices"] = kind
+        else:
+            options["type"] = kind
+        p_sim.add_argument("--" + dest.replace("_", "-"), **options)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="fixed points and Q portrait")
     p_an.add_argument("--gain", required=True, choices=GAIN_KINDS)
     p_an.add_argument("--rho", type=float, required=True)
     p_an.add_argument("--ell", type=float)
-    p_an.add_argument("--v", type=float, default=1.0)
+    p_an.add_argument("--v", type=float,
+                      default=_defaults(analysis.portrait)["v"])
     p_an.add_argument("--grid", help="u_min,u_max,w_min,w_max,nu,nw")
     p_an.add_argument("--out", default=".")
     p_an.add_argument("--prefix", default="portrait")
@@ -383,7 +389,8 @@ def build_parser():
     p_f.add_argument("--nx", type=int, default=101)
     p_f.add_argument("--ny", type=int, default=101)
     p_f.add_argument("--source", help="x,y of the known source")
-    p_f.add_argument("--m-floor", type=float, default=1e-9)
+    p_f.add_argument("--m-floor", type=float,
+                     default=_defaults(spectral_grids)["m_floor"])
     p_f.add_argument("--out", required=True)
     p_f.set_defaults(func=cmd_fields)
 

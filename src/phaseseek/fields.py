@@ -1,6 +1,8 @@
 """Time-periodic signal fields and their spectral ground truth.
 
 A field is any scalar signal f(x, t) that repeats with period T in time.
+A field writes its signal once, in eval_windows (one period's samples at
+each of k points); eval, a single sample, is its one-sample window.
 For source-seeking purposes the quantity of interest is not f itself but
 its first temporal Fourier mode at each point: a magnitude m(x), a phase
 phi(x), and the spatial phase gradient grad phi(x) whose direction encodes
@@ -167,9 +169,11 @@ class SpectralGrids:
 class Field(ABC):
     """Abstract time-periodic scalar field.
 
-    Its domain is the rectangle bounds, edges included, or the whole plane
-    when bounds is None. bounds is the one domain rule: agent.simulate
-    reads it, so a subclass limits its domain by setting bounds.
+    A subclass implements eval_windows, the one place it writes its
+    signal; eval and eval_window read it. Its domain is the rectangle
+    bounds, edges included, or the whole plane when bounds is None. bounds
+    is the one domain rule: agent.simulate reads it, so a subclass limits
+    its domain by setting bounds.
     """
 
     #: temporal period T > 0
@@ -180,18 +184,17 @@ class Field(ABC):
     bounds: tuple | None = None
 
     @abstractmethod
-    def eval(self, x, t):
-        """Signal value at position x = (x, y) and time t."""
-
     def eval_windows(self, points, t0, n):
         """Sample one period at each of k points: shape (k, n).
 
-        Row i holds f(points[i], t0 + j*T/n) for j = 0..n-1. Subclasses
-        vectorise this; each row must not depend on the other points.
+        Row i holds f(points[i], t0 + j*T/n) for j = 0..n-1; each row
+        must not depend on the other points.
         """
-        times = (t0 + _offsets(n, self.period)).tolist()
-        return np.array([[self.eval(x, t) for t in times] for x in points],
-                        dtype=float).reshape(len(points), n)
+
+    def eval(self, x, t):
+        """Signal value at position x = (x, y) and time t: the one-sample
+        window at x starting at t."""
+        return float(self.eval_windows([x], t, 1)[0, 0])
 
     def eval_window(self, x, t0, n):
         """Sample one period: f(x, t0 + k*T/n) for k = 0..n-1."""
@@ -247,10 +250,6 @@ class RadialField(Field):
             raise ValueError(f"ell must be positive, got {ell}")
         self.ell = ell
         self.period = TWO_PI
-
-    def eval(self, x, t):
-        r = math.hypot(x[0], x[1])
-        return 2.0 * math.exp(-r / self.ell) * math.cos(r - t)
 
     def eval_windows(self, points, t0, n):
         # math.hypot and math.exp per point: their numpy twins differ by an
@@ -345,15 +344,6 @@ class TravelingWaveField(Field):
                 )
         self.omega1 = omega1
         self.period = TWO_PI / omega1
-
-    def eval(self, x, t):
-        dx = float(x[0]) - self.base_point[0]
-        dy = float(x[1]) - self.base_point[1]
-        total = 0.0
-        for mode in self.modes:
-            u = mode.k_vec[0] * dx + mode.k_vec[1] * dy - mode.omega_n * t
-            total += mode.alpha * math.cos(u) + mode.beta * math.sin(u)
-        return total
 
     def eval_windows(self, points, t0, n):
         points = np.asarray(points, dtype=float)

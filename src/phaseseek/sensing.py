@@ -188,10 +188,11 @@ def check_quasi_steady(speed, period, grad_norm):
     """Warn when the sensor crosses more than a tenth of a wavelength per
     window.
 
-    The windowed estimator assumes the sensor is effectively frozen while it
-    samples; V * T small against the local wavelength 2*pi/||grad phi|| is the
-    operating regime. Violation degrades the estimate but is not an error.
-    A grad_norm that is zero or NaN gives no wavelength and never warns.
+    The windowed estimator samples each window at a frozen stencil, so it
+    leaves out the sensor's travel V * T during the window: a fair model
+    while V * T is small against the local wavelength 2*pi/||grad phi||.
+    Not an error. A grad_norm that is zero or NaN gives no wavelength and
+    never warns.
     """
     if not grad_norm > 0.0:
         return False
@@ -199,7 +200,8 @@ def check_quasi_steady(speed, period, grad_norm):
     if speed * period > _QUASI_STEADY_FRACTION * wavelength:
         warnings.warn(
             f"sensor travels {speed * period:.3g} per window against a local "
-            f"wavelength of {wavelength:.3g}; windowed estimates degrade",
+            f"wavelength of {wavelength:.3g}; the frozen-window estimate "
+            "leaves this travel out",
             QuasiSteadyWarning,
             stacklevel=2,
         )

@@ -401,9 +401,6 @@ class BundleField(Field):
         w = s % 1.0
         return (s - w) % self.bundle.nt, w
 
-    def eval(self, x, t):
-        return float(self.eval_windows([x], t, 1)[0, 0])
-
     def eval_windows(self, points, t0, n):
         """Windows at k points: the bilinear read of the node series, then
         one periodic-linear time interpolation.

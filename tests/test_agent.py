@@ -78,16 +78,14 @@ def test_gain_value():
         inverse(-1e-9)
 
 
-@pytest.mark.parametrize("kind, nan_out", [
-    ("static", 0.5), ("proportional", math.nan), ("inverse", math.nan)])
-def test_gain_closure_edges(kind, nan_out):
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+def test_gain_closure_edges(kind):
     gain = GainLaw(kind, 0.5).closure()
-    # every kind rejects a negative magnitude, however small
-    with pytest.raises(ValueError, match="magnitude must be nonnegative"):
-        gain(-1e-9)
-    # NaN passes the m < 0 check: static ignores it, the others carry it
-    got = gain(math.nan)
-    assert got == nan_out or (math.isnan(got) and math.isnan(nan_out))
+    # every kind rejects a negative magnitude, however small, and a NaN
+    # one, which static gain would otherwise ignore and the others carry
+    for m in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="magnitude must be nonnegative"):
+            gain(m)
     # -0.0 is not negative
     assert gain(-0.0) == gain(0.0)
 
@@ -716,6 +714,45 @@ def test_a_nan_phase_gradient_is_a_sensing_failure(kind):
     assert len(tr) == 201
     for col in (tr.x, tr.y, tr.theta, tr.m, tr.s, tr.gain):
         assert np.isfinite(col[:-1]).all()
+
+
+class _NanMagnitude(RadialField):
+    """The radial field, whose analytic_mode reads a NaN magnitude and its
+    finite gradient left of x = 2."""
+
+    def analytic_mode(self, x, y):
+        m, gx, gy = super().analytic_mode(x, y)
+        return (math.nan if x < 2.0 else m), gx, gy
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+def test_a_nan_magnitude_is_a_sensing_failure(kind):
+    # static gain once ignored a NaN magnitude and reached the source with
+    # NaN m on 196 rows; the others carried it into the next stage's pose
+    tr = simulate(AgentState(4.0, 0.0, math.pi), _NanMagnitude(6.5),
+                  GainLaw(kind, 0.5), dt=1e-2)
+    assert tr.termination == "sensing_failure"
+    assert len(tr) == 201
+    for col in (tr.x, tr.y, tr.theta, tr.r):
+        assert np.isfinite(col).all()
+    for col in (tr.m, tr.s, tr.gain):
+        assert np.isfinite(col[:-1]).all()
+
+
+def _nan_m_inside_2(r, eta):
+    return math.nan if r < 2.0 else math.exp(-r / 6.5)
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+def test_simulate_polar_ends_a_nan_magnitude_as_a_sensing_failure(kind):
+    # proportional and inverse gain once ran on to t_end = 20 with NaN r
+    # on about 1790 of 2001 rows, and static gain ignored the NaN
+    tr = simulate_polar(PolarState(4.0, 0.0, 0.3), None, GainLaw(kind, 0.5),
+                        _nan_m_inside_2, 1e-2, 20.0)
+    assert tr.termination == "sensing_failure"
+    assert tr.t[-1] < 2.5
+    for col in (tr.t, tr.r, tr.eta, tr.psi):
+        assert np.isfinite(col).all()
 
 
 class _InfiniteProbe(RadialField):

@@ -622,3 +622,12 @@ def test_portrait_grid_validation():
         PortraitGrid(u_min=5.0, u_max=-5.0)
     with pytest.raises(ValueError):
         PortraitGrid(nu=1)
+
+
+@pytest.mark.parametrize("extents", [
+    {"u_min": -math.inf}, {"u_max": math.inf}, {"w_min": -math.inf},
+    {"w_min": -math.inf, "w_max": math.inf}, {"u_max": math.nan}])
+def test_portrait_grid_extents_are_finite(extents):
+    # an infinite extent once gave a grid whose r_cos_psi and Q were NaN
+    with pytest.raises(ValueError, match="finite"):
+        PortraitGrid(**extents)

@@ -525,6 +525,40 @@ def test_fields_from_bundle(tmp_path):
     assert len(lines) == 1 + 16 * 9
 
 
+@pytest.mark.parametrize("source", ["nan,0", "inf,0", "0,-inf"])
+def test_fields_bundle_rejects_a_non_finite_source(tmp_path, capsys, source):
+    # a NaN source once gave a map with every delta NaN, and a source at
+    # infinity two finite deltas of 3 pi / 4
+    bundle_path = tmp_path / "w.wavf"
+    assert main(["synth-wake", "--nx", "16", "--ny", "9", "--nt", "16",
+                 "--out", str(bundle_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "bundle", "--bundle", str(bundle_path),
+                 f"--source={source}", "--out", str(out)]) == 2
+    assert "--source needs finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["-inf,inf,-1,1,3,3", "-1,1,nan,1,3,3"])
+def test_analyze_rejects_a_non_finite_grid(tmp_path, capsys, grid):
+    # an infinite extent once wrote nan into r_cos_psi and Q
+    out = tmp_path / "reports"
+    assert main(["analyze", "--gain", "static", "--rho", "2",
+                 f"--grid={grid}", "--out", str(out)]) == 2
+    assert "--grid needs finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("init", ["nan,0,0", "4,0,inf"])
+def test_simulate_names_a_non_finite_init(tmp_path, capsys, init):
+    # rejected where it enters, naming the flag, not as a start pose
+    assert main(["simulate", "--field", "radial", "--ell", "6.5",
+                 f"--init={init}", "--out", str(tmp_path)]) == 2
+    assert "--init needs finite numbers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_synth_wake_writes_loadable_bundle(tmp_path):
     out = tmp_path / "wake.wavf"
     code = main(["synth-wake", "--nx", "16", "--ny", "9", "--nt", "16",
@@ -651,3 +685,47 @@ def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
     assert moves == {"m": (2, math.inf, math.inf), "phi": (2, 0.5, 0.5)}
     assert tool.compare(old / "sub", old / "sub") == []
     assert tool.main([str(old / "sub"), str(old / "sub")]) == 0
+
+
+def test_parent_moves_gates_each_move_on_the_declared_list(tmp_path):
+    tool = _load_tool("parent_moves")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        root.mkdir()
+        (root / "same.csv").write_text("x\n1.0\n")
+    (old / "maps.csv").write_text("x,m\n1.0,0.5\n2.0,0.25\n")
+    # m moves by one ulp in one row
+    (new / "maps.csv").write_text(
+        f"x,m\n1.0,{math.nextafter(0.5, 1.0)!r}\n2.0,0.25\n")
+    (old / "scan.json").write_text('{"ell_critical": 5.5, "step": 0.1}')
+    (new / "scan.json").write_text('{"ell_critical": 5.25}')
+    (old / "rows.csv").write_text("x\n1.0\n2.0\n")
+    (new / "rows.csv").write_text("x\n1.0\n")
+    (new / "extra.csv").write_text("x\n1.0\n")
+    ulp = math.ulp(0.5)
+    found = tool.moves(old, new)
+    assert sorted(found) == [
+        ("extra.csv", "*", math.inf), ("maps.csv", "m", ulp),
+        ("rows.csv", "*", math.inf), ("scan.json", "ell_critical", 0.25),
+        ("scan.json", "step", math.inf)]
+
+    declared_path = tmp_path / "declared.txt"
+    declared_path.write_text(
+        "# moves\nmaps.csv m 1e-15\nscan.json ell_critical 0.1  # too small\n"
+        "extra.csv * inf\n")
+    declared = tool.read_declared(declared_path)
+    assert declared == {("maps.csv", "m"): 1e-15,
+                        ("scan.json", "ell_critical"): 0.1,
+                        ("extra.csv", "*"): math.inf}
+    assert sorted(tool.undeclared(found, declared)) == [
+        ("rows.csv", "*", math.inf), ("scan.json", "ell_critical", 0.25),
+        ("scan.json", "step", math.inf)]
+    assert tool.undeclared(tool.moves(old, old), {}) == []
+    declared_path.write_text("maps.csv m\n")
+    with pytest.raises(ValueError, match="FILE ITEM MAX_ABS"):
+        tool.read_declared(declared_path)
+
+
+def test_declared_moves_file_parses():
+    tool = _load_tool("parent_moves")
+    assert isinstance(tool.read_declared(tool.DECLARED), dict)

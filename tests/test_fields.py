@@ -144,20 +144,33 @@ def test_window_coeffs_are_the_window_dft(field):
             field.window_coeffs(points, 0.0, n)
 
 
-def test_base_eval_windows_samples_eval():
+def test_a_field_writes_its_signal_in_eval_windows_only():
     class Ripple(Field):
         period = 2.5
 
-        def eval(self, x, t):
-            return math.sin(x[0] - 2.0 * x[1] + 2.0 * math.pi * t / 2.5)
+        def eval_windows(self, points, t0, n):
+            points = np.asarray(points, dtype=float)
+            t = t0 + np.arange(n) * (2.5 / n)
+            return np.sin(points[:, :1] - 2.0 * points[:, 1:]
+                          + 2.0 * math.pi * t / 2.5)
 
     field = Ripple()
     points = np.array([[0.3, -1.0], [2.0, 0.5]])
     windows = field.eval_windows(points, 0.7, 8)
     for x, row in zip(points, windows):
         assert np.array_equal(row, field.eval_window(x, 0.7, 8))
-        assert list(row) == [field.eval(x, 0.7 + k * (2.5 / 8))
-                             for k in range(8)]
+        samples = [field.eval(x, 0.7 + k * (2.5 / 8)) for k in range(8)]
+        assert all(type(v) is float for v in samples)
+        assert samples == list(row)
+
+    class EvalOnly(Field):
+        period = 2.5
+
+        def eval(self, x, t):
+            return 0.0
+
+    with pytest.raises(TypeError):
+        EvalOnly()
 
 
 def test_radial_spectral_truth():

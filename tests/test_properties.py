@@ -1,6 +1,6 @@
 """Property tests over random inputs: wrap ranges, the polar round trip,
-rotational equivariance and Q conservation of the closed loop, and WAVF
-bundle loading.
+rotational equivariance and Q conservation of the closed loop, the
+turning radii of trapped orbits, and WAVF bundle loading.
 
 Skipped when hypothesis is not installed.
 """
@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from phaseseek import (  # noqa: E402
     TWO_PI, AgentState, BundleFormatError, GainKind, GainLaw, GridFieldBundle,
-    RadialField, conserved_quantity, from_polar, load_bundle, radial_envelope,
-    simulate, to_polar, wrap_angle, wrap_phase)
+    PolarState, RadialField, classify_convergence, conserved_quantity,
+    from_polar, load_bundle, radial_bounds, radial_envelope, radial_m_field,
+    simulate, simulate_polar, to_polar, wrap_angle, wrap_phase)
 from phaseseek.wake import MAGIC, VERSION, _HEADER  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -118,6 +119,62 @@ def test_q_is_conserved_along_oracle_orbits(kind, r0, psi0):
     # the level is at most the envelope at the start, |sin psi| = 1
     scale = float(radial_envelope(kind, r0, law.rho(), ell))
     assert np.max(np.abs(q - q[0])) <= 1e-7 * scale
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _radial_period(kind, q, bounds, rho, ell, n=400):
+    """The time from r_min to r_max and back at level q with V = 1: twice
+    the integral of dr / |cos psi|, |cos psi| = sqrt(1 - (q / h(r))^2), by
+    the midpoint rule in phi, r = r_min + half (1 - cos phi), which takes
+    away the square-root singularity at each turn. inf for an orbit too
+    close to a circle to resolve."""
+    phi = (np.arange(n) + 0.5) * (math.pi / n)
+    half = 0.5 * (bounds.r_max - bounds.r_min)
+    r = bounds.r_min + half * (1.0 - np.cos(phi))
+    ratio = np.abs(q / radial_envelope(kind, r, rho, ell))
+    # between its turns the envelope h(r) stays above the orbit's |q|
+    assert np.all(ratio <= 1.0 + 1e-9)
+    cos_psi = np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0))
+    if not cos_psi.all():
+        return math.inf
+    return 2.0 * float(np.sum(half * np.sin(phi) / cos_psi)) * (math.pi / n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds, st.floats(min_value=0.5, max_value=3.0), unit,
+       st.floats(min_value=0.3, max_value=3.0), angle)
+def test_trapped_orbits_turn_at_the_radial_bounds(kind, rho, u, r0_rho,
+                                                  psi0):
+    # ell in [1, 9], or [rho e + 0.5, rho e + 8] for proportional gain,
+    # whose orbits are then trapped when classify_convergence says so
+    if kind is GainKind.PROPORTIONAL:
+        ell = rho * math.e + 0.5 + 7.5 * u
+    else:
+        ell = 1.0 + 8.0 * u
+    r0 = r0_rho * rho
+    start = PolarState(r0, 0.0, psi0)
+    hypothesis.assume(kind is not GainKind.PROPORTIONAL or classify_convergence(
+        kind, rho, ell, start) == "conditional_bounded")
+    q = conserved_quantity(kind, r0, psi0, rho, ell)
+    bounds = radial_bounds(kind, q, rho, ell)
+    hypothesis.assume(bounds.r_min > 0.05)
+    # the horizon covers one radial period, in which r meets both turns;
+    # the period grows without bound near the proportional separatrix
+    period = _radial_period(kind, q, bounds, rho, ell)
+    hypothesis.assume(period < 100.0)
+    law, dt = GainLaw(kind, 1.0 / rho), 1e-2
+    r = simulate_polar(start, None, law, radial_m_field(ell), dt,
+                       1.1 * period + 1.0).r
+    assert bounds.r_min * (1 - 1e-6) <= r.min()
+    assert r.max() <= bounds.r_max * (1 + 1e-6)
+    # a sample falls within dt/2 of each turn, where r'' = V/r - G(r) with
+    # V = 1: a parabola misses its vertex by at most |r''| dt^2 / 8
+    gain = law.closure()
+    for turn, sampled in ((bounds.r_min, r.min()), (bounds.r_max, r.max())):
+        curvature = abs(1.0 / turn - gain(math.exp(-turn / ell)))
+        assert abs(sampled - turn) <= curvature * dt * dt / 8 + 1e-6 * turn
 
 
 # ----------------------------------------------------------------------

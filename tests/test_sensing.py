@@ -36,8 +36,8 @@ class _ZeroField(Field):
     def period(self):
         return TWO_PI
 
-    def eval(self, x, t):
-        return 0.0
+    def eval_windows(self, points, t0, n):
+        return np.zeros((len(points), n))
 
 
 def _steer(grad, theta):

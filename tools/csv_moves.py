@@ -90,53 +90,66 @@ def _leaves(value, path=""):
     return leaves
 
 
-def json_moves(old_path, new_path):
-    """Report lines for the leaves that moved between two JSON files, and
-    for those on one side only: empty when their contents spell the same
-    or either does not parse."""
+def leaf_moves(old_path, new_path):
+    """(key path, old spelling, new spelling) of each leaf that moved
+    between two JSON files, with None for the side a leaf is missing
+    from; None when either file does not parse."""
     try:
         old = _leaves(json.loads(Path(old_path).read_text()))
         new = _leaves(json.loads(Path(new_path).read_text()))
     except ValueError:
-        return []
-    lines = []
-    for path, value in old.items():
-        if path not in new:
-            lines.append(f"  {path}: only in old, {value}")
-        elif new[path] != value:
-            lines.append(f"  {path}: {value} -> {new[path]}")
-    lines += [f"  {path}: only in new, {value}"
-              for path, value in new.items() if path not in old]
-    return lines
+        return None
+    moves = [(path, value, new.get(path)) for path, value in old.items()
+             if new.get(path) != value]
+    return moves + [(path, None, value) for path, value in new.items()
+                    if path not in old]
 
 
-def compare(old_dir, new_dir):
-    """The report lines for two trees; empty when their bytes agree."""
+def _leaf_line(path, old, new):
+    if new is None:
+        return f"  {path}: only in old, {old}"
+    if old is None:
+        return f"  {path}: only in new, {new}"
+    return f"  {path}: {old} -> {new}"
+
+
+def file_moves(old_dir, new_dir):
+    """Each file that differs between two trees, in report order, as
+    (name, side, moves). side is the root a file on one side only is in,
+    else None. moves is column_moves' dict for a CSV or leaf_moves' list
+    for a JSON file, and None when neither names what moved."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
     old_files, new_files = _files(old_dir), _files(new_dir)
-    lines = [f"only in {old_dir}: {name}"
-             for name in sorted(old_files - new_files)]
-    lines += [f"only in {new_dir}: {name}"
-              for name in sorted(new_files - old_files)]
+    found = [(name, old_dir, None) for name in sorted(old_files - new_files)]
+    found += [(name, new_dir, None) for name in sorted(new_files - old_files)]
     for name in sorted(old_files & new_files):
         old, new = old_dir / name, new_dir / name
         if filecmp.cmp(old, new, shallow=False):
             continue
+        moves = None
         if name.endswith(".json"):
-            moves = json_moves(old, new)
-            if moves:
-                lines.append(f"{name}: moved keys")
-                lines += moves
-            else:
-                lines.append(f"differs: {name}")
-            continue
-        moves = column_moves(old, new) if name.endswith(".csv") else None
-        if moves is None:
+            moves = leaf_moves(old, new) or None
+        elif name.endswith(".csv"):
+            moves = column_moves(old, new)
+        found.append((name, None, moves))
+    return found
+
+
+def compare(old_dir, new_dir):
+    """The report lines for two trees; empty when their bytes agree."""
+    lines = []
+    for name, side, moves in file_moves(old_dir, new_dir):
+        if side is not None:
+            lines.append(f"only in {side}: {name}")
+        elif moves is None:
             lines.append(f"differs: {name}")
-            continue
-        lines.append(f"{name}: column moved max_abs max_rel")
-        lines += [f"  {column} {moved} {max_abs:.2g} {max_rel:.2g}"
-                  for column, (moved, max_abs, max_rel) in moves.items()]
+        elif name.endswith(".json"):
+            lines.append(f"{name}: moved keys")
+            lines += [_leaf_line(*move) for move in moves]
+        else:
+            lines.append(f"{name}: column moved max_abs max_rel")
+            lines += [f"  {column} {moved} {max_abs:.2g} {max_rel:.2g}"
+                      for column, (moved, max_abs, max_rel) in moves.items()]
     return lines
 
 
