@@ -50,6 +50,7 @@ TERM_ESCAPED = "escaped"
 TERM_SENSING = "sensing_failure"
 TERM_LEFT_DOMAIN = "left_domain"
 TERM_ORIGIN = "origin_singularity"
+TERM_NON_FINITE = "non_finite_state"
 
 # a sensing fault, in the stage loop and at the last row: a magnitude
 # below the floor, or any ValueError raised while sensing
@@ -203,6 +204,18 @@ def _columns(buf, k):
     return np.frombuffer(buf, dtype=float).reshape(-1, k).T.copy()
 
 
+def _time_axis(t0, dt, n):
+    """The n sample times t0, t0 + dt, ... of a run, bit for bit the
+    running sum t = t + dt that _rk4_step steps: np.cumsum adds in order,
+    and overflows to inf as quietly as a float does. Neither driver
+    records t per step; both rebuild it here."""
+    t = np.full(n, dt, dtype=float)
+    if n:
+        t[0] = t0
+    with np.errstate(over="ignore"):
+        return np.cumsum(t, out=t)
+
+
 # ----------------------------------------------------------------------
 # Trajectory records
 # ----------------------------------------------------------------------
@@ -324,7 +337,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     if bounds is not None:
         bx0, by0, bx1, by1 = bounds
 
-    # kept per step: t, x, y, unwrapped theta, r, m, s, G; the rest after
+    # kept per step: x, y, unwrapped theta, r, m, s, G; t and the rest
+    # are built after the loop
     buf = array("d")
     x, y, th, t = init.x, init.y, init.theta, init.t
     t_last = t_end - 0.5 * dt
@@ -355,15 +369,16 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             except _SENSING_FAULTS:
                 termination = TERM_SENSING
                 break
-            flat += (t, x, y, th, r, m, s, g)
+            flat += (x, y, th, r, m, s, g)
             x, y, th, t = x1, y1, th1, t1
         buf.fromlist(flat)
 
     m, s, g, _ = probe(x, y, th, t)
-    buf.fromlist([t, x, y, th, math.hypot(x, y), m, s, g])
+    buf.fromlist([x, y, th, math.hypot(x, y), m, s, g])
 
-    t, x, y, th, r, m, s, g = _columns(buf, 8)
-    del buf  # freed before eta, psi and Q are built
+    x, y, th, r, m, s, g = _columns(buf, 7)
+    del buf  # freed before t, eta, psi and Q are built
+    t = _time_axis(init.t, dt, len(x))
     # math.atan2 and math.sin per element: numpy's round differently
     eta = np.fromiter(map(math.atan2, memoryview(y), memoryview(x)),
                       dtype=float, count=len(y))
@@ -399,14 +414,22 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
 
 @dataclass
 class PolarTrajectory:
-    """Sampled run of the reduced (r, eta, psi) dynamics."""
+    """Sampled run of the reduced (r, eta, psi) dynamics.
 
-    t: np.ndarray
+    Only the state is held: t is rebuilt from dt on each read, so a loop
+    over samples should bind it once.
+    """
+
     r: np.ndarray
     eta: np.ndarray
     psi: np.ndarray
     dt: float
     termination: str
+
+    @property
+    def t(self):
+        """The sample times 0, dt, 2 dt, ..., as the run stepped them."""
+        return _time_axis(0.0, self.dt, len(self.r))
 
 
 def radial_m_field(ell):
@@ -429,10 +452,11 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     is then sin(psi) + 0.0 * cos(psi), the same bits, signed zeros
     included, as cos(0) sin(psi) + sin(0) cos(psi). Terminates at t_end,
     when r falls to r_floor (the coordinates degenerate), when r exceeds
-    r_escape (default: no bound), or on a sensing failure: any other
-    ValueError raised in a stage, such as the gain's on a negative or NaN
-    magnitude. Non-finite or out-of-range starts and settings raise
-    ValueError before the first step, as in simulate.
+    r_escape (default: no bound), when r or psi turns NaN (such as under
+    a NaN delta_field; the NaN state is the last row), or on a sensing
+    failure: any other ValueError raised in a stage, such as the gain's
+    on a negative or NaN magnitude. Non-finite or out-of-range starts and
+    settings raise ValueError before the first step, as in simulate.
     """
     _check_run(init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
     if r_escape is None:
@@ -452,16 +476,19 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
         turn = v * sp / r
         return -v * cp, turn, turn - steer, None
 
+    # kept per step: r, eta, psi; t is rebuilt from dt on each read
     t = 0.0
     r, eta, psi = init.r, init.eta, init.psi
     t_last = t_end - 0.5 * dt
-    buf = array("d", (t, r, eta, psi))
+    buf = array("d", (r, eta, psi))
     termination = None
     while termination is None:
         flat = []
         for _ in range(_CHUNK_STEPS):
-            if r <= r_floor:
-                termination = TERM_ORIGIN
+            # a NaN r or psi fails this test too; NaN eta comes only with
+            # NaN r
+            if not r > r_floor or psi != psi:
+                termination = TERM_ORIGIN if r <= r_floor else TERM_NON_FINITE
                 break
             if r >= r_escape:
                 termination = TERM_ESCAPED
@@ -477,9 +504,9 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
             except ValueError:
                 termination = TERM_SENSING
                 break
-            flat += (t, r, eta, psi)
+            flat += (r, eta, psi)
         buf.fromlist(flat)
 
-    t, r, eta, psi = _columns(buf, 4)
-    return PolarTrajectory(t=t, r=r, eta=eta, psi=psi, dt=dt,
+    r, eta, psi = _columns(buf, 3)
+    return PolarTrajectory(r=r, eta=eta, psi=psi, dt=dt,
                            termination=termination)

@@ -73,11 +73,28 @@ def write_float_csv(path, header, columns):
             fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+def _spell_inf(value):
+    """value with every infinite float, at any depth, spelled "inf" or
+    "-inf", the strings float() reads back."""
+    if isinstance(value, dict):
+        return {key: _spell_inf(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_inf(item) for item in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def write_json(path, payload):
-    """Write a JSON record deterministically: sorted keys, indent 2."""
+    """Write a JSON record deterministically: sorted keys, indent 2.
+
+    The record is strict JSON: an infinite float is written as the string
+    "inf" or "-inf", and a NaN raises ValueError before the file is opened.
+    """
+    text = json.dumps(_spell_inf(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @functools.lru_cache(maxsize=32)

@@ -755,6 +755,23 @@ def test_simulate_polar_ends_a_nan_magnitude_as_a_sensing_failure(kind):
         assert np.isfinite(col).all()
 
 
+def _nan_delta_inside_2(r, eta):
+    return math.nan if r < 2.0 else 0.0
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+def test_simulate_polar_ends_a_nan_state_as_non_finite(kind):
+    # a NaN alignment error inside r = 2 once ran on to t_end = 20 with
+    # NaN r on 1794 of 2001 rows; the run now stops at its first NaN row
+    tr = simulate_polar(PolarState(4.0, 0.0, 0.3), _nan_delta_inside_2,
+                        GainLaw(kind, 0.5), lambda r, eta: 1.0, 1e-2, 20.0)
+    assert tr.termination == "non_finite_state"
+    assert tr.t[-1] < 2.5
+    for col in (tr.r, tr.eta, tr.psi):
+        assert np.isfinite(col[:-1]).all()
+    assert math.isnan(tr.r[-1])
+
+
 class _InfiniteProbe(RadialField):
     """The radial field, whose +x stencil probe reads a coefficient of
     infinite magnitude and NaN phase, so the magnitudes pass the floor
@@ -889,25 +906,28 @@ def test_simulate_polar_infinite_escape_means_no_bound():
 # Memory held by a recorded run
 # ----------------------------------------------------------------------
 
-def _traced_peak(run):
-    """run()'s result and the peak bytes tracemalloc saw while it ran."""
+def _traced(run):
+    """run()'s result, the bytes tracemalloc saw held once it returned,
+    and the peak bytes it saw while it ran."""
     tracemalloc.start()
     try:
-        return run(), tracemalloc.get_traced_memory()[1]
+        result = run()
+        return (result, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
 
-def _bytes_per_sample(run):
-    # the peaks of an n-step and a 2n-step run, n eight recording chunks
-    # long, differ by what each further sample costs: fixed costs and the
-    # open chunk's list cancel
+def _bytes_per_sample(run, held=False):
+    # the peaks (or the bytes held after return) of an n-step and a
+    # 2n-step run, n eight recording chunks long, differ by what each
+    # further sample costs: fixed costs and the open chunk's list cancel
     n = 2048
-    (short, low), (long, high) = (_traced_peak(lambda: run(k * n))
-                                  for k in (1, 2))
+    (short, *low), (long, *high) = (_traced(lambda: run(k * n))
+                                    for k in (1, 2))
     assert short.termination == long.termination == "t_end"
-    assert (len(short.t), len(long.t)) == (n + 1, 2 * n + 1)
-    return (high - low) / n
+    assert (len(short.r), len(long.r)) == (n + 1, 2 * n + 1)
+    index = 0 if held else 1
+    return (high[index] - low[index]) / n
 
 
 def _assert_float_columns(columns):
@@ -916,20 +936,31 @@ def _assert_float_columns(columns):
         assert column.flags.c_contiguous and column.flags.writeable
 
 
-def test_simulate_polar_holds_a_sample_in_under_80_bytes():
-    # four doubles per sample and their returned copy, 64 bytes; a float
+def _polar_run(steps):
+    return simulate_polar(PolarState(3.0, 0.0, 1.2), None, STATIC,
+                          radial_m_field(6.5), 1e-2, steps * 1e-2)
+
+
+def test_simulate_polar_holds_a_sample_in_under_52_bytes():
+    # three doubles per sample in the buffer, which grows by a sixteenth,
+    # and their returned copy: 49.5 bytes; t is not recorded. A float
     # object alone is 24 bytes and its list slot 8 more
-    def run(steps):
-        return simulate_polar(PolarState(3.0, 0.0, 1.2), None, STATIC,
-                              radial_m_field(6.5), 1e-2, steps * 1e-2)
-    assert _bytes_per_sample(run) <= 80
-    tr = run(3)
+    assert _bytes_per_sample(_polar_run) <= 52
+    tr = _polar_run(3)
     _assert_float_columns((tr.t, tr.r, tr.eta, tr.psi))
 
 
+def test_a_polar_trajectory_holds_only_its_state():
+    # r, eta and psi, 24 bytes a sample; t is rebuilt on each read
+    assert _bytes_per_sample(_polar_run, held=True) <= 25
+    tr = _polar_run(3)
+    assert tr.t is not tr.t
+    assert np.array_equal(tr.t, [0.0, 0.01, 0.02, 0.03])
+
+
 def test_simulate_holds_a_row_in_under_250_bytes():
-    # the buffer's eight doubles per row, twelve returned columns and the
-    # build of eta, psi and Q
+    # the buffer's seven doubles per row, twelve returned columns and the
+    # build of t, eta, psi and Q
     def run(steps):
         return simulate(AgentState(4.0, 0.0, 1.0), FIELD, STATIC, dt=1e-2,
                         t_end=steps * 1e-2, r_stop=0.0)

@@ -75,6 +75,29 @@ def test_simulate_summary_reusable_as_config(tmp_path):
                        shallow=False)
 
 
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path.name} holds a bare {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_simulate_writes_an_infinite_escape_as_strict_json(tmp_path):
+    # --r-escape inf, no escape bound, was written as a bare Infinity
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--field", "radial", "--ell", "6.5",
+                 "--init", "4,0,0", "--r-escape", "inf", "--t-end", "0.1",
+                 "--out", str(dir_a)]) == 0
+    sidecar = _strict_json(dir_a / "run_run000.json")
+    summary = _strict_json(dir_a / "run_summary.json")
+    assert sidecar["params"]["r_escape"] == "inf"
+    assert summary["config"]["integration"]["r_escape"] == "inf"
+    # the summary, as a config, reruns the same run
+    assert main(["simulate", "--config", str(dir_a / "run_summary.json"),
+                 "--out", str(dir_b)]) == 0
+    for name in ("run_run000.csv", "run_run000.json"):
+        assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
+
+
 def test_simulate_csv_format(tmp_path):
     assert main(["simulate", "--field", "radial", "--ell", "6.5",
                  "--gain", "static", "--g0", "0.5",

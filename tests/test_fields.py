@@ -1,5 +1,6 @@
 """Tests for the signal fields and their exact spectral descriptions."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from phaseseek import (
     wrap_angle,
     wrap_phase,
 )
+from phaseseek.fields import write_json
 
 
 def test_wrap_phase_range():
@@ -299,3 +301,22 @@ def test_alignment_error_rejects_degenerate_inputs():
         alignment_error((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         alignment_error((1.0, 0.0), (0.0, 0.0))
+
+
+def _refuse(name):
+    raise ValueError(f"bare {name} in strict JSON")
+
+
+def test_write_json_spells_infinities_and_refuses_nan(tmp_path):
+    path = tmp_path / "record.json"
+    write_json(path, {"b": [math.inf, (-math.inf, 1.5)],
+                      "a": {"r_escape": np.float64(math.inf), "n": 3}})
+    assert path.read_text() == (
+        '{\n  "a": {\n    "n": 3,\n    "r_escape": "inf"\n  },\n'
+        '  "b": [\n    "inf",\n    [\n      "-inf",\n      1.5\n    ]\n'
+        '  ]\n}\n')
+    assert json.loads(path.read_text(), parse_constant=_refuse)
+    # a NaN raises before the file is opened, so nothing is written
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"q": [1.0, math.nan]})
+    assert not (tmp_path / "nan.json").exists()

@@ -1,6 +1,7 @@
 """Property tests over random inputs: wrap ranges, the polar round trip,
 rotational equivariance and Q conservation of the closed loop, the
-turning radii of trapped orbits, and WAVF bundle loading.
+turning radii of trapped orbits, the rebuilt time axis, named ends of
+runs into a NaN disc, and WAVF bundle loading.
 
 Skipped when hypothesis is not installed.
 """
@@ -19,6 +20,7 @@ from phaseseek import (  # noqa: E402
     PolarState, RadialField, classify_convergence, conserved_quantity,
     from_polar, load_bundle, radial_bounds, radial_envelope, radial_m_field,
     simulate, simulate_polar, to_polar, wrap_angle, wrap_phase)
+from phaseseek.agent import _time_axis  # noqa: E402
 from phaseseek.wake import MAGIC, VERSION, _HEADER  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -175,6 +177,63 @@ def test_trapped_orbits_turn_at_the_radial_bounds(kind, rho, u, r0_rho,
     for turn, sampled in ((bounds.r_min, r.min()), (bounds.r_max, r.max())):
         curvature = abs(1.0 / turn - gain(math.exp(-turn / ell)))
         assert abs(sampled - turn) <= curvature * dt * dt / 8 + 1e-6 * turn
+
+
+# ----------------------------------------------------------------------
+# Time axis and non-finite states
+# ----------------------------------------------------------------------
+
+@given(st.one_of(finite, st.sampled_from([0.0, -0.0])),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       st.integers(min_value=0, max_value=300))
+def test_time_axis_is_the_running_sum(t0, dt, n):
+    want, t = [], t0
+    for _ in range(n):
+        want.append(t)
+        t = t + dt
+    got = _time_axis(t0, dt, n)
+    # compared as bit patterns: signed zeros and infinities included
+    assert got.view(np.int64).tolist() == (
+        np.array(want, dtype=float).view(np.int64).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds, st.floats(min_value=1.0, max_value=6.0), angle,
+       st.floats(min_value=-6.0, max_value=6.0),
+       st.floats(min_value=-6.0, max_value=6.0),
+       st.floats(min_value=0.2, max_value=2.0),
+       st.sampled_from(["delta", "m"]))
+def test_a_run_into_a_nan_disc_ends_by_name(kind, r0, psi0, cx, cy, size,
+                                            slot):
+    # the alignment error or the magnitude is NaN inside a disc; elsewhere
+    # both are constant, so a NaN state is not caught through the gain
+    def inside(r, eta):
+        return math.hypot(r * math.cos(eta) - cx,
+                          r * math.sin(eta) - cy) < size
+
+    def delta(r, eta):
+        return math.nan if slot == "delta" and inside(r, eta) else 0.1
+
+    def m(r, eta):
+        return math.nan if slot == "m" and inside(r, eta) else 1.0
+
+    hypothesis.assume(not inside(r0, 0.0))
+    tr = simulate_polar(PolarState(r0, 0.0, psi0), delta, GainLaw(kind, 0.5),
+                        m, 1e-2, 10.0)
+    state = np.array([tr.r, tr.eta, tr.psi])
+    assert np.isfinite(state[:, :-1]).all()
+    if tr.termination == "t_end":
+        assert np.isfinite(state).all()
+        assert not any(map(inside, tr.r, tr.eta))
+    elif tr.termination == "non_finite_state":
+        # a NaN alignment error leaves a NaN state, the last row
+        assert slot == "delta"
+        assert np.isnan(state[:, -1]).any()
+    else:
+        # a NaN magnitude raises in the gain before any state is NaN
+        assert tr.termination in ("sensing_failure", "origin_singularity")
+        assert slot == "m" or tr.termination == "origin_singularity"
+        assert np.isfinite(state).all()
 
 
 # ----------------------------------------------------------------------
