@@ -192,9 +192,9 @@ def _rk4_step(deriv, dt, t, a, b, c):
     da4, db4, dc4, _ = deriv(t + dt, a + dt * da3, b + dt * db3,
                              c + dt * dc3)
     sixth = dt / 6.0
-    return (a + sixth * (da1 + 2 * da2 + 2 * da3 + da4),
-            b + sixth * (db1 + 2 * db2 + 2 * db3 + db4),
-            c + sixth * (dc1 + 2 * dc2 + 2 * dc3 + dc4),
+    return (a + sixth * (da1 + 2.0 * da2 + 2.0 * da3 + da4),
+            b + sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4),
+            c + sixth * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4),
             t + dt, diag)
 
 

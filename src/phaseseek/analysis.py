@@ -84,17 +84,17 @@ class GainLaw:
         g0, m_floor = self.g0, self.m_floor
         if self.kind is GainKind.STATIC:
             def gain(m):
-                if not m >= 0:
+                if not m >= 0.0:
                     _negative_magnitude(m)
                 return g0
         elif self.kind is GainKind.PROPORTIONAL:
             def gain(m):
-                if not m >= 0:
+                if not m >= 0.0:
                     _negative_magnitude(m)
                 return g0 * m
         else:
             def gain(m):
-                if not m >= 0:
+                if not m >= 0.0:
                     _negative_magnitude(m)
                 return g0 / m_floor if m < m_floor else g0 / m
         return gain
@@ -418,9 +418,24 @@ def fixed_points(kind, rho, ell=None, v=1.0):
                    none for ell < rho e; one degenerate pair within
                    1e-9 of ell = rho e
     inverse:       r* = ell W0(rho/ell) (centers)
+
+    Raises ValueError for a non-finite rho, ell, v or v / rho, and for a
+    rho and ell whose ratio or radius leaves the float range.
     """
     kind = _params(kind, rho, ell, v)
+    # v / rho is the gain scale g0 of the vector field
+    for name, value in (("rho", rho), ("ell", ell), ("v", v),
+                        ("v / rho", v / rho)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     regime = _regime(kind, rho, ell)
+    if kind is GainKind.INVERSE or regime == CONDITIONAL:
+        # these radii are ell W(+/-rho / ell), out of reach when the ratio
+        # overflows or underflows
+        if not 0.0 < rho / ell < math.inf:
+            raise ValueError(
+                f"rho = {rho} and ell = {ell} give rho / ell = {rho / ell}, "
+                "out of float range for a fixed-point radius")
     radii = []
     if kind is GainKind.STATIC:
         radii.append((rho, CENTER))
@@ -434,6 +449,10 @@ def fixed_points(kind, rho, ell=None, v=1.0):
 
     points = []
     for r_star, label in sorted(radii):
+        if not 0.0 < r_star < math.inf:
+            raise ValueError(
+                f"rho = {rho} and ell = {ell} give a fixed-point radius of "
+                f"{r_star}, not a finite positive one")
         for psi_star in (math.pi / 2, -math.pi / 2):
             eigs = _eigs_at(kind, r_star, psi_star, rho, ell, v)
             points.append(

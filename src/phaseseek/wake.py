@@ -387,7 +387,7 @@ class BundleField(Field):
             if j0 > j_max:
                 j0 = j_max
             fu, fv = u - i0, v - j0
-            gu, gv = 1 - fu, 1 - fv
+            gu, gv = 1.0 - fu, 1.0 - fv
             k = j0 * nx + i0
             append(gu * gv * table[k] + fu * gv * table[k + 1]
                    + gu * fv * table[k + nx] + fu * fv * table[k + nx + 1])

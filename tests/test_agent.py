@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaseseek
 from phaseseek import (
     AgentState,
     GainKind,
@@ -967,6 +972,51 @@ def test_simulate_holds_a_row_in_under_250_bytes():
     assert _bytes_per_sample(run) <= 250
     tr = run(3)
     _assert_float_columns(getattr(tr, name) for name in TRAJ_ATTRS)
+
+
+# ----------------------------------------------------------------------
+# Per-stage arithmetic stays on the interpreter's float fast path
+# ----------------------------------------------------------------------
+
+# Run in a fresh interpreter, so that no other test's arguments reach these
+# sites first. It warms simulate_polar up for each gain kind and prints
+# every site that did not specialize to a float-only instruction: a `*` or
+# `+` in _rk4_step, a comparison in a closure() gain.
+_FAST_PATH_PROBE = """
+import dis, json
+from phaseseek import GainLaw, PolarState, radial_m_field, simulate_polar
+from phaseseek.agent import _rk4_step
+
+def slow_sites(fn, keep):
+    return [f"{fn.__qualname__} line {ins.positions.lineno}: {ins.opname}"
+            for ins in dis.get_instructions(fn, adaptive=True)
+            if keep(ins) and "FLOAT" not in ins.opname]
+
+slow = []
+for kind in ("static", "proportional", "inverse"):
+    law = GainLaw(kind, 0.5)
+    simulate_polar(PolarState(3.0, 0.0, 1.2), None, law, radial_m_field(6.5),
+                   1e-2, 10.0)
+    slow += slow_sites(law.closure(),
+                       lambda ins: ins.opname.startswith("COMPARE_OP"))
+slow += slow_sites(_rk4_step,
+                   lambda ins: (ins.opname.startswith("BINARY_OP")
+                                and ins.argrepr in ("*", "+")))
+print(json.dumps(slow))
+"""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="the adaptive interpreter arrived in CPython 3.11")
+def test_rk4_stage_arithmetic_specializes_to_float():
+    # an int literal next to a float (2 * da2, m >= 0) never specializes,
+    # so that operation takes the generic path on every RK4 stage
+    src = str(Path(phaseseek.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FAST_PATH_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    slow = json.loads(out)
+    assert slow == [], "\n".join(slow)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ points, turning radii, bifurcation threshold, and convergence taxonomy."""
 
 import json
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -325,6 +326,24 @@ def test_proportional_fixed_points_against_oracle():
 
 def test_proportional_below_threshold_has_no_fixed_points():
     assert fixed_points("proportional", 2.0, 5.4) == []
+
+
+@pytest.mark.parametrize("kind, rho, ell, v, text", [
+    ("static", math.inf, None, 1.0, "rho must be finite, got inf"),
+    ("static", 2.0, math.inf, 1.0, "ell must be finite, got inf"),
+    ("inverse", 2.0, 5.8, math.inf, "v must be finite, got inf"),
+    ("static", 1e-300, None, 1e300, "v / rho must be finite, got inf"),
+    ("inverse", 1e300, 1e-300, 1.0,
+     "rho = 1e+300 and ell = 1e-300 give rho / ell = inf"),
+    ("proportional", 1e-300, 1e300, 1.0,
+     "rho = 1e-300 and ell = 1e+300 give rho / ell = 0.0"),
+    # the saddle radius -ell Wm1(-1e-308) overflows
+    ("proportional", 1.0, 1e308, 1.0,
+     "rho = 1.0 and ell = 1e+308 give a fixed-point radius of inf"),
+])
+def test_fixed_points_name_an_out_of_range_parameter(kind, rho, ell, v, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+        fixed_points(kind, rho, ell, v)
 
 
 def test_proportional_at_threshold_is_degenerate():

@@ -407,6 +407,31 @@ def test_analyze_rejects_a_nonpositive_speed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, text", [
+    # a Lambert W RuntimeError, exit 1
+    (["--gain", "inverse", "--rho", "inf", "--ell", "6.5"],
+     "error: rho must be finite, got inf"),
+    # r* = ell W0(rho / ell) underflowed to 0: a ZeroDivisionError, exit 1
+    (["--gain", "inverse", "--rho", "1e-300", "--ell", "1e300"],
+     "error: rho = 1e-300 and ell = 1e+300 give rho / ell = 0.0"),
+    # exit 2, but as "math domain error"
+    (["--gain", "static", "--rho", "inf"],
+     "error: rho must be finite, got inf"),
+    # exit 2, but with a Wm1 domain message
+    (["--gain", "proportional", "--rho", "2", "--ell", "inf"],
+     "error: ell must be finite, got inf"),
+], ids=["inverse-rho-inf", "inverse-ratio-underflow", "static-rho-inf",
+        "proportional-ell-inf"])
+def test_analyze_names_an_out_of_range_parameter(tmp_path, capsys, flags,
+                                                 text):
+    out = tmp_path / "reports"
+    assert main(["analyze", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(text)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("slot, grid", [
     ("--grid nu", "--grid=-12,12,-12,12,10.7,5"),
     ("--grid nu", "--grid=-12,12,-12,12,inf,5"),

@@ -77,16 +77,20 @@ angle = st.floats(min_value=-math.pi, max_value=math.pi)
 
 @settings(max_examples=40, deadline=None)
 @given(kinds, radius, angle, angle, angle)
+# aimed straight at the source, r falls by dt a step and meets r_stop at a
+# sample: rounding decides r < r_stop there, and the runs had 46 and 47 rows
+@example(GainKind.STATIC, 0.5, 0.0, math.pi, 1.0)
 def test_simulate_is_rotationally_equivariant(kind, r0, eta0, theta0, alpha):
     # the radial field is symmetric about the source, so a start rotated
     # by alpha gives the trajectory rotated by alpha
     field, law = RadialField(6.5), GainLaw(kind, 0.5)
     x0, y0 = r0 * math.cos(eta0), r0 * math.sin(eta0)
     c, s = math.cos(alpha), math.sin(alpha)
+    r_stop = 0.05
 
     def run(x, y, theta):
         return simulate(AgentState(x, y, theta), field, law, dt=1e-2,
-                        t_end=5.0)
+                        t_end=5.0, r_stop=r_stop)
 
     base = run(x0, y0, theta0)
     turned = run(c * x0 - s * y0, s * x0 + c * y0, theta0 + alpha)
@@ -100,10 +104,18 @@ def test_simulate_is_rotationally_equivariant(kind, r0, eta0, theta0, alpha):
     tol = 1e-12 + 1e-2 * max(np.max(np.abs(nudged.x[:k] - base.x[:k])),
                              np.max(np.abs(nudged.y[:k] - base.y[:k])))
     assert turned.termination == base.termination
-    assert len(turned) == len(base)
-    assert np.max(np.abs(turned.x - (c * base.x - s * base.y))) <= tol
-    assert np.max(np.abs(turned.y - (s * base.x + c * base.y))) <= tol
-    assert np.max(np.abs(turned.r - base.r)) <= tol
+    n = min(len(turned), len(base))
+    if len(turned) != len(base):
+        # a tie at the stop: the shorter run ended on a sample within tol
+        # of r_stop, where the other run's rounding left r at or above it
+        # for one more step
+        shorter = base if len(base) == n else turned
+        assert abs(len(turned) - len(base)) == 1
+        assert abs(shorter.r[-1] - r_stop) <= tol
+    bx, by, br = base.x[:n], base.y[:n], base.r[:n]
+    assert np.max(np.abs(turned.x[:n] - (c * bx - s * by))) <= tol
+    assert np.max(np.abs(turned.y[:n] - (s * bx + c * by))) <= tol
+    assert np.max(np.abs(turned.r[:n] - br)) <= tol
 
 
 @settings(max_examples=60, deadline=None)
