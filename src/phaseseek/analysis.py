@@ -115,8 +115,9 @@ DIVERGENT = "divergent"
 INDETERMINATE = "indeterminate"
 
 _INV_E = math.exp(-1.0)
-# half-width of the band around ell = rho e (and around |Q| = Q_cr) where
-# fixed points are "degenerate" and orbits "indeterminate"
+# half-width of the band around |Q| = Q_cr, and around ell = rho e scaled
+# by min(1, rho e), where fixed points are "degenerate" and orbits
+# "indeterminate"
 _BOUNDARY_TOL = 1e-9
 # iteration bound of the Lambert W solvers
 _LAMBERT_MAX_ITER = 50
@@ -312,28 +313,12 @@ def radial_envelope(kind, r, rho, ell=None):
 # Closed-loop vector field, fixed points, eigenvalues
 # ----------------------------------------------------------------------
 
-def _radial_vector_field(kind, rho, ell, v):
-    """f(r, psi) -> (dr/dt, dpsi/dt) of the reduced closed loop on the
-    radial field, whose magnitude is m = exp(-r / ell).
-
-    The gain is the GainLaw with g0 = V / rho; its floor is the smallest
-    normal float, so it never binds where exp(r / ell) is finite.
-    """
-    gain = GainLaw(kind, v / rho, m_floor=sys.float_info.min).closure()
-
-    def f(r, psi):
-        m = 1.0 if ell is None else math.exp(-r / ell)
-        return (-v * math.cos(psi), (v / r - gain(m)) * math.sin(psi))
-
-    return f
-
-
 @dataclass
 class FixedPoint:
     """Equilibrium of the reduced (r, psi) flow.
 
     kind is "center", "saddle" or "degenerate"; eigenvalues holds the
-    numerically derived linearization pair.
+    linearization pair from closed_form_eigenvalues.
     """
 
     r_star: float
@@ -342,61 +327,62 @@ class FixedPoint:
     eigenvalues: np.ndarray
 
 
-def _numerical_jacobian(f, r, psi):
-    h = 1e-5 * max(1.0, abs(r))
-    fr_p = f(r + h, psi)
-    fr_m = f(r - h, psi)
-    fp_p = f(r, psi + h)
-    fp_m = f(r, psi - h)
-    return np.array(
-        [
-            [(fr_p[0] - fr_m[0]) / (2 * h), (fp_p[0] - fp_m[0]) / (2 * h)],
-            [(fr_p[1] - fr_m[1]) / (2 * h), (fp_p[1] - fp_m[1]) / (2 * h)],
-        ]
-    )
-
-
-def _sorted_eigs(values):
-    values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
-def _eigs_at(kind, r, psi, rho, ell, v):
-    f = _radial_vector_field(kind, rho, ell, v)
-    jac = _numerical_jacobian(f, r, psi)
-    return _sorted_eigs(np.linalg.eigvals(jac))
-
-
 def jacobian_eigenvalues(kind, fixed_point, rho, ell=None, v=1.0):
-    """Eigenvalues of the numerically differenced Jacobian at a fixed point.
+    """Eigenvalues of the central-difference Jacobian of the reduced flow
+    at a fixed point: the finite-difference cross-check of
+    closed_form_eigenvalues, which fixed_points reports.
 
-    Central differences with step 1e-5 * max(1, r*); returned sorted by
-    (real, imag) for determinism.
+    The flow runs on the radial field, m = exp(-r / ell), with the GainLaw
+    of g0 = V / rho; its floor is the smallest normal float, so it never
+    binds where exp(r / ell) is finite. The steps are 1e-5 r* in r and
+    1e-5 in psi; the pair is returned sorted by (real, imag).
     """
     kind = _params(kind, rho, ell, v)
-    return _eigs_at(kind, fixed_point.r_star, fixed_point.psi_star, rho, ell, v)
+    gain = GainLaw(kind, v / rho, m_floor=sys.float_info.min).closure()
+
+    def f(r, psi):
+        m = 1.0 if ell is None else math.exp(-r / ell)
+        return (-v * math.cos(psi), (v / r - gain(m)) * math.sin(psi))
+
+    r, psi = fixed_point.r_star, fixed_point.psi_star
+    h_r, h_psi = 1e-5 * r, 1e-5
+    fr_p, fr_m = f(r + h_r, psi), f(r - h_r, psi)
+    fp_p, fp_m = f(r, psi + h_psi), f(r, psi - h_psi)
+    jac = np.array([
+        [(fr_p[0] - fr_m[0]) / (2 * h_r), (fp_p[0] - fp_m[0]) / (2 * h_psi)],
+        [(fr_p[1] - fr_m[1]) / (2 * h_r), (fp_p[1] - fp_m[1]) / (2 * h_psi)],
+    ])
+    values = np.linalg.eigvals(jac).astype(complex)
+    return values[np.lexsort((values.imag, values.real))]
 
 
 def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
-    """Linearization eigenvalues from lambda^2 = -V^2/r^2 - V G'(r).
+    """Linearization eigenvalues -lambda, lambda at a fixed point.
+
+    At sin psi = +/-1 the Jacobian of the reduced flow is antidiagonal, so
+    lambda^2 = -V^2/r^2 - V G'(r) is exact:
 
     Static:        lambda^2 = -(V / rho)^2
     Proportional:  lambda^2 = V^2 (r - ell) / (ell r^2)
     Inverse:       lambda^2 = -V^2 (ell + r) / (ell r^2)
 
-    Magnitudes are the cross-check target; the numerical Jacobian is the
-    ground truth for signs.
+    |lambda| is computed as V / rho, (V / r) sqrt(|r - ell| / ell) and
+    (V / r) sqrt((ell + r) / ell), so it is finite wherever lambda is.
+    The pair comes in (real, imag) order: a center's real parts and a
+    saddle's imaginary parts are +0.0, and the degenerate pair is 0.
     """
     kind = _params(kind, rho, ell, v)
     if kind is GainKind.STATIC:
-        lam2 = -((v / rho) ** 2)
+        s, center = v / rho, True
     elif kind is GainKind.PROPORTIONAL:
-        lam2 = v * v * (r_star - ell) / (ell * r_star * r_star)
+        s = (v / r_star) * math.sqrt(abs(r_star - ell) / ell)
+        center = r_star < ell
     else:
-        lam2 = -v * v * (ell + r_star) / (ell * r_star * r_star)
-    lam = complex(lam2) ** 0.5
-    return _sorted_eigs([lam, -lam])
+        s, center = (v / r_star) * math.sqrt((ell + r_star) / ell), True
+    # 0.0 - s rather than -s, so that s = 0 gives +0.0
+    if center:
+        return np.array([complex(0.0, 0.0 - s), complex(0.0, s)])
+    return np.array([complex(0.0 - s, 0.0), complex(s, 0.0)])
 
 
 def _proportional_radii(rho, ell):
@@ -416,7 +402,7 @@ def fixed_points(kind, rho, ell=None, v=1.0):
     proportional:  r* = -ell Wm1(-rho/ell) (saddles) and
                    r** = -ell W0(-rho/ell) (centers), for ell > rho e;
                    none for ell < rho e; one degenerate pair within
-                   1e-9 of ell = rho e
+                   1e-9 min(1, rho e) of ell = rho e
     inverse:       r* = ell W0(rho/ell) (centers)
 
     Raises ValueError for a non-finite rho, ell, v or v / rho, and for a
@@ -454,7 +440,7 @@ def fixed_points(kind, rho, ell=None, v=1.0):
                 f"rho = {rho} and ell = {ell} give a fixed-point radius of "
                 f"{r_star}, not a finite positive one")
         for psi_star in (math.pi / 2, -math.pi / 2):
-            eigs = _eigs_at(kind, r_star, psi_star, rho, ell, v)
+            eigs = closed_form_eigenvalues(kind, r_star, rho, ell, v)
             points.append(
                 FixedPoint(r_star=r_star, psi_star=psi_star, kind=label,
                            eigenvalues=eigs)
@@ -471,14 +457,14 @@ def critical_q(rho, ell):
 
     |Q_cr| = (ell / rho) |Wm1(-rho/ell)| exp(-1 / Wm1(-rho/ell)); orbits with
     |Q| above this level (inside the saddle radius) are trapped. Requires the
-    saddle to exist: ell above rho e and outside the 1e-9 band around it,
-    where fixed_points finds the degenerate pair.
+    saddle to exist: ell above rho e and outside the 1e-9 min(1, rho e)
+    band around it, where fixed_points finds the degenerate pair.
     """
     kind = _params(GainKind.PROPORTIONAL, rho, ell)
     if _regime(kind, rho, ell) != CONDITIONAL:
         raise NoSaddleError(
             f"no saddle for ell = {ell}: not above rho e = {rho * math.e:.6g}"
-            " by more than 1e-9"
+            " by more than 1e-9 min(1, rho e)"
         )
     w = lambert_w(LambertBranch.WM1, -rho / ell)
     return (ell / rho) * abs(w) * math.exp(-1.0 / w)
@@ -623,14 +609,15 @@ def _regime(kind, rho, ell):
     radial_bounds and bifurcation_scan read it.
 
     "unconditional" for static and inverse gain; for proportional gain
-    "indeterminate" within 1e-9 of ell = rho e (where fixed_points finds
-    the degenerate pair), "divergent" below it and "conditional" above it,
-    where the start decides.
+    "indeterminate" within 1e-9 min(1, rho e) of ell = rho e (where
+    fixed_points finds the degenerate pair), "divergent" below it and
+    "conditional" above it, where the start decides. The band is absolute
+    at rho e >= 1 and relative below, so it scales with ell there.
     """
     if kind is not GainKind.PROPORTIONAL:
         return UNCONDITIONAL
     ell_c = rho * math.e
-    if abs(ell - ell_c) < _BOUNDARY_TOL:
+    if abs(ell - ell_c) < _BOUNDARY_TOL * min(1.0, ell_c):
         return INDETERMINATE
     return DIVERGENT if ell < ell_c else CONDITIONAL
 
@@ -643,7 +630,8 @@ def classify_convergence(kind, rho, ell, init):
     none ("divergent"); above it, orbits are "conditional_bounded" when
     |Q| exceeds the critical level and the start radius lies inside the
     saddle, "conditional_unbounded" otherwise. Inits within 1e-9 of a
-    separating level (or ell of rho e) come back "indeterminate".
+    separating level, and ell within 1e-9 min(1, rho e) of rho e, come
+    back "indeterminate".
     """
     kind = _params(kind, rho, ell)
     regime = _regime(kind, rho, ell)

@@ -8,7 +8,9 @@ stage. The point is to agree with the fast library
 code without sharing any of its machinery; the closed loops share only
 the public per-stage sensing pieces (spectra or spectral_sample), and the
 polar loop shares nothing. All spell the gain law out (gain_ref), and the
-closed loops spell the steering signal out too (steer_ref).
+closed loops spell the steering signal out too (steer_ref). The
+linearization pair (eigenvalues_ref) differences the reduced flow in
+mpmath, so it shares neither the closed form nor the float Jacobian.
 """
 
 import math
@@ -64,6 +66,42 @@ def center_radius_ref(kind, rho, ell):
 def saddle_radius_ref(rho, ell):
     """Larger balance root of the proportional law (exists for ell > rho e)."""
     return bisect(lambda r: r * math.exp(-r / ell) - rho, ell, 60.0 * ell)
+
+
+def eigenvalues_ref(kind, r_star, psi_star, rho, ell=None, v=1.0):
+    """Linearization pair of the reduced flow at (r_star, psi_star), as
+    Python complex numbers sorted by (real, imag).
+
+    The flow dr/dt = -v cos psi, dpsi/dt = (v / r - G(r)) sin psi, with
+    G = (v / rho) times 1, exp(-r / ell) or exp(r / ell), is differenced
+    centrally in mpmath at 50 digits (steps 1e-20 r_star and 1e-20), and
+    the pair is tr/2 -/+ sqrt(tr^2/4 - det) of that 2x2 Jacobian.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        v, rho = mpmath.mpf(v), mpmath.mpf(rho)
+        r, psi = mpmath.mpf(r_star), mpmath.mpf(psi_star)
+
+        def gain(x):
+            if kind == "static":
+                return v / rho
+            if kind == "proportional":
+                return v / rho * mpmath.exp(-x / ell)
+            return v / rho * mpmath.exp(x / ell)
+
+        def flow(x, a):
+            return (-v * mpmath.cos(a), (v / x - gain(x)) * mpmath.sin(a))
+
+        h_r, h_psi = r * mpmath.mpf("1e-20"), mpmath.mpf("1e-20")
+        (a_p, c_p), (a_m, c_m) = flow(r + h_r, psi), flow(r - h_r, psi)
+        (b_p, d_p), (b_m, d_m) = flow(r, psi + h_psi), flow(r, psi - h_psi)
+        a, c = (a_p - a_m) / (2 * h_r), (c_p - c_m) / (2 * h_r)
+        b, d = (b_p - b_m) / (2 * h_psi), (d_p - d_m) / (2 * h_psi)
+        half_trace = (a + d) / 2
+        root = mpmath.sqrt(mpmath.mpc(half_trace ** 2 - (a * d - b * c)))
+        pair = [complex(half_trace - root), complex(half_trace + root)]
+    return sorted(pair, key=lambda z: (z.real, z.imag))
 
 
 def gain_ref(law, m):

@@ -400,6 +400,43 @@ def test_closed_form_matches_numerical_jacobian():
                 assert abs(c) == pytest.approx(abs(n), abs=1e-6)
 
 
+@pytest.mark.parametrize("kind, rho, ell", [
+    ("static", 2.0, None), ("proportional", 2.0, 6.5),
+    ("proportional", 2.0, 2.0 * math.e), ("inverse", 2.0, 5.8),
+    ("proportional", 1e-6, 4e-6), ("inverse", 1e-9, 3e-8)])
+def test_fixed_points_carry_the_closed_form_eigenvalues(kind, rho, ell):
+    for fp in fixed_points(kind, rho, ell):
+        closed = closed_form_eigenvalues(kind, fp.r_star, rho, ell)
+        assert np.array_equal(fp.eigenvalues, closed)
+        # a center's real parts, a saddle's imaginary parts and both parts
+        # of the degenerate pair are +0.0
+        zeros = {"center": closed.real, "saddle": closed.imag,
+                 "degenerate": np.concatenate([closed.real, closed.imag])}
+        assert [math.copysign(1.0, x) for x in zeros[fp.kind]] == (
+            [1.0] * len(zeros[fp.kind]))
+        assert not zeros[fp.kind].any()
+
+
+@pytest.mark.parametrize("rho", [1e-4, 1e-5, 1e-200])
+def test_static_eigenvalues_hold_below_unit_scale(rho):
+    # the differenced Jacobian read 10050i at 1e-4, divided by zero at
+    # 1e-5 and read 0 at 1e-200
+    for fp in fixed_points("static", rho):
+        assert fp.eigenvalues.tolist() == [complex(0.0, -1.0 / rho),
+                                           complex(0.0, 1.0 / rho)]
+
+
+@pytest.mark.parametrize("kind, rho, ell", [
+    ("static", 1e-4, None), ("static", 1e6, None),
+    ("proportional", 1e-4, 4e-4), ("inverse", 1e-4, 3e-4)])
+def test_jacobian_cross_check_holds_at_any_scale(kind, rho, ell):
+    # steps of 1e-5 r* in r and 1e-5 in psi
+    for fp in fixed_points(kind, rho, ell):
+        closed = closed_form_eigenvalues(kind, fp.r_star, rho, ell)
+        numerical = jacobian_eigenvalues(kind, fp, rho, ell)
+        assert np.abs(numerical - closed).max() <= 1e-6 * abs(closed[1])
+
+
 # ----------------------------------------------------------------------
 # Critical level and turning radii
 # ----------------------------------------------------------------------
@@ -572,32 +609,46 @@ def test_classify_indeterminate_cases():
         "proportional", 2.0, 6.5, on_separatrix) == "indeterminate"
 
 
-def test_degenerate_and_indeterminate_mark_one_band():
+def _check_one_band(rho):
     # fixed_points, classify_convergence, critical_q and radial_bounds all
-    # read one band around ell = rho e
-    init = SimpleNamespace(r=4.0, psi=math.pi / 2)
-    ell_c = 2.0 * math.e
+    # read one band around ell = rho e, of half-width 1e-9 min(1, rho e)
+    init = SimpleNamespace(r=2.0 * rho, psi=math.pi / 2)
+    ell_c = rho * math.e
+    scale = min(1.0, ell_c)
     for offset in (-1.5e-9, -0.9e-9, 0.0, 0.9e-9, 1.5e-9, 3e-9):
-        ell = ell_c + offset
+        ell = ell_c + offset * scale
         in_band = abs(offset) < 1e-9
         conditional = offset > 0 and not in_band
         degenerate = [fp.kind for fp in fixed_points(
-            "proportional", 2.0, ell)] == ["degenerate"] * 2
+            "proportional", rho, ell)] == ["degenerate"] * 2
         indeterminate = classify_convergence(
-            "proportional", 2.0, ell, init) == "indeterminate"
+            "proportional", rho, ell, init) == "indeterminate"
         assert degenerate == indeterminate == in_band, offset
         try:
-            critical_q(2.0, ell)
+            critical_q(rho, ell)
             has_saddle = True
         except NoSaddleError:
             has_saddle = False
         assert has_saddle == conditional, offset
         # the envelope at r = ell, where center and saddle merge, is a
         # trapped level wherever a saddle exists
-        h = float(radial_envelope("proportional", ell, 2.0, ell))
-        status = radial_bounds("proportional", h, 2.0, ell).status
+        h = float(radial_envelope("proportional", ell, rho, ell))
+        status = radial_bounds("proportional", h, rho, ell).status
         assert status == ("conditional" if conditional else "unbounded"), (
             offset)
+
+
+def test_degenerate_and_indeterminate_mark_one_band():
+    _check_one_band(2.0)
+
+
+def test_the_band_is_relative_below_unit_rho_e():
+    # an absolute 1e-9 band would hold all of ell in (0, 1e-9 + rho e)
+    _check_one_band(1e-10)
+    assert fixed_points("proportional", 1e-10, 1e-10) == []
+    init = SimpleNamespace(r=2e-10, psi=math.pi / 2)
+    assert classify_convergence(
+        "proportional", 1e-10, 1e-10, init) == "divergent"
 
 
 # ----------------------------------------------------------------------

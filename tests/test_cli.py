@@ -432,6 +432,29 @@ def test_analyze_names_an_out_of_range_parameter(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho", ["1e-5", "1e-200"])
+def test_analyze_static_below_unit_scale(tmp_path, rho):
+    # a ZeroDivisionError (exit 1) at 1e-5 and eigenvalues of 0 at 1e-200
+    # while the differenced Jacobian gave them
+    assert main(["analyze", "--gain", "static", "--rho", rho,
+                 "--grid=-1,1,-1,1,3,3", "--out", str(tmp_path)]) == 0
+    report = _strict_json(tmp_path / "portrait_report.json")
+    s = 1.0 / float(rho)
+    assert [fp["eigenvalues"] for fp in report["fixed_points"]] == (
+        [[[0.0, -s], [0.0, s]]] * 2)
+
+
+def test_analyze_proportional_below_unit_scale_is_divergent(tmp_path):
+    # ell = 1e-10 lies below rho e = 2.7e-10, outside the band around it,
+    # which is relative there (an OverflowError, exit 1, before)
+    assert main(["analyze", "--gain", "proportional", "--rho", "1e-10",
+                 "--ell", "1e-10", "--grid=-1,1,-1,1,3,3",
+                 "--out", str(tmp_path)]) == 0
+    report = _strict_json(tmp_path / "portrait_report.json")
+    assert report["classification"] == "divergent"
+    assert report["fixed_points"] == []
+
+
 @pytest.mark.parametrize("slot, grid", [
     ("--grid nu", "--grid=-12,12,-12,12,10.7,5"),
     ("--grid nu", "--grid=-12,12,-12,12,inf,5"),

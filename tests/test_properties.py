@@ -1,7 +1,8 @@
 """Property tests over random inputs: wrap ranges, the polar round trip,
 rotational equivariance and Q conservation of the closed loop, the
-turning radii of trapped orbits, the rebuilt time axis, named ends of
-runs into a NaN disc, and WAVF bundle loading.
+turning radii of trapped orbits, fixed-point eigenvalues against an
+mpmath oracle, the rebuilt time axis, named ends of runs into a NaN disc,
+and WAVF bundle loading.
 
 Skipped when hypothesis is not installed.
 """
@@ -18,8 +19,9 @@ import oracles  # noqa: E402
 from phaseseek import (  # noqa: E402
     TWO_PI, AgentState, BundleFormatError, GainKind, GainLaw, GridFieldBundle,
     PolarState, RadialField, classify_convergence, conserved_quantity,
-    from_polar, load_bundle, radial_bounds, radial_envelope, radial_m_field,
-    simulate, simulate_polar, to_polar, wrap_angle, wrap_phase)
+    fixed_points, from_polar, load_bundle, radial_bounds, radial_envelope,
+    radial_m_field, simulate, simulate_polar, to_polar, wrap_angle,
+    wrap_phase)
 from phaseseek.agent import _time_axis  # noqa: E402
 from phaseseek.wake import MAGIC, VERSION, _HEADER  # noqa: E402
 
@@ -189,6 +191,28 @@ def test_trapped_orbits_turn_at_the_radial_bounds(kind, rho, u, r0_rho,
     for turn, sampled in ((bounds.r_min, r.min()), (bounds.r_max, r.max())):
         curvature = abs(1.0 / turn - gain(math.exp(-turn / ell)))
         assert abs(sampled - turn) <= curvature * dt * dt / 8 + 1e-6 * turn
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds, st.floats(min_value=-8.0, max_value=6.0),
+       st.floats(min_value=0.1, max_value=10.0),
+       st.floats(min_value=-3.0, max_value=3.0))
+def test_fixed_point_eigenvalues_match_the_mpmath_oracle(kind, log_rho, v,
+                                                         log_ell):
+    pytest.importorskip("mpmath")
+    # rho log-uniform over [1e-8, 1e6]; ell at least 1e-3 clear of rho e
+    # (relative) for proportional gain, so the pair is well conditioned
+    rho = 10.0 ** log_rho
+    ell = {GainKind.STATIC: None,
+           GainKind.PROPORTIONAL: rho * math.e * (1.0 + 10.0 ** log_ell),
+           GainKind.INVERSE: rho * 10.0 ** log_ell}[kind]
+    points = fixed_points(kind, rho, ell, v)
+    assert len(points) == (4 if kind is GainKind.PROPORTIONAL else 2)
+    for fp in points:
+        ref = oracles.eigenvalues_ref(kind.value, fp.r_star, fp.psi_star, rho,
+                                      ell, v)
+        for ev, ev_ref in zip(fp.eigenvalues, ref):
+            assert abs(ev - ev_ref) <= 1e-9 * abs(ev_ref), (fp, ref)
 
 
 # ----------------------------------------------------------------------
