@@ -486,7 +486,7 @@ def _bisect(fn, lo, hi, iters=200):
             lo, flo = mid, fmid
         else:
             hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(hi)):
+        if hi - lo < 1e-14 * abs(hi):
             break
     return 0.5 * (lo + hi)
 

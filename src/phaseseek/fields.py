@@ -58,19 +58,36 @@ def wrap_phase(a):
     return w
 
 
+# rows spelled at a time: the block's strings are the writer's peak memory
+_CSV_BLOCK_ROWS = 256
+
+
 def write_float_csv(path, header, columns):
     """Write equal-length float columns as CSV under a header row.
 
     Every value is spelled repr(float): it round-trips exactly and spells
-    nan and inf.
+    nan and inf. Raises ValueError, before the file is opened, unless the
+    header names each column once and the columns are 1-D and of equal
+    length.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
+    if not columns or len(header) != len(columns):
+        raise ValueError(f"need one header name per column, got "
+                         f"{len(header)} names for {len(columns)} columns")
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("each column must be 1-D")
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("columns must have equal lengths")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        # row blocks keep memory flat on long runs
-        for i in range(0, len(columns[0]), 4096):
-            rows = zip(*(c[i:i + 4096].tolist() for c in columns))
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        # spelled column by column, then joined row by row in C; row
+        # blocks keep memory flat on long runs
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            spelled = [list(map(repr, c[i:i + _CSV_BLOCK_ROWS].tolist()))
+                       for c in columns]
+            fh.write("\n".join(map(",".join, zip(*spelled))))
+            fh.write("\n")
 
 
 def _spell_inf(value):

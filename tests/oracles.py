@@ -10,7 +10,8 @@ the public per-stage sensing pieces (spectra or spectral_sample), and the
 polar loop shares nothing. All spell the gain law out (gain_ref), and the
 closed loops spell the steering signal out too (steer_ref). The
 linearization pair (eigenvalues_ref) differences the reduced flow in
-mpmath, so it shares neither the closed form nor the float Jacobian.
+mpmath, so it shares neither the closed form nor the float Jacobian. The
+float CSV (float_csv_ref) is spelled a row at a time.
 """
 
 import math
@@ -102,6 +103,15 @@ def eigenvalues_ref(kind, r_star, psi_star, rho, ell=None, v=1.0):
         root = mpmath.sqrt(mpmath.mpc(half_trace ** 2 - (a * d - b * c)))
         pair = [complex(half_trace - root), complex(half_trace + root)]
     return sorted(pair, key=lambda z: (z.real, z.imag))
+
+
+def float_csv_ref(header, columns):
+    """The text of a float CSV, spelled row by row: the header line, then
+    each row's values as repr(float) joined by commas, every line ending in
+    a newline."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, map(float, row))) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines)
 
 
 def gain_ref(law, m):

@@ -515,6 +515,21 @@ def test_proportional_bounds():
     assert radial_bounds("proportional", 3.0, 2.0, 5.4).status == "unbounded"
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e6])
+@pytest.mark.parametrize("kind, q, rho, ell", [("inverse", 0.01, 2.0, 5.8),
+                                               ("proportional", 11.0, 2.0, 6.5)])
+def test_radial_bounds_scale_with_rho_and_ell(kind, q, rho, ell, scale):
+    # the envelope reads r only as r / rho and r / ell, so scaling rho and
+    # ell together scales the turning radii, at any size
+    base = radial_bounds(kind, q, rho, ell)
+    scaled = radial_bounds(kind, q, scale * rho, scale * ell)
+    assert scaled.status == base.status != "unbounded"
+    assert scaled.r_min == pytest.approx(scale * base.r_min, rel=1e-12,
+                                         abs=0.0)
+    assert scaled.r_max == pytest.approx(scale * base.r_max, rel=1e-12,
+                                         abs=0.0)
+
+
 def test_bounds_match_lambert_inversion():
     rng = np.random.default_rng(24)
     for _ in range(100):

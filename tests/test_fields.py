@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import float_csv_ref
 from phaseseek import (
     TWO_PI,
     Field,
@@ -18,7 +20,7 @@ from phaseseek import (
     wrap_angle,
     wrap_phase,
 )
-from phaseseek.fields import write_json
+from phaseseek.fields import _CSV_BLOCK_ROWS, write_float_csv, write_json
 
 
 def test_wrap_phase_range():
@@ -320,3 +322,69 @@ def test_write_json_spells_infinities_and_refuses_nan(tmp_path):
     with pytest.raises(ValueError):
         write_json(tmp_path / "nan.json", {"q": [1.0, math.nan]})
     assert not (tmp_path / "nan.json").exists()
+
+
+# ----------------------------------------------------------------------
+# Float CSV
+# ----------------------------------------------------------------------
+
+# values a column repeats: 0.0 beside -0.0, NaNs of three bit patterns,
+# the infinities, subnormals and plain numbers
+_CSV_POOL = np.concatenate([
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5e-310, 0.1,
+     1 / 3, 2.5, 1e16],
+    np.array([0x7FF8000000000001, -(1 << 51)], dtype=np.int64).view(float),
+])
+
+
+def _csv_columns(rng, rows):
+    """Random columns of each kind a row block meets: all distinct, drawn
+    from the pool, half and half, one value, and signed zeros only."""
+    distinct = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    pooled = rng.choice(_CSV_POOL, rows)
+    mixed = np.where(rng.random(rows) < 0.5, rng.choice(_CSV_POOL, rows),
+                     rng.normal(size=rows))
+    return ("distinct", "pooled", "mixed", "constant", "zeros"), (
+        distinct, pooled, mixed, np.full(rows, -0.0),
+        list(rng.choice([0.0, -0.0], rows)))
+
+
+_B = _CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_write_float_csv_matches_the_row_by_row_oracle(tmp_path, rows):
+    header, columns = _csv_columns(np.random.default_rng(rows), rows)
+    path = tmp_path / "table.csv"
+    write_float_csv(path, header, columns)
+    assert path.read_bytes() == float_csv_ref(header, columns).encode()
+
+
+@pytest.mark.parametrize("header, columns", [
+    (("a", "b"), ([1.0, 2.0, 3.0], [4.0, 5.0])),
+    (("a", "b"), ([1.0, 2.0], [[0.0, 1.0], [2.0, 3.0]])),
+    (("a",), ([1.0, 2.0], [3.0, 4.0])),
+], ids=["unequal-lengths", "not-1-d", "header-length"])
+def test_write_float_csv_rejects_malformed_columns(tmp_path, header, columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        write_float_csv(path, header, columns)
+    assert not path.exists()
+
+
+def test_write_float_csv_memory_stays_flat(tmp_path):
+    # the writer spells a row block at a time, so four times the rows
+    # must not take four times the memory
+    n = 2 * _CSV_BLOCK_ROWS
+    columns = np.random.default_rng(5).normal(size=(12, 4 * n))
+    header = [f"c{k}" for k in range(12)]
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            write_float_csv(tmp_path / "t.csv", header, columns[:, :rows])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * n) <= 1.25 * peak(n)

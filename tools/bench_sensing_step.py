@@ -18,7 +18,10 @@ the same script times any checkout. It prints one JSON object:
 * map_build_ms: one build of the synthetic wake's first-mode map, the
   one-off cost a bundle field pays on its first windowed sample (null on
   a tree without the map);
-* spectral_grids_ms: one spectral_grids call on the synthetic wake.
+* spectral_grids_ms: one spectral_grids call on the synthetic wake;
+* csv_row_us: one row of the README radial run's 12-column trajectory
+  (the analytic run above, 2001 rows) written by Trajectory.write_csv,
+  that is by write_float_csv.
 
 Every figure is scaled as perfbench scales its workloads: the reference
 kernel is timed before the first call and after each, and
@@ -28,7 +31,7 @@ the same on a faster or a busier machine. Each step figure is the median
 over ROUNDS (default 5) scaled runs, of 2 s of simulated time unless
 stated, divided by the run's step count, so a run's one-off set-up (the
 map build included) is spread over its steps.
-The two map figures are medians over 4 * ROUNDS scaled calls.
+The map and CSV figures are medians over 4 * ROUNDS scaled calls.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 import math
 import statistics
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -111,6 +115,11 @@ def main(argv):
                               timed(lambda: build(bundle), rounds * 4) * 1e3)
     result["spectral_grids_ms"] = timed(lambda: spectral_grids(bundle),
                                         rounds * 4) * 1e3
+    trajectory = analytic_run()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        result["csv_row_us"] = timed(lambda: trajectory.write_csv(path),
+                                     rounds * 4) / len(trajectory) * 1e6
     print(json.dumps(result, sort_keys=True))
     return 0
 
