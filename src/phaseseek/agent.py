@@ -399,7 +399,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         "r_stop": r_stop,
         "r_escape": r_escape,
         "init": [init.x, init.y, init.theta],
-        "rho": rho if math.isfinite(rho) else None,
+        "rho": rho,
     }
     return Trajectory(
         t=t, x=x, y=y, theta=wrap_angle(th), r=r, eta=eta, psi=psi, m=m,

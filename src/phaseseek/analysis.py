@@ -494,11 +494,13 @@ def _bisect(fn, lo, hi, iters=200):
 def _turning_radius(envelope, aq, r_peak, step):
     """The radius on one side of the envelope's peak r_peak where it falls
     to aq: step out from r_peak by the factor step (0.5 inward, 2.0
-    outward) until the envelope is no longer above aq, then bisect."""
-    r = r_peak
+    outward) until the envelope is no longer above aq, then bisect over
+    the last step, whose near end is still above aq. With no step taken
+    the radius is r_peak."""
+    r = last = r_peak
     while envelope(r) > aq:
-        r *= step
-    bracket = (r, r_peak) if step < 1.0 else (r_peak, r)
+        last, r = r, r * step
+    bracket = (r, last) if step < 1.0 else (last, r)
     return _bisect(lambda x: envelope(x) - aq, *bracket)
 
 

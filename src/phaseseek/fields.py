@@ -148,7 +148,7 @@ def first_mode_coeffs(windows, period):
     if n < 8:
         raise ValueError(f"window must hold at least 8 samples, got {n}")
     # the same rounding as np.mean, without its per-call overhead
-    return (windows * _twiddle(n, period)).sum(axis=-1) / n
+    return np.add.reduce(windows * _twiddle(n, period), axis=-1) / n
 
 
 @dataclass(frozen=True)
@@ -290,8 +290,9 @@ class RadialField(Field):
         # ulp, which would move windowed results
         r = [math.hypot(x[0], x[1]) for x in points]
         amp = [2.0 * math.exp(-ri / self.ell) for ri in r]
-        t = t0 + _offsets(n, self.period)
-        return np.array(amp)[:, None] * np.cos(np.array(r)[:, None] - t)
+        window = np.subtract.outer(np.array(r), t0 + _offsets(n, self.period))
+        np.cos(window, out=window)
+        return np.multiply(np.array(amp)[:, None], window, out=window)
 
     def analytic_mode(self, x, y):
         # math per call: this runs at every RK4 stage of an analytic run

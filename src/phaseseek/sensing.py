@@ -10,9 +10,11 @@ and the four stencil probes are one batched field evaluation
 (first_mode_coeffs), the same kernel the gridded spectral maps use. The
 closed loop senses (m, grad phi) only: it asks the field for the five
 coefficients directly (Field.window_coeffs), which is the same window DFT
-by default and a read of the cached first-mode map for a bundle-backed
-field, and steers with lateral_signal once per stage. Both paths share
-one floor check and one wrapped stencil difference (_stencil_mode).
+by default and, for a bundle-backed field, one bilinear read of the cached
+first-mode map scaled by a window factor that the field computes once per
+window start time. It steers with lateral_signal once per stage. Both
+paths share one floor check and one wrapped stencil difference
+(_stencil_mode).
 """
 
 from __future__ import annotations
@@ -98,33 +100,39 @@ _INF = math.inf
 # largest share of the local wavelength the sensor may cross per window
 _QUASI_STEADY_FRACTION = 0.1
 
-# Unit offsets of the centre and the probes +e_x, -e_x, +e_y, -e_y. The
-# signed zeros make x + h * offset round exactly like x, x + (h, 0),
-# x - (h, 0), x + (0, h) and x - (0, h), even for a coordinate of -0.0.
-_STENCIL = ((-0.0, -0.0), (1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, -1.0))
-
 
 def _stencil_points(x, y, h):
-    """The centre (x, y) and its four probes at half-width h, as floats."""
-    return [(x + h * ox, y + h * oy) for ox, oy in _STENCIL]
+    """The centre (x, y) and its probes +e_x, -e_x, +e_y, -e_y at
+    half-width h, as a tuple of float pairs.
+
+    Each coordinate is x + h * offset with a unit offset. The signed zeros
+    make it round exactly like x, x + (h, 0), x - (h, 0), x + (0, h) and
+    x - (0, h), even for a coordinate of -0.0.
+    """
+    return ((x + h * -0.0, y + h * -0.0), (x + h * 1.0, y + h * 0.0),
+            (x + h * -1.0, y + h * -0.0), (x + h * 0.0, y + h * 1.0),
+            (x + h * -0.0, y + h * -1.0))
 
 
 def _stencil_mode(coeffs, h, m_floor):
     """Magnitude and phase gradient from the five stencil coefficients.
 
     coeffs are the first-mode coefficients of the centre and of the probes
-    in _STENCIL order, as Python complex numbers. Every magnitude must
-    reach m_floor, or DegenerateMagnitudeError is raised; a NaN magnitude
-    does not reach it. The gradient is the centred wrapped phase
+    in _stencil_points order, as Python complex numbers. Every magnitude
+    must reach m_floor, or DegenerateMagnitudeError is raised; a NaN
+    magnitude does not reach it. The gradient is the centred wrapped phase
     difference of each probe pair. Returns the floats (m, gx, gy).
     """
     centre, east, west, north, south = coeffs
     m = abs(centre)
-    # each one tested: min() would drop a NaN that is not its first argument
-    for a in (m, abs(east), abs(west), abs(north), abs(south)):
-        if not a >= m_floor:
-            raise DegenerateMagnitudeError(
-                f"magnitude {a:.3e} below floor {m_floor:.3e}")
+    # each one tested: min() would drop a NaN that is not its first
+    # argument; the ordered loop runs only to name the first that failed
+    if not (m >= m_floor and abs(east) >= m_floor and abs(west) >= m_floor
+            and abs(north) >= m_floor and abs(south) >= m_floor):
+        for a in (m, abs(east), abs(west), abs(north), abs(south)):
+            if not a >= m_floor:
+                raise DegenerateMagnitudeError(
+                    f"magnitude {a:.3e} below floor {m_floor:.3e}")
     gx = wrap_angle(math.atan2(east.imag, east.real)
                     - math.atan2(west.imag, west.real)) / (2.0 * h)
     gy = wrap_angle(math.atan2(north.imag, north.real)

@@ -336,8 +336,11 @@ class BundleField(Field):
     as left_domain, not an error. Queries landing exactly on a node and
     frame return the stored value. Space is read by one bilinear rule
     (_bilinear) and time by one frame rule (_frame). The first
-    window_coeffs call caches the bundle's first-mode map, so the bundle
-    must not change under the field.
+    window_coeffs call caches the bundle's first-mode map. The window
+    factor B(t0, n) is computed once per distinct window start time and
+    size, the last one kept, and applied inside the bilinear read of the
+    map. Both the map and the kept factor assume that the bundle does not
+    change under the field.
     """
 
     has_analytic_spectra = False
@@ -355,8 +358,11 @@ class BundleField(Field):
         self._frame_turn = cmath.exp(1j * (TWO_PI / self.period) * bundle.dt)
         # first-mode map as a flat list, x fastest, built on first use
         self._map = None
+        # the last window factor B(t0, n) and its key (t0, n)
+        self._factor_key = None
+        self._factor = None
 
-    def _bilinear(self, table, points, outside):
+    def _bilinear(self, table, points, outside, scale=None):
         """Bilinear read of a per-node table at each point: a list.
 
         table[j * nx + i] holds node (i, j)'s entry (a number or a numpy
@@ -365,7 +371,8 @@ class BundleField(Field):
         point at cell fractions (fu, fv) of corner node k the read is
         (1 - fu) * (1 - fv) * table[k] + fu * (1 - fv) * table[k + 1]
         + (1 - fu) * fv * table[k + nx] + fu * fv * table[k + nx + 1],
-        summed in that order.
+        summed in that order, and then multiplied as scale * read when a
+        scale is given; `outside` is never scaled.
         """
         # per stencil point: no calls but float and floor, the bounds
         # test inline
@@ -389,8 +396,9 @@ class BundleField(Field):
             fu, fv = u - i0, v - j0
             gu, gv = 1.0 - fu, 1.0 - fv
             k = j0 * nx + i0
-            append(gu * gv * table[k] + fu * gv * table[k + 1]
-                   + gu * fv * table[k + nx] + fu * fv * table[k + nx + 1])
+            read = (gu * gv * table[k] + fu * gv * table[k + 1]
+                    + gu * fv * table[k + nx] + fu * fv * table[k + nx + 1])
+            append(read if scale is None else scale * read)
         return values
 
     def _frame(self, t):
@@ -434,9 +442,14 @@ class BundleField(Field):
             return super().window_coeffs(points, t0, n)
         if self._map is None:
             self._map = _first_mode_map(b).ravel().tolist()
-        factor = self._window_factor(t0, n)
-        return [0j if c is None else factor * c
-                for c in self._bilinear(self._map, points, None)]
+        # RK4 stages 2 and 3 share a start time, and stage 4's is the next
+        # step's stage 1, so the last factor is kept. Keys compare by ==:
+        # -0.0 and 0.0 give one factor, as t0 enters B only as
+        # t0 + r * step with r * step >= +0.0
+        key = (t0, n)
+        if key != self._factor_key:
+            self._factor, self._factor_key = self._window_factor(t0, n), key
+        return self._bilinear(self._map, points, 0j, self._factor)
 
     def _window_factor(self, t0, n):
         """B(t0, n) of window_coeffs, with k_r and w_r from _frame."""

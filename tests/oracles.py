@@ -11,7 +11,9 @@ polar loop shares nothing. All spell the gain law out (gain_ref), and the
 closed loops spell the steering signal out too (steer_ref). The
 linearization pair (eigenvalues_ref) differences the reduced flow in
 mpmath, so it shares neither the closed form nor the float Jacobian. The
-float CSV (float_csv_ref) is spelled a row at a time.
+inverse-gain turning radii (inverse_turning_radius_ref) are bisected in
+mpmath on the log of the envelope, so no level underflows. The float CSV
+(float_csv_ref) is spelled a row at a time.
 """
 
 import math
@@ -103,6 +105,47 @@ def eigenvalues_ref(kind, r_star, psi_star, rho, ell=None, v=1.0):
         root = mpmath.sqrt(mpmath.mpc(half_trace ** 2 - (a * d - b * c)))
         pair = [complex(half_trace - root), complex(half_trace + root)]
     return sorted(pair, key=lambda z: (z.real, z.imag))
+
+
+def inverse_turning_radius_ref(q, rho, ell, side):
+    """Inverse-gain turning radius at level |q| != 0 on one side ("min" or
+    "max") of the envelope's peak, as a float.
+
+    The envelope is h(r) = (r / rho) exp(-(ell / rho) e^(r / ell)), which
+    peaks where r e^(r / ell) = rho. At 60 digits, with u = log r, the
+    peak is bisected, unit steps in u away from it bracket the root of
+    log h = log |q|, and 300 bisections in u resolve it.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        rho, ell = mpmath.mpf(rho), mpmath.mpf(ell)
+        log_q = mpmath.log(abs(mpmath.mpf(q)))
+
+        def excess(u):
+            # log h(e^u) - log |q|
+            return (u - mpmath.log(rho) - (ell / rho) * mpmath.exp(
+                mpmath.exp(u) / ell) - log_q)
+
+        def root(fn, lo, hi):
+            f_lo = fn(lo)
+            for _ in range(300):
+                mid = (lo + hi) / 2
+                f_mid = fn(mid)
+                if (f_mid > 0) == (f_lo > 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2
+
+        u_peak = root(lambda u: mpmath.exp(u) * mpmath.exp(
+            mpmath.exp(u) / ell) - rho, mpmath.log(rho) - 60, mpmath.log(rho))
+        assert excess(u_peak) > 0, "level above the envelope's peak"
+        step = -1 if side == "min" else 1
+        near = u_peak
+        while excess(near + step) > 0:
+            near += step
+        return float(mpmath.exp(root(excess, near, near + step)))
 
 
 def float_csv_ref(header, columns):

@@ -497,6 +497,20 @@ def test_inverse_bounds():
             0.01, abs=1e-9)
 
 
+@pytest.mark.parametrize("q", [1e-50, 1e-60, 1e-100, 1e-300])
+def test_inverse_turning_radii_match_mpmath_at_tiny_levels(q):
+    # the inward turn is bisected over the last halving, not back to the
+    # peak, so a level far below the envelope still resolves
+    b = radial_bounds("inverse", q, 2.0, 5.8)
+    assert b.status == "bounded"
+    assert b.r_min == pytest.approx(
+        oracles.inverse_turning_radius_ref(q, 2.0, 5.8, "min"), rel=1e-12,
+        abs=0.0)
+    assert b.r_max == pytest.approx(
+        oracles.inverse_turning_radius_ref(q, 2.0, 5.8, "max"), rel=1e-12,
+        abs=0.0)
+
+
 def test_proportional_bounds():
     q_cr = critical_q(2.0, 6.5)
     # below the critical level nothing is trapped

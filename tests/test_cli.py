@@ -26,6 +26,7 @@ from phaseseek.cli import (
     SIM_DEFAULTS,
     SIM_FLAGS,
     WAKE_DEFAULTS,
+    _number,
     build_parser,
     main,
 )
@@ -96,6 +97,22 @@ def test_simulate_writes_an_infinite_escape_as_strict_json(tmp_path):
                  "--out", str(dir_b)]) == 0
     for name in ("run_run000.csv", "run_run000.json"):
         assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
+
+
+def test_simulate_writes_the_infinite_rho_of_a_zero_gain_as_inf(tmp_path):
+    # a zero gain has rho = v / g0 = inf
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--field", "radial", "--ell", "6.5",
+                 "--g0", "0", "--init", "4,0,0", "--t-end", "0.1",
+                 "--out", str(dir_a)]) == 0
+    sidecar = _strict_json(dir_a / "run_run000.json")
+    assert sidecar["params"]["rho"] == "inf"
+    # the reader of --config's numbers takes the spelling back as inf
+    assert _number(sidecar["params"]["rho"], "params.rho") == math.inf
+    assert main(["simulate", "--config", str(dir_a / "run_summary.json"),
+                 "--out", str(dir_b)]) == 0
+    assert filecmp.cmp(dir_a / "run_run000.json", dir_b / "run_run000.json",
+                       shallow=False)
 
 
 def test_simulate_csv_format(tmp_path):

@@ -3,6 +3,7 @@ maps, and time/space interpolation."""
 
 import hashlib
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -609,6 +610,48 @@ def test_bundle_window_coeffs_equal_oracle_bit_for_bit():
                          for p in points)]
                 got = field.window_coeffs(points, t0, n)
                 assert [_bits(c) for c in got] == [_bits(c) for c in want]
+
+
+def _raw_bits(coeffs):
+    # the bytes of both parts: signs, zeros and NaN payloads included
+    return [struct.pack("<dd", c.real, c.imag) for c in coeffs]
+
+
+def test_bundle_window_factor_memo_is_invisible():
+    # a field that has served other (t0, n) keeps the last window factor;
+    # its coefficients must equal a fresh field's bit for bit
+    rng = np.random.default_rng(33)
+    nan = math.nan
+    for bundle in _edge_bundles(rng):
+        served = field_from_bundle(bundle)
+        nt, frame = bundle.nt, bundle.dt
+
+        def check(t0, n):
+            points = _edge_points(rng, bundle)
+            fresh = field_from_bundle(bundle).window_coeffs(points, t0, n)
+            assert (_raw_bits(served.window_coeffs(points, t0, n))
+                    == _raw_bits(fresh))
+
+        # 0.0 then -0.0 share one key, NaN is read both as the same object
+        # and as another NaN, and a start time one ulp on must not reuse
+        # the factor before it
+        starts = (0.0, -0.0, 0.0, nan, nan, float("nan"), -0.0, 3 * frame,
+                  nt * frame, 3 * nt * frame, 1234.5,
+                  math.nextafter(1234.5, math.inf), -7 * frame)
+        for n in (nt, 2 * nt):
+            for t0 in starts:
+                check(t0, n)
+            for t0 in starts:
+                # then each start time with the other window size between
+                check(t0, n)
+                check(t0, 3 * nt - n)
+            # the RK4 order over a few steps: t, t + dt/2, t + dt/2, t + dt
+            t, dt = 0.0, 0.37 * frame
+            for _ in range(4):
+                half = 0.5 * dt
+                for stage_t in (t, t + half, t + half, t + dt):
+                    check(stage_t, n)
+                t += dt
 
 
 def test_bundle_field_describe():

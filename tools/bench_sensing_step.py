@@ -8,7 +8,8 @@ the same script times any checkout. It prints one JSON object:
 * bundle_step_us: one RK4 step of the README wake seek (synthetic wake,
   proportional gain 0.5, windowed sensing from (8, 0, pi), dt 5e-3);
 * radial_windowed_step_us: one RK4 step of a windowed radial run
-  (ell 6.5, static gain 0.5, from (4, 0, 1.3), dt 1e-2);
+  (ell 6.5, static gain 0.5, from (4, 0, 1.3), dt 1e-2) over 10 s, 1000
+  steps, as 200 steps did not resolve it;
 * analytic_step_us: one RK4 step of the README radial run with analytic
   sensing (ell 6.5, static gain 0.5, from (4, 0, pi/2), dt 1e-3);
 * polar_step_us: one RK4 step of simulate_polar per gain kind, an object
@@ -87,7 +88,7 @@ def main(argv):
 
     def radial_run():
         return simulate(AgentState(4.0, 0.0, 1.3), radial, radial_law,
-                        dt=1e-2, t_end=2.0, sensing="windowed")
+                        dt=1e-2, t_end=10.0, sensing="windowed")
 
     def analytic_run():
         return simulate(AgentState(4.0, 0.0, math.pi / 2), radial,
