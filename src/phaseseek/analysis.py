@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import write_float_csv, write_json
+from .fields import _write_grid_csv, write_json
 
 # ----------------------------------------------------------------------
 # Gain-law kinds and classification labels
@@ -723,10 +723,8 @@ class PortraitReport:
 
     def write_grid_csv(self, path):
         """One row per grid node, u fastest: r_cos_psi,r_sin_psi,Q."""
-        nu, nw = len(self.u_axis), len(self.w_axis)
-        write_float_csv(path, ("r_cos_psi", "r_sin_psi", "Q"), (
-            np.tile(self.u_axis, nw), np.repeat(self.w_axis, nu),
-            self.q_grid.ravel()))
+        _write_grid_csv(path, ("r_cos_psi", "r_sin_psi", "Q"),
+                        self.u_axis, self.w_axis, (self.q_grid,))
 
 
 def portrait(kind, rho, ell=None, v=1.0, grid=None):

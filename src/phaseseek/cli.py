@@ -14,6 +14,10 @@ but for the gain law, the start poses and the output names; SIM_FLAGS
 declares each simulate flag once. Every other default that a library
 function has, the CLI reads from its signature.
 
+main() builds the argparse tree once per process, at its first call, and
+reuses it, so an in-process caller such as a test or a benchmark harness
+pays for it once; build_parser() returns a fresh tree on every call.
+
 Exit codes: 0 success, 2 configuration or validation error, 3 a run
 ended as a sensing failure (cmd_simulate writes its files and one stderr
 line per failed run), 4 scan found no transition.
@@ -22,6 +26,7 @@ line per failed run), 4 scan found no transition.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -90,6 +95,11 @@ SIM_FLAGS = {
     "sensing_m_floor": ("sensing", "m_floor", float),
     "out": ("output", "dir", str), "prefix": ("output", "prefix", str),
 }
+
+# the node grid of a radial map (fields --field radial); a bundle map
+# covers the bundle's own grid
+_RADIAL_GRID = {"x_range": "-15,15", "y_range": "-15,15",
+                "nx": 101, "ny": 101}
 
 # synth_wake's settings; its dt and provenance slots default to None
 WAKE_DEFAULTS = {key: default for key, default in _defaults(synth_wake).items()
@@ -306,18 +316,25 @@ def cmd_scan(args):
 def cmd_fields(args):
     field = _build_field({"kind": args.field, "ell": args.ell,
                           "path": args.bundle})
+    grid = {key: getattr(args, key) for key in _RADIAL_GRID}
     if args.field == "radial":
         if args.source is not None:
             raise ConfigError("the radial field's source is the origin; "
                               "--source applies to bundle maps only")
-        x_range = _parse_floats(args.x_range, 2, "--x-range")
-        y_range = _parse_floats(args.y_range, 2, "--y-range")
-        for flag, count in (("--nx", args.nx), ("--ny", args.ny)):
+        grid = _deep_merge(_RADIAL_GRID, grid)
+        x_range = _parse_floats(grid["x_range"], 2, "--x-range")
+        y_range = _parse_floats(grid["y_range"], 2, "--y-range")
+        for flag, count in (("--nx", grid["nx"]), ("--ny", grid["ny"])):
             if count < 1:
                 raise ConfigError(f"{flag} must be at least 1, got {count}")
-        grids = field.spectral_grids(np.linspace(*x_range, args.nx),
-                                     np.linspace(*y_range, args.ny))
+        grids = field.spectral_grids(np.linspace(*x_range, grid["nx"]),
+                                     np.linspace(*y_range, grid["ny"]))
     else:
+        for key, value in grid.items():
+            if value is not None:
+                raise ConfigError(
+                    "a bundle map covers the bundle's own grid; "
+                    f"--{key.replace('_', '-')} applies to radial maps only")
         source = None
         if args.source is not None:
             source = _parse_floats(args.source, 2, "--source")
@@ -384,10 +401,11 @@ def build_parser():
     p_f.add_argument("--field", required=True, choices=FIELD_KINDS)
     p_f.add_argument("--ell", type=float)
     p_f.add_argument("--bundle")
-    p_f.add_argument("--x-range", default="-15,15")
-    p_f.add_argument("--y-range", default="-15,15")
-    p_f.add_argument("--nx", type=int, default=101)
-    p_f.add_argument("--ny", type=int, default=101)
+    # radial maps only; cmd_fields fills _RADIAL_GRID's defaults
+    p_f.add_argument("--x-range")
+    p_f.add_argument("--y-range")
+    p_f.add_argument("--nx", type=int)
+    p_f.add_argument("--ny", type=int)
     p_f.add_argument("--source", help="x,y of the known source")
     p_f.add_argument("--m-floor", type=float,
                      default=_defaults(spectral_grids)["m_floor"])
@@ -407,9 +425,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser()'s tree, built at the first main() call and reused:
+    parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except analysis.NoTransitionError as exc:

@@ -17,6 +17,7 @@ write_float_csv for float tables and write_json for JSON records.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from abc import ABC, abstractmethod
@@ -79,14 +80,55 @@ def write_float_csv(path, header, columns):
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns must have equal lengths")
+    _write_blocks(path, header, n, lambda i, j: [_spell(c[i:j])
+                                                 for c in columns])
+
+
+def _write_grid_csv(path, header, x, y, grids):
+    """Write one row per node (x[i], y[j]) of (ny, nx) float grids, x
+    fastest, under a header row: x, y, then each grid's value.
+
+    The bytes are write_float_csv's of the tiled x and repeated y columns
+    and the raveled grids, but each axis value is spelled once. Raises
+    ValueError, before the file is opened, unless the axes are 1-D, the
+    header names each column once and every grid has shape (ny, nx).
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError("grid axes must be 1-D")
+    if len(header) != 2 + len(grids):
+        raise ValueError(f"need one header name per column, got "
+                         f"{len(header)} names for {2 + len(grids)} columns")
+    nx, ny = len(x), len(y)
+    if any(g.shape != (ny, nx) for g in grids):
+        raise ValueError(f"each grid must have shape (ny, nx) = {(ny, nx)}, "
+                         f"got {[g.shape for g in grids]}")
+    values = [g.ravel() for g in grids]
+    # the rows walk both axes in order: x cycles, each y repeats nx times
+    xs = itertools.cycle(_spell(x))
+    ys = itertools.chain.from_iterable(
+        map(itertools.repeat, _spell(y), itertools.repeat(nx)))
+    _write_blocks(path, header, nx * ny, lambda i, j: [
+        itertools.islice(xs, j - i), itertools.islice(ys, j - i),
+        *(_spell(v[i:j]) for v in values)])
+
+
+def _spell(column):
+    """repr(float) of each value of a 1-D float array: a list."""
+    return list(map(repr, column.tolist()))
+
+
+def _write_blocks(path, header, n, spell):
+    """Write a header row and n rows; spell(i, j) gives the spelled
+    columns of rows i to j, each an iterable of j - i strings."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         # spelled column by column, then joined row by row in C; row
         # blocks keep memory flat on long runs
         for i in range(0, n, _CSV_BLOCK_ROWS):
-            spelled = [list(map(repr, c[i:i + _CSV_BLOCK_ROWS].tolist()))
-                       for c in columns]
-            fh.write("\n".join(map(",".join, zip(*spelled))))
+            fh.write("\n".join(map(",".join, zip(
+                *spell(i, min(i + _CSV_BLOCK_ROWS, n))))))
             fh.write("\n")
 
 
@@ -191,13 +233,13 @@ class SpectralGrids:
 
     def write_csv(self, path):
         """One row per node, x fastest: x,y,m,phi,gx,gy,delta."""
-        ny, nx = self.m_grid.shape
         delta = (self.delta_grid if self.delta_grid is not None
-                 else np.full((ny, nx), math.nan))
-        write_float_csv(path, ("x", "y", "m", "phi", "gx", "gy", "delta"), (
-            np.tile(self.x, ny), np.repeat(self.y, nx), self.m_grid.ravel(),
-            self.phi_grid.ravel(), self.grad_phi_grid[..., 0].ravel(),
-            self.grad_phi_grid[..., 1].ravel(), delta.ravel()))
+                 else np.full(self.m_grid.shape, math.nan))
+        _write_grid_csv(path, ("x", "y", "m", "phi", "gx", "gy", "delta"),
+                        self.x, self.y, (
+                            self.m_grid, self.phi_grid,
+                            self.grad_phi_grid[..., 0],
+                            self.grad_phi_grid[..., 1], delta))
 
 
 class Field(ABC):

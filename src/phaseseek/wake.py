@@ -335,12 +335,16 @@ class BundleField(Field):
     signal is zero, and agent.simulate ends a run whose stencil leaves it
     as left_domain, not an error. Queries landing exactly on a node and
     frame return the stored value. Space is read by one bilinear rule
-    (_bilinear) and time by one frame rule (_frame). The first
-    window_coeffs call caches the bundle's first-mode map. The window
-    factor B(t0, n) is computed once per distinct window start time and
-    size, the last one kept, and applied inside the bilinear read of the
-    map. Both the map and the kept factor assume that the bundle does not
-    change under the field.
+    (_bilinear) and time by one frame rule (_frame). The bilinear rule
+    takes points as float pairs: window_coeffs gets them so from
+    sensing._stencil_points, and eval_windows converts its points once.
+    Each corner term is written entry * weight, complex-first on the
+    first-mode map, and has the bits of weight * entry. The first
+    window_coeffs call caches the bundle's first-mode map. The
+    window factor B(t0, n) is computed once per distinct window start
+    time and size, the last one kept, and applied inside the bilinear
+    read of the map. Both the map and the kept factor assume that the
+    bundle does not change under the field.
     """
 
     has_analytic_spectra = False
@@ -366,22 +370,25 @@ class BundleField(Field):
         """Bilinear read of a per-node table at each point: a list.
 
         table[j * nx + i] holds node (i, j)'s entry (a number or a numpy
-        row); a point outside the grid reads `outside`. Cells clamp at the
-        last row and column, so the far edges read their own nodes. At a
-        point at cell fractions (fu, fv) of corner node k the read is
-        (1 - fu) * (1 - fv) * table[k] + fu * (1 - fv) * table[k + 1]
-        + (1 - fu) * fv * table[k + nx] + fu * fv * table[k + nx + 1],
+        row); points are pairs of floats (or of ints), and a point outside
+        the grid reads `outside`. Cells clamp at the last row and column,
+        so the far edges read their own nodes. At a point at cell
+        fractions (fu, fv) of corner node k the read is
+        table[k] * ((1 - fu) * (1 - fv)) + table[k + 1] * (fu * (1 - fv))
+        + table[k + nx] * ((1 - fu) * fv) + table[k + nx + 1] * (fu * fv),
         summed in that order, and then multiplied as scale * read when a
-        scale is given; `outside` is never scaled.
+        scale is given; `outside` is never scaled. Each product has the
+        bits of weight * entry: for a complex entry both orders run
+        CPython's complex product on the same operands swapped, and IEEE
+        * and + commute, signed zeros included (bundle frames are finite,
+        so no NaN payload arises).
         """
-        # per stencil point: no calls but float and floor, the bounds
-        # test inline
+        # per stencil point: no call but floor, the bounds test inline
         x0, y0, x1, y1, dx, dy, nx, i_max, j_max = self._cell_grid
         floor = math.floor
         values = []
         append = values.append
         for px, py in points:
-            px, py = float(px), float(py)
             if not (x0 <= px <= x1 and y0 <= py <= y1):
                 append(outside)
                 continue
@@ -396,8 +403,11 @@ class BundleField(Field):
             fu, fv = u - i0, v - j0
             gu, gv = 1.0 - fu, 1.0 - fv
             k = j0 * nx + i0
-            read = (gu * gv * table[k] + fu * gv * table[k + 1]
-                    + gu * fv * table[k + nx] + fu * fv * table[k + nx + 1])
+            # entry first: a float * complex product first calls the
+            # float slot, which gives up, then the complex one
+            read = (table[k] * (gu * gv) + table[k + 1] * (fu * gv)
+                    + table[k + nx] * (gu * fv)
+                    + table[k + nx + 1] * (fu * fv))
             append(read if scale is None else scale * read)
         return values
 
@@ -416,8 +426,9 @@ class BundleField(Field):
         Rows of points outside the grid are zero.
         """
         b = self.bundle
-        series = np.array(self._bilinear(b.frames.reshape(b.nt, -1).T,
-                                         points, np.zeros(b.nt)))
+        series = np.array(self._bilinear(
+            b.frames.reshape(b.nt, -1).T,
+            np.asarray(points, dtype=float).tolist(), np.zeros(b.nt)))
         k, w = self._frame(t0 + _offsets(n, self.period))
         k0 = k.astype(int)
         return ((1.0 - w) * np.take(series, k0, axis=1)

@@ -13,7 +13,8 @@ linearization pair (eigenvalues_ref) differences the reduced flow in
 mpmath, so it shares neither the closed form nor the float Jacobian. The
 inverse-gain turning radii (inverse_turning_radius_ref) are bisected in
 mpmath on the log of the envelope, so no level underflows. The float CSV
-(float_csv_ref) is spelled a row at a time.
+(float_csv_ref) and the grid CSV (grid_csv_ref) are spelled a row at a
+time.
 """
 
 import math
@@ -154,6 +155,18 @@ def float_csv_ref(header, columns):
     a newline."""
     lines = [",".join(header)]
     lines += [",".join(map(repr, map(float, row))) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines)
+
+
+def grid_csv_ref(header, x, y, grids):
+    """The text of a grid CSV, spelled row by row: the header line, then
+    one line per node (x[i], y[j]), x fastest, of x[i], y[j] and each
+    grid's [j][i] value as repr(float) joined by commas."""
+    lines = [",".join(header)]
+    for j, y_j in enumerate(y):
+        for i, x_i in enumerate(x):
+            cells = [x_i, y_j] + [grid[j][i] for grid in grids]
+            lines.append(",".join(repr(float(c)) for c in cells))
     return "".join(line + "\n" for line in lines)
 
 

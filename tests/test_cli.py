@@ -5,7 +5,11 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -626,6 +630,82 @@ def test_fields_bundle_rejects_a_non_finite_source(tmp_path, capsys, source):
                  f"--source={source}", "--out", str(out)]) == 2
     assert "--source needs finite numbers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--x-range=0,1", "--y-range=-1,1",
+                                  "--nx=3", "--ny=3"])
+def test_fields_bundle_rejects_radial_grid_flags(tmp_path, capsys, flag):
+    # a bundle map covers the bundle's own grid; these flags once left it
+    # unchanged without a word
+    bundle_path = tmp_path / "w.wavf"
+    assert main(["synth-wake", "--nx", "9", "--ny", "7", "--nt", "16",
+                 "--out", str(bundle_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "bundle", "--bundle", str(bundle_path),
+                 flag, "--out", str(out)]) == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+# in README order of topics; each runs in one working directory, so the
+# outputs, which record relative paths, compare byte for byte
+_ONE_PROCESS = (
+    "simulate --field radial --ell 6.5 --gain proportional --g0 0.5 "
+    "--init 4,0,1.5707963267948966 --init 3,1,2.0 --t-end 1.0 --out s1",
+    "simulate --field radial --ell 6.5 --gain static --g0 0.5 "
+    "--t-end 0.5 --out s2",
+    "simulate --field radial --ell 6.5 --dt=-1 --out s3",
+    "simulate --field sphere --out s4",
+    "analyze --gain proportional --rho 2.0 --ell 6.5 "
+    "--grid=-3,3,-2,2,11,7 --out a",
+    "scan --rho 2.0 --ell-min 4.0 --ell-max 7.0 --out sc",
+    "synth-wake --nx 12 --ny 9 --nt 16 --dx 0.5 --dy 0.5 --y0=-2 "
+    "--out w.wavf",
+    "fields --field radial --ell 6.5 --nx 5 --ny 4 --x-range=-2,2 "
+    "--y-range=-1,1 --out f/radial.csv",
+    "fields --field bundle --bundle w.wavf --source 0,0 --out f/bundle.csv",
+    "simulate --field bundle --bundle w.wavf --gain proportional --g0 0.5 "
+    "--init 3,0,3.141592653589793 --dt 1e-2 --t-end 0.5 "
+    "--sensing windowed --out s5",
+)
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_process_writes_what_fresh_processes_write(tmp_path, capsys,
+                                                       monkeypatch):
+    # main() reuses one argparse tree; no call may see another's flags
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    monkeypatch.chdir(here)
+    codes = []
+    for command in _ONE_PROCESS:
+        argv = command.split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiSteadyWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out = capsys.readouterr().out
+        ran = subprocess.run([sys.executable, "-m", "phaseseek.cli", *argv],
+                             cwd=fresh, env=env, capture_output=True,
+                             text=True)
+        assert (code, out) == (ran.returncode, ran.stdout), command
+        assert _tree(here) == _tree(fresh), command
+        codes.append(code)
+    # a configuration error and a usage error, between runs that succeed
+    assert codes == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
+    # the first simulate's two starts did not carry over to the second
+    summary = json.loads((here / "s2" / "run_summary.json").read_text())
+    assert [init[0] for init in summary["config"]["agent"]["inits"]] == [
+        2.0, 4.0, 6.0, 8.0, 10.0]
 
 
 @pytest.mark.parametrize("grid", ["-inf,inf,-1,1,3,3", "-1,1,nan,1,3,3"])

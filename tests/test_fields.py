@@ -1,5 +1,6 @@
 """Tests for the signal fields and their exact spectral descriptions."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -7,16 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import float_csv_ref
+from oracles import float_csv_ref, grid_csv_ref
 from phaseseek import (
     TWO_PI,
     Field,
     OriginSingularityError,
+    PortraitGrid,
     RadialField,
     TravelingWaveField,
     TravelingWaveMode,
     alignment_error,
     first_mode_coeffs,
+    portrait,
+    spectral_grids,
+    synth_wake,
     wrap_angle,
     wrap_phase,
 )
@@ -388,3 +393,53 @@ def test_write_float_csv_memory_stays_flat(tmp_path):
             tracemalloc.stop()
 
     assert peak(4 * n) <= 1.25 * peak(n)
+
+
+# grid CSVs spell each axis value once; their rows cross the writer's
+# row blocks at every phase of the x axis when nx does not divide them
+
+@pytest.mark.parametrize("source", [None, (0.0, 0.0)],
+                         ids=["no-source", "source"])
+def test_spectral_grids_csv_matches_the_row_by_row_oracle(tmp_path, source):
+    grids = spectral_grids(synth_wake(), source=source)
+    assert grids.m_grid.shape == (61, 81) and _B % 81
+    nan = np.full(grids.m_grid.shape, math.nan)
+    columns = (grids.m_grid, grids.phi_grid, grids.grad_phi_grid[..., 0],
+               grids.grad_phi_grid[..., 1],
+               nan if grids.delta_grid is None else grids.delta_grid)
+    path = tmp_path / "maps.csv"
+    grids.write_csv(path)
+    text = path.read_text()
+    assert text.count("\n") == 1 + 4941
+    assert text == grid_csv_ref(("x", "y", "m", "phi", "gx", "gy", "delta"),
+                                grids.x, grids.y, columns)
+
+
+@pytest.mark.parametrize("grid", [PortraitGrid(), PortraitGrid(nu=3, nw=300)],
+                         ids=["121x121", "3x300"])
+def test_portrait_grid_csv_matches_the_row_by_row_oracle(tmp_path, grid):
+    report = portrait("proportional", 2.0, 6.5, grid=grid)
+    path = tmp_path / "q_grid.csv"
+    report.write_grid_csv(path)
+    text = path.read_text()
+    assert text.count("\n") == 1 + grid.nu * grid.nw
+    assert text == grid_csv_ref(("r_cos_psi", "r_sin_psi", "Q"),
+                                report.u_axis, report.w_axis,
+                                (report.q_grid,))
+
+
+def test_grid_csv_writers_reject_a_grid_of_another_shape(tmp_path):
+    grids = spectral_grids(synth_wake(nx=9, ny=7, nt=16))
+    report = portrait("static", 2.0, grid=PortraitGrid(nu=4, nw=5))
+    for record, write in (
+            (dataclasses.replace(grids, m_grid=grids.m_grid.T), "write_csv"),
+            (dataclasses.replace(grids, delta_grid=np.zeros((9, 7))),
+             "write_csv"),
+            (dataclasses.replace(report, q_grid=report.q_grid.T),
+             "write_grid_csv"),
+            (dataclasses.replace(report, q_grid=report.q_grid.ravel()),
+             "write_grid_csv")):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            getattr(record, write)(path)
+        assert not path.exists()

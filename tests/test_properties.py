@@ -2,12 +2,14 @@
 rotational equivariance and Q conservation of the closed loop, the
 turning radii of trapped orbits, fixed-point eigenvalues against an
 mpmath oracle, the rebuilt time axis, named ends of runs into a NaN disc,
-and WAVF bundle loading.
+WAVF bundle loading, and the bits of the bundle field's complex-first
+bilinear products.
 
 Skipped when hypothesis is not installed.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ import oracles  # noqa: E402
 from phaseseek import (  # noqa: E402
     TWO_PI, AgentState, BundleFormatError, GainKind, GainLaw, GridFieldBundle,
     PolarState, RadialField, classify_convergence, conserved_quantity,
-    fixed_points, from_polar, load_bundle, radial_bounds, radial_envelope,
-    radial_m_field, simulate, simulate_polar, to_polar, wrap_angle,
-    wrap_phase)
+    field_from_bundle, fixed_points, from_polar, load_bundle, radial_bounds,
+    radial_envelope, radial_m_field, simulate, simulate_polar, synth_wake,
+    to_polar, wrap_angle, wrap_phase)
 from phaseseek.agent import _time_axis  # noqa: E402
 from phaseseek.wake import MAGIC, VERSION, _HEADER  # noqa: E402
 
@@ -326,3 +328,48 @@ def test_load_bundle_loads_or_raises_bundle_format_error(wavf_path, data):
         return
     assert isinstance(bundle, GridFieldBundle)
     assert np.isfinite(bundle.frames).all()
+
+
+def _bits(z):
+    """The bits of a complex's two parts, a NaN part matched as NaN."""
+    return tuple("nan" if math.isnan(part) else struct.pack("<d", part)
+                 for part in (z.real, z.imag))
+
+
+# finite values, signed zeros, subnormals and the infinities
+product_part = st.one_of(
+    finite,
+    st.floats(min_value=-2.2250738585072009e-308,
+              max_value=2.2250738585072009e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf]))
+
+
+@given(product_part, product_part, product_part)
+@example(-0.0, 0.0, -0.0)
+@example(math.inf, 0.0, 1.0)  # inf * 0 in both orders
+def test_complex_first_products_keep_their_bits(w, re, im):
+    # the bundle's bilinear read multiplies entry * weight, not
+    # weight * entry: both orders must give the same bits
+    c = complex(re, im)
+    assert _bits(c * w) == _bits(w * c)
+
+
+_WAKE = synth_wake(nx=9, ny=7, nt=16, dx=1.0, dy=1.0)
+# the grid spans x in [-2, 6] and y in [-6, 0]; whole-number points both
+# inside it, on its edges and outside it
+whole_point = st.tuples(st.integers(-4, 8), st.integers(-8, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(whole_point, min_size=1, max_size=6),
+       st.sampled_from([0.0, -0.0, 0.3, 7.25, -3.0]),
+       st.sampled_from([16, 32, 24]))
+def test_bundle_reads_are_the_same_for_every_point_form(points, t0, n):
+    field = field_from_bundle(_WAKE)
+    forms = (tuple((float(x), float(y)) for x, y in points),
+             np.array(points, dtype=float), list(points))
+    coeffs = [field.window_coeffs(form, t0, n) for form in forms]
+    assert all(type(c) is complex for form in coeffs for c in form)
+    assert len({np.array(c, dtype=complex).tobytes() for c in coeffs}) == 1
+    windows = {field.eval_windows(form, t0, n).tobytes() for form in forms}
+    assert len(windows) == 1

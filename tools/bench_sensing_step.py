@@ -22,7 +22,9 @@ the same script times any checkout. It prints one JSON object:
 * spectral_grids_ms: one spectral_grids call on the synthetic wake;
 * csv_row_us: one row of the README radial run's 12-column trajectory
   (the analytic run above, 2001 rows) written by Trajectory.write_csv,
-  that is by write_float_csv.
+  that is by write_float_csv;
+* grid_csv_ms: one write_grid_csv of the README portrait
+  (portrait("proportional", 2.0, 6.5), the default 121 x 121 Q grid).
 
 Every figure is scaled as perfbench scales its workloads: the reference
 kernel is timed before the first call and after each, and
@@ -32,7 +34,7 @@ the same on a faster or a busier machine. Each step figure is the median
 over ROUNDS (default 5) scaled runs, of 2 s of simulated time unless
 stated, divided by the run's step count, so a run's one-off set-up (the
 map build included) is spread over its steps.
-The map and CSV figures are medians over 4 * ROUNDS scaled calls.
+The map, grid and CSV figures are medians over 4 * ROUNDS scaled calls.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ def main(argv):
         return float(statistics.median(scale(seconds, refs)))
 
     from phaseseek import (AgentState, GainLaw, PolarState, RadialField,
-                           field_from_bundle, radial_m_field, simulate,
-                           simulate_polar, spectral_grids, synth_wake)
+                           field_from_bundle, portrait, radial_m_field,
+                           simulate, simulate_polar, spectral_grids,
+                           synth_wake)
 
     bundle = synth_wake()
     wake_law = GainLaw("proportional", 0.5)
@@ -121,6 +124,9 @@ def main(argv):
         path = Path(tmp) / "run.csv"
         result["csv_row_us"] = timed(lambda: trajectory.write_csv(path),
                                      rounds * 4) / len(trajectory) * 1e6
+        report = portrait("proportional", 2.0, 6.5)
+        result["grid_csv_ms"] = timed(lambda: report.write_grid_csv(path),
+                                      rounds * 4) * 1e3
     print(json.dumps(result, sort_keys=True))
     return 0
 
