@@ -210,7 +210,7 @@ def lambert_w(branch, z):
     range (W0 above z = 1e300, Wm1 above -1e-300), Newton on
     w + log|w| = log|z| takes over. W0 is defined on [-1/e, inf), Wm1 on
     [-1/e, 0). Arguments within 1e-12 below -1/e are snapped to the branch
-    point.
+    point. A NaN or infinite z raises LambertDomainError.
 
     branch is a LambertBranch, "W0", "Wm1", 0 or -1; returns a float.
     """
@@ -224,6 +224,8 @@ def lambert_w(branch, z):
         raise ValueError(f"unknown Lambert branch {branch!r}")
 
     z = float(z)
+    if not math.isfinite(z):
+        raise LambertDomainError(f"z must be finite, got {z}")
     if z < -_INV_E:
         if z > -_INV_E - 1e-12:
             z = -_INV_E
@@ -525,10 +527,13 @@ def radial_bounds(kind, q, rho, ell=None):
     r/rho in [-W0(-|q|), -Wm1(-|q|)], demanding |q| <= 1/e. Inverse gain
     brackets the two roots around its single center. Proportional gain
     is unbounded below the critical level and conditionally bounded above
-    it (up to the envelope's local maximum at the center radius).
+    it (up to the envelope's local maximum at the center radius). A NaN q
+    raises ValueError.
     """
     kind = _params(kind, rho, ell)
     aq = abs(float(q))
+    if math.isnan(aq):
+        raise ValueError(f"q must be a number, got {q}")
 
     def envelope(r):
         return float(radial_envelope(kind, r, rho, ell))
@@ -633,9 +638,13 @@ def classify_convergence(kind, rho, ell, init):
     |Q| exceeds the critical level and the start radius lies inside the
     saddle, "conditional_unbounded" otherwise. Inits within 1e-9 of a
     separating level, and ell within 1e-9 min(1, rho e) of rho e, come
-    back "indeterminate".
+    back "indeterminate". A non-finite init.r or init.psi raises
+    ValueError.
     """
     kind = _params(kind, rho, ell)
+    for name, value in (("r", init.r), ("psi", init.psi)):
+        if not math.isfinite(value):
+            raise ValueError(f"init.{name} must be finite, got {value}")
     regime = _regime(kind, rho, ell)
     if regime != CONDITIONAL:
         return regime

@@ -318,9 +318,12 @@ def cmd_fields(args):
                           "path": args.bundle})
     grid = {key: getattr(args, key) for key in _RADIAL_GRID}
     if args.field == "radial":
-        if args.source is not None:
-            raise ConfigError("the radial field's source is the origin; "
-                              "--source applies to bundle maps only")
+        for flag, value in (("--source", args.source),
+                            ("--m-floor", args.m_floor)):
+            if value is not None:
+                raise ConfigError("the radial map is exact, its source the "
+                                  f"origin; {flag} applies to bundle maps "
+                                  "only")
         grid = _deep_merge(_RADIAL_GRID, grid)
         x_range = _parse_floats(grid["x_range"], 2, "--x-range")
         y_range = _parse_floats(grid["y_range"], 2, "--y-range")
@@ -338,8 +341,9 @@ def cmd_fields(args):
         source = None
         if args.source is not None:
             source = _parse_floats(args.source, 2, "--source")
-        grids = spectral_grids(field.bundle, source=source,
-                               m_floor=args.m_floor)
+        # no --m-floor leaves spectral_grids its own default
+        m_floor = {} if args.m_floor is None else {"m_floor": args.m_floor}
+        grids = spectral_grids(field.bundle, source=source, **m_floor)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     grids.write_csv(out)
@@ -406,9 +410,9 @@ def build_parser():
     p_f.add_argument("--y-range")
     p_f.add_argument("--nx", type=int)
     p_f.add_argument("--ny", type=int)
+    # bundle maps only
     p_f.add_argument("--source", help="x,y of the known source")
-    p_f.add_argument("--m-floor", type=float,
-                     default=_defaults(spectral_grids)["m_floor"])
+    p_f.add_argument("--m-floor", type=float)
     p_f.add_argument("--out", required=True)
     p_f.set_defaults(func=cmd_fields)
 

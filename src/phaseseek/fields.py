@@ -250,11 +250,16 @@ class Field(ABC):
     bounds, edges included, or the whole plane when bounds is None. bounds
     is the one domain rule: agent.simulate reads it, so a subclass limits
     its domain by setting bounds.
+
+    A field with has_analytic_spectra = True implements both exact
+    readers: analytic_spectra(x), a SpectralTruth, and analytic_mode(x, y),
+    the same magnitude and gradient as plain floats (m, gx, gy), which
+    analytic sensing calls at every RK4 stage.
     """
 
     #: temporal period T > 0
     period: float
-    #: whether analytic_spectra() is available
+    #: whether analytic_spectra() and analytic_mode() are available
     has_analytic_spectra: bool = False
     #: the domain rectangle (x0, y0, x1, y1), or None for the whole plane
     bounds: tuple | None = None
@@ -292,15 +297,6 @@ class Field(ABC):
     def analytic_spectra(self, x) -> SpectralTruth:
         """Exact first-mode spectrum at x, if the field supports it."""
         raise NotImplementedError(f"{type(self).__name__} has no analytic spectra")
-
-    def analytic_mode(self, x, y):
-        """Exact magnitude and phase gradient at (x, y) as floats: (m, gx, gy).
-
-        The scalar kernel of analytic sensing. This default reads
-        analytic_spectra; a field may override it with plain float code.
-        """
-        truth = self.analytic_spectra((x, y))
-        return truth.m, float(truth.grad_phi[0]), float(truth.grad_phi[1])
 
     def describe(self) -> dict:
         """Small JSON-friendly summary of the field, for run records."""
@@ -370,98 +366,6 @@ class RadialField(Field):
 
     def describe(self):
         return {"kind": "radial", "ell": self.ell}
-
-
-# ----------------------------------------------------------------------
-# Superposition of plane traveling waves
-# ----------------------------------------------------------------------
-
-@dataclass
-class TravelingWaveMode:
-    """One plane traveling-wave component.
-
-    Contributes alpha*cos(u) + beta*sin(u) with u = k_vec . (x - x_base) - omega_n * t.
-    """
-
-    alpha: float
-    beta: float
-    omega_n: float
-    k_vec: np.ndarray
-
-    def __post_init__(self):
-        self.k_vec = np.asarray(self.k_vec, dtype=float)
-        if self.k_vec.shape != (2,):
-            raise ValueError("k_vec must be a 2-vector")
-        if not (0 < self.omega_n < math.inf and all(
-                map(math.isfinite, (self.alpha, self.beta, *self.k_vec)))):
-            raise ValueError("alpha, beta and k_vec must be finite and "
-                             f"omega_n finite and positive, got {self}")
-
-
-class TravelingWaveField(Field):
-    """Finite superposition of plane traveling waves sharing a common period.
-
-    Mode frequencies must be integer multiples of a common fundamental;
-    the field period is 2*pi over that fundamental.
-    """
-
-    has_analytic_spectra = True
-
-    def __init__(self, modes, base_point=(0.0, 0.0)):
-        if not modes:
-            raise ValueError("at least one traveling-wave mode is required")
-        self.modes = list(modes)
-        self.base_point = np.asarray(base_point, dtype=float)
-        omega1 = min(mode.omega_n for mode in self.modes)
-        for mode in self.modes:
-            ratio = mode.omega_n / omega1
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(
-                    "mode frequencies must be integer multiples of the fundamental"
-                )
-        self.omega1 = omega1
-        self.period = TWO_PI / omega1
-
-    def eval_windows(self, points, t0, n):
-        points = np.asarray(points, dtype=float)
-        dx = points[:, 0] - self.base_point[0]
-        dy = points[:, 1] - self.base_point[1]
-        t = t0 + _offsets(n, self.period)
-        total = np.zeros((len(points), n))
-        for mode in self.modes:
-            phase = mode.k_vec[0] * dx + mode.k_vec[1] * dy
-            u = phase[:, None] - mode.omega_n * t
-            total += mode.alpha * np.cos(u) + mode.beta * np.sin(u)
-        return total
-
-    def analytic_spectra(self, x):
-        # Only modes at the fundamental frequency land in the first bin.
-        dx = float(x[0]) - self.base_point[0]
-        dy = float(x[1]) - self.base_point[1]
-        c = 0.0 + 0.0j
-        dc = np.zeros(2, dtype=complex)
-        for mode in self.modes:
-            if abs(mode.omega_n / self.omega1 - 1.0) > 1e-9:
-                continue
-            coeff = 0.5 * (mode.alpha + 1j * mode.beta)
-            phase = mode.k_vec[0] * dx + mode.k_vec[1] * dy
-            term = coeff * np.exp(-1j * phase)
-            c += term
-            dc += -1j * mode.k_vec * term
-        m = abs(c)
-        if m == 0.0:
-            raise UndefinedDirectionError(
-                "first-mode amplitude vanishes; phase undefined")
-        phi = wrap_phase(np.angle(c))
-        grad = (np.conj(c) * dc).imag / (m * m)
-        return SpectralTruth(m=m, phi=float(phi), grad_phi=grad)
-
-    def describe(self):
-        return {
-            "kind": "traveling_wave",
-            "n_modes": len(self.modes),
-            "omega1": self.omega1,
-        }
 
 
 # ----------------------------------------------------------------------

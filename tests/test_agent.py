@@ -21,7 +21,6 @@ from phaseseek import (
     QuasiSteadyWarning,
     RadialField,
     SensingConfig,
-    TravelingWaveMode,
     conserved_quantity,
     field_from_bundle,
     from_polar,
@@ -33,9 +32,10 @@ from phaseseek import (
     to_polar,
 )
 from phaseseek.agent import TRAJECTORY_COLUMNS, Trajectory
-from phaseseek.fields import TravelingWaveField, UndefinedDirectionError
+from phaseseek.fields import UndefinedDirectionError
 
 from oracles import closed_loop_ref, polar_ref, windowed_loop_ref
+from traveling_wave import TravelingWaveField, TravelingWaveMode
 
 FIELD = RadialField(6.5)
 STATIC = GainLaw("static", 0.5)

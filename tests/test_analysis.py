@@ -101,6 +101,14 @@ def test_lambert_domain_errors():
         lambert_w("bogus", 0.5)
 
 
+@pytest.mark.parametrize("branch", ["W0", "Wm1"])
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_lambert_rejects_a_non_finite_argument(branch, z):
+    # a NaN or +inf once ran 50 Halley steps and raised "failed to converge"
+    with pytest.raises(LambertDomainError, match="finite"):
+        lambert_w(branch, z)
+
+
 def test_lambert_branch_dispatch():
     assert lambert_w(LambertBranch.W0, 1.0) == lambert_w(0, 1.0) == (
         lambert_w("W0", 1.0))
@@ -529,6 +537,14 @@ def test_proportional_bounds():
     assert radial_bounds("proportional", 3.0, 2.0, 5.4).status == "unbounded"
 
 
+@pytest.mark.parametrize("kind", ["inverse", "proportional", "static"])
+def test_radial_bounds_rejects_a_nan_level(kind):
+    # a NaN q once read inverse "bounded" at the centre radius,
+    # proportional "conditional" over (3.35, 11.20), static a RuntimeError
+    with pytest.raises(ValueError, match="q must be a number"):
+        radial_bounds(kind, math.nan, 2.0, 6.5)
+
+
 @pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e6])
 @pytest.mark.parametrize("kind, q, rho, ell", [("inverse", 0.01, 2.0, 5.8),
                                                ("proportional", 11.0, 2.0, 6.5)])
@@ -617,6 +633,13 @@ def test_classify_and_portrait_share_one_ladder():
         ladder = portrait(kind, 2.0, ell,
                           grid=PortraitGrid(nu=3, nw=3)).classification
         assert label.startswith(ladder)
+
+
+def test_classify_rejects_a_nan_heading():
+    # a NaN psi once read "conditional_unbounded"
+    with pytest.raises(ValueError, match="init.psi"):
+        classify_convergence("proportional", 2.0, 6.5,
+                             SimpleNamespace(r=4.0, psi=math.nan))
 
 
 def test_classify_needs_ell_for_proportional():

@@ -26,6 +26,7 @@ from phaseseek import (
     spectral_grids,
     synth_wake,
 )
+from phaseseek import cli
 from phaseseek.cli import (
     SIM_DEFAULTS,
     SIM_FLAGS,
@@ -595,6 +596,17 @@ def test_fields_radial_rejects_a_source(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m_floor", ["5", "1e-9"])
+def test_fields_radial_rejects_an_m_floor(tmp_path, capsys, m_floor):
+    # the radial map is exact and masks no node; --m-floor 5 once wrote a
+    # gradient at every node although every m is below 5
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "radial", "--ell", "6.5", "--nx", "3",
+                 "--ny", "3", "--m-floor", m_floor, "--out", str(out)]) == 2
+    assert "--m-floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fields_radial_rejects_a_nonpositive_ell(tmp_path, capsys):
     # the map's ell goes through the RadialField that simulate runs on
     out = tmp_path / "maps.csv"
@@ -764,7 +776,7 @@ def _defaults(fn):
             if p.default is not inspect.Parameter.empty}
 
 
-def test_cli_defaults_restate_the_librarys():
+def test_cli_defaults_restate_the_librarys(tmp_path, monkeypatch):
     # the CLI restates these library defaults; each must still match
     sim = _defaults(agent.simulate)
     integration = SIM_DEFAULTS["integration"]
@@ -779,9 +791,22 @@ def test_cli_defaults_restate_the_librarys():
     for key, default in WAKE_DEFAULTS.items():
         assert wake[key] == default and type(wake[key]) is type(default)
     parser = build_parser()
-    fields_args = parser.parse_args(["fields", "--field", "radial",
-                                     "--out", "m.csv"])
-    assert fields_args.m_floor == _defaults(spectral_grids)["m_floor"]
+    # a bundle map with no --m-floor runs at spectral_grids's own floor
+    resolved = []
+
+    def recording_spectral_grids(bundle, **kwargs):
+        call = inspect.signature(spectral_grids).bind(bundle, **kwargs)
+        call.apply_defaults()
+        resolved.append(call.arguments["m_floor"])
+        return spectral_grids(bundle, **kwargs)
+
+    monkeypatch.setattr(cli, "spectral_grids", recording_spectral_grids)
+    bundle_path = tmp_path / "w.wavf"
+    assert main(["synth-wake", "--nx", "16", "--ny", "9", "--nt", "16",
+                 "--out", str(bundle_path)]) == 0
+    assert main(["fields", "--field", "bundle", "--bundle", str(bundle_path),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert resolved == [_defaults(spectral_grids)["m_floor"]]
     analyze_args = parser.parse_args(["analyze", "--gain", "static",
                                       "--rho", "2"])
     assert analyze_args.v == _defaults(analysis.portrait)["v"]

@@ -15,8 +15,6 @@ from phaseseek import (
     OriginSingularityError,
     PortraitGrid,
     RadialField,
-    TravelingWaveField,
-    TravelingWaveMode,
     alignment_error,
     first_mode_coeffs,
     portrait,
@@ -26,6 +24,7 @@ from phaseseek import (
     wrap_phase,
 )
 from phaseseek.fields import _CSV_BLOCK_ROWS, write_float_csv, write_json
+from traveling_wave import TravelingWaveField, TravelingWaveMode
 
 
 def test_wrap_phase_range():

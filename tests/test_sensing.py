@@ -13,8 +13,6 @@ from phaseseek import (
     QuasiSteadyWarning,
     RadialField,
     SensingConfig,
-    TravelingWaveField,
-    TravelingWaveMode,
     analytic_sample,
     check_quasi_steady,
     dft_first_mode,
@@ -27,6 +25,7 @@ from phaseseek import (
 )
 from phaseseek.fields import UndefinedDirectionError, _twiddle
 from phaseseek.sensing import _stencil_mode, lateral_signal
+from traveling_wave import TravelingWaveField, TravelingWaveMode
 
 
 class _ZeroField(Field):
