@@ -145,9 +145,10 @@ def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
 def _resolve_sensing(field, mode):
     if mode not in SENSING_MODES:
         raise ValueError(f"unknown sensing mode {mode!r}, expected {SENSING_MODES}")
+    analytic = hasattr(field, "analytic_mode")
     if mode == AUTO:
-        return ANALYTIC if field.has_analytic_spectra else WINDOWED
-    if mode == ANALYTIC and not field.has_analytic_spectra:
+        return ANALYTIC if analytic else WINDOWED
+    if mode == ANALYTIC and not analytic:
         raise ValueError(f"{type(field).__name__} has no analytic spectra")
     return mode
 

@@ -18,6 +18,7 @@ vector field share it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -679,6 +680,12 @@ class PortraitGrid:
                 and self.w_max > self.w_min):
             raise ValueError("portrait grid extents must be finite and "
                              "increasing")
+        for name in ("nu", "nw"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"portrait grid {name} must be a whole "
+                                 f"number, got {getattr(self, name)!r}") from None
         if self.nu < 2 or self.nw < 2:
             raise ValueError("portrait grid needs at least 2 points per axis")
 

@@ -406,10 +406,8 @@ def build_parser():
     p_f.add_argument("--ell", type=float)
     p_f.add_argument("--bundle")
     # radial maps only; cmd_fields fills _RADIAL_GRID's defaults
-    p_f.add_argument("--x-range")
-    p_f.add_argument("--y-range")
-    p_f.add_argument("--nx", type=int)
-    p_f.add_argument("--ny", type=int)
+    for key, default in _RADIAL_GRID.items():
+        p_f.add_argument("--" + key.replace("_", "-"), type=type(default))
     # bundle maps only
     p_f.add_argument("--source", help="x,y of the known source")
     p_f.add_argument("--m-floor", type=float)

@@ -2,7 +2,7 @@
 
 A field is any scalar signal f(x, t) that repeats with period T in time.
 A field writes its signal once, in eval_windows (one period's samples at
-each of k points); eval, a single sample, is its one-sample window.
+each of k points).
 For source-seeking purposes the quantity of interest is not f itself but
 its first temporal Fourier mode at each point: a magnitude m(x), a phase
 phi(x), and the spatial phase gradient grad phi(x) whose direction encodes
@@ -246,21 +246,19 @@ class Field(ABC):
     """Abstract time-periodic scalar field.
 
     A subclass implements eval_windows, the one place it writes its
-    signal; eval and eval_window read it. Its domain is the rectangle
-    bounds, edges included, or the whole plane when bounds is None. bounds
-    is the one domain rule: agent.simulate reads it, so a subclass limits
-    its domain by setting bounds.
+    signal; eval_window and window_coeffs read it. Its domain is the
+    rectangle bounds, edges included, or the whole plane when bounds is
+    None. bounds is the one domain rule: agent.simulate reads it, so a
+    subclass limits its domain by setting bounds.
 
-    A field with has_analytic_spectra = True implements both exact
-    readers: analytic_spectra(x), a SpectralTruth, and analytic_mode(x, y),
-    the same magnitude and gradient as plain floats (m, gx, gy), which
-    analytic sensing calls at every RK4 stage.
+    A field is analytic when it defines analytic_mode(x, y), its exact
+    first-mode magnitude and phase gradient as floats (m, gx, gy): that
+    method is the one analytic contract, which analytic sensing calls at
+    every RK4 stage.
     """
 
     #: temporal period T > 0
     period: float
-    #: whether analytic_spectra() and analytic_mode() are available
-    has_analytic_spectra: bool = False
     #: the domain rectangle (x0, y0, x1, y1), or None for the whole plane
     bounds: tuple | None = None
 
@@ -271,11 +269,6 @@ class Field(ABC):
         Row i holds f(points[i], t0 + j*T/n) for j = 0..n-1; each row
         must not depend on the other points.
         """
-
-    def eval(self, x, t):
-        """Signal value at position x = (x, y) and time t: the one-sample
-        window at x starting at t."""
-        return float(self.eval_windows([x], t, 1)[0, 0])
 
     def eval_window(self, x, t0, n):
         """Sample one period: f(x, t0 + k*T/n) for k = 0..n-1."""
@@ -294,10 +287,6 @@ class Field(ABC):
         return first_mode_coeffs(self.eval_windows(points, t0, n),
                                  self.period).tolist()
 
-    def analytic_spectra(self, x) -> SpectralTruth:
-        """Exact first-mode spectrum at x, if the field supports it."""
-        raise NotImplementedError(f"{type(self).__name__} has no analytic spectra")
-
     def describe(self) -> dict:
         """Small JSON-friendly summary of the field, for run records."""
         return {"kind": type(self).__name__}
@@ -313,8 +302,6 @@ class RadialField(Field):
     An outgoing wave of unit angular frequency and unit wavenumber whose
     amplitude decays on the length scale ell > 0. Time period is 2*pi.
     """
-
-    has_analytic_spectra = True
 
     def __init__(self, ell):
         ell = float(ell)

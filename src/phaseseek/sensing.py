@@ -20,6 +20,7 @@ paths share one floor check and one wrapped stencil difference
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -49,11 +50,12 @@ class SensingConfig:
     Attributes
     ----------
     n_samples : int
-        Samples per window, at least 8.
+        Samples per window, a whole number of at least 8.
     stencil_h : float
         Half-width of the gradient stencil, 0 < h <= 0.1.
     m_floor : float
-        Magnitude below which the phase is treated as degenerate.
+        Magnitude below which the phase is treated as degenerate,
+        0 < m_floor < inf (GainLaw's rule).
     """
 
     n_samples: int = 64
@@ -61,12 +63,18 @@ class SensingConfig:
     m_floor: float = 1e-9
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_samples)
+        except TypeError:
+            raise ValueError(f"n_samples must be a whole number, got "
+                             f"{self.n_samples!r}") from None
         if self.n_samples < 8:
             raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
         if not 0.0 < self.stencil_h <= 0.1:
             raise ValueError(f"stencil_h must lie in (0, 0.1], got {self.stencil_h}")
-        if not self.m_floor > 0:
-            raise ValueError("m_floor must be positive")
+        if not 0 < self.m_floor < math.inf:
+            raise ValueError(
+                f"m_floor must be finite and positive, got {self.m_floor}")
 
 
 @dataclass

@@ -284,7 +284,10 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
     agree exactly with sensing.dft_first_mode. Phase gradients use wrapped
     differences; points whose magnitude (or any contributing neighbour's)
     falls below m_floor are masked to NaN in the gradient and delta maps.
+    m_floor must be finite and positive, else ValueError.
     """
+    if not 0 < m_floor < math.inf:
+        raise ValueError(f"m_floor must be finite and positive, got {m_floor}")
     ny, nx = bundle.ny, bundle.nx
     coeff = _first_mode_map(bundle)
     m = np.abs(coeff)
@@ -346,8 +349,6 @@ class BundleField(Field):
     read of the map. Both the map and the kept factor assume that the
     bundle does not change under the field.
     """
-
-    has_analytic_spectra = False
 
     def __init__(self, bundle):
         self.bundle = bundle

@@ -411,6 +411,27 @@ def test_simulate_rejects_unknown_sensing():
                  dt=1e-2, t_end=0.1, sensing="analytic")
 
 
+def test_a_field_that_defines_analytic_mode_runs_analytic():
+    # analytic_mode alone makes a field analytic: auto senses through it,
+    # bit for bit the radial field's analytic run
+    class Beacon(phaseseek.Field):
+        period = FIELD.period
+
+        def eval_windows(self, points, t0, n):
+            return FIELD.eval_windows(points, t0, n)
+
+        def analytic_mode(self, x, y):
+            return FIELD.analytic_mode(x, y)
+
+    assert phaseseek.agent._resolve_sensing(Beacon(), "auto") == "analytic"
+    init = AgentState(4.0, 0.0, math.pi / 2)
+    got = simulate(init, Beacon(), STATIC, dt=1e-2, t_end=2.0)
+    want = simulate(init, FIELD, STATIC, dt=1e-2, t_end=2.0,
+                    sensing="analytic")
+    for column in ("x", "y", "theta", "m"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
 def test_simulate_leaves_domain():
     field = field_from_bundle(synth_wake())
     init = AgentState(12.0, 0.0, 0.0)  # driving toward the +x edge at 14

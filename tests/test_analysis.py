@@ -753,3 +753,14 @@ def test_portrait_grid_extents_are_finite(extents):
     # an infinite extent once gave a grid whose r_cos_psi and Q were NaN
     with pytest.raises(ValueError, match="finite"):
         PortraitGrid(**extents)
+
+
+@pytest.mark.parametrize("counts", [
+    {"nu": 2.5}, {"nu": 121.0}, {"nu": math.nan}, {"nw": 2.5},
+    {"nw": 121.0}, {"nw": math.nan}])
+def test_portrait_grid_counts_are_whole_numbers(counts):
+    # nu = 121.0 once died in numpy's linspace with a TypeError
+    (name,) = counts
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        PortraitGrid(**counts)
+    assert PortraitGrid(nu=np.int64(3), nw=np.int64(4)).nw == 4

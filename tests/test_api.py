@@ -61,6 +61,17 @@ def test_bounds_is_the_one_domain_rule():
     assert not hasattr(phaseseek.Field, "in_domain")
 
 
+def test_analytic_mode_is_the_one_analytic_contract():
+    # a field is analytic when it defines analytic_mode: Field holds no
+    # class flag that says so a second time, no analytic_spectra stub that
+    # raises for the rest and no one-sample eval beside eval_windows
+    members = {name for name in [*vars(phaseseek.Field),
+                                 *phaseseek.Field.__annotations__]
+               if not name.startswith("_")}
+    assert members == {"period", "bounds", "eval_windows", "eval_window",
+                       "window_coeffs", "describe"}
+
+
 def test_gain_kind_is_one_object():
     assert phaseseek.GainKind is agent.GainKind is analysis.GainKind
     assert phaseseek.GainLaw is agent.GainLaw is analysis.GainLaw

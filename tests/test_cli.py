@@ -337,6 +337,8 @@ def test_simulate_config_rejects_the_synth_wake_kind(tmp_path, capsys):
     ["--r-escape", "nan"],
     ["--g0", "nan"],
     ["--g0", "inf"],
+    ["--gain-m-floor", "inf"],
+    ["--sensing-m-floor", "inf"],
 ])
 def test_simulate_rejects_non_finite_input(tmp_path, flags):
     argv = ["simulate", "--field", "radial", "--ell", "6.5", "--dt", "1e-2",
@@ -641,6 +643,21 @@ def test_fields_bundle_rejects_a_non_finite_source(tmp_path, capsys, source):
     assert main(["fields", "--field", "bundle", "--bundle", str(bundle_path),
                  f"--source={source}", "--out", str(out)]) == 2
     assert "--source needs finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m_floor", ["nan", "inf", "-1", "0"])
+def test_fields_bundle_rejects_a_bad_m_floor(tmp_path, capsys, m_floor):
+    # nan and inf once gave a map with every gx NaN, and -1 and 0 masked no
+    # node, so zero-magnitude upstream nodes got gradients
+    bundle_path = tmp_path / "w.wavf"
+    assert main(["synth-wake", "--nx", "16", "--ny", "9", "--nt", "16",
+                 "--out", str(bundle_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "maps.csv"
+    assert main(["fields", "--field", "bundle", "--bundle", str(bundle_path),
+                 f"--m-floor={m_floor}", "--out", str(out)]) == 2
+    assert "m_floor must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -69,7 +69,7 @@ def test_radial_params_validation():
 
 def test_radial_eval_value():
     # frozen spot value at r = 5
-    got = RadialField(ell=6.5).eval((3.0, 4.0), 1.2)
+    got = RadialField(ell=6.5).eval_windows([(3.0, 4.0)], 1.2, 1)[0, 0]
     assert got == pytest.approx(-0.7330204195040186, abs=1e-12)
     assert got == pytest.approx(2.0 * math.exp(-5.0 / 6.5) * math.cos(5.0 - 1.2))
 
@@ -80,8 +80,9 @@ def test_radial_eval_periodicity():
     for _ in range(100):
         x = rng.uniform(-8.0, 8.0, size=2)
         t = float(rng.uniform(0.0, 40.0))
-        assert field.eval(x, t + field.period) == pytest.approx(
-            field.eval(x, t), abs=1e-12)
+        later = field.eval_windows([x], t + field.period, 1)[0, 0]
+        assert later == pytest.approx(field.eval_windows([x], t, 1)[0, 0],
+                                      abs=1e-12)
     assert field.period == pytest.approx(TWO_PI)
 
 
@@ -91,7 +92,8 @@ def test_radial_eval_window_matches_scalar_eval():
     window = field.eval_window(x, 0.3, 16)
     ts = 0.3 + np.arange(16) * (field.period / 16)
     for k in range(16):
-        assert window[k] == pytest.approx(field.eval(x, float(ts[k])), abs=1e-12)
+        assert window[k] == pytest.approx(
+            field.eval_windows([x], float(ts[k]), 1)[0, 0], abs=1e-12)
 
 
 def _per_point_radial_window(field, x, t0, n):
@@ -167,8 +169,8 @@ def test_a_field_writes_its_signal_in_eval_windows_only():
     windows = field.eval_windows(points, 0.7, 8)
     for x, row in zip(points, windows):
         assert np.array_equal(row, field.eval_window(x, 0.7, 8))
-        samples = [field.eval(x, 0.7 + k * (2.5 / 8)) for k in range(8)]
-        assert all(type(v) is float for v in samples)
+        samples = [field.eval_windows([x], 0.7 + k * (2.5 / 8), 1)[0, 0]
+                   for k in range(8)]
         assert samples == list(row)
 
     class EvalOnly(Field):
@@ -205,10 +207,13 @@ def test_radial_truth_rejects_origin():
         RadialField(ell=6.5).analytic_spectra((0.0, 0.0))
 
 
-def test_radial_field_has_analytic_spectra():
+def test_radial_field_is_analytic():
+    # analytic because it defines analytic_mode, the one analytic
+    # contract; analytic_spectra reads the same magnitude and gradient
     field = RadialField(6.5)
-    assert field.has_analytic_spectra
+    assert "analytic_mode" in vars(RadialField)
     truth = field.analytic_spectra((0.0, -4.0))
+    assert field.analytic_mode(0.0, -4.0) == (truth.m, *truth.grad_phi)
     assert truth.m == pytest.approx(math.exp(-4.0 / 6.5))
     assert truth.grad_phi[1] == pytest.approx(1.0)
     assert field.describe()["kind"] == "radial"

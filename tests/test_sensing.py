@@ -56,6 +56,22 @@ def test_config_validation():
         SensingConfig(m_floor=0.0)
 
 
+@pytest.mark.parametrize("settings", [
+    {"m_floor": math.inf}, {"m_floor": math.nan}, {"m_floor": -1.0},
+    {"n_samples": 64.5}, {"n_samples": 64.0}, {"n_samples": "64"}])
+def test_config_takes_one_floor_rule_and_a_whole_sample_count(settings):
+    # GainLaw's floor rule, 0 < m_floor < inf: an infinite floor once
+    # ended a run sensing_failure; 64.5 samples once read the radial m at
+    # (3, 4) as 0.461871 against the true 0.463369
+    (name,) = settings
+    with pytest.raises(ValueError, match=name):
+        SensingConfig(**settings)
+
+
+def test_config_takes_a_numpy_sample_count():
+    assert SensingConfig(n_samples=np.int64(16)).n_samples == 16
+
+
 def test_sample_window_values():
     field = RadialField(6.5)
     cfg = SensingConfig()

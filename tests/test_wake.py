@@ -364,7 +364,7 @@ def test_bundle_field_exact_on_nodes():
         k = int(rng.integers(0, bundle.nt))
         x = (bundle.x0 + i * bundle.dx, bundle.y0 + j * bundle.dy)
         t = k * bundle.dt
-        assert field.eval(x, t) == pytest.approx(
+        assert field.eval_windows([x], t, 1)[0, 0] == pytest.approx(
             bundle.frames[k, j, i], abs=1e-12)
 
 
@@ -375,20 +375,22 @@ def test_bundle_field_bilinear_between_nodes():
     i, j = 6, 3
     x = (bundle.x0 + (i + 0.5) * bundle.dx, bundle.y0 + (j + 0.5) * bundle.dy)
     corners = bundle.frames[0, j:j + 2, i:i + 2]
-    assert field.eval(x, 0.0) == pytest.approx(corners.mean(), abs=1e-12)
+    assert field.eval_windows([x], 0.0, 1)[0, 0] == pytest.approx(
+        corners.mean(), abs=1e-12)
 
 
 def test_bundle_field_linear_in_time():
     bundle = synth_wake(nx=16, ny=9, nt=16)
     field = field_from_bundle(bundle)
     x = (bundle.x0 + 5 * bundle.dx, bundle.y0 + 4 * bundle.dy)
-    v0 = field.eval(x, 0.0)
-    v1 = field.eval(x, bundle.dt)
-    mid = field.eval(x, 0.5 * bundle.dt)
+    v0 = field.eval_windows([x], 0.0, 1)[0, 0]
+    v1 = field.eval_windows([x], bundle.dt, 1)[0, 0]
+    mid = field.eval_windows([x], 0.5 * bundle.dt, 1)[0, 0]
     assert mid == pytest.approx(0.5 * (v0 + v1), abs=1e-12)
     # periodic wrap: one full period later the value repeats
-    assert field.eval(x, 0.3 + bundle.period) == pytest.approx(
-        field.eval(x, 0.3), abs=1e-9)
+    later = field.eval_windows([x], 0.3 + bundle.period, 1)[0, 0]
+    assert later == pytest.approx(field.eval_windows([x], 0.3, 1)[0, 0],
+                                  abs=1e-9)
 
 
 def test_bundle_field_domain():
@@ -396,7 +398,7 @@ def test_bundle_field_domain():
     field = field_from_bundle(bundle)
     # the rectangle of the grid's nodes, x0 + dx (nx - 1) and so on
     assert field.bounds == (-2.0, -6.0, 14.0, 6.0)
-    assert field.eval((50.0, 50.0), 0.0) == 0.0
+    assert field.eval_windows([(50.0, 50.0)], 0.0, 1)[0, 0] == 0.0
 
 
 def test_bundle_field_window_matches_eval():
@@ -406,8 +408,8 @@ def test_bundle_field_window_matches_eval():
     window = field.eval_window(x, 0.2, 16)
     ts = 0.2 + np.arange(16) * (field.period / 16)
     for k in range(16):
-        assert window[k] == pytest.approx(field.eval(x, float(ts[k])),
-                                          abs=1e-12)
+        assert window[k] == pytest.approx(
+            field.eval_windows([x], float(ts[k]), 1)[0, 0], abs=1e-12)
 
 
 def _per_point_bundle_window(field, x, t0, n):

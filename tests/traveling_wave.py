@@ -52,8 +52,6 @@ class TravelingWaveField(Field):
     the field period is 2*pi over that fundamental.
     """
 
-    has_analytic_spectra = True
-
     def __init__(self, modes, base_point=(0.0, 0.0)):
         if not modes:
             raise ValueError("at least one traveling-wave mode is required")
