@@ -14,9 +14,12 @@ but for the gain law, the start poses and the output names; SIM_FLAGS
 declares each simulate flag once. Every other default that a library
 function has, the CLI reads from its signature.
 
-main() builds the argparse tree once per process, at its first call, and
-reuses it, so an in-process caller such as a test or a benchmark harness
-pays for it once; build_parser() returns a fresh tree on every call.
+build_parser() builds the argparse tree once per process, at its first
+call, and returns that tree to every later caller, main() included, so an
+in-process caller such as a test or a benchmark harness pays for it once.
+Each file whose path a command prints is written by _emit, which makes
+its directory and prints the path; simulate's per-run files, named in its
+summary, are written before it.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 a run
 ended as a sensing failure (cmd_simulate writes its files and one stderr
@@ -273,9 +276,8 @@ def cmd_simulate(args):
             "q_drift": None if math.isnan(drift) else drift,
         })
 
-    summary_path = out_dir / f"{prefix}_summary.json"
-    write_json(summary_path, {"config": config, "runs": runs})
-    print(summary_path)
+    _emit(out_dir / f"{prefix}_summary.json",
+          lambda path: write_json(path, {"config": config, "runs": runs}))
     return 3 if failed else 0
 
 
@@ -287,29 +289,21 @@ def cmd_analyze(args):
     report = analysis.portrait(args.gain, args.rho, args.ell, v=args.v,
                                grid=grid)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / f"{args.prefix}_report.json"
-    grid_path = out_dir / f"{args.prefix}_q_grid.csv"
-    report.write_json(report_path)
-    report.write_grid_csv(grid_path)
-    print(report_path)
-    print(grid_path)
+    _emit(out_dir / f"{args.prefix}_report.json", report.write_json)
+    _emit(out_dir / f"{args.prefix}_q_grid.csv", report.write_grid_csv)
     return 0
 
 
 def cmd_scan(args):
     ell_critical = analysis.bifurcation_scan(args.rho, args.ell_min,
                                              args.ell_max)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{args.prefix}_scan.json"
-    write_json(path, {
-        "rho": args.rho,
-        "ell_min": args.ell_min,
-        "ell_max": args.ell_max,
-        "ell_critical": ell_critical,
-    })
-    print(path)
+    _emit(Path(args.out) / f"{args.prefix}_scan.json",
+          lambda path: write_json(path, {
+              "rho": args.rho,
+              "ell_min": args.ell_min,
+              "ell_max": args.ell_max,
+              "ell_critical": ell_critical,
+          }))
     return 0
 
 
@@ -344,10 +338,7 @@ def cmd_fields(args):
         # no --m-floor leaves spectral_grids its own default
         m_floor = {} if args.m_floor is None else {"m_floor": args.m_floor}
         grids = spectral_grids(field.bundle, source=source, **m_floor)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    grids.write_csv(out)
-    print(out)
+    _emit(Path(args.out), grids.write_csv)
     return 0
 
 
@@ -355,14 +346,22 @@ def cmd_synth_wake(args):
     params = {key: getattr(args, key) for key in WAKE_DEFAULTS}
     bundle = synth_wake(**params, meta_re=args.meta_re,
                         meta_st=args.meta_st, meta_a=args.meta_a)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_bundle(bundle, out)
-    print(out)
+    _emit(Path(args.out), lambda path: save_bundle(bundle, path))
     return 0
 
 
+def _emit(path, write):
+    """The one output step of every command: make path's directory, then
+    write(path), then print path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(path)
+    print(path)
+
+
+@functools.cache
 def build_parser():
+    """The argparse tree, built at the first call and then shared: parsing
+    leaves a parser as it was."""
     parser = argparse.ArgumentParser(
         prog="phaseseek",
         description="Source seeking from time-periodic signal fields.",
@@ -427,15 +426,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """build_parser()'s tree, built at the first main() call and reused:
-    parsing leaves a parser as it was."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except analysis.NoTransitionError as exc:

@@ -192,8 +192,12 @@ def spectral_sample(field, x, t0, theta, config):
 
 
 def analytic_sample(field, x, theta):
-    """Idealized sample from the field's exact spectra (no windowing error)."""
-    truth = field.analytic_spectra(x)
+    """Idealized sample from the field's exact spectra (no windowing error).
+    A field with no analytic_spectra raises ValueError."""
+    spectra = getattr(field, "analytic_spectra", None)
+    if spectra is None:
+        raise ValueError(f"{type(field).__name__} has no analytic spectra")
+    truth = spectra(x)
     s = lateral_signal(float(truth.grad_phi[0]), float(truth.grad_phi[1]),
                        math.sin(theta), math.cos(theta))
     return SpectralSample(m=truth.m, phi=truth.phi, grad_phi=truth.grad_phi,

@@ -131,7 +131,9 @@ def save_bundle(bundle, path):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(bundle.frames.tobytes(order="C"))
+        # the frames are C-contiguous float64 (GridFieldBundle makes them
+        # so): their buffer is the payload, written with no copy
+        fh.write(memoryview(bundle.frames).cast("B"))
 
 
 def load_bundle(path):

@@ -48,6 +48,9 @@ def test_lambert_known_values():
     assert lambert_w("W0", math.e) == pytest.approx(1.0, abs=1e-13)
     assert lambert_w("Wm1", -INV_E) == pytest.approx(-1.0, abs=1e-8)
     assert lambert_w("W0", -INV_E) == pytest.approx(-1.0, abs=1e-8)
+    # within 1e-12 below -1/e is rounding, read as the branch point
+    for branch in ("W0", "Wm1"):
+        assert lambert_w(branch, -INV_E - 5e-13) == -1.0
 
 
 def test_lambert_matches_bisection_oracle():
@@ -91,6 +94,8 @@ def test_lambert_huge_argument():
 def test_lambert_domain_errors():
     with pytest.raises(LambertDomainError):
         lambert_w("W0", -0.4)
+    with pytest.raises(LambertDomainError, match="below the branch point"):
+        lambert_w("Wm1", -INV_E - 2e-12)
     with pytest.raises(LambertDomainError):
         lambert_w("Wm1", 0.1)
     with pytest.raises(LambertDomainError):
@@ -503,6 +508,15 @@ def test_inverse_bounds():
     for r in (b.r_min, b.r_max):
         assert float(radial_envelope("inverse", r, 2.0, 5.8)) == pytest.approx(
             0.01, abs=1e-9)
+    # the orbit at the envelope's peak is the centre itself; above it
+    # there is none
+    r_fp = 5.8 * lambert_w("W0", 2.0 / 5.8)
+    q_max = float(radial_envelope("inverse", r_fp, 2.0, 5.8))
+    for q in (q_max, -q_max):
+        b = radial_bounds("inverse", q, 2.0, 5.8)
+        assert (b.status, b.r_min, b.r_max) == ("bounded", r_fp, r_fp)
+    with pytest.raises(QOutOfRangeError, match="inverse envelope peaks"):
+        radial_bounds("inverse", q_max * (1.0 + 1e-9), 2.0, 5.8)
 
 
 @pytest.mark.parametrize("q", [1e-50, 1e-60, 1e-100, 1e-300])
@@ -531,6 +545,11 @@ def test_proportional_bounds():
     for r in (b.r_min, b.r_max):
         assert float(radial_envelope("proportional", r, 2.0, 6.5)) == pytest.approx(
             11.0, abs=1e-9)
+    # at the envelope's local maximum the trapped orbit is the centre
+    r_center = -6.5 * lambert_w("W0", -2.0 / 6.5)
+    q_max = float(radial_envelope("proportional", r_center, 2.0, 6.5))
+    b = radial_bounds("proportional", q_max, 2.0, 6.5)
+    assert (b.status, b.r_min, b.r_max) == ("conditional", r_center, r_center)
     # beyond the envelope's local maximum no turning radii exist at all
     assert radial_bounds("proportional", 12.0, 2.0, 6.5).status == "unbounded"
     # below threshold every level is unbounded

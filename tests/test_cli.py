@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import filecmp
 import importlib.util
 import inspect
@@ -756,6 +757,22 @@ def test_simulate_names_a_non_finite_init(tmp_path, capsys, init):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--config", "{tmp}/missing.json"], "error: cannot read config "),
+    (["--config", "{tmp}/list.json"],
+     "error: config file must hold a JSON object\n"),
+    (["--field", "radial", "--ell", "6.5", "--init", "4,a,0"],
+     "error: bad number in --init: '4,a,0'\n"),
+], ids=["unreadable-config", "config-not-an-object", "non-numeric-init"])
+def test_simulate_names_an_unusable_input(tmp_path, capsys, flags, named):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    out = tmp_path / "out"
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    assert main(["simulate", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(named)
+    assert not out.exists()
+
+
 def test_synth_wake_writes_loadable_bundle(tmp_path):
     out = tmp_path / "wake.wavf"
     code = main(["synth-wake", "--nx", "16", "--ny", "9", "--nt", "16",
@@ -777,6 +794,8 @@ def test_synth_wake_rejects_bad_grid(tmp_path):
 
 def test_flag_tables_cover_the_parsers():
     parser = build_parser()
+    # one tree per process: main() parses with the tree every caller gets
+    assert build_parser() is parser
     sim = vars(parser.parse_args(["simulate"]))
     assert set(sim) - {"command", "config", "func"} == set(SIM_FLAGS)
     # an unset flag must read None, which the config overlay skips
@@ -934,6 +953,30 @@ def test_parent_moves_gates_each_move_on_the_declared_list(tmp_path):
     declared_path.write_text("maps.csv m\n")
     with pytest.raises(ValueError, match="FILE ITEM MAX_ABS"):
         tool.read_declared(declared_path)
+
+
+def test_parent_moves_gates_printed_text_on_the_declared_list():
+    tool = _load_tool("parent_moves")
+    # the --help texts compared cover the top level and every subcommand
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert tool.HELP_COMMANDS == ("phaseseek", *commands)
+    old = {("stdout", "*"): "runs/a.json\nruns/b.json\n",
+           ("help", "scan"): "usage: scan\n", ("help", "fields"): "f\n"}
+    new = {("stdout", "*"): "runs/a.json\nruns/c.json\n",
+           ("help", "scan"): "usage: scan\n", ("help", "analyze"): "a\n"}
+    found = tool.text_moves(old, new)
+    assert found == [("help", "analyze", math.inf),
+                     ("help", "fields", math.inf),
+                     ("stdout", "*", math.inf)]
+    assert tool.text_moves(old, old) == []
+    assert tool.undeclared(found, {("stdout", "*"): math.inf,
+                                   ("help", "fields"): math.inf}) == [
+        ("help", "analyze", math.inf)]
+    report = tool.text_report(old, new)
+    assert report[:3] == ["differs: help analyze", "  --- old", "  +++ new"]
+    stdout = report[report.index("differs: stdout *"):]
+    assert "  -runs/b.json" in stdout and "  +runs/c.json" in stdout
 
 
 def test_declared_moves_file_parses():

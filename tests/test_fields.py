@@ -23,7 +23,12 @@ from phaseseek import (
     wrap_angle,
     wrap_phase,
 )
-from phaseseek.fields import _CSV_BLOCK_ROWS, write_float_csv, write_json
+from phaseseek.fields import (
+    _CSV_BLOCK_ROWS,
+    _write_grid_csv,
+    write_float_csv,
+    write_json,
+)
 from traveling_wave import TravelingWaveField, TravelingWaveMode
 
 
@@ -447,3 +452,17 @@ def test_grid_csv_writers_reject_a_grid_of_another_shape(tmp_path):
         with pytest.raises(ValueError):
             getattr(record, write)(path)
         assert not path.exists()
+
+
+@pytest.mark.parametrize("header, x, named", [
+    (("x", "y", "v"), np.zeros((2, 2)), "grid axes must be 1-D"),
+    (("x", "y"), np.zeros(2), "need one header name per column, got 2 "
+                              "names for 3 columns"),
+], ids=["2-D-axis", "short-header"])
+def test_grid_csv_rejects_bad_axes_and_headers_before_opening(tmp_path,
+                                                              header, x,
+                                                              named):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        _write_grid_csv(path, header, x, np.zeros(2), [np.zeros((2, 2))])
+    assert not path.exists()

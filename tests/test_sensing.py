@@ -329,6 +329,15 @@ def test_analytic_sample_matches_truth_exactly():
     assert sample.s == _steer(truth.grad_phi, math.pi / 2)
 
 
+def test_analytic_sample_names_a_field_without_spectra():
+    class Plain(_ZeroField):
+        def analytic_mode(self, x, y):
+            raise AssertionError("the field must not be read")
+
+    with pytest.raises(ValueError, match="^Plain has no analytic spectra$"):
+        analytic_sample(Plain(), (3.0, 0.0), 0.0)
+
+
 def test_quasi_steady_warning():
     # nominal radial parameters travel a full wavelength per window: warn
     with pytest.warns(QuasiSteadyWarning):

@@ -94,6 +94,34 @@ def test_load_holds_the_payload_once(tmp_path):
     assert back.frames.flags.c_contiguous and back.frames.flags.writeable
 
 
+def test_save_writes_the_frames_buffer_without_a_copy(tmp_path):
+    # the payload is the frames' own buffer: a save holds no second copy
+    bundle = synth_wake()
+    path = tmp_path / "wake.wavf"
+    tracemalloc.start()
+    try:
+        save_bundle(bundle, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * bundle.frames.nbytes
+    assert load_bundle(path).frames.tobytes() == bundle.frames.tobytes()
+
+
+def test_save_writes_frames_given_in_any_layout_bit_exactly(tmp_path):
+    # Fortran-ordered float32 frames are made C-contiguous float64 on
+    # construction, and that is what the file holds
+    frames = np.asfortranarray(
+        np.random.default_rng(7).normal(size=(8, 3, 5)).astype(np.float32))
+    bundle = GridFieldBundle(nx=5, ny=3, nt=8, x0=0.0, y0=0.0, dx=0.2,
+                             dy=0.2, dt=0.1, frames=frames)
+    path = tmp_path / "b.wavf"
+    save_bundle(bundle, path)
+    payload = np.asarray(frames, dtype=np.float64).tobytes(order="C")
+    assert path.read_bytes().endswith(payload)
+    assert load_bundle(path).frames.tobytes() == payload
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.wavf"
     good = _header_bytes() + b"\0" * (8 * 4 * 4 * 8)
@@ -166,6 +194,12 @@ def test_bundle_validation():
     with pytest.raises(ValueError):
         GridFieldBundle(nx=4, ny=4, nt=8, x0=0, y0=0, dx=0.2, dy=0.2,
                         dt=0.1, frames=bad)
+    for name in ("x0", "y0"):
+        for value in (math.nan, math.inf, -math.inf):
+            origin = {"x0": 0.0, "y0": 0.0, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                GridFieldBundle(nx=4, ny=4, nt=8, dx=0.2, dy=0.2, dt=0.1,
+                                frames=frames, **origin)
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,19 @@ Usage: python tools/parent_moves.py REF [DECLARED]
 Extracts REF (HEAD^, say) with ``git archive`` into a temporary directory,
 runs that tree's own tools/readme_outputs.py and then this tree's, and
 compares the two output trees as tools/csv_moves.py does, printing its
-report. Every moved item must be listed in DECLARED (default
-tools/declared_moves.txt next to this file): one ``FILE ITEM MAX_ABS``
-per line, where FILE is a path under the output tree, ITEM a CSV column
-or a JSON key path, or ``*`` for a file that differs in any other way
-(a changed header or row count, a file on one side only), and MAX_ABS the
-largest absolute difference allowed (``inf`` for any). ``#`` starts a
-comment. Uses local git only and removes its temporary directory.
+report. It also compares what each tree prints: the stdout of its
+readme_outputs.py run (the output paths the commands print), and the
+``--help`` text of ``phaseseek`` and of each subcommand, run against
+the tree's own src/ with COLUMNS=80. A difference is the move
+``stdout *`` or ``help COMMAND`` (``help phaseseek`` for the top level)
+with MAX_ABS inf, and its unified diff is printed. Every moved item must
+be listed in DECLARED (default tools/declared_moves.txt next to this
+file): one ``FILE ITEM MAX_ABS`` per line, where FILE is a path under
+the output tree, ITEM a CSV column or a JSON key path, or ``*`` for a
+file that differs in any other way (a changed header or row count, a
+file on one side only), and MAX_ABS the largest absolute difference
+allowed (``inf`` for any). ``#`` starts a comment. Uses local git only
+and removes its temporary directory.
 
 Exits 0 when every move is declared, 1 when one is not (each is named),
 and 2 on a usage or git error.
@@ -19,8 +25,10 @@ and 2 on a usage or git error.
 
 from __future__ import annotations
 
+import difflib
 import io
 import math
+import os
 import subprocess
 import sys
 import tarfile
@@ -30,6 +38,9 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
 DECLARED = TOOLS / "declared_moves.txt"
+# the --help texts compared: the top level, then each subcommand
+HELP_COMMANDS = ("phaseseek", "simulate", "analyze", "scan", "fields",
+                 "synth-wake")
 
 sys.path.insert(0, str(TOOLS))
 import csv_moves  # noqa: E402
@@ -51,6 +62,25 @@ def moves(old_dir, new_dir):
             found += [(name, column, max_abs)
                       for column, (_, max_abs, _) in items.items()]
     return found
+
+
+def text_moves(old, new):
+    """(file, item, inf) for each printed text, keyed (file, item) in the
+    dicts old and new, that differs or is on one side only."""
+    return [(*key, math.inf) for key in sorted(set(old) | set(new))
+            if old.get(key) != new.get(key)]
+
+
+def text_report(old, new):
+    """The unified diff of each printed text that differs."""
+    lines = []
+    for name, item, _ in text_moves(old, new):
+        lines.append(f"differs: {name} {item}")
+        lines += [f"  {line}" for line in difflib.unified_diff(
+            old.get((name, item), "").splitlines(),
+            new.get((name, item), "").splitlines(),
+            "old", "new", lineterm="")]
+    return lines
 
 
 def read_declared(path):
@@ -81,12 +111,38 @@ def _extract(ref, dest):
 
 
 def _readme_outputs(tree, out_dir):
+    """Run tree's tools/readme_outputs.py into out_dir; its stdout."""
     tool = Path(tree) / "tools" / "readme_outputs.py"
     if not tool.is_file():
         raise FileNotFoundError(f"no tools/readme_outputs.py in {tree}")
-    # the commands print their output paths; only failures matter here
-    subprocess.run([sys.executable, str(tool), str(out_dir)], check=True,
-                   stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, str(tool), str(out_dir)],
+                          check=True, stdout=subprocess.PIPE,
+                          text=True).stdout
+
+
+def _help_texts(tree):
+    """{("help", command): --help text} of tree's CLI, at COLUMNS=80. A
+    command that fails, such as one the tree does not have, reads as its
+    exit code and stderr, so that it differs from a working one."""
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(tree) / "src"), env.get("PYTHONPATH")) if p)
+    texts = {}
+    for command in HELP_COMMANDS:
+        args = [] if command == "phaseseek" else [command]
+        ran = subprocess.run(
+            [sys.executable, "-m", "phaseseek.cli", *args, "--help"],
+            env=env, capture_output=True, text=True)
+        texts["help", command] = (ran.stdout if ran.returncode == 0 else
+                                  f"exit {ran.returncode}\n{ran.stderr}")
+    return texts
+
+
+def _printed(tree, out_dir):
+    """{(file, item): text} of what tree prints: the stdout of its README
+    commands, run into out_dir, and its --help texts."""
+    return {("stdout", "*"): _readme_outputs(tree, out_dir),
+            **_help_texts(tree)}
 
 
 def main(argv):
@@ -99,14 +155,15 @@ def main(argv):
         tmp = Path(tmp)
         try:
             _extract(argv[0], tmp / "ref")
-            _readme_outputs(tmp / "ref", tmp / "ref_out")
-            _readme_outputs(ROOT, tmp / "out")
+            old = _printed(tmp / "ref", tmp / "ref_out")
+            new = _printed(ROOT, tmp / "out")
         except (OSError, subprocess.CalledProcessError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for line in csv_moves.compare(tmp / "ref_out", tmp / "out"):
+        for line in (csv_moves.compare(tmp / "ref_out", tmp / "out")
+                     + text_report(old, new)):
             print(line)
-        found = moves(tmp / "ref_out", tmp / "out")
+        found = moves(tmp / "ref_out", tmp / "out") + text_moves(old, new)
     bad = undeclared(found, declared)
     for name, item, max_abs in bad:
         print(f"undeclared move: {name} {item} {max_abs:.3g}")
