@@ -129,7 +129,9 @@ def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
 
     start is an AgentState or a PolarState. r_stop (r_floor for
     simulate_polar) must be finite and nonnegative and r_escape None or
-    positive; r_escape = inf means no escape bound.
+    positive; r_escape = inf means no escape bound. Returns the start and
+    the settings as Python floats: a numpy float32 would carry its
+    precision into every RK4 stage.
     """
     _require(all(map(math.isfinite, vars(start).values())),
              f"start must be finite, got {start}")
@@ -140,6 +142,9 @@ def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
     _require(r_escape is None or r_escape > 0,
              f"r_escape must be positive, got {r_escape}")
     _require(0 < v < math.inf, f"v must be finite and positive, got {v}")
+    return (tuple(map(float, vars(start).values())), float(dt), float(t_end),
+            float(r_stop), None if r_escape is None else float(r_escape),
+            float(v))
 
 
 def _resolve_sensing(field, mode):
@@ -294,7 +299,9 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     """
     if config is None:
         config = SensingConfig()
-    _check_run(init, dt, t_end, r_stop, r_escape, v)
+    start, dt, t_end, r_stop, r_escape, v = _check_run(
+        init, dt, t_end, r_stop, r_escape, v)
+    x, y, th, t = start
     mode = _resolve_sensing(field, sensing)
     sense = _sensor(field, config, mode)
     gain = law.closure()
@@ -307,21 +314,11 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         g = gain(m)
         return v * cth, v * sth, g * s, (m, s, g)
 
-    def probe(x, y, th, t):
-        """(m, s, G, |grad phi|) at a pose outside the RK4 loop, as a stage
-        senses and steers there; all NaN after a sensing fault."""
-        try:
-            m, gx, gy = sense(x, y, t)
-            return (m, lateral_signal(gx, gy, math.sin(th), math.cos(th)),
-                    gain(m), math.hypot(gx, gy))
-        except _SENSING_FAULTS:
-            return math.nan, math.nan, math.nan, math.nan
-
     rho = law.rho(v)
     ell = getattr(field, "ell", None)
     if r_escape is None:
         # 10x the largest of r0 and, where the run has them, rho and ell
-        r_escape = 10.0 * max(math.hypot(init.x, init.y),
+        r_escape = 10.0 * max(math.hypot(x, y),
                               rho if math.isfinite(rho) else 0.0, ell or 0.0)
 
     # the pose steps only while the box x +/- pad, y +/- pad lies in the
@@ -330,8 +327,11 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     pad = 0.0
     if mode == WINDOWED:
         # one-shot quasi-steady check at the initial point
-        check_quasi_steady(v, field.period,
-                           probe(init.x, init.y, init.theta, init.t)[3])
+        try:
+            grad_norm = math.hypot(*sense(x, y, t)[1:])
+        except _SENSING_FAULTS:
+            grad_norm = math.nan
+        check_quasi_steady(v, field.period, grad_norm)
         # windowed sensing needs the whole stencil (plus one step of
         # travel) inside the domain, not just the vehicle position
         pad = config.stencil_h + v * dt
@@ -341,7 +341,6 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     # kept per step: x, y, unwrapped theta, r, m, s, G; t and the rest
     # are built after the loop
     buf = array("d")
-    x, y, th, t = init.x, init.y, init.theta, init.t
     t_last = t_end - 0.5 * dt
     termination = None
     while termination is None:
@@ -374,12 +373,16 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             x, y, th, t = x1, y1, th1, t1
         buf.fromlist(flat)
 
-    m, s, g, _ = probe(x, y, th, t)
+    # the last row senses and steers as a stage does there
+    try:
+        m, s, g = deriv(t, x, y, th)[3]
+    except _SENSING_FAULTS:
+        m = s = g = math.nan
     buf.fromlist([x, y, th, math.hypot(x, y), m, s, g])
 
     x, y, th, r, m, s, g = _columns(buf, 7)
     del buf  # freed before t, eta, psi and Q are built
-    t = _time_axis(init.t, dt, len(x))
+    t = _time_axis(start[3], dt, len(x))
     # math.atan2 and math.sin per element: numpy's round differently
     eta = np.fromiter(map(math.atan2, memoryview(y), memoryview(x)),
                       dtype=float, count=len(y))
@@ -399,7 +402,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         "t_end": t_end,
         "r_stop": r_stop,
         "r_escape": r_escape,
-        "init": [init.x, init.y, init.theta],
+        "init": list(start[:3]),
         "rho": rho,
     }
     return Trajectory(
@@ -459,7 +462,8 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     on a negative or NaN magnitude. Non-finite or out-of-range starts and
     settings raise ValueError before the first step, as in simulate.
     """
-    _check_run(init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
+    (r, eta, psi), dt, t_end, r_floor, r_escape, v = _check_run(
+        init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
     if r_escape is None:
         r_escape = math.inf
     gain = law.closure()
@@ -479,7 +483,6 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
 
     # kept per step: r, eta, psi; t is rebuilt from dt on each read
     t = 0.0
-    r, eta, psi = init.r, init.eta, init.psi
     t_last = t_end - 0.5 * dt
     buf = array("d", (r, eta, psi))
     termination = None

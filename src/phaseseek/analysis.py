@@ -69,6 +69,9 @@ class GainLaw:
         if not 0 < self.m_floor < math.inf:
             raise ValueError(
                 f"m_floor must be finite and positive, got {self.m_floor}")
+        # Python floats: a float32 g0 would make every G(m) a float32
+        object.__setattr__(self, "g0", float(self.g0))
+        object.__setattr__(self, "m_floor", float(self.m_floor))
 
     def rho(self, v=1.0):
         """Turning radius scale V / g0."""

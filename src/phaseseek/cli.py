@@ -104,7 +104,7 @@ SIM_FLAGS = {
 _RADIAL_GRID = {"x_range": "-15,15", "y_range": "-15,15",
                 "nx": 101, "ny": 101}
 
-# synth_wake's settings; its dt and provenance slots default to None
+# synth_wake's settings; its provenance slots default to None
 WAKE_DEFAULTS = {key: default for key, default in _defaults(synth_wake).items()
                  if default is not None}
 
@@ -438,8 +438,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # ConfigError, BundleFormatError, GridPeriodError and every library
-        # parameter check are ValueErrors: exit 2 is decided here only
+        # ConfigError, BundleFormatError and every library parameter check
+        # are ValueErrors: exit 2 is decided here only
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,7 +64,8 @@ class SensingConfig:
 
     def __post_init__(self):
         try:
-            operator.index(self.n_samples)
+            object.__setattr__(self, "n_samples",
+                               operator.index(self.n_samples))
         except TypeError:
             raise ValueError(f"n_samples must be a whole number, got "
                              f"{self.n_samples!r}") from None
@@ -75,6 +76,9 @@ class SensingConfig:
         if not 0 < self.m_floor < math.inf:
             raise ValueError(
                 f"m_floor must be finite and positive, got {self.m_floor}")
+        # Python floats, so a run's sidecar can write them
+        object.__setattr__(self, "stencil_h", float(self.stencil_h))
+        object.__setattr__(self, "m_floor", float(self.m_floor))
 
 
 @dataclass
@@ -211,10 +215,10 @@ def check_quasi_steady(speed, period, grad_norm):
     The windowed estimator samples each window at a frozen stencil, so it
     leaves out the sensor's travel V * T during the window: a fair model
     while V * T is small against the local wavelength 2*pi/||grad phi||.
-    Not an error. A grad_norm that is zero or NaN gives no wavelength and
-    never warns.
+    Not an error. A grad_norm that is zero, infinite or NaN gives no
+    wavelength and never warns.
     """
-    if not grad_norm > 0.0:
+    if not 0.0 < grad_norm < _INF:
         return False
     wavelength = TWO_PI / grad_norm
     if speed * period > _QUASI_STEADY_FRACTION * wavelength:

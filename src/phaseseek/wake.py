@@ -55,10 +55,6 @@ class BundleFormatError(ValueError):
     """The bytes are not a well-formed WAVF1 bundle."""
 
 
-class GridPeriodError(ValueError):
-    """Frame spacing and count do not tile one temporal period."""
-
-
 @dataclass(frozen=True)
 class GridFieldBundle:
     """One period of a scalar field sampled on a regular space/time grid.
@@ -198,7 +194,7 @@ def load_bundle(path):
 
 def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
                x0=-2.0, y0=-6.0, dx=0.2, dy=0.2, nx=81, ny=61, nt=64,
-               dt=None, meta_re=None, meta_st=None, meta_a=None):
+               meta_re=None, meta_st=None, meta_a=None):
     """Gaussian-envelope traveling wake sampled into a bundle.
 
     w(x, y, t) = a_w exp(-y^2 / 2 sigma^2) exp(-x / decay_l) cos(k_x x - omega t)
@@ -206,21 +202,15 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
     form inside the wake: m = (a_w / 2) exp(-y^2/2 sigma^2) exp(-x / decay_l),
     phi = (-k_x x) mod 2*pi, grad phi = (-k_x, 0).
 
-    dt defaults to 2*pi / (omega * nt) so the frames tile one period; an
-    explicit dt that does not is rejected. k_x * dx must stay below pi or
-    the sampled phase would alias between columns.
+    The frame spacing is dt = 2*pi / (omega * nt), so the nt frames tile
+    one period by construction. k_x * dx must stay below pi or the sampled
+    phase would alias between columns.
     """
     for name, value in (("a_w", a_w), ("omega", omega), ("sigma", sigma),
                         ("decay_l", decay_l)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
-    period = TWO_PI / omega
-    if dt is None:
-        dt = period / nt
-    elif abs(nt * dt - period) > 1e-9:
-        raise GridPeriodError(
-            f"nt * dt = {nt * dt:.6g} does not tile the period {period:.6g}"
-        )
+    dt = TWO_PI / omega / nt
     if not abs(k_x) * dx < math.pi:
         raise ValueError(
             f"column phase step |k_x| dx = {abs(k_x) * dx:.6g} reaches pi; "
@@ -237,8 +227,7 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
     )
     frames = np.empty((nt, ny, nx))
     for k in range(nt):
-        t = k * dt
-        frames[k] = envelope * np.cos(k_x * xs[None, :] - omega * t)
+        frames[k] = envelope * np.cos(k_x * xs[None, :] - omega * (k * dt))
     return GridFieldBundle(
         nx=nx, ny=ny, nt=nt, x0=x0, y0=y0, dx=dx, dy=dy, dt=dt,
         frames=frames, meta_re=meta_re, meta_st=meta_st, meta_a=meta_a,
@@ -344,6 +333,7 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
 # Interpolating field over a bundle
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class BundleField(Field):
     """Bilinear-in-space, periodic-linear-in-time view of a bundle.
 
@@ -359,25 +349,26 @@ class BundleField(Field):
     window_coeffs call caches the bundle's first-mode map. The
     window factor B(t0, n) is computed once per distinct window start
     time and size, the last one kept, and applied inside the bilinear
-    read of the map. Both derive from the bundle, which is immutable.
+    read of the map. Frozen like RadialField, so nothing it derives from
+    its immutable bundle can go stale; eq=False: frames compare by element.
     """
 
-    def __init__(self, bundle):
-        self.bundle = bundle
-        self.period = bundle.period
-        self.bounds = (bundle.x0, bundle.y0,
-                       bundle.x0 + bundle.dx * (bundle.nx - 1),
-                       bundle.y0 + bundle.dy * (bundle.ny - 1))
+    bundle: GridFieldBundle
+
+    def __post_init__(self):
+        b, put = self.bundle, object.__setattr__
+        put(self, "period", b.period)
+        put(self, "bounds", (b.x0, b.y0, b.x0 + b.dx * (b.nx - 1),
+                             b.y0 + b.dy * (b.ny - 1)))
         # what _bilinear reads, unpacked once: it runs per stencil point
-        self._cell_grid = (*self.bounds, bundle.dx, bundle.dy, bundle.nx,
-                           bundle.nx - 2, bundle.ny - 2)
+        put(self, "_cell_grid", (*self.bounds, b.dx, b.dy, b.nx, b.nx - 2,
+                                 b.ny - 2))
         # exp(i omega dt), the turn of one frame, for _window_factor
-        self._frame_turn = cmath.exp(1j * (TWO_PI / self.period) * bundle.dt)
-        # first-mode map as a flat list, x fastest, built on first use
-        self._map = None
-        # the last window factor B(t0, n) and its key (t0, n)
-        self._factor_key = None
-        self._factor = None
+        put(self, "_frame_turn", cmath.exp(1j * (TWO_PI / b.period) * b.dt))
+        # first-mode map as a flat list, x fastest, set on first use
+        put(self, "_map", None)
+        # the last window factor [(t0, n), B(t0, n)]; window_coeffs sets it
+        put(self, "_last_factor", [None, None])
 
     def _bilinear(self, table, points, outside, scale=None):
         """Bilinear read of a per-node table at each point: a list.
@@ -465,15 +456,17 @@ class BundleField(Field):
         if n < 8 or n % b.nt:
             return super().window_coeffs(points, t0, n)
         if self._map is None:
-            self._map = _first_mode_map(b).ravel().tolist()
+            object.__setattr__(self, "_map",
+                               _first_mode_map(b).ravel().tolist())
         # RK4 stages 2 and 3 share a start time, and stage 4's is the next
         # step's stage 1, so the last factor is kept. Keys compare by ==:
         # -0.0 and 0.0 give one factor, as t0 enters B only as
         # t0 + r * step with r * step >= +0.0
+        last = self._last_factor
         key = (t0, n)
-        if key != self._factor_key:
-            self._factor, self._factor_key = self._window_factor(t0, n), key
-        return self._bilinear(self._map, points, 0j, self._factor)
+        if key != last[0]:
+            last[0], last[1] = key, self._window_factor(t0, n)
+        return self._bilinear(self._map, points, 0j, last[1])
 
     def _window_factor(self, t0, n):
         """B(t0, n) of window_coeffs, with k_r and w_r from _frame."""
@@ -490,11 +483,8 @@ class BundleField(Field):
 
     def describe(self):
         b = self.bundle
-        return {
-            "kind": "bundle",
-            "nx": b.nx, "ny": b.ny, "nt": b.nt,
-            "x0": b.x0, "y0": b.y0, "dx": b.dx, "dy": b.dy, "dt": b.dt,
-        }
+        return {"kind": "bundle", "nx": b.nx, "ny": b.ny, "nt": b.nt,
+                "x0": b.x0, "y0": b.y0, "dx": b.dx, "dy": b.dy, "dt": b.dt}
 
 
 def field_from_bundle(bundle):

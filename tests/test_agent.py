@@ -14,7 +14,9 @@ import pytest
 
 import phaseseek
 from phaseseek import (
+    TWO_PI,
     AgentState,
+    Field,
     GainKind,
     GainLaw,
     PolarState,
@@ -600,6 +602,31 @@ def test_quasi_steady_check_once_at_the_start_pose(field, pose, v, sensing,
         assert len(tr) == 1
 
 
+class _SteepField(Field):
+    """Fixed stencil coefficients a quarter turn apart along x: over a
+    subnormal stencil their phase gradient overflows to inf."""
+
+    period = TWO_PI
+
+    def eval_windows(self, points, t0, n):
+        return np.zeros((len(points), n))
+
+    def window_coeffs(self, points, t0, n):
+        return [1 + 0j, 1j, 1 + 0j, 1 + 0j, 1 + 0j]
+
+
+def test_an_infinite_start_gradient_gives_no_quasi_steady_warning():
+    # a gradient with no direction gives no wavelength to judge; the run
+    # ends a sensing failure on its first step
+    config = SensingConfig(stencil_h=5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = simulate(AgentState(1.0, 0.0, 0.0), _SteepField(), STATIC,
+                      config, dt=1e-2, t_end=1.0, sensing="windowed")
+    assert tr.termination == "sensing_failure" and len(tr) == 1
+    assert math.isnan(tr.m[0])
+
+
 WAVE_MODES = [(1.0, 0.3, 1.0, (0.8, 0.1)), (0.4, -0.2, 1.0, (-0.3, 0.9)),
               (0.2, 0.1, 2.0, (0.5, 0.5))]
 
@@ -916,6 +943,83 @@ def test_simulate_polar_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):
         simulate_polar(PolarState(4.0, 0.0, 0.3), None, STATIC,
                        radial_m_field(6.5), 1e-2, 1.0, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Numbers enter as Python numbers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("config, law, dt", [
+    (SensingConfig(n_samples=np.int64(64)), STATIC, 1e-2),
+    (SensingConfig(), GainLaw("static", np.int64(1)), 1e-2),
+    (SensingConfig(), STATIC, np.float32(0.01)),
+], ids=["n_samples", "g0", "dt"])
+def test_numpy_numbers_still_write_a_sidecar(tmp_path, config, law, dt):
+    # each once ran and then failed in json: int64 and float32 are not
+    # JSON serializable
+    tr = _quiet_simulate(AgentState(6.0, 1.0, 2.0), FIELD, law, config,
+                         dt=dt, t_end=0.1, sensing="windowed")
+    tr.write_sidecar(tmp_path / "run.json")
+    params = json.loads((tmp_path / "run.json").read_text())["params"]
+    assert type(params["sensing"]["n_samples"]) is int
+    assert type(params["law"]["g0"]) is float
+    assert params["dt"] == float(dt) and type(tr.dt) is float
+
+
+def test_records_store_python_numbers():
+    law = GainLaw("inverse", np.float32(0.5), m_floor=np.float32(1e-6))
+    config = SensingConfig(np.uint16(32), np.float32(0.01),
+                           np.float32(1e-9))
+    assert [type(value) for value in (law.g0, law.m_floor)] == [float] * 2
+    assert ([type(value) for value in (config.n_samples, config.stencil_h,
+                                       config.m_floor)]
+            == [int, float, float])
+    assert law.g0 == 0.5 and config.stencil_h == float(np.float32(0.01))
+    # a string still fails the checks, as before
+    with pytest.raises(TypeError):
+        GainLaw("static", "0.5")
+    with pytest.raises(TypeError):
+        simulate(AgentState(6.0, 0.0, 2.0), FIELD, STATIC, dt="0.01")
+
+
+def _float32_inputs(slot):
+    """simulate's and simulate_polar's settings from (6, 0, 2), one of
+    them a numpy float32, and the same settings with it as float()."""
+    value = {"g0": np.float32(0.5), "dt": np.float32(1e-2),
+             "start": np.float32(6.0), "v": np.float32(1.0)}[slot]
+    exact = float(value)
+    return [{"g0": 0.5, "dt": 1e-2, "start": 6.0, "v": 1.0, slot: number}
+            for number in (value, exact)]
+
+
+@pytest.mark.parametrize("slot", ["g0", "dt", "start", "v"])
+def test_a_float32_input_runs_in_float64(slot):
+    # numpy 2 keeps float32 + float in float32: a float32 g0 once drifted
+    # Q by 1.06e-5 over 20 s, against 7.37e-11 with 0.5
+    runs = []
+    for s in _float32_inputs(slot):
+        runs.append(simulate(AgentState(s["start"], 0.0, 2.0), FIELD,
+                             GainLaw("static", s["g0"]), dt=s["dt"],
+                             t_end=5.0, v=s["v"]))
+    given, exact = runs
+    for name in ("x", "y", "theta", "m", "s", "gain", "q"):
+        assert getattr(given, name).tobytes() == getattr(exact, name).tobytes()
+    assert given.params == exact.params
+    assert given.q_drift() < 1e-9
+
+
+@pytest.mark.parametrize("slot", ["g0", "dt", "start", "v"])
+def test_a_float32_input_runs_in_float64_in_the_polar_driver(slot):
+    runs = []
+    for s in _float32_inputs(slot):
+        runs.append(simulate_polar(PolarState(s["start"], 0.0, 2.0), None,
+                                   GainLaw("static", s["g0"]),
+                                   radial_m_field(6.5), s["dt"], 5.0,
+                                   v=s["v"]))
+    given, exact = runs
+    for name in ("r", "eta", "psi"):
+        assert getattr(given, name).tobytes() == getattr(exact, name).tobytes()
+    assert type(given.dt) is float and given.dt == exact.dt
 
 
 def test_simulate_polar_infinite_escape_means_no_bound():

@@ -23,7 +23,7 @@ def test_all_has_no_duplicates_and_every_name_resolves():
     "radial_spectral_truth", "radial_field_eval", "RadialFieldParams", "step",
     "lambert_w0", "lambert_wm1", "magnitude_phase", "radial_velocity",
     "gain_value", "phase_gradient", "radial_vector_field", "sensory_output",
-    "TravelingWaveField", "TravelingWaveMode",
+    "TravelingWaveField", "TravelingWaveMode", "GridPeriodError",
 ])
 def test_deleted_wrappers_are_gone(name):
     assert name not in phaseseek.__all__
@@ -62,7 +62,8 @@ def test_every_public_record_that_checks_itself_is_frozen():
     checked = {name for name in phaseseek.__all__
                if dataclasses.is_dataclass(getattr(phaseseek, name))
                and hasattr(getattr(phaseseek, name), "__post_init__")}
-    assert {"GridFieldBundle", "PortraitGrid", "RadialField"} <= checked
+    assert {"BundleField", "GridFieldBundle", "PortraitGrid",
+            "RadialField"} <= checked
     assert [name for name in sorted(checked) if not getattr(
         phaseseek, name).__dataclass_params__.frozen] == []
 
@@ -101,3 +102,17 @@ def test_radial_field_has_no_spectral_magnitude():
     assert field.ell == 6.5
     assert not hasattr(field, "spectral_magnitude")
     assert not hasattr(field, "params")
+
+
+def test_the_readme_library_quickstart_runs(tmp_path, monkeypatch, capsys):
+    # the python block under "Library quickstart", run as written; it
+    # writes orbit.csv into the working directory
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "conditional_bounded"
+    assert lines[1].split()[0] == "t_end"
+    assert (tmp_path / "orbit.csv").stat().st_size > 0

@@ -349,3 +349,11 @@ def test_quasi_steady_warning():
         assert not check_quasi_steady(1.0, TWO_PI, 1e-4)
         assert not check_quasi_steady(1.0, TWO_PI, 0.0)
         assert not check_quasi_steady(1.0, TWO_PI, math.nan)
+
+
+def test_quasi_steady_takes_no_wavelength_from_an_infinite_gradient():
+    # an infinite gradient has no direction (lateral_signal raises on it),
+    # so it gives no wavelength either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not check_quasi_steady(1.0, TWO_PI, math.inf)

@@ -3,6 +3,7 @@ maps, and time/space interpolation."""
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import struct
 import tracemalloc
@@ -15,7 +16,6 @@ from phaseseek import (
     TWO_PI,
     BundleFormatError,
     GridFieldBundle,
-    GridPeriodError,
     alignment_error,
     dft_first_mode,
     field_from_bundle,
@@ -281,6 +281,30 @@ def test_a_live_bundle_field_has_one_answer():
         from_map, rel=2e-3)
 
 
+def test_a_bundle_field_cannot_be_rebound():
+    # rebinding the bundle once left the cached first-mode map answering
+    # for the old one: n = nt read the old coefficient, n = 24 the new
+    field = field_from_bundle(synth_wake(nx=16, ny=9, nt=16))
+    point = [(0.55, -5.1)]
+    before = field.window_coeffs(point, 0.0, 16)
+    other = synth_wake(nx=16, ny=9, nt=16, a_w=4.0)
+    for slot, value in (("bundle", other), ("period", 3.0),
+                        ("bounds", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(field, slot, value)
+    # nor can anything it derives from its bundle, caches included
+    for slot in vars(field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(field, slot, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(field, slot)
+    # both paths still read the first wake: at nt = 16 the window DFT
+    # differs from the map by the frame rule's error, not by twice a_w
+    assert field.window_coeffs(point, 0.0, 16) == before
+    assert field.window_coeffs(point, 0.0, 24)[0] == pytest.approx(
+        before[0], rel=0.05)
+
+
 # ----------------------------------------------------------------------
 # Synthetic wake
 # ----------------------------------------------------------------------
@@ -304,9 +328,16 @@ def test_synth_wake_values():
     assert np.all(bundle.frames[:, :, bundle.x_coords < 0.0] == 0.0)
 
 
+def test_synth_wake_derives_its_frame_spacing():
+    # dt is no setting: the nt frames tile one period 2 pi / omega
+    assert "dt" not in inspect.signature(synth_wake).parameters
+    for omega, nt in ((1.0, 64), (2.5, 8), (0.3, 17)):
+        bundle = synth_wake(omega=omega, nx=4, ny=3, nt=nt)
+        assert bundle.dt == TWO_PI / omega / nt
+        assert bundle.period == pytest.approx(TWO_PI / omega, rel=1e-15)
+
+
 def test_synth_wake_rejects_bad_sampling():
-    with pytest.raises(GridPeriodError):
-        synth_wake(dt=0.1)  # 64 * 0.1 misses the period 2 pi
     with pytest.raises(ValueError):
         synth_wake(k_x=16.0)  # phase step per column reaches pi
     with pytest.raises(ValueError):
