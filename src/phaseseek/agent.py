@@ -147,6 +147,14 @@ def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
             float(v))
 
 
+def _check_stencil(x, y, h):
+    """ValueError unless each stencil probe at half-width h moves off the
+    windowed start (x, y): one that rounds onto it reads no phase step."""
+    _require(x + h != x and x - h != x and y + h != y and y - h != y,
+             f"stencil_h = {h} is below the float resolution of the start "
+             f"({x}, {y}): a stencil probe rounds onto it")
+
+
 def _resolve_sensing(field, mode):
     if mode not in SENSING_MODES:
         raise ValueError(f"unknown sensing mode {mode!r}, expected {SENSING_MODES}")
@@ -326,6 +334,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     bounds = field.bounds
     pad = 0.0
     if mode == WINDOWED:
+        _check_stencil(x, y, config.stencil_h)
         # one-shot quasi-steady check at the initial point
         try:
             grad_norm = math.hypot(*sense(x, y, t)[1:])

@@ -18,14 +18,13 @@ vector field share it.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .fields import _write_grid_csv, write_json
+from .fields import _set_whole, _write_grid_csv, write_json
 
 # ----------------------------------------------------------------------
 # Gain-law kinds and classification labels
@@ -391,12 +390,27 @@ def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
     return np.array([complex(0.0 - s, 0.0), complex(s, 0.0)])
 
 
-def _proportional_radii(rho, ell):
-    """(center, saddle) radii of proportional gain, -ell W0(-rho/ell) and
-    -ell Wm1(-rho/ell); defined for ell >= rho e."""
+def _orbits(kind, rho, ell):
+    """(regime, centre, saddle, q_cr) of a gain law, each computed here only
+    and None where the law lacks it; ell is the degenerate pair's centre. A
+    rho / ell out of float range raises ValueError."""
+    regime = _regime(kind, rho, ell)
+    if kind is GainKind.STATIC:
+        return regime, rho, None, None
+    if regime == INDETERMINATE:
+        return regime, ell, None, None
+    if regime == DIVERGENT:
+        return regime, None, None, None
+    if not 0.0 < rho / ell < math.inf:
+        raise ValueError(
+            f"rho = {rho} and ell = {ell} give rho / ell = {rho / ell}, "
+            "out of float range for a fixed-point radius")
+    if kind is GainKind.INVERSE:
+        return regime, ell * lambert_w(LambertBranch.W0, rho / ell), None, None
     z = -rho / ell
-    return (-ell * lambert_w(LambertBranch.W0, z),
-            -ell * lambert_w(LambertBranch.WM1, z))
+    w = lambert_w(LambertBranch.WM1, z)
+    return (regime, -ell * lambert_w(LambertBranch.W0, z), -ell * w,
+            (ell / rho) * abs(w) * math.exp(-1.0 / w))
 
 
 def fixed_points(kind, rho, ell=None, v=1.0):
@@ -420,37 +434,21 @@ def fixed_points(kind, rho, ell=None, v=1.0):
                         ("v / rho", v / rho)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    regime = _regime(kind, rho, ell)
-    if kind is GainKind.INVERSE or regime == CONDITIONAL:
-        # these radii are ell W(+/-rho / ell), out of reach when the ratio
-        # overflows or underflows
-        if not 0.0 < rho / ell < math.inf:
-            raise ValueError(
-                f"rho = {rho} and ell = {ell} give rho / ell = {rho / ell}, "
-                "out of float range for a fixed-point radius")
-    radii = []
-    if kind is GainKind.STATIC:
-        radii.append((rho, CENTER))
-    elif kind is GainKind.INVERSE:
-        radii.append((ell * lambert_w(LambertBranch.W0, rho / ell), CENTER))
-    elif regime == INDETERMINATE:
-        radii.append((ell, DEGENERATE))
-    elif regime == CONDITIONAL:
-        r_center, r_saddle = _proportional_radii(rho, ell)
-        radii += [(r_center, CENTER), (r_saddle, SADDLE)]
-
+    regime, centre, saddle, _ = _orbits(kind, rho, ell)
+    centre_kind = DEGENERATE if regime == INDETERMINATE else CENTER
     points = []
-    for r_star, label in sorted(radii):
+    for r_star, label in ((centre, centre_kind), (saddle, SADDLE)):
+        if r_star is None:
+            continue
         if not 0.0 < r_star < math.inf:
             raise ValueError(
                 f"rho = {rho} and ell = {ell} give a fixed-point radius of "
                 f"{r_star}, not a finite positive one")
-        for psi_star in (math.pi / 2, -math.pi / 2):
-            eigs = closed_form_eigenvalues(kind, r_star, rho, ell, v)
-            points.append(
-                FixedPoint(r_star=r_star, psi_star=psi_star, kind=label,
-                           eigenvalues=eigs)
-            )
+        eigs = closed_form_eigenvalues(kind, r_star, rho, ell, v)
+        eigs.flags.writeable = False  # shared by both headings
+        points += [FixedPoint(r_star=r_star, psi_star=psi_star, kind=label,
+                              eigenvalues=eigs)
+                   for psi_star in (math.pi / 2, -math.pi / 2)]
     return points
 
 
@@ -466,14 +464,14 @@ def critical_q(rho, ell):
     saddle to exist: ell above rho e and outside the 1e-9 min(1, rho e)
     band around it, where fixed_points finds the degenerate pair.
     """
-    kind = _params(GainKind.PROPORTIONAL, rho, ell)
-    if _regime(kind, rho, ell) != CONDITIONAL:
+    regime, _, _, q_cr = _orbits(
+        _params(GainKind.PROPORTIONAL, rho, ell), rho, ell)
+    if regime != CONDITIONAL:
         raise NoSaddleError(
             f"no saddle for ell = {ell}: not above rho e = {rho * math.e:.6g}"
             " by more than 1e-9 min(1, rho e)"
         )
-    w = lambert_w(LambertBranch.WM1, -rho / ell)
-    return (ell / rho) * abs(w) * math.exp(-1.0 / w)
+    return q_cr
 
 
 def _bisect(fn, lo, hi, iters=200):
@@ -540,11 +538,13 @@ def radial_bounds(kind, q, rho, ell=None):
         raise ValueError(f"q must be a number, got {q}")
 
     def envelope(r):
-        return float(radial_envelope(kind, r, rho, ell))
+        # radial_envelope's arithmetic, without its parameter gate per step
+        return float((r / rho) * _gain_integral_factor(kind, r, rho, ell))
 
+    if aq == 0.0 and kind is not GainKind.PROPORTIONAL:
+        return RadialBounds(BOUNDED, 0.0, math.inf)
+    regime, centre, saddle, q_cr = _orbits(kind, rho, ell)
     if kind is GainKind.STATIC:
-        if aq == 0.0:
-            return RadialBounds(BOUNDED, 0.0, math.inf)
         if aq > _INV_E + 1e-12:
             raise QOutOfRangeError(
                 f"static envelope peaks at 1/e; no orbit with |Q| = {aq:.6g}"
@@ -554,35 +554,28 @@ def radial_bounds(kind, q, rho, ell=None):
                             -rho * lambert_w(LambertBranch.WM1, -aq))
 
     if kind is GainKind.INVERSE:
-        if aq == 0.0:
-            return RadialBounds(BOUNDED, 0.0, math.inf)
-        r_fp = ell * lambert_w(LambertBranch.W0, rho / ell)
-        q_max = envelope(r_fp)
+        q_max = envelope(centre)
         if aq > q_max * (1.0 + 1e-12):
             raise QOutOfRangeError(
                 f"inverse envelope peaks at {q_max:.6g}; no orbit with |Q| = {aq:.6g}"
             )
         if aq >= q_max:
-            return RadialBounds(BOUNDED, r_fp, r_fp)
-        return RadialBounds(BOUNDED, _turning_radius(envelope, aq, r_fp, 0.5),
-                            _turning_radius(envelope, aq, r_fp, 2.0))
+            return RadialBounds(BOUNDED, centre, centre)
+        return RadialBounds(BOUNDED,
+                            _turning_radius(envelope, aq, centre, 0.5),
+                            _turning_radius(envelope, aq, centre, 2.0))
 
-    # proportional
-    if _regime(kind, rho, ell) != CONDITIONAL:
+    if regime != CONDITIONAL or aq <= q_cr:
         return RadialBounds(UNBOUNDED)
-    q_cr = critical_q(rho, ell)
-    if aq <= q_cr:
-        return RadialBounds(UNBOUNDED)
-    r_center, r_saddle = _proportional_radii(rho, ell)
-    q_max = envelope(r_center)
+    q_max = envelope(centre)
     if aq > q_max * (1.0 + 1e-12):
         return RadialBounds(UNBOUNDED)
     aq = min(aq, q_max)
-    r_min = _turning_radius(envelope, aq, r_center, 0.5)
+    r_min = _turning_radius(envelope, aq, centre, 0.5)
     if aq >= q_max:
-        r_max = r_center
+        r_max = centre
     else:
-        r_max = _bisect(lambda r: envelope(r) - aq, r_center, r_saddle)
+        r_max = _bisect(lambda r: envelope(r) - aq, centre, saddle)
     return RadialBounds(CONDITIONAL, r_min, r_max)
 
 
@@ -616,8 +609,8 @@ def bifurcation_scan(rho, ell_min, ell_max):
 
 def _regime(kind, rho, ell):
     """The convergence class a gain law gives every orbit alike, and the
-    one place ell is compared with rho e: fixed_points, critical_q,
-    radial_bounds and bifurcation_scan read it.
+    one place ell is compared with rho e: _orbits, classify_convergence
+    and bifurcation_scan read it.
 
     "unconditional" for static and inverse gain; for proportional gain
     "indeterminate" within 1e-9 min(1, rho e) of ell = rho e (where
@@ -642,22 +635,22 @@ def classify_convergence(kind, rho, ell, init):
     |Q| exceeds the critical level and the start radius lies inside the
     saddle, "conditional_unbounded" otherwise. Inits within 1e-9 of a
     separating level, and ell within 1e-9 min(1, rho e) of rho e, come
-    back "indeterminate". A non-finite init.r or init.psi raises
-    ValueError.
+    back "indeterminate". An init.r not in (0, inf) or a non-finite
+    init.psi raises ValueError.
     """
     kind = _params(kind, rho, ell)
-    for name, value in (("r", init.r), ("psi", init.psi)):
-        if not math.isfinite(value):
-            raise ValueError(f"init.{name} must be finite, got {value}")
+    if not 0 < init.r < math.inf:
+        raise ValueError(f"init.r must be finite and positive, got {init.r}")
+    if not math.isfinite(init.psi):
+        raise ValueError(f"init.psi must be finite, got {init.psi}")
     regime = _regime(kind, rho, ell)
     if regime != CONDITIONAL:
         return regime
-    q_cr = critical_q(rho, ell)
+    _, _, saddle, q_cr = _orbits(kind, rho, ell)
     q = conserved_quantity(kind, init.r, init.psi, rho, ell)
     if abs(abs(q) - q_cr) < _BOUNDARY_TOL:
         return INDETERMINATE
-    _, r_saddle = _proportional_radii(rho, ell)
-    if abs(q) > q_cr and init.r < r_saddle:
+    if abs(q) > q_cr and init.r < saddle:
         return CONDITIONAL_BOUNDED
     return CONDITIONAL_UNBOUNDED
 
@@ -684,12 +677,7 @@ class PortraitGrid:
             raise ValueError("portrait grid extents must be finite and "
                              "increasing")
         for name in ("nu", "nw"):
-            try:
-                object.__setattr__(self, name,
-                                   operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"portrait grid {name} must be a whole "
-                                 f"number, got {getattr(self, name)!r}") from None
+            _set_whole(self, name, "portrait grid ")
         if self.nu < 2 or self.nw < 2:
             raise ValueError("portrait grid needs at least 2 points per axis")
 
@@ -758,11 +746,8 @@ def portrait(kind, rho, ell=None, v=1.0, grid=PortraitGrid()):
     kind = _params(kind, rho, ell, v)
 
     fps = fixed_points(kind, rho, ell, v)
-    q_critical = None
-    separatrix = None
-    if any(fp.kind == SADDLE for fp in fps):
-        q_critical = critical_q(rho, ell)
-        separatrix = (-q_critical, q_critical)
+    regime, _, _, q_critical = _orbits(kind, rho, ell)
+    separatrix = None if q_critical is None else (-q_critical, q_critical)
 
     u_axis = np.linspace(grid.u_min, grid.u_max, grid.nu)
     w_axis = np.linspace(grid.w_min, grid.w_max, grid.nw)
@@ -782,7 +767,7 @@ def portrait(kind, rho, ell=None, v=1.0, grid=PortraitGrid()):
         fixed_points=fps,
         q_critical=q_critical,
         separatrix_q=separatrix,
-        classification=_regime(kind, rho, ell),
+        classification=regime,
         relative_equilibria=note,
         grid=grid,
         u_axis=u_axis,

@@ -246,9 +246,11 @@ def cmd_simulate(args):
               for init in inits]
     # every start, the sensing mode and the output slots are checked
     # before the first file is written
+    mode = agent._resolve_sensing(field, config["sensing"]["mode"])
     for state in starts:
         agent._check_run(state, **settings)
-    mode = agent._resolve_sensing(field, config["sensing"]["mode"])
+        if mode == agent.WINDOWED:
+            agent._check_stencil(state.x, state.y, sensing_cfg.stencil_h)
     out_dir = Path(_string(config["output"]["dir"], "output.dir"))
     prefix = _string(config["output"]["prefix"], "output.prefix")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -154,6 +155,16 @@ def write_json(path, payload):
                       allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _set_whole(record, name, prefix=""):
+    """Make a frozen record's field a whole number, else ValueError."""
+    value = getattr(record, name)
+    try:
+        object.__setattr__(record, name, operator.index(value))
+    except TypeError:
+        raise ValueError(f"{prefix}{name} must be a whole number, got "
+                         f"{value!r}") from None
 
 
 @functools.lru_cache(maxsize=32)
@@ -339,8 +350,12 @@ class RadialField(Field):
         """The exact maps over the nodes (xs[i], ys[j]): analytic_spectra
         at each node, with delta 0, as the gradient points at the source.
         The source node has m = 1, phi = 0 and NaN gradient and delta.
+        A non-finite node coordinate raises ValueError.
         """
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        for name, axis in (("xs", xs), ("ys", ys)):
+            if not np.isfinite(axis).all():
+                raise ValueError(f"{name} must be finite, got {axis}")
         m, phi, delta = (np.zeros((len(ys), len(xs))) for _ in range(3))
         grad = np.full((len(ys), len(xs), 2), math.nan)
         for j, y in enumerate(ys.tolist()):

@@ -20,7 +20,6 @@ paths share one floor check and one wrapped stencil difference
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ import numpy as np
 from .fields import (
     TWO_PI,
     UndefinedDirectionError,
+    _set_whole,
     first_mode_coeffs,
     wrap_angle,
     wrap_phase,
@@ -63,12 +63,7 @@ class SensingConfig:
     m_floor: float = 1e-9
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n_samples",
-                               operator.index(self.n_samples))
-        except TypeError:
-            raise ValueError(f"n_samples must be a whole number, got "
-                             f"{self.n_samples!r}") from None
+        _set_whole(self, "n_samples")
         if self.n_samples < 8:
             raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
         if not 0.0 < self.stencil_h <= 0.1:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import os
 import struct
 import warnings
@@ -36,6 +35,7 @@ from .fields import (
     Field,
     SpectralGrids,
     _offsets,
+    _set_whole,
     alignment_error,
     first_mode_coeffs,
     wrap_angle,
@@ -49,6 +49,11 @@ MAGIC = b"WAVF"
 VERSION = 1
 _HEADER = struct.Struct("<III8d")
 _HEADER_SIZE = 5 + _HEADER.size
+# the header's fields in _HEADER order: the grid, then the provenance
+# slots, which store an unset value (None) as NaN
+_HEADER_FIELDS = ("nx", "ny", "nt", "x0", "y0", "dx", "dy", "dt",
+                  "meta_re", "meta_st", "meta_a")
+_GRID_FIELDS, _META_FIELDS = _HEADER_FIELDS[:8], _HEADER_FIELDS[8:]
 
 
 class BundleFormatError(ValueError):
@@ -81,12 +86,7 @@ class GridFieldBundle:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nt"):
-            try:
-                object.__setattr__(self, name,
-                                   operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be a whole number, got "
-                                 f"{getattr(self, name)!r}") from None
+            _set_whole(self, name)
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         if self.nt < 8:
@@ -98,7 +98,7 @@ class GridFieldBundle:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("meta_re", "meta_st", "meta_a"):
+        for name in _META_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite or None")
@@ -128,14 +128,10 @@ class GridFieldBundle:
 
 def save_bundle(bundle, path):
     """Write a bundle to disk in WAVF1 form. Round-trips bit exactly."""
-    def meta(value):
-        return math.nan if value is None else float(value)
-
+    # only a provenance slot can be None, stored as NaN
+    values = [getattr(bundle, name) for name in _HEADER_FIELDS]
     header = MAGIC + bytes([VERSION]) + _HEADER.pack(
-        bundle.nx, bundle.ny, bundle.nt,
-        bundle.x0, bundle.y0, bundle.dx, bundle.dy, bundle.dt,
-        meta(bundle.meta_re), meta(bundle.meta_st), meta(bundle.meta_a),
-    )
+        *(math.nan if value is None else value for value in values))
     with open(path, "wb") as fh:
         fh.write(header)
         # the frames are C-contiguous float64 (GridFieldBundle makes them
@@ -161,9 +157,9 @@ def load_bundle(path):
                 f"unsupported version {head[4]}, expected {VERSION}")
         if len(head) < _HEADER_SIZE:
             raise BundleFormatError("truncated header")
-        nx, ny, nt, x0, y0, dx, dy, dt, m_re, m_st, m_a = _HEADER.unpack_from(
-            head, 5)
-        expected = nt * ny * nx * 8
+        fields = dict(zip(_HEADER_FIELDS, _HEADER.unpack_from(head, 5)))
+        shape = fields["nt"], fields["ny"], fields["nx"]
+        expected = math.prod(shape) * 8
         body = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
         if body != expected:
             raise BundleFormatError(
@@ -171,19 +167,16 @@ def load_bundle(path):
             )
         # the payload is read once, straight into the frames; a byte view
         # of the flat array also serves a zero-size shape
-        frames = np.empty((nt, ny, nx), dtype="<f8")
+        frames = np.empty(shape, dtype="<f8")
         got = fh.readinto(frames.reshape(-1).view(np.uint8))
     if got != expected:
         raise BundleFormatError(
             f"read {got} payload bytes, header promises {expected}")
-    # NaN marks an unset metadata slot
-    meta_re, meta_st, meta_a = (None if math.isnan(value) else value
-                                for value in (m_re, m_st, m_a))
+    # NaN marks an unset provenance slot
+    fields.update((name, None) for name in _META_FIELDS
+                  if math.isnan(fields[name]))
     try:
-        return GridFieldBundle(
-            nx=nx, ny=ny, nt=nt, x0=x0, y0=y0, dx=dx, dy=dy, dt=dt,
-            frames=frames, meta_re=meta_re, meta_st=meta_st, meta_a=meta_a,
-        )
+        return GridFieldBundle(frames=frames, **fields)
     except ValueError as exc:
         raise BundleFormatError(str(exc)) from exc
 
@@ -286,10 +279,12 @@ def spectral_grids(bundle, source=None, m_floor=1e-9):
     agree exactly with sensing.dft_first_mode. Phase gradients use wrapped
     differences; points whose magnitude (or any contributing neighbour's)
     falls below m_floor are masked to NaN in the gradient and delta maps.
-    m_floor must be finite and positive, else ValueError.
+    ValueError for a non-finite source or an m_floor not in (0, inf).
     """
     if not 0 < m_floor < math.inf:
         raise ValueError(f"m_floor must be finite and positive, got {m_floor}")
+    if source is not None and not all(map(math.isfinite, source)):
+        raise ValueError(f"source must be finite, got {source}")
     ny, nx = bundle.ny, bundle.nx
     coeff = _first_mode_map(bundle)
     m = np.abs(coeff)
@@ -482,9 +477,8 @@ class BundleField(Field):
         return total * (b.nt / n)
 
     def describe(self):
-        b = self.bundle
-        return {"kind": "bundle", "nx": b.nx, "ny": b.ny, "nt": b.nt,
-                "x0": b.x0, "y0": b.y0, "dx": b.dx, "dy": b.dy, "dt": b.dt}
+        return {"kind": "bundle", **{name: getattr(self.bundle, name)
+                                     for name in _GRID_FIELDS}}
 
 
 def field_from_bundle(bundle):

@@ -402,6 +402,26 @@ def test_windowed_tracks_analytic():
     assert dev < 1e-5
 
 
+@pytest.mark.parametrize("pose, h", [
+    ((6.0, 0.0, 2.0), 1e-20), ((0.0, 6.0, 2.0), 1e-20),
+    # 1 - 2**-53 is a float, 1 + 2**-53 rounds onto 1: one probe only
+    ((1.0, 0.5, 2.0), 2.0 ** -53), ((-1.0, 0.5, 2.0), 2.0 ** -53),
+    ((0.5, 1.0, 2.0), 2.0 ** -53)])
+def test_a_windowed_start_below_the_stencil_resolution_is_rejected(pose, h):
+    # from (6, 0) a stencil of 1e-20 once read a zero x gradient and ended
+    # sensing_failure after one row
+    config = SensingConfig(stencil_h=h)
+    with pytest.raises(ValueError, match=(
+            rf"^stencil_h = {h} is below the float resolution of the start "
+            rf"\({pose[0]}, {pose[1]}\)")):
+        simulate(AgentState(*pose), FIELD, STATIC, config, dt=1e-2,
+                 t_end=2.0, sensing="windowed")
+    # analytic sensing has no stencil
+    tr = simulate(AgentState(*pose), FIELD, STATIC, config, dt=1e-2,
+                  t_end=0.1)
+    assert tr.termination == "t_end"
+
+
 def test_simulate_rejects_unknown_sensing():
     init = AgentState(4.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -617,12 +637,14 @@ class _SteepField(Field):
 
 def test_an_infinite_start_gradient_gives_no_quasi_steady_warning():
     # a gradient with no direction gives no wavelength to judge; the run
-    # ends a sensing failure on its first step
+    # ends a sensing failure on its first step. The start is subnormal, so
+    # the subnormal stencil's probes resolve from it
     config = SensingConfig(stencil_h=5e-324)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tr = simulate(AgentState(1.0, 0.0, 0.0), _SteepField(), STATIC,
-                      config, dt=1e-2, t_end=1.0, sensing="windowed")
+        tr = simulate(AgentState(1e-308, 0.0, 0.0), _SteepField(), STATIC,
+                      config, dt=1e-2, t_end=1.0, r_stop=0.0,
+                      sensing="windowed")
     assert tr.termination == "sensing_failure" and len(tr) == 1
     assert math.isnan(tr.m[0])
 

@@ -360,6 +360,25 @@ def test_fixed_points_name_an_out_of_range_parameter(kind, rho, ell, v, text):
         fixed_points(kind, rho, ell, v)
 
 
+@pytest.mark.parametrize("call", [
+    lambda rho, ell: critical_q(rho, ell),
+    lambda rho, ell: radial_bounds("proportional", 11.0, rho, ell),
+    lambda rho, ell: radial_bounds("inverse", 0.01, rho, ell),
+    lambda rho, ell: classify_convergence(
+        "proportional", rho, ell, SimpleNamespace(r=4.0, psi=1.0)),
+    lambda rho, ell: fixed_points("proportional", rho, ell),
+], ids=["critical_q", "radial_bounds-proportional", "radial_bounds-inverse",
+        "classify_convergence", "fixed_points"])
+def test_every_orbit_entry_applies_the_float_range_rule(call):
+    # rho / ell underflows to 0: critical_q, radial_bounds and
+    # classify_convergence once raised a Wm1 domain error, and inverse
+    # radial_bounds "inverse envelope peaks at 0"
+    text = ("rho = 1e-300 and ell = 1e+300 give rho / ell = 0.0, out of "
+            "float range for a fixed-point radius")
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call(1e-300, 1e300)
+
+
 def test_proportional_at_threshold_is_degenerate():
     fps = fixed_points("proportional", 2.0, 2.0 * math.e)
     assert len(fps) == 2
@@ -660,6 +679,18 @@ def test_classify_rejects_a_nan_heading():
     with pytest.raises(ValueError, match="init.psi"):
         classify_convergence("proportional", 2.0, 6.5,
                              SimpleNamespace(r=4.0, psi=math.nan))
+
+
+@pytest.mark.parametrize("kind, ell", [
+    ("static", None), ("inverse", 5.8), ("proportional", 4.0),
+    ("proportional", 6.5)])
+@pytest.mark.parametrize("r", [-1.0, 0.0, -0.0])
+def test_classify_rejects_a_nonpositive_radius(kind, ell, r):
+    # r = -1 once read "unconditional" (static, inverse) or "divergent"
+    # (proportional, ell 4)
+    with pytest.raises(ValueError, match=(
+            f"^init.r must be finite and positive, got {r}")):
+        classify_convergence(kind, 2.0, ell, SimpleNamespace(r=r, psi=1.0))
 
 
 def test_classify_needs_ell_for_proportional():

@@ -295,6 +295,22 @@ def test_simulate_checks_the_sensing_mode_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_simulate_checks_the_stencil_resolution_before_writing(tmp_path,
+                                                              capsys):
+    # 4 + 5e-16 rounds up to the next float, but 8 + 5e-16 rounds back
+    # onto 8, a quarter ulp away; such a run once wrote its files and
+    # exited 3 with a sensing failure
+    out = tmp_path / "out"
+    assert main(["simulate", "--field", "radial", "--ell", "6.5",
+                 "--init", "4,0,2", "--init", "8,0,2", "--stencil-h",
+                 "5e-16", "--sensing", "windowed", "--t-end", "0.1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: stencil_h = 5e-16 is below the float resolution of the "
+        "start (8.0, 0.0): a stencil probe rounds onto it\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, text", [
     (["--field", "radial"], "error: radial field needs --ell\n"),
     (["--field", "bundle"], "error: bundle field needs --bundle\n"),

@@ -224,6 +224,15 @@ def test_radial_truth_rejects_origin():
         RadialField(ell=6.5).analytic_spectra((0.0, 0.0))
 
 
+@pytest.mark.parametrize("xs, ys, name", [
+    ([math.nan, 1.0], [0.0], "xs"), ([1.0], [0.0, math.inf], "ys"),
+    ([-math.inf], [2.0], "xs")])
+def test_radial_maps_reject_a_non_finite_node(xs, ys, name):
+    # a NaN node once read m = nan with no complaint
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        RadialField(6.5).spectral_grids(xs, ys)
+
+
 def test_radial_field_is_analytic():
     # analytic because it defines analytic_mode, the one analytic
     # contract; analytic_spectra reads the same magnitude and gradient

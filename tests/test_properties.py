@@ -21,9 +21,9 @@ import oracles  # noqa: E402
 from phaseseek import (  # noqa: E402
     TWO_PI, AgentState, BundleFormatError, GainKind, GainLaw, GridFieldBundle,
     PolarState, RadialField, classify_convergence, conserved_quantity,
-    field_from_bundle, fixed_points, from_polar, load_bundle, radial_bounds,
-    radial_envelope, radial_m_field, simulate, simulate_polar, synth_wake,
-    to_polar, wrap_angle, wrap_phase)
+    critical_q, field_from_bundle, fixed_points, from_polar, load_bundle,
+    radial_bounds, radial_envelope, radial_m_field, simulate, simulate_polar,
+    synth_wake, to_polar, wrap_angle, wrap_phase)
 from phaseseek.agent import _time_axis  # noqa: E402
 from phaseseek.wake import MAGIC, VERSION, _HEADER  # noqa: E402
 
@@ -199,6 +199,29 @@ def test_trapped_orbits_turn_at_the_radial_bounds(kind, rho, u, r0_rho,
     for turn, sampled in ((bounds.r_min, r.min()), (bounds.r_max, r.max())):
         curvature = abs(1.0 / turn - gain(math.exp(-turn / ell)))
         assert abs(sampled - turn) <= curvature * dt * dt / 8 + 1e-6 * turn
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-8.0, max_value=6.0),
+       st.floats(min_value=-3.0, max_value=2.0))
+@example(-8.0, -3.0)
+@example(6.0, 2.0)
+def test_the_saddle_bounds_the_trapped_levels(log_rho, log_ell):
+    # rho log-uniform over [1e-8, 1e6], ell 1e-3 to 1e2 (relative) above
+    # rho e: the envelope at the saddle is the critical level, and a level
+    # just above it turns inside the saddle radius. The envelope's peak,
+    # about exp(ell / rho), overflows beyond ell / rho = 709, where
+    # radial_bounds then warns
+    rho = 10.0 ** log_rho
+    ell = rho * math.e * (1.0 + 10.0 ** log_ell)
+    q_cr = critical_q(rho, ell)
+    saddle = fixed_points("proportional", rho, ell)[-1]
+    assert saddle.kind == "saddle"
+    h = float(radial_envelope("proportional", saddle.r_star, rho, ell))
+    assert abs(h - q_cr) <= 1e-12 * q_cr
+    bounds = radial_bounds("proportional", q_cr * (1.0 + 1e-9), rho, ell)
+    assert bounds.status == "conditional"
+    assert bounds.r_min < bounds.r_max < saddle.r_star
 
 
 @settings(max_examples=100, deadline=None)

@@ -427,6 +427,14 @@ def test_spectral_grids_nan_outside_support():
     assert np.isnan(grids.delta_grid[:, dead]).all()
 
 
+@pytest.mark.parametrize("source", [
+    (math.nan, 0.0), (0.0, math.inf), np.array([-math.inf, 1.0])])
+def test_spectral_grids_reject_a_non_finite_source(source):
+    # a NaN source once gave an all-NaN delta map with no complaint
+    with pytest.raises(ValueError, match="^source must be finite"):
+        spectral_grids(synth_wake(nx=16, ny=9, nt=16), source=source)
+
+
 def test_spectral_grids_warn_near_wrap_limit():
     bundle = synth_wake(nx=24, ny=9, nt=16, k_x=15.0, dx=0.2)
     with pytest.warns(UserWarning):

@@ -16,6 +16,10 @@ the same script times any checkout. It prints one JSON object:
   keyed by kind, on the convergence taxonomy's reduced run (g0 0.5, no
   alignment error, dt 1e-2, r_escape 50; ell 6.5 for static and
   proportional gain and 5.8 for inverse, from r 3, psi 1.2) over 20 s;
+* theory_us: the closed-form theory of one start per gain kind, an
+  object keyed by kind: one classify_convergence, one conserved_quantity
+  and one radial_bounds call at the polar_step_us start and law (rho 2),
+  timed over 100 starts per call;
 * map_build_ms: one build of the synthetic wake's first-mode map, the
   one-off cost a bundle field pays on its first windowed sample (null on
   a tree without the map);
@@ -73,9 +77,10 @@ def main(argv):
         return float(statistics.median(scale(seconds, refs)))
 
     from phaseseek import (AgentState, GainLaw, PolarState, RadialField,
-                           field_from_bundle, portrait, radial_m_field,
-                           simulate, simulate_polar, spectral_grids,
-                           synth_wake)
+                           classify_convergence, conserved_quantity,
+                           field_from_bundle, portrait, radial_bounds,
+                           radial_m_field, simulate, simulate_polar,
+                           spectral_grids, synth_wake)
 
     bundle = synth_wake()
     wake_law = GainLaw("proportional", 0.5)
@@ -110,9 +115,20 @@ def main(argv):
         ("bundle_step_us", bundle_run),
         ("radial_windowed_step_us", radial_run),
         ("analytic_step_us", analytic_run))}
-    result["polar_step_us"] = {
-        kind: step_us(polar_run(kind, ell)) for kind, ell in (
-            ("static", 6.5), ("proportional", 6.5), ("inverse", 5.8))}
+    def theory_us(kind, ell, starts=100):
+        start = PolarState(3.0, 0.0, 1.2)
+
+        def run():
+            for _ in range(starts):
+                classify_convergence(kind, 2.0, ell, start)
+                radial_bounds(kind, conserved_quantity(
+                    kind, start.r, start.psi, 2.0, ell), 2.0, ell)
+        return timed(run, rounds * 4) / starts * 1e6
+
+    laws = (("static", 6.5), ("proportional", 6.5), ("inverse", 5.8))
+    result["polar_step_us"] = {kind: step_us(polar_run(kind, ell))
+                               for kind, ell in laws}
+    result["theory_us"] = {kind: theory_us(kind, ell) for kind, ell in laws}
     from phaseseek import wake
     build = getattr(wake, "_first_mode_map", None)
     result["map_build_ms"] = (None if build is None else
