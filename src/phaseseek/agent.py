@@ -26,7 +26,6 @@ from .fields import (
     write_json,
 )
 from .sensing import (
-    DegenerateMagnitudeError,
     SensingConfig,
     _stencil_mode,
     _stencil_points,
@@ -51,10 +50,6 @@ TERM_SENSING = "sensing_failure"
 TERM_LEFT_DOMAIN = "left_domain"
 TERM_ORIGIN = "origin_singularity"
 TERM_NON_FINITE = "non_finite_state"
-
-# a sensing fault, in the stage loop and at the last row: a magnitude
-# below the floor, or any ValueError raised while sensing
-_SENSING_FAULTS = (DegenerateMagnitudeError, ValueError)
 
 # steps recorded per flat list chunk before it moves into the run's
 # array('d') buffer: a recorded value is then held as 8 bytes, not as a
@@ -295,10 +290,10 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
 
     Stops at t_end, on source proximity (r < r_stop), escape (r > r_escape,
     default 10x the largest of r0, rho, ell), leaving a gridded field's
-    domain, or a sensing failure (a magnitude below the floor, or any
-    ValueError raised while sensing: the origin singularity, a phase
-    gradient with no direction (zero, infinite or NaN), the gain's on a
-    NaN magnitude, or the field's own). Returns a Trajectory sampled
+    domain, or a sensing failure (any ValueError raised while sensing: a
+    magnitude below the floor, the origin singularity, a phase gradient
+    with no direction (zero, infinite or NaN), the gain's on a NaN
+    magnitude, or the field's own). Returns a Trajectory sampled
     every dt.
 
     Q is recorded per sample when the field is radial and the law has a
@@ -338,7 +333,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         # one-shot quasi-steady check at the initial point
         try:
             grad_norm = math.hypot(*sense(x, y, t)[1:])
-        except _SENSING_FAULTS:
+        except ValueError:
             grad_norm = math.nan
         check_quasi_steady(v, field.period, grad_norm)
         # windowed sensing needs the whole stencil (plus one step of
@@ -375,7 +370,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
                 break
             try:
                 x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
-            except _SENSING_FAULTS:
+            except ValueError:
                 termination = TERM_SENSING
                 break
             flat += (x, y, th, r, m, s, g)
@@ -385,7 +380,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     # the last row senses and steers as a stage does there
     try:
         m, s, g = deriv(t, x, y, th)[3]
-    except _SENSING_FAULTS:
+    except ValueError:
         m = s = g = math.nan
     buf.fromlist([x, y, th, math.hypot(x, y), m, s, g])
 

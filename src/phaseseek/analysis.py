@@ -142,19 +142,23 @@ class QOutOfRangeError(ValueError):
     """No orbit exists at this value of the conserved quantity."""
 
 
-def _params(kind, rho, ell, v=1.0):
+def _params(kind, rho, ell, v=None):
     """The one parameter gate every public entry passes first: coerces the
-    kind and rejects rho <= 0, v <= 0 (NaN included) and, for proportional
-    and inverse gain, a missing or nonpositive decay length ell.
-    """
+    kind and rejects rho <= 0 (NaN included), a non-finite rho or ell and,
+    past static gain, a missing or nonpositive ell. An entry with a speed
+    passes v, rejected if <= 0 or if it or v / rho (g0) is not finite."""
     kind = GainKind(kind)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if not v > 0:
+    if v is not None and not v > 0:
         raise ValueError(f"speed must be positive, got {v}")
     if kind is not GainKind.STATIC and (ell is None or not ell > 0):
         raise ValueError(
             f"{kind.value} gain needs a positive decay length ell")
+    for name, value in (("rho", rho), ("ell", ell), ("v", v),
+                        ("v / rho", None if v is None else v / rho)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return kind
 
 
@@ -429,11 +433,6 @@ def fixed_points(kind, rho, ell=None, v=1.0):
     rho and ell whose ratio or radius leaves the float range.
     """
     kind = _params(kind, rho, ell, v)
-    # v / rho is the gain scale g0 of the vector field
-    for name, value in (("rho", rho), ("ell", ell), ("v", v),
-                        ("v / rho", v / rho)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     regime, centre, saddle, _ = _orbits(kind, rho, ell)
     centre_kind = DEGENERATE if regime == INDETERMINATE else CENTER
     points = []
@@ -591,10 +590,8 @@ def bifurcation_scan(rho, ell_min, ell_max):
     if not ell_min < ell_max:
         raise ValueError("need ell_min < ell_max")
     kind = _params(GainKind.PROPORTIONAL, rho, ell_min)
-    for name, value in (("rho", rho), ("ell_min", ell_min),
-                        ("ell_max", ell_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(ell_max):
+        raise ValueError(f"ell_max must be finite, got {ell_max}")
     if not (_regime(kind, rho, ell_min) == DIVERGENT
             and _regime(kind, rho, ell_max) != DIVERGENT):
         raise NoTransitionError(

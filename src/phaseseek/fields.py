@@ -312,7 +312,7 @@ class RadialField(Field):
     """The radially symmetric source field f(r, t) = 2 exp(-r/ell) cos(r - t).
 
     An outgoing wave of unit angular frequency and unit wavenumber whose
-    amplitude decays on the length scale ell > 0. Time period is 2*pi.
+    amplitude decays on the finite length scale ell > 0. Time period is 2*pi.
     """
 
     # a plain attribute, not a property: analytic_mode reads it per stage
@@ -321,8 +321,9 @@ class RadialField(Field):
 
     def __post_init__(self):
         ell = float(self.ell)
-        if not ell > 0:
-            raise ValueError(f"ell must be positive, got {ell}")
+        if not 0 < ell < math.inf:
+            bound = "finite" if ell > 0 else "positive"
+            raise ValueError(f"ell must be {bound}, got {ell}")
         object.__setattr__(self, "ell", ell)
 
     def eval_windows(self, points, t0, n):

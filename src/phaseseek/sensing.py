@@ -35,7 +35,7 @@ from .fields import (
 )
 
 
-class DegenerateMagnitudeError(RuntimeError):
+class DegenerateMagnitudeError(ValueError):
     """First-mode magnitude fell below the floor; phase is meaningless there."""
 
 

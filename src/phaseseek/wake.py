@@ -43,7 +43,7 @@ from .fields import (
 )
 # dft_first_mode stays importable from this module, where perfbench's
 # tracer looks it up
-from .sensing import dft_first_mode  # noqa: F401
+from .sensing import SensingConfig, dft_first_mode  # noqa: F401
 
 MAGIC = b"WAVF"
 VERSION = 1
@@ -199,11 +199,18 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
     one period by construction. k_x * dx must stay below pi or the sampled
     phase would alias between columns.
     """
+    # an infinite sigma or decay_l is a uniform envelope, its frames finite
     for name, value in (("a_w", a_w), ("omega", omega), ("sigma", sigma),
                         ("decay_l", decay_l)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
-    dt = TWO_PI / omega / nt
+        if value == math.inf and name in ("a_w", "omega"):
+            raise ValueError(f"{name} must be finite, got {value}")
+    dt = TWO_PI / omega / nt if nt else math.inf
+    if not 0 < dt < math.inf:
+        raise ValueError(
+            f"omega = {omega} and nt = {nt} give a frame spacing "
+            f"2 pi / (omega nt) = {dt}, not finite and positive")
     if not abs(k_x) * dx < math.pi:
         raise ValueError(
             f"column phase step |k_x| dx = {abs(k_x) * dx:.6g} reaches pi; "
@@ -271,7 +278,7 @@ def _first_mode_map(bundle):
     return coeff
 
 
-def spectral_grids(bundle, source=None, m_floor=1e-9):
+def spectral_grids(bundle, source=None, m_floor=SensingConfig.m_floor):
     """First-mode m, phi, grad phi (and optionally delta) over the grid.
 
     The coefficients are the first-mode map (_first_mode_map) that a

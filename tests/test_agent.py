@@ -16,6 +16,7 @@ import phaseseek
 from phaseseek import (
     TWO_PI,
     AgentState,
+    DegenerateMagnitudeError,
     Field,
     GainKind,
     GainLaw,
@@ -326,6 +327,29 @@ def test_simulate_polar_escape():
                         r_escape=30.0)
     assert tr.termination == "escaped"
     assert tr.r[-1] >= 30.0
+
+
+def test_simulate_polar_ends_a_degenerate_magnitude_as_sensing_failure():
+    # the error was a RuntimeError, which left simulate_polar as a traceback
+    def m_field(r, eta):
+        raise DegenerateMagnitudeError("magnitude 0.000e+00 below floor")
+    tr = simulate_polar(PolarState(r=4.0, eta=0.0, psi=0.4), None, STATIC,
+                        m_field, 1e-2, 1.0)
+    assert tr.termination == "sensing_failure"
+    assert len(tr.r) == 1
+
+
+def test_a_subnormal_rho_still_ends_t_end():
+    # rho = v / g0 = 1e-310: conserved_quantity, which simulate calls
+    # after the loop, takes no speed, so the parameter gate checks no
+    # v / rho there (1 / rho would be inf). r / rho overflows, so Q is NaN
+    law = GainLaw("static", 1e10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = simulate(AgentState(2.0, 0.0, math.pi / 2), FIELD, law,
+                      dt=1e-3, t_end=0.01, v=1e-300)
+    assert tr.termination == "t_end"
+    assert tr.params["rho"] == 1e-310
+    assert np.isnan(tr.q).all()
 
 
 def _tilt(r, eta):

@@ -283,6 +283,49 @@ def test_every_entry_rejects_nonpositive_rho_and_speed(name, rho, v):
             _GATED_ENTRIES[name](kind, rho, v)
 
 
+# every analysis entry that reads rho and ell, as a call on (kind, rho,
+# ell, v); critical_q is proportional whatever the kind
+_SCALED_ENTRIES = {
+    "classify_convergence": lambda kind, rho, ell, v: classify_convergence(
+        kind, rho, ell, SimpleNamespace(r=4.0, psi=1.0)),
+    "radial_bounds": lambda kind, rho, ell, v: radial_bounds(
+        kind, 0.01, rho, ell),
+    "conserved_quantity": lambda kind, rho, ell, v: conserved_quantity(
+        kind, 3.0, 0.4, rho, ell),
+    "radial_envelope": lambda kind, rho, ell, v: radial_envelope(
+        kind, 3.0, rho, ell),
+    "critical_q": lambda kind, rho, ell, v: critical_q(rho, ell),
+    "closed_form_eigenvalues": lambda kind, rho, ell, v:
+        closed_form_eigenvalues(kind, 3.0, rho, ell, v=v),
+    "jacobian_eigenvalues": lambda kind, rho, ell, v: jacobian_eigenvalues(
+        kind, SimpleNamespace(r_star=3.0, psi_star=math.pi / 2), rho, ell,
+        v=v),
+    "fixed_points": lambda kind, rho, ell, v: fixed_points(
+        kind, rho, ell, v=v),
+    "portrait": lambda kind, rho, ell, v: portrait(
+        kind, rho, ell, v=v, grid=PortraitGrid(nu=3, nw=3)),
+}
+
+
+@pytest.mark.parametrize("name, rho, ell, v, text", [
+    *[(name, math.inf, 6.5, 1.0, "rho must be finite, got inf")
+      for name in _SCALED_ENTRIES],
+    *[(name, 2.0, math.inf, 1.0, "ell must be finite, got inf")
+      for name in _SCALED_ENTRIES],
+    *[(name, 2.0, 6.5, math.inf, "v must be finite, got inf")
+      for name in _TAKES_V],
+    *[(name, 1e-300, 6.5, 1e300, "v / rho must be finite, got inf")
+      for name in _TAKES_V],
+])
+def test_every_entry_applies_the_finite_rule(name, rho, ell, v, text):
+    # the rule lived in fixed_points alone: static rho = inf classified
+    # "unconditional", closed_form_eigenvalues gave [0j, 0j] there, and
+    # critical_q(inf, 6.5) raised NoSaddleError
+    for kind in GainKind:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            _SCALED_ENTRIES[name](kind, rho, ell, v)
+
+
 def test_gain_kind_errors_name_the_plain_kind():
     with pytest.raises(ValueError, match=r"^proportional gain needs"):
         conserved_quantity(GainKind.PROPORTIONAL, 3.0, 0.4, 2.0)

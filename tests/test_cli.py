@@ -818,6 +818,31 @@ def test_synth_wake_writes_loadable_bundle(tmp_path):
     assert bundle.meta_a is None
 
 
+@pytest.mark.parametrize("command", ["simulate", "fields"])
+def test_a_radial_field_with_an_infinite_ell_writes_nothing(tmp_path, capsys,
+                                                          command):
+    # both ran to exit 0 on RadialField(inf)
+    out = tmp_path / "out"
+    assert main([command, "--field", "radial", "--ell", "inf",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: ell must be finite, got inf\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--omega", "inf"], "omega must be finite, got inf"),
+    (["--a-w", "inf"], "a_w must be finite, got inf"),
+    (["--nt", "0"], "omega = 1.0 and nt = 0 give a frame spacing"),
+])
+def test_synth_wake_names_its_own_flags(tmp_path, capsys, flags, text):
+    # --omega inf named dt, which synth-wake does not take, and --nt 0
+    # ended on a ZeroDivisionError traceback
+    assert main(["synth-wake", *flags,
+                 "--out", str(tmp_path / "w.wavf")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text}")
+    assert not list(tmp_path.iterdir())
+
+
 def test_synth_wake_rejects_bad_grid(tmp_path):
     assert main(["synth-wake", "--nt", "4",
                  "--out", str(tmp_path / "w.wavf")]) == 2

@@ -72,6 +72,16 @@ def test_radial_params_validation():
         RadialField(ell=-2.0)
 
 
+def test_a_radial_field_rejects_an_infinite_ell():
+    # analysis rejects an infinite ell, so simulate never hands it one: a
+    # static RadialField(inf) once ran with m = 1, and an inverse one
+    # wrote Q = 0 on every row, a q_drift of 0.0
+    with pytest.raises(ValueError, match=r"^ell must be finite, got inf$"):
+        RadialField(math.inf)
+    with pytest.raises(ValueError, match=r"^ell must be positive, got -inf$"):
+        RadialField(-math.inf)
+
+
 @pytest.mark.parametrize("ell", [0.0, -2.0])
 def test_a_radial_field_cannot_be_changed_after_its_checks(ell):
     # ell = 0 set after construction once made simulate die on a bare

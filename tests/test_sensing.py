@@ -260,6 +260,12 @@ def test_phase_gradient_degenerate_magnitude():
         spectral_sample(_ZeroField(), (1.0, 1.0), 0.0, 0.0, SensingConfig())
 
 
+def test_a_degenerate_magnitude_is_a_value_error():
+    # every sensing fault is a ValueError, which both drivers end as a
+    # sensing failure
+    assert issubclass(DegenerateMagnitudeError, ValueError)
+
+
 @pytest.mark.parametrize("nan_at", range(5))
 def test_a_nan_magnitude_is_degenerate(nan_at):
     # a NaN centre or probe fails the floor like a silent one; min() would

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -335,6 +336,27 @@ def test_synth_wake_derives_its_frame_spacing():
         bundle = synth_wake(omega=omega, nx=4, ny=3, nt=nt)
         assert bundle.dt == TWO_PI / omega / nt
         assert bundle.period == pytest.approx(TWO_PI / omega, rel=1e-15)
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"omega": math.inf}, "omega must be finite, got inf"),
+    ({"a_w": math.inf}, "a_w must be finite, got inf"),
+    ({"omega": 1e-320}, "omega = 1e-320 and nt = 64 give a frame spacing "
+     "2 pi / (omega nt) = inf, not finite and positive"),
+    ({"nt": 0}, "omega = 1.0 and nt = 0 give a frame spacing "
+     "2 pi / (omega nt) = inf, not finite and positive"),
+])
+def test_synth_wake_names_its_own_inputs(kwargs, text):
+    # omega = inf and 1e-320 named dt, which synth_wake does not take;
+    # a_w = inf first warned from numpy, and nt = 0 divided by zero
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        synth_wake(**kwargs)
+
+
+def test_synth_wake_allows_a_uniform_envelope():
+    # an infinite sigma or decay_l gives finite frames
+    bundle = synth_wake(sigma=math.inf, decay_l=math.inf, nx=4, ny=3, nt=8)
+    assert np.all(np.abs(bundle.frames) <= 2.0)
 
 
 def test_synth_wake_rejects_bad_sampling():
