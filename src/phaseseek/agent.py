@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import analysis
-# GainKind and GainLaw live in analysis, the lower module; agent re-exports
-# them
-from .analysis import GainKind, GainLaw  # noqa: F401
+# GainKind, GainLaw and radial_m_field live in analysis, the lower module;
+# agent re-exports them
+from .analysis import GainKind, GainLaw, radial_m_field  # noqa: F401
 from .fields import (
     OriginSingularityError,
     RadialField,
@@ -293,8 +293,10 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     domain, or a sensing failure (any ValueError raised while sensing: a
     magnitude below the floor, the origin singularity, a phase gradient
     with no direction (zero, infinite or NaN), the gain's on a NaN
-    magnitude, or the field's own). Returns a Trajectory sampled
-    every dt.
+    magnitude, or the field's own). A step that starts from a pose with
+    a non-finite coordinate, such as a heading that overflowed under a
+    huge gain, ends non_finite_state instead; its row reads NaN where a
+    derived column has no value. Returns a Trajectory sampled every dt.
 
     Q is recorded per sample when the field is radial and the law has a
     finite turning radius; it is NaN otherwise. Non-finite or out-of-range
@@ -371,7 +373,11 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             try:
                 x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
             except ValueError:
-                termination = TERM_SENSING
+                # a step from a pose that the last step overflowed fails
+                # in its trig or its sensing: the pose is the fault
+                termination = (TERM_SENSING
+                               if all(map(math.isfinite, (x, y, th)))
+                               else TERM_NON_FINITE)
                 break
             flat += (x, y, th, r, m, s, g)
             x, y, th, t = x1, y1, th1, t1
@@ -390,13 +396,18 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     # math.atan2 and math.sin per element: numpy's round differently
     eta = np.fromiter(map(math.atan2, memoryview(y), memoryview(x)),
                       dtype=float, count=len(y))
-    psi = np.where(r > 0, wrap_angle(math.pi - (th - eta)), math.nan)
-    q = np.full(len(t), math.nan)
-    if isinstance(field, RadialField) and math.isfinite(rho):
-        # a run that ends at the origin has no Q on its last row
-        defined = r > 0
-        q[defined] = analysis.conserved_quantity(
-            law.kind, r[defined], psi[defined], rho, ell)
+    # a non-finite pose's angles, G s and Q, and a Q whose r / rho
+    # overflows, read NaN, as quietly as a float does
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = wrap_angle(th)
+        psi = np.where(r > 0, wrap_angle(math.pi - (th - eta)), math.nan)
+        omega = g * s
+        q = np.full(len(t), math.nan)
+        if isinstance(field, RadialField) and math.isfinite(rho):
+            # a run that ends at the origin has no Q on its last row
+            defined = r > 0
+            q[defined] = analysis.conserved_quantity(
+                law.kind, r[defined], psi[defined], rho, ell)
     params = {
         "field": field.describe(),
         "law": {**asdict(law), "kind": law.kind.value},
@@ -410,8 +421,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         "rho": rho,
     }
     return Trajectory(
-        t=t, x=x, y=y, theta=wrap_angle(th), r=r, eta=eta, psi=psi, m=m,
-        s=s, gain=g, omega=g * s, q=q, dt=dt, termination=termination,
+        t=t, x=x, y=y, theta=theta, r=r, eta=eta, psi=psi, m=m,
+        s=s, gain=g, omega=omega, q=q, dt=dt, termination=termination,
         params=params,
     )
 
@@ -440,16 +451,10 @@ class PolarTrajectory:
         return _time_axis(0.0, self.dt, len(self.r))
 
 
-def radial_m_field(ell):
-    """Magnitude profile m(r, eta) of the radial field, for simulate_polar."""
-    def m_field(r, eta):
-        return math.exp(-r / ell)
-    return m_field
-
-
 def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
                    r_floor=1e-9, r_escape=None):
-    """Integrate the reduced dynamics in source-centred coordinates.
+    """Integrate the reduced dynamics in source-centred coordinates, the
+    flow analysis._reduced_rates, which jacobian_eigenvalues differentiates.
 
     dr/dt   = -V cos(psi)
     deta/dt =  V sin(psi) / r
@@ -470,20 +475,7 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
         init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")
     if r_escape is None:
         r_escape = math.inf
-    gain = law.closure()
-
-    def deriv(t, r, eta, psi):
-        if r <= 0.0:
-            raise OriginSingularityError("a stage crossed the source")
-        g = gain(m_field(r, eta))
-        sp, cp = math.sin(psi), math.cos(psi)
-        if delta_field is None:
-            steer = g * (sp + 0.0 * cp)
-        else:
-            d = delta_field(r, eta)
-            steer = g * (math.cos(d) * sp + math.sin(d) * cp)
-        turn = v * sp / r
-        return -v * cp, turn, turn - steer, None
+    deriv = analysis._reduced_rates(law, m_field, delta_field, v)
 
     # kept per step: r, eta, psi; t is rebuilt from dt on each read
     t = 0.0

@@ -11,8 +11,10 @@ rho = V / G0. Everything here (fixed points, eigenvalues, radial bounds,
 the saddle-node scan, convergence classification, phase portraits) is a
 consequence of that structure. A hand-rolled two-branch Lambert W supplies
 the closed-form radii. The gain law itself (GainKind, GainLaw and its one
-G(m) closure) lives here too, so the agent's drivers and this module's
-vector field share it.
+G(m) closure) lives here too, and so does the reduced (r, eta, psi) flow
+with an alignment error, _reduced_rates: agent.simulate_polar integrates
+it and jacobian_eigenvalues differentiates it, so the eigenvalue check
+vouches for the rates the polar runs step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import _set_whole, _write_grid_csv, write_json
+from .fields import (OriginSingularityError, _set_whole, _write_grid_csv,
+                     write_json)
 
 # ----------------------------------------------------------------------
 # Gain-law kinds and classification labels
@@ -322,6 +325,34 @@ def radial_envelope(kind, r, rho, ell=None):
 # Closed-loop vector field, fixed points, eigenvalues
 # ----------------------------------------------------------------------
 
+def radial_m_field(ell):
+    """Magnitude m(r, eta) of the radial field, for the reduced flow."""
+    def m_field(r, eta):
+        return math.exp(-r / ell)
+    return m_field
+
+
+def _reduced_rates(law, m_field, delta_field=None, v=1.0):
+    """rates(t, r, eta, psi) -> (dr/dt, deta/dt, dpsi/dt, None): the one
+    reduced flow, integrated by simulate_polar and differentiated by
+    jacobian_eigenvalues. A stage at r <= 0 raises OriginSingularityError."""
+    gain = law.closure()
+
+    def deriv(t, r, eta, psi):
+        if r <= 0.0:
+            raise OriginSingularityError("a stage crossed the source")
+        g = gain(m_field(r, eta))
+        sp, cp = math.sin(psi), math.cos(psi)
+        if delta_field is None:
+            steer = g * (sp + 0.0 * cp)
+        else:
+            d = delta_field(r, eta)
+            steer = g * (math.cos(d) * sp + math.sin(d) * cp)
+        turn = v * sp / r
+        return -v * cp, turn, turn - steer, None
+    return deriv
+
+
 @dataclass
 class FixedPoint:
     """Equilibrium of the reduced (r, psi) flow.
@@ -341,22 +372,22 @@ def jacobian_eigenvalues(kind, fixed_point, rho, ell=None, v=1.0):
     at a fixed point: the finite-difference cross-check of
     closed_form_eigenvalues, which fixed_points reports.
 
-    The flow runs on the radial field, m = exp(-r / ell), with the GainLaw
-    of g0 = V / rho; its floor is the smallest normal float, so it never
+    The flow is _reduced_rates at zero alignment error on the radial
+    field, m = exp(-r / ell) (1 when ell is None), with the GainLaw of
+    g0 = V / rho; its floor is the smallest normal float, so it never
     binds where exp(r / ell) is finite. The steps are 1e-5 r* in r and
     1e-5 in psi; the pair is returned sorted by (real, imag).
     """
     kind = _params(kind, rho, ell, v)
-    gain = GainLaw(kind, v / rho, m_floor=sys.float_info.min).closure()
-
-    def f(r, psi):
-        m = 1.0 if ell is None else math.exp(-r / ell)
-        return (-v * math.cos(psi), (v / r - gain(m)) * math.sin(psi))
+    rates = _reduced_rates(
+        GainLaw(kind, v / rho, m_floor=sys.float_info.min),
+        radial_m_field(math.inf if ell is None else ell), v=v)
 
     r, psi = fixed_point.r_star, fixed_point.psi_star
     h_r, h_psi = 1e-5 * r, 1e-5
-    fr_p, fr_m = f(r + h_r, psi), f(r - h_r, psi)
-    fp_p, fp_m = f(r, psi + h_psi), f(r, psi - h_psi)
+    # (dr/dt, dpsi/dt) at r +/- h_r and at psi +/- h_psi
+    fr_p, fr_m = (rates(0.0, r + h, 0.0, psi)[::2] for h in (h_r, -h_r))
+    fp_p, fp_m = (rates(0.0, r, 0.0, psi + h)[::2] for h in (h_psi, -h_psi))
     jac = np.array([
         [(fr_p[0] - fr_m[0]) / (2 * h_r), (fp_p[0] - fp_m[0]) / (2 * h_psi)],
         [(fr_p[1] - fr_m[1]) / (2 * h_r), (fp_p[1] - fp_m[1]) / (2 * h_psi)],

@@ -264,9 +264,9 @@ def cmd_simulate(args):
         sidecar_name = f"{prefix}_run{index:03d}.json"
         traj.write_csv(out_dir / csv_name)
         traj.write_sidecar(out_dir / sidecar_name)
-        if traj.termination == agent.TERM_SENSING:
+        if traj.termination in (agent.TERM_SENSING, agent.TERM_NON_FINITE):
             failed.append(index)
-            print(f"error: run {index:03d} ended {agent.TERM_SENSING}",
+            print(f"error: run {index:03d} ended {traj.termination}",
                   file=sys.stderr)
         drift = traj.q_drift()
         runs.append({

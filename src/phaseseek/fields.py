@@ -157,14 +157,19 @@ def write_json(path, payload):
         fh.write(text + "\n")
 
 
-def _set_whole(record, name, prefix=""):
-    """Make a frozen record's field a whole number, else ValueError."""
-    value = getattr(record, name)
+def _whole(name, value, prefix=""):
+    """value as a whole number (operator.index), else ValueError naming it."""
     try:
-        object.__setattr__(record, name, operator.index(value))
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{prefix}{name} must be a whole number, got "
                          f"{value!r}") from None
+
+
+def _set_whole(record, name, prefix=""):
+    """Make a frozen record's field a whole number, else ValueError."""
+    object.__setattr__(record, name,
+                       _whole(name, getattr(record, name), prefix))
 
 
 @functools.lru_cache(maxsize=32)

@@ -25,6 +25,7 @@ import cmath
 import math
 import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .fields import (
     SpectralGrids,
     _offsets,
     _set_whole,
+    _whole,
     alignment_error,
     first_mode_coeffs,
     wrap_angle,
@@ -58,6 +60,24 @@ _GRID_FIELDS, _META_FIELDS = _HEADER_FIELDS[:8], _HEADER_FIELDS[8:]
 
 class BundleFormatError(ValueError):
     """The bytes are not a well-formed WAVF1 bundle."""
+
+
+def _check_axes(nx, ny, x0, y0, dx, dy):
+    """The rules on a bundle's two space axes, checked before any array
+    is built: at least 2 nodes each, a finite origin, a finite positive
+    spacing and a last node in float range. ValueError names the value."""
+    if nx < 2 or ny < 2:
+        raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
+    for axis, start, step, n in (("x", x0, dx, nx), ("y", y0, dy, ny)):
+        if not math.isfinite(start):
+            raise ValueError(f"{axis}0 must be finite")
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"d{axis} must be positive and finite")
+        last = start + step * (n - 1)
+        if not math.isfinite(last):
+            raise ValueError(
+                f"d{axis} = {step} puts the last of n{axis} = {n} nodes at "
+                f"{axis} = {last}, out of float range")
 
 
 @dataclass(frozen=True)
@@ -87,17 +107,11 @@ class GridFieldBundle:
     def __post_init__(self):
         for name in ("nx", "ny", "nt"):
             _set_whole(self, name)
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
+        _check_axes(self.nx, self.ny, self.x0, self.y0, self.dx, self.dy)
         if self.nt < 8:
             raise ValueError(f"need at least 8 frames per period, got {self.nt}")
-        for name in ("x0", "y0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("dx", "dy", "dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         for name in _META_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -197,8 +211,12 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
 
     The frame spacing is dt = 2*pi / (omega * nt), so the nt frames tile
     one period by construction. k_x * dx must stay below pi or the sampled
-    phase would alias between columns.
+    phase would alias between columns. Every input is checked before an
+    array is built; an envelope factor whose exponent overflows is its
+    exact limit, 0.0.
     """
+    nx, ny, nt = (_whole(name, value) for name, value in
+                  (("nx", nx), ("ny", ny), ("nt", nt)))
     # an infinite sigma or decay_l is a uniform envelope, its frames finite
     for name, value in (("a_w", a_w), ("omega", omega), ("sigma", sigma),
                         ("decay_l", decay_l)):
@@ -211,20 +229,33 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
         raise ValueError(
             f"omega = {omega} and nt = {nt} give a frame spacing "
             f"2 pi / (omega nt) = {dt}, not finite and positive")
+    if not 2.0 * sigma * sigma > 0.0:
+        raise ValueError(f"sigma = {sigma} is too small: 2 sigma^2 "
+                         "underflows to 0")
+    _check_axes(nx, ny, x0, y0, dx, dy)
     if not abs(k_x) * dx < math.pi:
         raise ValueError(
             f"column phase step |k_x| dx = {abs(k_x) * dx:.6g} reaches pi; "
             "the grid cannot resolve the wave"
         )
+    phase_max = abs(k_x) * max(abs(x0), abs(x0 + dx * (nx - 1)))
+    if not math.isfinite(phase_max):
+        raise ValueError(f"k_x = {k_x} gives a wave phase k_x x of "
+                         f"{phase_max} on the grid, out of float range")
 
     xs = x0 + dx * np.arange(nx)
     ys = y0 + dy * np.arange(ny)
-    envelope = (
-        a_w
-        * np.exp(-ys[:, None] ** 2 / (2.0 * sigma * sigma))
-        * np.exp(-np.maximum(xs[None, :], 0.0) / decay_l)
-        * (xs[None, :] >= 0.0)
-    )
+    # y^2 and x / decay_l may overflow to inf, whose factor is the exact
+    # limit 0.0; y^2 is capped at the largest float so that an infinite
+    # sigma still gives a uniform envelope there
+    with np.errstate(over="ignore"):
+        envelope = (
+            a_w
+            * np.exp(-np.minimum(ys[:, None] ** 2, sys.float_info.max)
+                     / (2.0 * sigma * sigma))
+            * np.exp(-np.maximum(xs[None, :], 0.0) / decay_l)
+            * (xs[None, :] >= 0.0)
+        )
     frames = np.empty((nt, ny, nx))
     for k in range(nt):
         frames[k] = envelope * np.cos(k_x * xs[None, :] - omega * (k * dt))

@@ -871,6 +871,20 @@ def test_simulate_polar_ends_a_nan_state_as_non_finite(kind):
     assert math.isnan(tr.r[-1])
 
 
+def test_simulate_ends_an_overflowed_heading_as_non_finite():
+    # the heading overflows to inf in the first step; the next step's
+    # math.sin(inf) ended the run sensing_failure, and wrapping the inf
+    # heading warned "invalid value encountered in remainder"
+    tr = simulate(AgentState(4.0, 0.0, 1.5), RadialField(6.5),
+                  GainLaw("static", 1e308), dt=1e-2, t_end=0.05)
+    assert tr.termination == "non_finite_state"
+    assert len(tr) == 2
+    assert np.isfinite([tr.x, tr.y, tr.r, tr.eta]).all()
+    assert np.isfinite([tr.theta[0], tr.psi[0], tr.m[0], tr.s[0]]).all()
+    for col in (tr.theta, tr.psi, tr.m, tr.s, tr.gain, tr.omega):
+        assert math.isnan(col[-1])
+
+
 class _InfiniteProbe(RadialField):
     """The radial field, whose +x stencil probe reads a coefficient of
     infinite magnitude and NaN phase, so the magnitudes pass the floor

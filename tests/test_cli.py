@@ -833,14 +833,31 @@ def test_a_radial_field_with_an_infinite_ell_writes_nothing(tmp_path, capsys,
     (["--omega", "inf"], "omega must be finite, got inf"),
     (["--a-w", "inf"], "a_w must be finite, got inf"),
     (["--nt", "0"], "omega = 1.0 and nt = 0 give a frame spacing"),
+    (["--x0", "inf"], "x0 must be finite"),
 ])
 def test_synth_wake_names_its_own_flags(tmp_path, capsys, flags, text):
-    # --omega inf named dt, which synth-wake does not take, and --nt 0
-    # ended on a ZeroDivisionError traceback
+    # --omega inf named dt, which synth-wake does not take, --nt 0
+    # ended on a ZeroDivisionError traceback, and --x0 inf first warned
+    # "invalid value encountered in cos" from numpy
     assert main(["synth-wake", *flags,
                  "--out", str(tmp_path / "w.wavf")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {text}")
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_counts_a_non_finite_state_as_failed(tmp_path, capsys):
+    # g0 = 1e308 overflows the heading in the first step; the run ended
+    # sensing_failure on "math domain error" and then raised numpy's
+    # "invalid value encountered in remainder"
+    code = main(["simulate", "--field", "radial", "--ell", "6.5",
+                 "--gain", "static", "--g0", "1e308", "--init", "4,0,1.5",
+                 "--dt", "1e-2", "--t-end", "0.05", "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: run 000 ended non_finite_state\n"
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert summary["runs"][0]["termination"] == "non_finite_state"
+    assert summary["runs"][0]["n_samples"] == 2
 
 
 def test_synth_wake_rejects_bad_grid(tmp_path):

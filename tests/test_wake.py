@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import phaseseek.wake
 from phaseseek import (
     TWO_PI,
     BundleFormatError,
@@ -338,6 +339,13 @@ def test_synth_wake_derives_its_frame_spacing():
         assert bundle.period == pytest.approx(TWO_PI / omega, rel=1e-15)
 
 
+class _NoArrays:
+    """Stands in for numpy in phaseseek.wake: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"synth_wake built an array (np.{name})")
+
+
 @pytest.mark.parametrize("kwargs, text", [
     ({"omega": math.inf}, "omega must be finite, got inf"),
     ({"a_w": math.inf}, "a_w must be finite, got inf"),
@@ -345,12 +353,39 @@ def test_synth_wake_derives_its_frame_spacing():
      "2 pi / (omega nt) = inf, not finite and positive"),
     ({"nt": 0}, "omega = 1.0 and nt = 0 give a frame spacing "
      "2 pi / (omega nt) = inf, not finite and positive"),
+    ({"x0": math.inf}, "x0 must be finite"),
+    ({"dy": math.inf}, "dy must be positive and finite"),
+    ({"dy": 1e308}, "dy = 1e+308 puts the last of ny = 61 nodes at y = inf, "
+     "out of float range"),
+    ({"sigma": 1e-310}, "sigma = 1e-310 is too small: 2 sigma^2 underflows "
+     "to 0"),
+    ({"nt": 2.5}, "nt must be a whole number, got 2.5"),
+    ({"nx": 2.5}, "nx must be a whole number, got 2.5"),
+    ({"x0": 1e300, "k_x": 1e10, "dx": 1e-10}, "k_x = 10000000000.0 gives a "
+     "wave phase k_x x of inf on the grid, out of float range"),
 ])
-def test_synth_wake_names_its_own_inputs(kwargs, text):
+def test_synth_wake_names_its_own_inputs(monkeypatch, kwargs, text):
     # omega = inf and 1e-320 named dt, which synth_wake does not take;
-    # a_w = inf first warned from numpy, and nt = 0 divided by zero
+    # a_w = inf first warned from numpy, and nt = 0 divided by zero.
+    # x0 = inf and dy = inf warned "invalid value" from numpy, dy = 1e308
+    # "overflow" and sigma = 1e-310 "divide by zero", and nt = 2.5 raised
+    # a TypeError from range. With numpy stubbed out, each error is shown
+    # to come before any array is built
+    monkeypatch.setattr(phaseseek.wake, "np", _NoArrays())
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         synth_wake(**kwargs)
+
+
+def test_synth_wake_far_out_reads_the_exact_limit():
+    # y0 = 1e308 warned "overflow encountered in square"; every y^2 there
+    # is out of float range, so the Gaussian factor is 0.0 on every row
+    bundle = synth_wake(y0=1e308, nx=4, ny=3, nt=8)
+    assert bundle.y0 == 1e308
+    assert not bundle.frames.any()
+    # an infinite sigma keeps its uniform envelope out there
+    far = synth_wake(y0=1e308, sigma=math.inf, nx=4, ny=3, nt=8)
+    near = synth_wake(y0=0.0, sigma=math.inf, nx=4, ny=3, nt=8)
+    assert np.array_equal(far.frames, near.frames)
 
 
 def test_synth_wake_allows_a_uniform_envelope():
