@@ -21,6 +21,8 @@ from .analysis import GainKind, GainLaw, radial_m_field  # noqa: F401
 from .fields import (
     OriginSingularityError,
     RadialField,
+    _advances,
+    _require,
     wrap_angle,
     write_float_csv,
     write_json,
@@ -67,7 +69,8 @@ TRAJECTORY_COLUMNS = (
 
 @dataclass
 class AgentState:
-    """Planar pose (x, y, theta) at time t. theta is kept unwrapped."""
+    """Planar pose (x, y, theta) at time t, held as given (simulate checks
+    a start). theta is kept unwrapped."""
 
     x: float
     y: float
@@ -80,7 +83,7 @@ class PolarState:
     """Source-centred coordinates: radius r, bearing eta, approach angle psi.
 
     psi is the angle between the body axis and the inbound ray; psi = 0
-    points straight at the source.
+    points straight at the source. It holds eta and psi as given.
     """
 
     r: float
@@ -88,66 +91,55 @@ class PolarState:
     psi: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"radius must be positive, got {self.r}")
+        _require("radius", self.r, "positive")
 
 
 def to_polar(state):
-    """Cartesian pose to source-centred PolarState; undefined at the origin."""
-    r = math.hypot(state.x, state.y)
-    if r == 0.0:
-        raise OriginSingularityError("polar coordinates undefined at the source")
-    eta = math.atan2(state.y, state.x)
-    psi = wrap_angle(math.pi - (state.theta - eta))
-    return PolarState(r=r, eta=eta, psi=psi)
+    """Cartesian pose to source-centred PolarState; undefined at the source."""
+    x, y, theta = (_require(f"state.{name}", getattr(state, name), "finite")
+                   for name in ("x", "y", "theta"))
+    eta = math.atan2(y, x)
+    return PolarState(r=math.hypot(x, y), eta=eta,
+                      psi=wrap_angle(math.pi - (theta - eta)))
 
 
 def from_polar(polar, t=0.0):
     """Inverse of to_polar: theta = pi + eta - psi."""
-    x = polar.r * math.cos(polar.eta)
-    y = polar.r * math.sin(polar.eta)
-    theta = wrap_angle(math.pi + polar.eta - polar.psi)
-    return AgentState(x=x, y=y, theta=theta, t=t)
+    r, eta, psi = (_require(f"polar.{name}", value, "finite")
+                   for name, value in vars(polar).items())
+    return AgentState(x=r * math.cos(eta), y=r * math.sin(eta),
+                      theta=wrap_angle(math.pi + eta - psi),
+                      t=_require("t", t, "finite"))
 
 
 # ----------------------------------------------------------------------
 # Closed-loop stepping
 # ----------------------------------------------------------------------
 
-def _require(ok, message):
-    if not ok:
-        raise ValueError(message)
-
-
 def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
-    """Entry checks of simulate and simulate_polar: ValueError on bad input.
-
-    start is an AgentState or a PolarState. r_stop (r_floor for
-    simulate_polar) must be finite and nonnegative and r_escape None or
-    positive; r_escape = inf means no escape bound. Returns the start and
-    the settings as Python floats: a numpy float32 would carry its
-    precision into every RK4 stage.
-    """
-    _require(all(map(math.isfinite, vars(start).values())),
-             f"start must be finite, got {start}")
-    _require(0 < dt < math.inf, f"dt must be finite and positive, got {dt}")
-    _require(math.isfinite(t_end), f"t_end must be finite, got {t_end}")
-    _require(0 <= r_stop < math.inf,
-             f"{stop_name} must be finite and nonnegative, got {r_stop}")
-    _require(r_escape is None or r_escape > 0,
-             f"r_escape must be positive, got {r_escape}")
-    _require(0 < v < math.inf, f"v must be finite and positive, got {v}")
-    return (tuple(map(float, vars(start).values())), float(dt), float(t_end),
-            float(r_stop), None if r_escape is None else float(r_escape),
-            float(v))
+    """Entry checks of simulate and simulate_polar, whose start is an
+    AgentState or a PolarState (time 0). Returns the start and the settings
+    as Python floats: a numpy float32 would carry its precision into every
+    RK4 stage."""
+    start = {name: float(_require(f"start.{name}", value, "finite"))
+             for name, value in vars(start).items()}
+    dt = float(_require("dt", dt, "finite", "positive"))
+    t_end = float(_require("t_end", t_end, "finite"))
+    _require("dt", dt, _advances(start.get("t", 0.0), t_end))
+    _require(stop_name, r_stop, "finite", "nonnegative")
+    if r_escape is not None:
+        r_escape = float(_require("r_escape", r_escape, "positive"))
+    return (tuple(start.values()), dt, t_end, float(r_stop), r_escape,
+            float(_require("v", v, "finite", "positive")))
 
 
 def _check_stencil(x, y, h):
     """ValueError unless each stencil probe at half-width h moves off the
     windowed start (x, y): one that rounds onto it reads no phase step."""
-    _require(x + h != x and x - h != x and y + h != y and y - h != y,
-             f"stencil_h = {h} is below the float resolution of the start "
-             f"({x}, {y}): a stencil probe rounds onto it")
+    if not (x + h != x and x - h != x and y + h != y and y - h != y):
+        raise ValueError(
+            f"stencil_h = {h} is below the float resolution of the start "
+            f"({x}, {y}): a stencil probe rounds onto it")
 
 
 def _resolve_sensing(field, mode):
@@ -295,12 +287,13 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     with no direction (zero, infinite or NaN), the gain's on a NaN
     magnitude, or the field's own). A step that starts from a pose with
     a non-finite coordinate, such as a heading that overflowed under a
-    huge gain, ends non_finite_state instead; its row reads NaN where a
-    derived column has no value. Returns a Trajectory sampled every dt.
+    huge gain, ends non_finite_state instead. The last row senses as a
+    stage does there, and reads NaN where it could not sense or a derived
+    column has no value. Returns a Trajectory sampled every dt.
 
     Q is recorded per sample when the field is radial and the law has a
-    finite turning radius; it is NaN otherwise. Non-finite or out-of-range
-    start poses and settings raise ValueError before the first step.
+    finite turning radius; it is NaN otherwise. dt must reach
+    ulp(max(|t0|, |t_end|)), so that every step advances t.
     """
     if config is None:
         config = SensingConfig()
@@ -404,8 +397,8 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
         omega = g * s
         q = np.full(len(t), math.nan)
         if isinstance(field, RadialField) and math.isfinite(rho):
-            # a run that ends at the origin has no Q on its last row
-            defined = r > 0
+            # a row with no pose (at the origin, or overflowed) has no Q
+            defined = np.isfinite(psi) & (r < math.inf)
             q[defined] = analysis.conserved_quantity(
                 law.kind, r[defined], psi[defined], rho, ell)
     params = {
@@ -468,8 +461,7 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     r_escape (default: no bound), when r or psi turns NaN (such as under
     a NaN delta_field; the NaN state is the last row), or on a sensing
     failure: any other ValueError raised in a stage, such as the gain's
-    on a negative or NaN magnitude. Non-finite or out-of-range starts and
-    settings raise ValueError before the first step, as in simulate.
+    on a negative or NaN magnitude. Its inputs obey simulate's rules.
     """
     (r, eta, psi), dt, t_end, r_floor, r_escape, v = _check_run(
         init, dt, t_end, r_floor, r_escape, v, stop_name="r_floor")

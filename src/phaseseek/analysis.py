@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import (OriginSingularityError, _set_whole, _write_grid_csv,
-                     write_json)
+from .fields import (OriginSingularityError, _above, _at_least, _require,
+                     _whole, _write_grid_csv, write_json)
 
 # ----------------------------------------------------------------------
 # Gain-law kinds and classification labels
@@ -65,15 +65,11 @@ class GainLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GainKind(self.kind))
-        if not 0 <= self.g0 < math.inf:
-            raise ValueError(
-                f"g0 must be finite and nonnegative, got {self.g0}")
-        if not 0 < self.m_floor < math.inf:
-            raise ValueError(
-                f"m_floor must be finite and positive, got {self.m_floor}")
         # Python floats: a float32 g0 would make every G(m) a float32
-        object.__setattr__(self, "g0", float(self.g0))
-        object.__setattr__(self, "m_floor", float(self.m_floor))
+        object.__setattr__(self, "g0", float(
+            _require("g0", self.g0, "finite", "nonnegative")))
+        object.__setattr__(self, "m_floor", float(
+            _require("m_floor", self.m_floor, "finite", "positive")))
 
     def rho(self, v=1.0):
         """Turning radius scale V / g0."""
@@ -146,22 +142,19 @@ class QOutOfRangeError(ValueError):
 
 
 def _params(kind, rho, ell, v=None):
-    """The one parameter gate every public entry passes first: coerces the
-    kind and rejects rho <= 0 (NaN included), a non-finite rho or ell and,
-    past static gain, a missing or nonpositive ell. An entry with a speed
-    passes v, rejected if <= 0 or if it or v / rho (g0) is not finite."""
+    """The one parameter gate every public entry passes first; an entry
+    with a speed passes v, whose v / rho (g0) must be finite too."""
     kind = GainKind(kind)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if v is not None and not v > 0:
-        raise ValueError(f"speed must be positive, got {v}")
+    _require("rho", rho, "positive")
+    if v is not None:
+        _require("speed", v, "positive")
     if kind is not GainKind.STATIC and (ell is None or not ell > 0):
         raise ValueError(
             f"{kind.value} gain needs a positive decay length ell")
     for name, value in (("rho", rho), ("ell", ell), ("v", v),
                         ("v / rho", None if v is None else v / rho)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if value is not None:
+            _require(name, value, "finite")
     return kind
 
 
@@ -302,10 +295,9 @@ def conserved_quantity(kind, r, psi, rho, ell=None):
     math.sin per element, because np.sin may round differently.
     """
     kind = _params(kind, rho, ell)
-    r = np.asarray(r, dtype=float)
-    if not (r > 0).all():
-        raise ValueError(f"radius must be positive, got {r}")
-    sin_psi = np.array(list(map(math.sin, np.ravel(psi).tolist())))
+    r = np.asarray(_require("radius", r, "finite", "positive"), dtype=float)
+    sin_psi = np.array(list(map(math.sin, np.ravel(
+        _require("psi", psi, "finite")).tolist())))
     sin_psi = sin_psi.reshape(r.shape)
     q = (r / rho) * sin_psi * _gain_integral_factor(kind, r, rho, ell)
     return float(q) if q.ndim == 0 else q
@@ -318,7 +310,8 @@ def radial_envelope(kind, r, rho, ell=None):
     equality exactly at radial turning points.
     """
     kind = _params(kind, rho, ell)
-    return (np.asarray(r) / rho) * _gain_integral_factor(kind, r, rho, ell)
+    r = np.asarray(_require("r", r, "finite", "nonnegative"), dtype=float)
+    return (r / rho) * _gain_integral_factor(kind, r, rho, ell)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +319,10 @@ def radial_envelope(kind, r, rho, ell=None):
 # ----------------------------------------------------------------------
 
 def radial_m_field(ell):
-    """Magnitude m(r, eta) of the radial field, for the reduced flow."""
+    """Magnitude m(r, eta) of the radial field, for the reduced flow. An
+    ell that is not positive raises ValueError; ell = inf gives m = 1."""
+    _require("ell", ell, "positive")
+
     def m_field(r, eta):
         return math.exp(-r / ell)
     return m_field
@@ -379,12 +375,13 @@ def jacobian_eigenvalues(kind, fixed_point, rho, ell=None, v=1.0):
     1e-5 in psi; the pair is returned sorted by (real, imag).
     """
     kind = _params(kind, rho, ell, v)
+    r = _require("r_star", fixed_point.r_star, "finite", "positive")
+    psi = _require("psi_star", fixed_point.psi_star, "finite")
     rates = _reduced_rates(
         GainLaw(kind, v / rho, m_floor=sys.float_info.min),
         radial_m_field(math.inf if ell is None else ell), v=v)
 
-    r, psi = fixed_point.r_star, fixed_point.psi_star
-    h_r, h_psi = 1e-5 * r, 1e-5
+    h_r, h_psi = _require("1e-5 r_star", 1e-5 * r, "positive"), 1e-5
     # (dr/dt, dpsi/dt) at r +/- h_r and at psi +/- h_psi
     fr_p, fr_m = (rates(0.0, r + h, 0.0, psi)[::2] for h in (h_r, -h_r))
     fp_p, fp_m = (rates(0.0, r, 0.0, psi + h)[::2] for h in (h_psi, -h_psi))
@@ -410,8 +407,11 @@ def closed_form_eigenvalues(kind, r_star, rho, ell=None, v=1.0):
     (V / r) sqrt((ell + r) / ell), so it is finite wherever lambda is.
     The pair comes in (real, imag) order: a center's real parts and a
     saddle's imaginary parts are +0.0, and the degenerate pair is 0.
+    r_star must lie in (0, inf) for every law: static gain does not read
+    it, but a static fixed point has one too.
     """
     kind = _params(kind, rho, ell, v)
+    _require("r_star", r_star, "finite", "positive")
     if kind is GainKind.STATIC:
         s, center = v / rho, True
     elif kind is GainKind.PROPORTIONAL:
@@ -460,8 +460,7 @@ def fixed_points(kind, rho, ell=None, v=1.0):
                    1e-9 min(1, rho e) of ell = rho e
     inverse:       r* = ell W0(rho/ell) (centers)
 
-    Raises ValueError for a non-finite rho, ell, v or v / rho, and for a
-    rho and ell whose ratio or radius leaves the float range.
+    A rho / ell or a radius out of float range raises ValueError.
     """
     kind = _params(kind, rho, ell, v)
     regime, centre, saddle, _ = _orbits(kind, rho, ell)
@@ -559,13 +558,10 @@ def radial_bounds(kind, q, rho, ell=None):
     r/rho in [-W0(-|q|), -Wm1(-|q|)], demanding |q| <= 1/e. Inverse gain
     brackets the two roots around its single center. Proportional gain
     is unbounded below the critical level and conditionally bounded above
-    it (up to the envelope's local maximum at the center radius). A NaN q
-    raises ValueError.
+    it (up to the envelope's local maximum at the center radius).
     """
     kind = _params(kind, rho, ell)
-    aq = abs(float(q))
-    if math.isnan(aq):
-        raise ValueError(f"q must be a number, got {q}")
+    aq = abs(float(_require("q", q, ("a number", lambda q: q == q))))
 
     def envelope(r):
         # radial_envelope's arithmetic, without its parameter gate per step
@@ -615,14 +611,10 @@ def bifurcation_scan(rho, ell_min, ell_max):
     The convergence ladder decides the fixed-point count in closed form,
     and it is monotone in ell, so the count changes over [ell_min, ell_max]
     exactly when the ladder reads "divergent" at ell_min and not at
-    ell_max. Returns rho * e then; raises NoTransitionError otherwise,
-    and ValueError on a non-finite rho, ell_min or ell_max.
+    ell_max. Returns rho * e then; raises NoTransitionError otherwise.
     """
-    if not ell_min < ell_max:
-        raise ValueError("need ell_min < ell_max")
     kind = _params(GainKind.PROPORTIONAL, rho, ell_min)
-    if not math.isfinite(ell_max):
-        raise ValueError(f"ell_max must be finite, got {ell_max}")
+    _require("ell_max", ell_max, "finite", _above("ell_min", ell_min))
     if not (_regime(kind, rho, ell_min) == DIVERGENT
             and _regime(kind, rho, ell_max) != DIVERGENT):
         raise NoTransitionError(
@@ -663,14 +655,11 @@ def classify_convergence(kind, rho, ell, init):
     |Q| exceeds the critical level and the start radius lies inside the
     saddle, "conditional_unbounded" otherwise. Inits within 1e-9 of a
     separating level, and ell within 1e-9 min(1, rho e) of rho e, come
-    back "indeterminate". An init.r not in (0, inf) or a non-finite
-    init.psi raises ValueError.
+    back "indeterminate".
     """
     kind = _params(kind, rho, ell)
-    if not 0 < init.r < math.inf:
-        raise ValueError(f"init.r must be finite and positive, got {init.r}")
-    if not math.isfinite(init.psi):
-        raise ValueError(f"init.psi must be finite, got {init.psi}")
+    _require("init.r", init.r, "finite", "positive")
+    _require("init.psi", init.psi, "finite")
     regime = _regime(kind, rho, ell)
     if regime != CONDITIONAL:
         return regime
@@ -699,15 +688,12 @@ class PortraitGrid:
     nw: int = 121
 
     def __post_init__(self):
-        extents = (self.u_min, self.u_max, self.w_min, self.w_max)
-        if not (all(map(math.isfinite, extents)) and self.u_max > self.u_min
-                and self.w_max > self.w_min):
-            raise ValueError("portrait grid extents must be finite and "
-                             "increasing")
-        for name in ("nu", "nw"):
-            _set_whole(self, name, "portrait grid ")
-        if self.nu < 2 or self.nw < 2:
-            raise ValueError("portrait grid needs at least 2 points per axis")
+        for axis in ("u", "w"):
+            low, high, count = f"{axis}_min", f"{axis}_max", f"n{axis}"
+            _require(high, getattr(self, high), "finite",
+                     _above(low, _require(low, getattr(self, low), "finite")))
+            object.__setattr__(self, count, _require(
+                count, _whole(count, getattr(self, count)), _at_least(2)))
 
 
 @dataclass

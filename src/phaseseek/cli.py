@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent, analysis
-from .fields import RadialField, write_json
+from .fields import RadialField, _at_least, _require, write_json
 from .sensing import SensingConfig
 from .wake import (
     field_from_bundle,
@@ -98,6 +98,8 @@ SIM_FLAGS = {
     "sensing_m_floor": ("sensing", "m_floor", float),
     "out": ("output", "dir", str), "prefix": ("output", "prefix", str),
 }
+
+_STRING = ("a string", lambda value: isinstance(value, str))
 
 # the node grid of a radial map (fields --field radial); a bundle map
 # covers the bundle's own grid
@@ -178,14 +180,6 @@ def _numbers(config, section):
             if slot == section and kind in (float, int)}
 
 
-def _string(value, slot):
-    """A config value that must be a string, such as output.dir. Anything
-    else raises ConfigError naming its slot."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{slot} must be a string, got {value!r}")
-    return value
-
-
 def _build_field(field_cfg):
     """The Field of a field config (kind, ell, path): the one place the
     CLI turns a field kind into a field."""
@@ -199,7 +193,7 @@ def _build_field(field_cfg):
         path = field_cfg.get("path")
         if path is None:
             raise ConfigError("bundle field needs --bundle")
-        path = _string(path, "field.path")
+        path = _require("field.path", path, _STRING)
         try:
             return field_from_bundle(load_bundle(path))
         except OSError as exc:
@@ -251,8 +245,8 @@ def cmd_simulate(args):
         agent._check_run(state, **settings)
         if mode == agent.WINDOWED:
             agent._check_stencil(state.x, state.y, sensing_cfg.stencil_h)
-    out_dir = Path(_string(config["output"]["dir"], "output.dir"))
-    prefix = _string(config["output"]["prefix"], "output.prefix")
+    out_dir = Path(_require("output.dir", config["output"]["dir"], _STRING))
+    prefix = _require("output.prefix", config["output"]["prefix"], _STRING)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
@@ -327,9 +321,8 @@ def cmd_fields(args):
         grid = _deep_merge(_RADIAL_GRID, grid)
         x_range = _parse_floats(grid["x_range"], 2, "--x-range")
         y_range = _parse_floats(grid["y_range"], 2, "--y-range")
-        for flag, count in (("--nx", grid["nx"]), ("--ny", grid["ny"])):
-            if count < 1:
-                raise ConfigError(f"{flag} must be at least 1, got {count}")
+        for key in ("nx", "ny"):
+            _require(f"--{key}", grid[key], _at_least(1))
         grids = field.spectral_grids(np.linspace(*x_range, grid["nx"]),
                                      np.linspace(*y_range, grid["ny"]))
     else:

@@ -9,9 +9,9 @@ phi(x), and the spatial phase gradient grad phi(x) whose direction encodes
 where the signal is coming from.
 
 Every module builds on this one, so it also holds the single-bin DFT
-kernel behind every first-mode estimate (first_mode_coeffs), the
-spectral-map record (SpectralGrids) and the two on-disk record formats:
-write_float_csv for float tables and write_json for JSON records.
+kernel (first_mode_coeffs), the spectral-map record (SpectralGrids), the
+on-disk formats (write_float_csv, write_json) and the one vocabulary of
+entry rules (_require) behind the package's entry contract.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class UndefinedDirectionError(ValueError):
 
 
 def wrap_angle(a):
-    """Wrap an angle (or array of angles) to (-pi, pi]."""
+    """Wrap an angle (or array of angles) to (-pi, pi]; NaN or inf: NaN."""
     w = math.pi - (math.pi - a) % TWO_PI
     # a remainder that rounds up to 2*pi gives -pi, the same angle as pi
     if isinstance(w, np.ndarray):
@@ -50,7 +50,7 @@ def wrap_angle(a):
 
 
 def wrap_phase(a):
-    """Wrap a phase (or array of phases) to [0, 2*pi)."""
+    """Wrap a phase (or array of phases) to [0, 2*pi); NaN or inf: NaN."""
     w = a % TWO_PI
     # a remainder that rounds up to 2*pi (a tiny negative a) is phase 0
     if isinstance(w, np.ndarray):
@@ -76,11 +76,9 @@ def write_float_csv(path, header, columns):
     if not columns or len(header) != len(columns):
         raise ValueError(f"need one header name per column, got "
                          f"{len(header)} names for {len(columns)} columns")
-    if any(c.ndim != 1 for c in columns):
-        raise ValueError("each column must be 1-D")
+    if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+        raise ValueError("columns must be 1-D and of equal length")
     n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("columns must have equal lengths")
     _write_blocks(path, header, n, lambda i, j: [_spell(c[i:j])
                                                  for c in columns])
 
@@ -157,19 +155,52 @@ def write_json(path, payload):
         fh.write(text + "\n")
 
 
-def _whole(name, value, prefix=""):
-    """value as a whole number (operator.index), else ValueError naming it."""
+# ----------------------------------------------------------------------
+# Entry rules
+# ----------------------------------------------------------------------
+# A rule is a word of _TESTS or a (words, test) pair from a factory
+# below; _require words each failure once, "{name} must be {rule} and
+# {rule}, got {value}". A word's test also runs element by element.
+_TESTS = {"finite": np.isfinite, "positive": lambda x: x > 0,
+          "nonnegative": lambda x: x >= 0}
+
+
+def _at_least(bound):
+    return f"at least {bound}", lambda x: x >= bound
+
+
+def _above(name, bound):
+    return f"above {name} = {bound}", lambda x: x > bound
+
+
+def _advances(*times):
+    """The rule that dt reaches ulp of the largest |t|, so t + dt > t."""
+    ulp = math.ulp(max(map(abs, times)))
+    return (f"at least ulp(max |t|) = {ulp!r} so that t + dt > t",
+            lambda dt: dt >= ulp)
+
+
+def _require(name, value, *rules, got=True):
+    """value, if it passes every rule; else a ValueError that names it. An
+    array or a tuple passes a word's rule when every element does."""
+    each = isinstance(value, (np.ndarray, list, tuple))
+    for rule in rules:
+        test = _TESTS[rule] if isinstance(rule, str) else rule[1]
+        if not (np.all(test(np.asarray(value))) if each else test(value)):
+            words = " and ".join(rule if isinstance(rule, str) else rule[0]
+                                 for rule in rules)
+            raise ValueError(f"{name} must be {words}"
+                             + (f", got {value}" if got else ""))
+    return value
+
+
+def _whole(name, value):
+    """value as a whole number (operator.index), else a named ValueError."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{prefix}{name} must be a whole number, got "
+        raise ValueError(f"{name} must be a whole number, got "
                          f"{value!r}") from None
-
-
-def _set_whole(record, name, prefix=""):
-    """Make a frozen record's field a whole number, else ValueError."""
-    object.__setattr__(record, name,
-                       _whole(name, getattr(record, name), prefix))
 
 
 @functools.lru_cache(maxsize=32)
@@ -187,7 +218,8 @@ def _twiddle(n, period):
 
     Cached per (n, period) and shared by every caller, so it is read-only.
     """
-    omega1 = TWO_PI / period
+    _require("period", period, "finite", "positive")
+    omega1 = _require("2 pi / period", TWO_PI / period, "finite")
     twiddle = np.exp(-1j * omega1 * _offsets(n, period))
     twiddle.flags.writeable = False
     return twiddle
@@ -201,6 +233,12 @@ def first_mode_coeffs(windows, period):
     C-contiguous first, because the order of the sum depends on the memory
     layout and every caller must round alike.
     """
+    return _first_mode(_require("windows", windows, "finite", got=False),
+                       period)
+
+
+def _first_mode(windows, period):
+    # without the finite rule: Field.window_coeffs runs this per RK4 stage
     windows = np.ascontiguousarray(windows, dtype=float)
     n = windows.shape[-1]
     if n < 8:
@@ -300,8 +338,8 @@ class Field(ABC):
         """
         if n < 8:
             raise ValueError(f"window must hold at least 8 samples, got {n}")
-        return first_mode_coeffs(self.eval_windows(points, t0, n),
-                                 self.period).tolist()
+        return _first_mode(self.eval_windows(points, t0, n),
+                           self.period).tolist()
 
     def describe(self) -> dict:
         """Small JSON-friendly summary of the field, for run records."""
@@ -325,11 +363,8 @@ class RadialField(Field):
     period = TWO_PI
 
     def __post_init__(self):
-        ell = float(self.ell)
-        if not 0 < ell < math.inf:
-            bound = "finite" if ell > 0 else "positive"
-            raise ValueError(f"ell must be {bound}, got {ell}")
-        object.__setattr__(self, "ell", ell)
+        ell = _require("ell", float(self.ell), "positive")
+        object.__setattr__(self, "ell", _require("ell", ell, "finite"))
 
     def eval_windows(self, points, t0, n):
         # math.hypot and math.exp per point: their numpy twins differ by an
@@ -356,12 +391,9 @@ class RadialField(Field):
         """The exact maps over the nodes (xs[i], ys[j]): analytic_spectra
         at each node, with delta 0, as the gradient points at the source.
         The source node has m = 1, phi = 0 and NaN gradient and delta.
-        A non-finite node coordinate raises ValueError.
         """
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        for name, axis in (("xs", xs), ("ys", ys)):
-            if not np.isfinite(axis).all():
-                raise ValueError(f"{name} must be finite, got {axis}")
+        xs = _require("xs", np.asarray(xs, dtype=float), "finite")
+        ys = _require("ys", np.asarray(ys, dtype=float), "finite")
         m, phi, delta = (np.zeros((len(ys), len(xs))) for _ in range(3))
         grad = np.full((len(ys), len(xs), 2), math.nan)
         for j, y in enumerate(ys.tolist()):
@@ -389,7 +421,8 @@ def alignment_error(x, grad_phi, source=(0.0, 0.0)):
 
     The source bearing c1 points from x toward the source. delta is measured
     counterclockwise from c1 to grad_phi and lies in (-pi, pi]. A field whose
-    phase gradient points exactly at the source gives delta = 0.
+    phase gradient points exactly at the source gives delta = 0. A NaN or
+    infinite input gives NaN, as spectral_grids' masked nodes do.
     """
     ux = float(source[0]) - float(x[0])
     uy = float(source[1]) - float(x[1])

@@ -28,7 +28,9 @@ import numpy as np
 from .fields import (
     TWO_PI,
     UndefinedDirectionError,
-    _set_whole,
+    _at_least,
+    _require,
+    _whole,
     first_mode_coeffs,
     wrap_angle,
     wrap_phase,
@@ -63,17 +65,14 @@ class SensingConfig:
     m_floor: float = 1e-9
 
     def __post_init__(self):
-        _set_whole(self, "n_samples")
-        if self.n_samples < 8:
-            raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
-        if not 0.0 < self.stencil_h <= 0.1:
-            raise ValueError(f"stencil_h must lie in (0, 0.1], got {self.stencil_h}")
-        if not 0 < self.m_floor < math.inf:
-            raise ValueError(
-                f"m_floor must be finite and positive, got {self.m_floor}")
+        object.__setattr__(self, "n_samples", _require(
+            "n_samples", _whole("n_samples", self.n_samples), _at_least(8)))
         # Python floats, so a run's sidecar can write them
-        object.__setattr__(self, "stencil_h", float(self.stencil_h))
-        object.__setattr__(self, "m_floor", float(self.m_floor))
+        object.__setattr__(self, "stencil_h", float(_require(
+            "stencil_h", self.stencil_h,
+            ("in (0, 0.1]", lambda h: 0.0 < h <= 0.1))))
+        object.__setattr__(self, "m_floor", float(
+            _require("m_floor", self.m_floor, "finite", "positive")))
 
 
 @dataclass
@@ -177,6 +176,8 @@ def spectral_sample(field, x, t0, theta, config):
     regardless of when the window starts; the probe phases share t0, so it
     cancels in their differences.
     """
+    for name, value in (("x", x), ("t0", t0), ("theta", theta)):
+        _require(name, value, "finite")
     h = config.stencil_h
     windows = field.eval_windows(
         _stencil_points(float(x[0]), float(x[1]), h), t0, config.n_samples)
@@ -193,6 +194,7 @@ def spectral_sample(field, x, t0, theta, config):
 def analytic_sample(field, x, theta):
     """Idealized sample from the field's exact spectra (no windowing error).
     A field with no analytic_spectra raises ValueError."""
+    _require("theta", theta, "finite")
     spectra = getattr(field, "analytic_spectra", None)
     if spectra is None:
         raise ValueError(f"{type(field).__name__} has no analytic spectra")

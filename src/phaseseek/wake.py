@@ -35,11 +35,12 @@ from .fields import (
     TWO_PI,
     Field,
     SpectralGrids,
+    _at_least,
+    _first_mode,
     _offsets,
-    _set_whole,
+    _require,
     _whole,
     alignment_error,
-    first_mode_coeffs,
     wrap_angle,
     wrap_phase,
 )
@@ -64,15 +65,11 @@ class BundleFormatError(ValueError):
 
 def _check_axes(nx, ny, x0, y0, dx, dy):
     """The rules on a bundle's two space axes, checked before any array
-    is built: at least 2 nodes each, a finite origin, a finite positive
-    spacing and a last node in float range. ValueError names the value."""
-    if nx < 2 or ny < 2:
-        raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
+    is built; the last node must stay in float range."""
     for axis, start, step, n in (("x", x0, dx, nx), ("y", y0, dy, ny)):
-        if not math.isfinite(start):
-            raise ValueError(f"{axis}0 must be finite")
-        if not (math.isfinite(step) and step > 0):
-            raise ValueError(f"d{axis} must be positive and finite")
+        _require(f"n{axis}", n, _at_least(2))
+        _require(f"{axis}0", start, "finite", got=False)
+        _require(f"d{axis}", step, "positive", "finite", got=False)
         last = start + step * (n - 1)
         if not math.isfinite(last):
             raise ValueError(
@@ -106,24 +103,20 @@ class GridFieldBundle:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nt"):
-            _set_whole(self, name)
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         _check_axes(self.nx, self.ny, self.x0, self.y0, self.dx, self.dy)
-        if self.nt < 8:
-            raise ValueError(f"need at least 8 frames per period, got {self.nt}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
+        _require("nt", self.nt, _at_least(8))
+        _require("dt", self.dt, "positive", "finite", got=False)
         for name in _META_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite or None")
+            if getattr(self, name) is not None:
+                _require(name, getattr(self, name), "finite")
         frames = np.ascontiguousarray(self.frames, dtype=np.float64)
         if frames.shape != (self.nt, self.ny, self.nx):
             raise ValueError(
                 f"frames shape {frames.shape} does not match "
                 f"(nt, ny, nx) = {(self.nt, self.ny, self.nx)}"
             )
-        if not np.isfinite(frames).all():
-            raise ValueError("frames must be finite everywhere")
+        _require("frames", frames, "finite", got=False)
         frames.flags.writeable = False
         object.__setattr__(self, "frames", frames)
 
@@ -218,12 +211,10 @@ def synth_wake(a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0, decay_l=10.0,
     nx, ny, nt = (_whole(name, value) for name, value in
                   (("nx", nx), ("ny", ny), ("nt", nt)))
     # an infinite sigma or decay_l is a uniform envelope, its frames finite
-    for name, value in (("a_w", a_w), ("omega", omega), ("sigma", sigma),
-                        ("decay_l", decay_l)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-        if value == math.inf and name in ("a_w", "omega"):
-            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("a_w", a_w), ("omega", omega)):
+        _require(name, _require(name, value, "positive"), "finite")
+    _require("sigma", sigma, "positive")
+    _require("decay_l", decay_l, "positive")
     dt = TWO_PI / omega / nt if nt else math.inf
     if not 0 < dt < math.inf:
         raise ValueError(
@@ -298,14 +289,14 @@ def _wrapped_gradient(phi, healthy, spacing):
 def _first_mode_map(bundle):
     """First-mode coefficient of every node's series: complex (ny, nx).
 
-    The same single-bin DFT the onboard sensor uses (first_mode_coeffs),
-    one grid row per call, so each node agrees exactly with
-    sensing.dft_first_mode of its series.
+    The same single-bin DFT the onboard sensor uses (first_mode_coeffs,
+    whose finite rule the bundle's frames have passed), one grid row per
+    call, so each node agrees exactly with dft_first_mode of its series.
     """
     coeff = np.empty((bundle.ny, bundle.nx), dtype=complex)
     # row by row: a whole-grid (ny*nx, nt) temporary would raise peak memory
     for j in range(bundle.ny):
-        coeff[j] = first_mode_coeffs(bundle.frames[:, j, :].T, bundle.period)
+        coeff[j] = _first_mode(bundle.frames[:, j, :].T, bundle.period)
     return coeff
 
 
@@ -317,12 +308,10 @@ def spectral_grids(bundle, source=None, m_floor=SensingConfig.m_floor):
     agree exactly with sensing.dft_first_mode. Phase gradients use wrapped
     differences; points whose magnitude (or any contributing neighbour's)
     falls below m_floor are masked to NaN in the gradient and delta maps.
-    ValueError for a non-finite source or an m_floor not in (0, inf).
     """
-    if not 0 < m_floor < math.inf:
-        raise ValueError(f"m_floor must be finite and positive, got {m_floor}")
-    if source is not None and not all(map(math.isfinite, source)):
-        raise ValueError(f"source must be finite, got {source}")
+    _require("m_floor", m_floor, "finite", "positive")
+    if source is not None:
+        _require("source", source, "finite")
     ny, nx = bundle.ny, bundle.nx
     coeff = _first_mode_map(bundle)
     m = np.abs(coeff)

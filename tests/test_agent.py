@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1003,6 +1004,32 @@ def test_simulate_polar_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):
         simulate_polar(PolarState(4.0, 0.0, 0.3), None, STATIC,
                        radial_m_field(6.5), 1e-2, 1.0, **kwargs)
+
+
+# from t = 1e16 the floats are 2.0 apart, so t + 1.0 rounds back to t
+_STALLED = ("dt must be at least ulp(max |t|) = 2.0 so that t + dt > t, "
+            "got 1.0")
+
+
+def test_simulate_rejects_a_step_that_stalls_the_clock():
+    # this run once stepped 225 035 times with its t column at 1e16
+    start = from_polar(PolarState(2.0, 0.0, math.pi / 2), t=1e16)
+    with pytest.raises(ValueError, match=f"^{re.escape(_STALLED)}$"):
+        simulate(start, FIELD, STATIC, dt=1.0, t_end=1e16 + 100)
+
+
+def test_simulate_polar_rejects_a_step_that_stalls_the_clock():
+    # t0 is 0 here, so t_end sets the spacing; the start lies past
+    # r_escape, where the run once returned at once
+    with pytest.raises(ValueError, match=f"^{re.escape(_STALLED)}$"):
+        simulate_polar(PolarState(4.0, 0.0, 0.3), None, STATIC,
+                       radial_m_field(6.5), 1.0, 1e16 + 100, r_escape=1.0)
+
+
+def test_a_step_of_one_ulp_advances_the_clock():
+    start = from_polar(PolarState(2.0, 0.0, math.pi / 2), t=1e16)
+    tr = simulate(start, FIELD, STATIC, dt=2.0, t_end=1e16 + 10)
+    assert len(tr) > 2 and (np.diff(tr.t) == 2.0).all()
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from phaseseek import (
     portrait,
     radial_bounds,
     radial_envelope,
+    radial_m_field,
 )
 
 INV_E = math.exp(-1.0)
@@ -458,6 +459,25 @@ def test_eigenvalues_scale_with_speed():
             "proportional", 3.347040263380559, 2.0, 6.5, v=v)
         for b, f in zip(base, fast):
             assert f == pytest.approx(v * b, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+@pytest.mark.parametrize("r_star", [0.0, -0.0, -1.0, math.nan, math.inf])
+def test_closed_form_eigenvalues_need_a_fixed_point_radius(kind, r_star):
+    # r_star = 0 once divided by zero, and NaN or inf gave NaN eigenvalues
+    # (static gain ignored r_star); every law now asks for r* in (0, inf)
+    with pytest.raises(ValueError, match=(
+            f"^r_star must be finite and positive, got {r_star}$")):
+        closed_form_eigenvalues(kind, r_star, 2.0, 6.5)
+
+
+@pytest.mark.parametrize("ell", [0.0, -0.0, -1.0, math.nan])
+def test_radial_m_field_needs_a_positive_ell(ell):
+    # ell = 0 once passed here and made simulate_polar's first stage
+    # divide by zero
+    with pytest.raises(ValueError, match=f"^ell must be positive, got {ell}$"):
+        radial_m_field(ell)
+    assert radial_m_field(math.inf)(3.0, 0.0) == 1.0
 
 
 def test_closed_form_matches_numerical_jacobian():

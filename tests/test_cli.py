@@ -1057,3 +1057,138 @@ def test_parent_moves_gates_printed_text_on_the_declared_list():
 def test_declared_moves_file_parses():
     tool = _load_tool("parent_moves")
     assert isinstance(tool.read_declared(tool.DECLARED), dict)
+
+
+def test_simulate_rejects_a_step_that_stalls_the_clock(tmp_path, capsys):
+    # from t_end = 1e16 down, t + 1.0 can round back to t; the start lies
+    # past --r-escape, where such a run once ended at once with exit 0
+    out = tmp_path / "out"
+    assert main(["simulate", "--field", "radial", "--ell", "6.5", "--init",
+                 "4,0,1.5", "--r-escape", "1", "--t-end", "1e16", "--dt", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dt must be at least ulp(max |t|) = 2.0 so that t + dt > t, "
+        "got 1.0\n")
+    assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# The entry contract through the command line
+# ----------------------------------------------------------------------
+# Every numeric flag of each command meets the extremes of the library's
+# contract property, one at a time, on a base command that exits 0: each
+# call exits 0, 2 or 3 (4 for a scan with no transition) with no
+# traceback and no numpy warning, and a NaN always exits 2 and writes
+# nothing. The simulate base takes 3 steps of 1e-12 and escapes just past
+# its start, so that no flag can stretch it: a huge --t-end meets the
+# escape, a huge --r-escape the horizon. analyze runs static gain: the
+# proportional and inverse levels overflow at extreme rho / ell (ROADMAP
+# item 11), which the library property lists as strict xfails.
+
+_CLI_EXTREMES = ("nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e-310",
+                 "1e-300", "1e+308", "-1e+308", "1e-12", "1000000000000.0")
+
+_CLI_BASES = {
+    "simulate": {"--field": "radial", "--ell": "6.5", "--g0": "0.5",
+                 "--gain-m-floor": "1e-06", "--v": "1.0", "--init": "4,0,0",
+                 "--dt": "1e-12", "--t-end": "3e-12", "--r-stop": "0.05",
+                 "--r-escape": "4.000000000003", "--n-samples": "16",
+                 "--stencil-h": "0.01", "--sensing-m-floor": "1e-09"},
+    "analyze": {"--gain": "static", "--rho": "2.0", "--ell": "6.5",
+                "--v": "1.0", "--grid": "-1,1,-1,1,3,3"},
+    "scan": {"--rho": "2.0", "--ell-min": "4.0", "--ell-max": "7.0"},
+    "fields-radial": {"--field": "radial", "--ell": "6.5",
+                      "--x-range": "-1,1", "--y-range": "-1,1", "--nx": "3",
+                      "--ny": "3"},
+    "fields-bundle": {"--field": "bundle", "--bundle": "{bundle}",
+                      "--source": "0,0", "--m-floor": "1e-09"},
+    "synth-wake": {**{f"--{key.replace('_', '-')}": str(value)
+                      for key, value in WAKE_DEFAULTS.items()},
+                   "--nx": "9", "--ny": "7", "--nt": "8", "--meta-re": "1.0"},
+}
+
+
+# a --grid count of 1e12 passes every rule, and portrait's first array
+# of 1e12 nodes fails with numpy's MemoryError (CHANGES.md FOUND line)
+_CLI_UNNAMED = [("analyze", "--grid", index, "1000000000000.0")
+                for index in (4, 5)]
+
+
+def _cli_slots(command):
+    """(flag, index) of each number a command's base takes: index is the
+    position in a comma list, None for a plain number."""
+    for flag, text in _CLI_BASES[command].items():
+        parts = text.split(",")
+        if flag in ("--field", "--gain", "--bundle"):
+            continue
+        for index in (range(len(parts)) if len(parts) > 1 else [None]):
+            yield flag, index
+
+
+def _cli_values(base):
+    """The extremes as command-line text, with the base as a float32 and
+    as a numpy int64."""
+    return (*_CLI_EXTREMES, str(np.float32(base)),
+            str(np.int64(round(float(base)))))
+
+
+@pytest.fixture(scope="module")
+def contract_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "w.wavf"
+    assert main(["synth-wake", "--nx", "9", "--ny", "7", "--nt", "8",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def _cli_call(base, flag, index, value):
+    """base with one number replaced: the flag's, or its index-th entry."""
+    if index is not None:
+        value = ",".join(value if i == index else part
+                         for i, part in enumerate(base[flag].split(",")))
+    return {**base, flag: value}
+
+
+def _keeps_the_cli_contract(tmp_path, capsys, command, calls):
+    """Run command with each call's flags, checking the contract; returns
+    the exit codes."""
+    name = command.split("-")[0] if command.startswith("fields") else command
+    codes = []
+    for number, flags in enumerate(calls):
+        out = tmp_path / str(number)
+        argv = [name, *(f"{flag}={text}" for flag, text in flags.items()),
+                "--out", str(out / "o.csv" if name in ("fields", "synth-wake")
+                             else out)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed number
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4 if name == "scan" else 0), argv
+        assert "Traceback" not in err, argv
+        if "nan" in ",".join(flags.values()):
+            assert code == 2 and not out.exists(), argv
+        codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("command", list(_CLI_BASES))
+def test_every_numeric_flag_keeps_the_contract(tmp_path, capsys, command,
+                                               contract_bundle):
+    base = {flag: text.format(bundle=contract_bundle)
+            for flag, text in _CLI_BASES[command].items()}
+    calls = [_cli_call(base, flag, index, value)
+             for flag, index in _cli_slots(command)
+             for value in _cli_values(base[flag].split(",")[index or 0])
+             if (command, flag, index, value) not in _CLI_UNNAMED]
+    # the base itself exits 0
+    assert _keeps_the_cli_contract(tmp_path, capsys, command,
+                                   [base, *calls])[0] == 0
+
+
+@pytest.mark.xfail(strict=True, raises=MemoryError,
+                   reason="a portrait grid count has no upper rule")
+@pytest.mark.parametrize("command, flag, index, value", _CLI_UNNAMED)
+def test_a_huge_grid_count_is_not_named_yet(tmp_path, capsys, command, flag,
+                                            index, value):
+    _keeps_the_cli_contract(tmp_path, capsys, command, [
+        _cli_call(_CLI_BASES[command], flag, index, value)])

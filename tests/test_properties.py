@@ -2,14 +2,19 @@
 rotational equivariance and Q conservation of the closed loop, the
 turning radii of trapped orbits, fixed-point eigenvalues against an
 mpmath oracle, the rebuilt time axis, named ends of runs into a NaN disc,
-WAVF bundle loading, and the bits of the bundle field's complex-first
-bilinear products.
+WAVF bundle loading, the bits of the bundle field's complex-first
+bilinear products, and the entry contract of every public entry.
 
 Skipped when hypothesis is not installed.
 """
 
+import dataclasses
+import inspect
 import math
 import struct
+import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
+import phaseseek as ps  # noqa: E402
 from phaseseek import (  # noqa: E402
     TWO_PI, AgentState, BundleFormatError, GainKind, GainLaw, GridFieldBundle,
     PolarState, RadialField, classify_convergence, conserved_quantity,
@@ -396,3 +402,333 @@ def test_bundle_reads_are_the_same_for_every_point_form(points, t0, n):
     assert len({np.array(c, dtype=complex).tobytes() for c in coeffs}) == 1
     windows = {field.eval_windows(form, t0, n).tobytes() for form in forms}
     assert len(windows) == 1
+
+
+# ----------------------------------------------------------------------
+# The entry contract
+# ----------------------------------------------------------------------
+# Every public entry either raises a ValueError (or a named subclass) for
+# a bad input, or returns with no numpy warning, NaN appearing only where
+# its docstring says so. Each numeric argument of each entry below meets
+# the extremes one at a time, and hypothesis draws more; a new public
+# entry joins _CONTRACT or _NOT_NUMERIC (test_the_contract_names_...).
+
+_EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310,
+             1e-300, 1e308, -1e308, 1e-12, 1e12, "float32", "int64")
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Countdown(ps.RadialField):
+    """RadialField whose sensor fails after 40 stages, so that a run of
+    simulate ends within 10 steps whatever its dt and t_end."""
+
+    left: list = dataclasses.field(default_factory=lambda: [40])
+
+    def analytic_mode(self, x, y):
+        self.left[0] -= 1
+        if self.left[0] < 0:
+            raise ValueError("countdown")
+        return super().analytic_mode(x, y)
+
+
+def _countdown_m(ell=6.5):
+    """radial_m_field(ell), failing after 40 stages as _Countdown does."""
+    left, m = [40], ps.radial_m_field(ell)
+
+    def m_field(r, eta):
+        left[0] -= 1
+        if left[0] < 0:
+            raise ValueError("countdown")
+        return m(r, eta)
+    return m_field
+
+
+_WAKE_BUNDLE = ps.synth_wake(nx=9, ny=7, nt=8, x0=-0.4, y0=-0.6)
+_KINDS = ("static", "proportional", "inverse")
+
+
+def _per_kind(name, make):
+    """{name[kind]: make(kind)} for each gain law."""
+    return {f"{name}[{kind}]": make(kind) for kind in _KINDS}
+
+
+# each entry as a call whose keyword defaults are a valid input; a name
+# with a [kind] suffix is the entry under that gain law
+_CONTRACT = {
+    "AgentState": lambda x=4.0, y=0.0, theta=1.5, t=0.0:
+        ps.AgentState(x, y, theta, t),
+    "PolarState": lambda r=4.0, eta=0.0, psi=1.5: ps.PolarState(r, eta, psi),
+    "to_polar": lambda x=4.0, y=0.0, theta=1.5:
+        ps.to_polar(ps.AgentState(x, y, theta)),
+    "from_polar": lambda r=4.0, eta=0.0, psi=1.5, t=0.0:
+        ps.from_polar(ps.PolarState(r, eta, psi), t),
+    "wrap_angle": lambda a=1.0: ps.wrap_angle(a),
+    "wrap_phase": lambda a=1.0: ps.wrap_phase(a),
+    "alignment_error": lambda x=3.0, y=4.0, gx=-0.6, gy=-0.8, sx=0.0,
+        sy=0.0: ps.alignment_error((x, y), (gx, gy), (sx, sy)),
+    "RadialField": lambda ell=6.5: ps.RadialField(ell),
+    "radial_m_field": lambda ell=6.5: ps.radial_m_field(ell),
+    "first_mode_coeffs": lambda w=1.0, period=6.0:
+        ps.first_mode_coeffs(np.full((2, 8), w), period),
+    "dft_first_mode": lambda w=1.0, period=6.0:
+        ps.dft_first_mode(np.full(8, w), period),
+    "SensingConfig": lambda n_samples=16, stencil_h=0.01, m_floor=1e-9:
+        ps.SensingConfig(n_samples, stencil_h, m_floor),
+    "spectral_sample": lambda x=3.0, y=4.0, t0=0.0, theta=1.0:
+        ps.spectral_sample(ps.RadialField(6.5), (x, y), t0, theta,
+                           ps.SensingConfig(16)),
+    "analytic_sample": lambda x=3.0, y=4.0, theta=1.0:
+        ps.analytic_sample(ps.RadialField(6.5), (x, y), theta),
+    "check_quasi_steady": lambda speed=1.0, period=6.0, grad_norm=0.01:
+        ps.check_quasi_steady(speed, period, grad_norm),
+    "GainLaw": lambda g0=0.5, m_floor=1e-6: ps.GainLaw("inverse", g0, m_floor),
+    "lambert_w": lambda z=0.5: ps.lambert_w(0, z),
+    "critical_q": lambda rho=2.0, ell=6.5: ps.critical_q(rho, ell),
+    "bifurcation_scan": lambda rho=2.0, ell_min=4.0, ell_max=7.0:
+        ps.bifurcation_scan(rho, ell_min, ell_max),
+    "PortraitGrid": lambda u_min=-1.0, u_max=1.0, w_min=-1.0, w_max=1.0,
+        nu=3, nw=3: ps.PortraitGrid(u_min, u_max, w_min, w_max, nu, nw),
+    **_per_kind("conserved_quantity", lambda kind: lambda r=3.0, psi=1.0,
+                rho=2.0, ell=6.5: ps.conserved_quantity(kind, r, psi, rho,
+                                                        ell)),
+    **_per_kind("radial_envelope", lambda kind: lambda r=3.0, rho=2.0,
+                ell=6.5: ps.radial_envelope(kind, r, rho, ell)),
+    **_per_kind("radial_bounds", lambda kind: lambda q=0.01, rho=2.0,
+                ell=6.5: ps.radial_bounds(kind, q, rho, ell)),
+    **_per_kind("fixed_points", lambda kind: lambda rho=2.0, ell=6.5, v=1.0:
+                ps.fixed_points(kind, rho, ell, v)),
+    **_per_kind("closed_form_eigenvalues", lambda kind: lambda r_star=3.0,
+                rho=2.0, ell=6.5, v=1.0: ps.closed_form_eigenvalues(
+                    kind, r_star, rho, ell, v)),
+    **_per_kind("jacobian_eigenvalues", lambda kind: lambda r_star=3.0,
+                psi_star=math.pi / 2, rho=2.0, ell=6.5, v=1.0:
+                ps.jacobian_eigenvalues(kind, ps.FixedPoint(
+                    r_star, psi_star, "center", None), rho, ell, v)),
+    **_per_kind("classify_convergence", lambda kind: lambda rho=2.0, ell=6.5,
+                r=4.0, psi=1.5: ps.classify_convergence(
+                    kind, rho, ell, types.SimpleNamespace(r=r, psi=psi))),
+    **_per_kind("portrait", lambda kind: lambda rho=2.0, ell=6.5, v=1.0:
+                ps.portrait(kind, rho, ell, v, ps.PortraitGrid(nu=5, nw=5))),
+    "GridFieldBundle": lambda nx=4, ny=3, nt=8, x0=0.0, y0=0.0, dx=0.2,
+        dy=0.2, dt=0.1, meta_re=1.0: ps.GridFieldBundle(
+            nx, ny, nt, x0, y0, dx, dy, dt, np.ones((8, 3, 4)), meta_re),
+    "synth_wake": lambda a_w=2.0, k_x=1.0, omega=1.0, sigma=2.0,
+        decay_l=10.0, x0=-0.4, y0=-0.6, dx=0.2, dy=0.2, nx=9, ny=7, nt=8,
+        meta_re=1.0: ps.synth_wake(a_w, k_x, omega, sigma, decay_l, x0, y0,
+                                   dx, dy, nx, ny, nt, meta_re),
+    "spectral_grids": lambda sx=0.0, sy=0.0, m_floor=1e-9:
+        ps.spectral_grids(_WAKE_BUNDLE, (sx, sy), m_floor),
+    "simulate": lambda x=4.0, y=0.0, theta=1.5, t=0.0, dt=0.1, t_end=1.0,
+        r_stop=0.05, r_escape=50.0, v=1.0: ps.simulate(
+            ps.AgentState(x, y, theta, t), _Countdown(6.5),
+            ps.GainLaw("static", 0.5), dt=dt, t_end=t_end, r_stop=r_stop,
+            r_escape=r_escape, v=v),
+    "simulate_polar": lambda r=4.0, eta=0.0, psi=1.5, dt=0.1, t_end=1.0,
+        v=1.0, r_floor=1e-9, r_escape=50.0: ps.simulate_polar(
+            ps.PolarState(r, eta, psi), None, ps.GainLaw("static", 0.5),
+            _countdown_m(), dt, t_end, v, r_floor, r_escape),
+}
+
+# the public names that take no number of their own: errors, warnings,
+# enums, a constant, result records the library fills in, and entries
+# that take a bundle or a path
+_NOT_NUMERIC = {
+    "BundleFormatError", "DegenerateMagnitudeError", "LambertDomainError",
+    "NoSaddleError", "NoTransitionError", "OriginSingularityError",
+    "QOutOfRangeError", "UndefinedDirectionError", "QuasiSteadyWarning",
+    "GainKind", "LambertBranch", "TWO_PI", "Field", "FixedPoint",
+    "PolarTrajectory", "PortraitReport", "RadialBounds", "SpectralGrids",
+    "SpectralSample", "SpectralTruth", "Trajectory", "BundleField",
+    "field_from_bundle", "load_bundle", "save_bundle",
+}
+
+
+def _finite(*values):
+    return all(math.isfinite(float(v)) for v in values)
+
+
+# where a docstring documents NaN: entry -> (what of a result must hold
+# no NaN, given the call's keywords, and the docstring's words)
+_DOCUMENTED_NAN = {
+    "AgentState": (lambda kw, res: [],
+                   "AgentState: a record, it holds its fields as given"),
+    "PolarState": (lambda kw, res: res.r,
+                   "PolarState: eta and psi are held as given"),
+    "wrap_angle": (lambda kw, res: res if _finite(*kw.values()) else [],
+                   "wrap_angle: a NaN or infinite angle gives NaN"),
+    "wrap_phase": (lambda kw, res: res if _finite(*kw.values()) else [],
+                   "wrap_phase: a NaN or infinite phase gives NaN"),
+    "alignment_error": (lambda kw, res: res if _finite(*kw.values()) else [],
+                        "alignment_error: a NaN or infinite input gives NaN"),
+    "spectral_grids": (lambda kw, res: [res.m_grid, res.phi_grid],
+                       "spectral_grids: masked nodes are NaN in the "
+                       "gradient and delta maps"),
+    "simulate": (lambda kw, res: [getattr(res, column)[:-1] for column in (
+        "t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "gain", "omega",
+        *["q"] * _finite(kw["v"] / 0.5))],
+        "simulate: the last row reads NaN where it could not sense, and Q "
+        "with no finite turning radius V / g0"),
+    "simulate_polar": (lambda kw, res: [res.r[:-1], res.eta[:-1],
+                                        res.psi[:-1]],
+                       "simulate_polar: the NaN state is the last row"),
+}
+
+
+def _has_nan(value):
+    if isinstance(value, (float, complex, np.generic)):
+        return bool(np.isnan(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "fc" and bool(np.isnan(value).any())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return any(_has_nan(getattr(value, f.name))
+                   for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_nan, value))
+    if isinstance(value, dict):
+        return any(map(_has_nan, value.values()))
+    return False
+
+
+# ROADMAP item 11: where the gain integral's exponential or r / rho
+# overflows, the level is inf or NaN and numpy warns. Listed here, each
+# family with a strict xfail below, until the log form of item 11 lands
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _level_overflows(kind, radii, rho, ell):
+    """Whether the level of a law overflows at any of radii, for valid
+    (finite, positive) inputs: r / rho, r / ell or the exponent of the
+    gain integral leaves the float range."""
+    values = (*radii, rho, ell)
+    if not all(isinstance(x, (int, float, np.floating)) and _finite(x)
+               and x >= 0 for x in values) or not rho > 0 < ell:
+        return False
+    with np.errstate(over="ignore", divide="ignore"):
+        r, rho, ell = np.array(radii, dtype=float), float(rho), float(ell)
+        if not np.isfinite(r / rho).all():
+            return True
+        if kind == "proportional":
+            return not (np.isfinite(r / ell).all()
+                        and ((ell / rho) * np.exp(-r / ell) < _LOG_MAX).all())
+        return kind == "inverse" and not (r / ell < _LOG_MAX).all()
+
+
+def _in_item_11(name, kw):
+    entry, _, kind = name.partition("[")
+    kind = kind.rstrip("]")
+    if entry in ("conserved_quantity", "radial_envelope"):
+        return _level_overflows(kind, [kw["r"]], kw["rho"], kw["ell"])
+    if entry == "classify_convergence":
+        # only a conditional law evaluates the start's level
+        return kind == "proportional" and _level_overflows(
+            kind, [kw["r"]], kw["rho"], kw["ell"])
+    if entry == "portrait":
+        # the grid's radii run from 0, where the proportional factor
+        # peaks, to 12 sqrt(2)
+        return _level_overflows(kind, [0.0, 17.0], kw["rho"], kw["ell"])
+    if entry == "simulate":
+        return _level_overflows("static", [60.0], kw["v"] / 0.5, 6.5)
+    return False
+
+
+def _keeps_the_contract(name, call, kw):
+    """call(**kw) raises a ValueError, or returns with no warning and
+    NaN only where its docstring says so."""
+    full = {key: p.default for key, p in
+            inspect.signature(call).parameters.items()} | kw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(**kw)
+        except ValueError as exc:
+            # the entry named the input, not the math module
+            assert str(exc) not in ("math domain error", "math range error")
+            return
+        except (ps.NoTransitionError, ps.QuasiSteadyWarning):
+            # bifurcation_scan's and check_quasi_steady's documented answers
+            return
+    keep = _DOCUMENTED_NAN.get(name.partition("[")[0],
+                               (lambda kw, res: res,))[0]
+    assert not _has_nan(keep(full, result)), (name, kw, result)
+
+
+def _slots(name):
+    return inspect.signature(_CONTRACT[name]).parameters
+
+
+def _extreme(value, base):
+    if value == "float32":
+        return np.float32(base)
+    if value == "int64":
+        return np.int64(round(base))
+    return value
+
+
+def test_the_contract_names_every_numeric_entry():
+    entries = {name.partition("[")[0] for name in _CONTRACT}
+    assert entries.isdisjoint(_NOT_NUMERIC)
+    assert entries | _NOT_NUMERIC == set(ps.__all__)
+    assert set(_DOCUMENTED_NAN) <= entries
+
+
+@pytest.mark.parametrize("name", list(_CONTRACT))
+def test_every_entry_keeps_the_contract_at_the_extremes(name):
+    call = _CONTRACT[name]
+    for slot, parameter in _slots(name).items():
+        for value in _EXTREMES:
+            kw = {slot: _extreme(value, parameter.default)}
+            full = {key: p.default for key, p in _slots(name).items()} | kw
+            if not _in_item_11(name, full):
+                _keeps_the_contract(name, call, kw)
+
+
+_NAMED_SLOTS = [(name, slot) for name in _CONTRACT for slot in _slots(name)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_NAMED_SLOTS),
+       st.one_of(st.floats(), st.integers(-10 ** 6, 10 ** 6)))
+def test_every_entry_keeps_the_contract_on_drawn_inputs(named_slot, value):
+    name, slot = named_slot
+    full = {key: p.default for key, p in _slots(name).items()} | {slot: value}
+    hypothesis.assume(not _in_item_11(name, full))
+    _keeps_the_contract(name, _CONTRACT[name], {slot: value})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the level overflows")
+@pytest.mark.parametrize("name, kw", [
+    ("conserved_quantity[static]", {"rho": 1e-310}),
+    ("radial_envelope[static]", {"rho": 1e-310}),
+    ("classify_convergence[proportional]", {"rho": 1e-12}),
+    ("classify_convergence[proportional]", {"ell": 1e12}),
+    ("portrait[proportional]", {"rho": 1e-12}),
+    ("portrait[proportional]", {"ell": 1e12}),
+    ("conserved_quantity[inverse]", {"r": 1e12}),
+    ("simulate", {"v": 1e-310}),
+])
+def test_item_11_overflows_still_break_the_contract(name, kw):
+    full = {key: p.default for key, p in _slots(name).items()} | kw
+    assert _in_item_11(name, full)
+    _keeps_the_contract(name, _CONTRACT[name], kw)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the level overflows")
+@pytest.mark.parametrize("case", ["proportional-envelope-peak",
+                                  "subnormal-rho-run"])
+def test_item_11_found_reproducers_still_break_the_contract(case):
+    # the two FOUND lines of CHANGES.md that item 11 covers
+    if case == "proportional-envelope-peak":
+        ell = 1001 * math.e
+
+        def call():
+            return ps.radial_bounds("proportional",
+                                    ps.critical_q(1.0, ell) * (1 + 1e-9),
+                                    1.0, ell)
+    else:
+        def call():
+            return ps.simulate(
+                ps.from_polar(ps.PolarState(2.0, 0.0, math.pi / 2)),
+                ps.RadialField(6.5), ps.GainLaw("static", 1e10), dt=1e-2,
+                t_end=0.05, v=1e-300)
+    _keeps_the_contract("simulate" if case == "subnormal-rho-run" else
+                        "radial_bounds", call, {})
