@@ -53,11 +53,6 @@ TERM_LEFT_DOMAIN = "left_domain"
 TERM_ORIGIN = "origin_singularity"
 TERM_NON_FINITE = "non_finite_state"
 
-# steps recorded per flat list chunk before it moves into the run's
-# array('d') buffer: a recorded value is then held as 8 bytes, not as a
-# Python float
-_CHUNK_STEPS = 256
-
 TRAJECTORY_COLUMNS = (
     "t", "x", "y", "theta", "r", "eta", "psi", "m", "s", "G", "Omega", "Q"
 )
@@ -133,15 +128,6 @@ def _check_run(start, dt, t_end, r_stop, r_escape, v, stop_name="r_stop"):
             float(_require("v", v, "finite", "positive")))
 
 
-def _check_stencil(x, y, h):
-    """ValueError unless each stencil probe at half-width h moves off the
-    windowed start (x, y): one that rounds onto it reads no phase step."""
-    if not (x + h != x and x - h != x and y + h != y and y - h != y):
-        raise ValueError(
-            f"stencil_h = {h} is below the float resolution of the start "
-            f"({x}, {y}): a stencil probe rounds onto it")
-
-
 def _resolve_sensing(field, mode):
     if mode not in SENSING_MODES:
         raise ValueError(f"unknown sensing mode {mode!r}, expected {SENSING_MODES}")
@@ -151,6 +137,22 @@ def _resolve_sensing(field, mode):
     if mode == ANALYTIC and not analytic:
         raise ValueError(f"{type(field).__name__} has no analytic spectra")
     return mode
+
+
+def _check_simulate(init, field, config, sensing, dt, t_end, r_stop,
+                    r_escape, v):
+    """simulate's entry checks, which the CLI runs on each start: the
+    sensing mode, _check_run's rules, then that a windowed start moves
+    under each stencil probe. Returns _check_run's values and the mode."""
+    mode = _resolve_sensing(field, sensing)
+    checked = _check_run(init, dt, t_end, r_stop, r_escape, v)
+    (x, y, *_), h = checked[0], config.stencil_h
+    if mode == WINDOWED and not (
+            x + h != x and x - h != x and y + h != y and y - h != y):
+        raise ValueError(
+            f"stencil_h = {h} is below the float resolution of the start "
+            f"({x}, {y}): a stencil probe rounds onto it")
+    return (*checked, mode)
 
 
 def _sensor(field, config, mode):
@@ -297,10 +299,9 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     """
     if config is None:
         config = SensingConfig()
-    start, dt, t_end, r_stop, r_escape, v = _check_run(
-        init, dt, t_end, r_stop, r_escape, v)
+    start, dt, t_end, r_stop, r_escape, v, mode = _check_simulate(
+        init, field, config, sensing, dt, t_end, r_stop, r_escape, v)
     x, y, th, t = start
-    mode = _resolve_sensing(field, sensing)
     sense = _sensor(field, config, mode)
     gain = law.closure()
 
@@ -324,7 +325,6 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     bounds = field.bounds
     pad = 0.0
     if mode == WINDOWED:
-        _check_stencil(x, y, config.stencil_h)
         # one-shot quasi-steady check at the initial point
         try:
             grad_norm = math.hypot(*sense(x, y, t)[1:])
@@ -340,51 +340,48 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     # kept per step: x, y, unwrapped theta, r, m, s, G; t and the rest
     # are built after the loop
     buf = array("d")
+    record = buf.fromlist
     t_last = t_end - 0.5 * dt
-    termination = None
-    while termination is None:
-        flat = []
-        for _ in range(_CHUNK_STEPS):
-            r = math.hypot(x, y)
-            if r == 0.0:
-                termination = TERM_ORIGIN
-                break
-            if r < r_stop:
-                termination = TERM_REACHED
-                break
-            if r > r_escape:
-                termination = TERM_ESCAPED
-                break
-            if bounds is not None and not (
-                    bx0 <= x - pad and x + pad <= bx1
-                    and by0 <= y - pad and y + pad <= by1):
-                termination = TERM_LEFT_DOMAIN
-                break
-            if t >= t_last:
-                termination = TERM_T_END
-                break
-            try:
-                x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
-            except ValueError:
-                # a step from a pose that the last step overflowed fails
-                # in its trig or its sensing: the pose is the fault
-                termination = (TERM_SENSING
-                               if all(map(math.isfinite, (x, y, th)))
-                               else TERM_NON_FINITE)
-                break
-            flat += (x, y, th, r, m, s, g)
-            x, y, th, t = x1, y1, th1, t1
-        buf.fromlist(flat)
+    while True:
+        r = math.hypot(x, y)
+        if r == 0.0:
+            termination = TERM_ORIGIN
+            break
+        if r < r_stop:
+            termination = TERM_REACHED
+            break
+        if r > r_escape:
+            termination = TERM_ESCAPED
+            break
+        if bounds is not None and not (
+                bx0 <= x - pad and x + pad <= bx1
+                and by0 <= y - pad and y + pad <= by1):
+            termination = TERM_LEFT_DOMAIN
+            break
+        if t >= t_last:
+            termination = TERM_T_END
+            break
+        try:
+            x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
+        except ValueError:
+            # a step from a pose that the last step overflowed fails in
+            # its trig or its sensing: the pose is the fault
+            termination = (TERM_SENSING
+                           if all(map(math.isfinite, (x, y, th)))
+                           else TERM_NON_FINITE)
+            break
+        record([x, y, th, r, m, s, g])
+        x, y, th, t = x1, y1, th1, t1
 
     # the last row senses and steers as a stage does there
     try:
         m, s, g = deriv(t, x, y, th)[3]
     except ValueError:
         m = s = g = math.nan
-    buf.fromlist([x, y, th, math.hypot(x, y), m, s, g])
+    record([x, y, th, math.hypot(x, y), m, s, g])
 
     x, y, th, r, m, s, g = _columns(buf, 7)
-    del buf  # freed before t, eta, psi and Q are built
+    del buf, record  # freed before t, eta, psi and Q are built
     t = _time_axis(start[3], dt, len(x))
     # math.atan2 and math.sin per element: numpy's round differently
     eta = np.fromiter(map(math.atan2, memoryview(y), memoryview(x)),
@@ -473,31 +470,27 @@ def simulate_polar(init, delta_field, law, m_field, dt, t_end, v=1.0,
     t = 0.0
     t_last = t_end - 0.5 * dt
     buf = array("d", (r, eta, psi))
-    termination = None
-    while termination is None:
-        flat = []
-        for _ in range(_CHUNK_STEPS):
-            # a NaN r or psi fails this test too; NaN eta comes only with
-            # NaN r
-            if not r > r_floor or psi != psi:
-                termination = TERM_ORIGIN if r <= r_floor else TERM_NON_FINITE
-                break
-            if r >= r_escape:
-                termination = TERM_ESCAPED
-                break
-            if t >= t_last:
-                termination = TERM_T_END
-                break
-            try:
-                r, eta, psi, t, _ = _rk4_step(deriv, dt, t, r, eta, psi)
-            except OriginSingularityError:
-                termination = TERM_ORIGIN
-                break
-            except ValueError:
-                termination = TERM_SENSING
-                break
-            flat += (r, eta, psi)
-        buf.fromlist(flat)
+    record = buf.fromlist
+    while True:
+        # a NaN r or psi fails this test too; NaN eta comes only with NaN r
+        if not r > r_floor or psi != psi:
+            termination = TERM_ORIGIN if r <= r_floor else TERM_NON_FINITE
+            break
+        if r >= r_escape:
+            termination = TERM_ESCAPED
+            break
+        if t >= t_last:
+            termination = TERM_T_END
+            break
+        try:
+            r, eta, psi, t, _ = _rk4_step(deriv, dt, t, r, eta, psi)
+        except OriginSingularityError:
+            termination = TERM_ORIGIN
+            break
+        except ValueError:
+            termination = TERM_SENSING
+            break
+        record([r, eta, psi])
 
     r, eta, psi = _columns(buf, 3)
     return PolarTrajectory(r=r, eta=eta, psi=psi, dt=dt,

@@ -389,6 +389,8 @@ def jacobian_eigenvalues(kind, fixed_point, rho, ell=None, v=1.0):
         [(fr_p[0] - fr_m[0]) / (2 * h_r), (fp_p[0] - fp_m[0]) / (2 * h_psi)],
         [(fr_p[1] - fr_m[1]) / (2 * h_r), (fp_p[1] - fp_m[1]) / (2 * h_psi)],
     ])
+    # near r = 0 the rates overflow, and their differences with them
+    _require(f"the Jacobian at r_star = {r!r}", jac, "finite", got=False)
     values = np.linalg.eigvals(jac).astype(complex)
     return values[np.lexsort((values.imag, values.real))]
 

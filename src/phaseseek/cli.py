@@ -21,9 +21,9 @@ Each file whose path a command prints is written by _emit, which makes
 its directory and prints the path; simulate's per-run files, named in its
 summary, are written before it.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 a run
-ended as a sensing failure (cmd_simulate writes its files and one stderr
-line per failed run), 4 scan found no transition.
+Exit codes: 0 success, 2 configuration or validation error or a count
+too large to allocate, 3 a run ended as a sensing failure (one stderr
+line per failed run; its files are written), 4 scan found no transition.
 """
 
 from __future__ import annotations
@@ -238,13 +238,11 @@ def cmd_simulate(args):
             f"agent.inits must be a list of x,y,theta triples, got {inits!r}")
     starts = [agent.AgentState(*(_number(v, "agent.inits") for v in init))
               for init in inits]
-    # every start, the sensing mode and the output slots are checked
-    # before the first file is written
-    mode = agent._resolve_sensing(field, config["sensing"]["mode"])
+    # every start, by simulate's own gate, and the output slots are
+    # checked before the first file is written
+    mode = config["sensing"]["mode"]
     for state in starts:
-        agent._check_run(state, **settings)
-        if mode == agent.WINDOWED:
-            agent._check_stencil(state.x, state.y, sensing_cfg.stencil_h)
+        agent._check_simulate(state, field, sensing_cfg, mode, **settings)
     out_dir = Path(_require("output.dir", config["output"]["dir"], _STRING))
     prefix = _require("output.prefix", config["output"]["prefix"], _STRING)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -432,9 +430,9 @@ def main(argv=None):
     except analysis.NoTransitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        # ConfigError, BundleFormatError and every library parameter check
-        # are ValueErrors: exit 2 is decided here only
+    except (ValueError, MemoryError) as exc:
+        # ConfigError, BundleFormatError, every library parameter check
+        # and a count too large to allocate: exit 2 is decided here only
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

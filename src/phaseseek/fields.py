@@ -40,24 +40,22 @@ class UndefinedDirectionError(ValueError):
 
 def wrap_angle(a):
     """Wrap an angle (or array of angles) to (-pi, pi]; NaN or inf: NaN."""
-    w = math.pi - (math.pi - a) % TWO_PI
-    # a remainder that rounds up to 2*pi gives -pi, the same angle as pi
-    if isinstance(w, np.ndarray):
-        w[w == -math.pi] = math.pi
-    elif w == -math.pi:
-        w = math.pi
-    return w
+    return math.pi - wrap_phase(math.pi - a)
 
 
 def wrap_phase(a):
     """Wrap a phase (or array of phases) to [0, 2*pi); NaN or inf: NaN."""
-    w = a % TWO_PI
+    if type(a) is float:
+        w = a % TWO_PI
+    else:
+        # numpy warns on an infinite remainder, which a float takes quietly
+        with np.errstate(invalid="ignore"):
+            w = a % TWO_PI
+        if isinstance(w, np.ndarray):
+            w[w == TWO_PI] = 0.0
+            return w
     # a remainder that rounds up to 2*pi (a tiny negative a) is phase 0
-    if isinstance(w, np.ndarray):
-        w[w == TWO_PI] = 0.0
-    elif w == TWO_PI:
-        w = 0.0
-    return w
+    return 0.0 if w == TWO_PI else w
 
 
 # rows spelled at a time: the block's strings are the writer's peak memory

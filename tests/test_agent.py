@@ -374,7 +374,7 @@ def _tilt(r, eta):
     # r = 0.01 heading in: the second stage lands at r = -0.04
     ((0.01, 0.0, 0.0), None, STATIC, 6.5, 0.1, 10.0, {},
      "origin_singularity"),
-    # 1024 steps: the run ends exactly where a recording chunk fills
+    # 1024 steps: a long run, ended by t_end at a power-of-two step count
     ((4.0, 0.0, 1.5), None, STATIC, 6.5, 1e-2, 10.24, {}, "t_end"),
 ])
 def test_simulate_polar_matches_oracle(init, delta, law, ell, dt, t_end,
@@ -445,6 +445,13 @@ def test_a_windowed_start_below_the_stencil_resolution_is_rejected(pose, h):
     tr = simulate(AgentState(*pose), FIELD, STATIC, config, dt=1e-2,
                   t_end=0.1)
     assert tr.termination == "t_end"
+
+
+def test_simulate_checks_the_sensing_mode_first():
+    # before the settings, as the CLI, which runs the same gate, does
+    with pytest.raises(ValueError, match="^unknown sensing mode 'bogus'"):
+        simulate(AgentState(4, 0, 1), RadialField(6.5),
+                 GainLaw("static", 0.5), sensing="bogus", dt=-1.0)
 
 
 def test_simulate_rejects_unknown_sensing():
@@ -1136,8 +1143,8 @@ def _traced(run):
 
 def _bytes_per_sample(run, held=False):
     # the peaks (or the bytes held after return) of an n-step and a
-    # 2n-step run, n eight recording chunks long, differ by what each
-    # further sample costs: fixed costs and the open chunk's list cancel
+    # 2n-step run differ by what each further sample costs: fixed costs,
+    # such as the one step's record list, cancel
     n = 2048
     (short, *low), (long, *high) = (_traced(lambda: run(k * n))
                                     for k in (1, 2))
@@ -1160,7 +1167,7 @@ def _polar_run(steps):
 
 def test_simulate_polar_holds_a_sample_in_under_52_bytes():
     # three doubles per sample in the buffer, which grows by a sixteenth,
-    # and their returned copy: 49.5 bytes; t is not recorded. A float
+    # and their returned copy: about 50.5 bytes; t is not recorded. A float
     # object alone is 24 bytes and its list slot 8 more
     assert _bytes_per_sample(_polar_run) <= 52
     tr = _polar_run(3)

@@ -13,6 +13,7 @@ import pytest
 
 import oracles
 from phaseseek import (
+    FixedPoint,
     GainKind,
     GainLaw,
     LambertBranch,
@@ -531,6 +532,15 @@ def test_jacobian_cross_check_holds_at_any_scale(kind, rho, ell):
         closed = closed_form_eigenvalues(kind, fp.r_star, rho, ell)
         numerical = jacobian_eigenvalues(kind, fp, rho, ell)
         assert np.abs(numerical - closed).max() <= 1e-6 * abs(closed[1])
+
+
+@pytest.mark.parametrize("kind", ["static", "proportional", "inverse"])
+@pytest.mark.parametrize("rho", [1.0, 1e-300])
+def test_jacobian_at_a_tiny_radius_names_r_star(kind, rho):
+    # the rates near r = 0 overflow, and so do their central differences
+    fp = FixedPoint(1e-300, math.pi / 2, "center", None)
+    with pytest.raises(ValueError, match="r_star = 1e-300"):
+        jacobian_eigenvalues(kind, fp, rho, 6.5)
 
 
 # ----------------------------------------------------------------------

@@ -311,6 +311,27 @@ def test_simulate_checks_the_stencil_resolution_before_writing(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sensing, stencil_h, pose", [
+    ("bogus", 0.01, (4.0, 0.0, 1.0)), ("windowed", 1e-20, (6.0, 0.0, 2.0))])
+def test_simulate_checks_a_start_as_the_library_does(tmp_path, capsys,
+                                                     sensing, stencil_h,
+                                                     pose):
+    # both meet a bad mode or stencil and a bad dt through one gate: the
+    # first fault named is the same
+    with pytest.raises(ValueError) as exc:
+        agent.simulate(agent.AgentState(*pose), RadialField(6.5),
+                       agent.GainLaw("static", 0.5),
+                       SensingConfig(stencil_h=stencil_h), dt=-1.0,
+                       sensing=sensing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sensing": {"mode": sensing}}))
+    assert main(["simulate", "--config", str(config), "--field", "radial",
+                 "--ell", "6.5", "--init", ",".join(map(str, pose)),
+                 "--stencil-h", str(stencil_h), "--dt", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("flags, text", [
     (["--field", "radial"], "error: radial field needs --ell\n"),
     (["--field", "bundle"], "error: bundle field needs --bundle\n"),
@@ -1108,10 +1129,15 @@ _CLI_BASES = {
 }
 
 
-# a --grid count of 1e12 passes every rule, and portrait's first array
-# of 1e12 nodes fails with numpy's MemoryError (CHANGES.md FOUND line)
-_CLI_UNNAMED = [("analyze", "--grid", index, "1000000000000.0")
-                for index in (4, 5)]
+# the whole-number slots: each also meets a count spelled in digits,
+# which argparse's int type takes, where it refuses 1e12. It passes every
+# rule, and the first array of that many values (7.28 TiB) cannot be
+# allocated; the analytic simulate base reads no --n-samples
+_CLI_COUNTS = {("simulate", "--n-samples", None), ("analyze", "--grid", 4),
+               ("analyze", "--grid", 5), ("fields-radial", "--nx", None),
+               ("fields-radial", "--ny", None), ("synth-wake", "--nx", None),
+               ("synth-wake", "--ny", None), ("synth-wake", "--nt", None)}
+_CLI_HUGE_COUNT = "1000000000000"
 
 
 def _cli_slots(command):
@@ -1125,11 +1151,12 @@ def _cli_slots(command):
             yield flag, index
 
 
-def _cli_values(base):
+def _cli_values(base, count):
     """The extremes as command-line text, with the base as a float32 and
-    as a numpy int64."""
+    as a numpy int64, and the huge count if the slot is a count."""
     return (*_CLI_EXTREMES, str(np.float32(base)),
-            str(np.int64(round(float(base)))))
+            str(np.int64(round(float(base)))),
+            *((_CLI_HUGE_COUNT,) if count else ()))
 
 
 @pytest.fixture(scope="module")
@@ -1178,17 +1205,29 @@ def test_every_numeric_flag_keeps_the_contract(tmp_path, capsys, command,
             for flag, text in _CLI_BASES[command].items()}
     calls = [_cli_call(base, flag, index, value)
              for flag, index in _cli_slots(command)
-             for value in _cli_values(base[flag].split(",")[index or 0])
-             if (command, flag, index, value) not in _CLI_UNNAMED]
+             for value in _cli_values(base[flag].split(",")[index or 0],
+                                      (command, flag, index) in _CLI_COUNTS)]
     # the base itself exits 0
     assert _keeps_the_cli_contract(tmp_path, capsys, command,
                                    [base, *calls])[0] == 0
 
 
-@pytest.mark.xfail(strict=True, raises=MemoryError,
-                   reason="a portrait grid count has no upper rule")
-@pytest.mark.parametrize("command, flag, index, value", _CLI_UNNAMED)
-def test_a_huge_grid_count_is_not_named_yet(tmp_path, capsys, command, flag,
-                                            index, value):
-    _keeps_the_cli_contract(tmp_path, capsys, command, [
-        _cli_call(_CLI_BASES[command], flag, index, value)])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--gain", "static", "--rho", "2",
+     f"--grid=-1,1,-1,1,{_CLI_HUGE_COUNT},3"],
+    ["fields", "--field", "radial", "--ell", "6.5", "--nx", _CLI_HUGE_COUNT,
+     "--out", "maps.csv"],
+    ["synth-wake", "--nx", _CLI_HUGE_COUNT, "--dx", "1e-12", "--out",
+     "w.wavf"],
+    ["simulate", "--field", "radial", "--ell", "6.5", "--sensing", "windowed",
+     "--n-samples", _CLI_HUGE_COUNT],
+], ids=["analyze", "fields", "synth-wake", "simulate"])
+def test_a_count_too_large_to_allocate_exits_2(tmp_path, capsys,
+                                               monkeypatch, argv):
+    # each passes every rule; its first array of 1e12 values cannot be
+    # allocated, which once ended in a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 7.28 TiB")
+    assert err.count("\n") == 1

@@ -453,7 +453,8 @@ def _per_kind(name, make):
 
 
 # each entry as a call whose keyword defaults are a valid input; a name
-# with a [kind] suffix is the entry under that gain law
+# with a [kind] suffix is the entry under that gain law, one with [array]
+# the entry on an array
 _CONTRACT = {
     "AgentState": lambda x=4.0, y=0.0, theta=1.5, t=0.0:
         ps.AgentState(x, y, theta, t),
@@ -463,7 +464,9 @@ _CONTRACT = {
     "from_polar": lambda r=4.0, eta=0.0, psi=1.5, t=0.0:
         ps.from_polar(ps.PolarState(r, eta, psi), t),
     "wrap_angle": lambda a=1.0: ps.wrap_angle(a),
+    "wrap_angle[array]": lambda a=1.0: ps.wrap_angle(np.array([a, 1.0])),
     "wrap_phase": lambda a=1.0: ps.wrap_phase(a),
+    "wrap_phase[array]": lambda a=1.0: ps.wrap_phase(np.array([a, 1.0])),
     "alignment_error": lambda x=3.0, y=4.0, gx=-0.6, gy=-0.8, sx=0.0,
         sy=0.0: ps.alignment_error((x, y), (gx, gy), (sx, sy)),
     "RadialField": lambda ell=6.5: ps.RadialField(ell),
