@@ -141,17 +141,19 @@ class QOutOfRangeError(ValueError):
     """No orbit exists at this value of the conserved quantity."""
 
 
-def _params(kind, rho, ell, v=None):
+def _params(kind, rho, ell, v=None, ell_name="ell"):
     """The one parameter gate every public entry passes first; an entry
-    with a speed passes v, whose v / rho (g0) must be finite too."""
+    with a speed passes v, whose v / rho (g0) must be finite too, and an
+    entry whose decay length is an argument of another name passes that
+    name as ell_name."""
     kind = GainKind(kind)
     _require("rho", rho, "positive")
     if v is not None:
         _require("speed", v, "positive")
     if kind is not GainKind.STATIC and (ell is None or not ell > 0):
         raise ValueError(
-            f"{kind.value} gain needs a positive decay length ell")
-    for name, value in (("rho", rho), ("ell", ell), ("v", v),
+            f"{kind.value} gain needs a positive decay length {ell_name}")
+    for name, value in (("rho", rho), (ell_name, ell), ("v", v),
                         ("v / rho", None if v is None else v / rho)):
         if value is not None:
             _require(name, value, "finite")
@@ -615,7 +617,7 @@ def bifurcation_scan(rho, ell_min, ell_max):
     exactly when the ladder reads "divergent" at ell_min and not at
     ell_max. Returns rho * e then; raises NoTransitionError otherwise.
     """
-    kind = _params(GainKind.PROPORTIONAL, rho, ell_min)
+    kind = _params(GainKind.PROPORTIONAL, rho, ell_min, ell_name="ell_min")
     _require("ell_max", ell_max, "finite", _above("ell_min", ell_min))
     if not (_regime(kind, rho, ell_min) == DIVERGENT
             and _regime(kind, rho, ell_max) != DIVERGENT):

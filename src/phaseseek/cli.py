@@ -245,7 +245,6 @@ def cmd_simulate(args):
         agent._check_simulate(state, field, sensing_cfg, mode, **settings)
     out_dir = Path(_require("output.dir", config["output"]["dir"], _STRING))
     prefix = _require("output.prefix", config["output"]["prefix"], _STRING)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     failed = []
@@ -254,6 +253,7 @@ def cmd_simulate(args):
                               sensing=mode, **settings)
         csv_name = f"{prefix}_run{index:03d}.csv"
         sidecar_name = f"{prefix}_run{index:03d}.json"
+        out_dir.mkdir(parents=True, exist_ok=True)
         traj.write_csv(out_dir / csv_name)
         traj.write_sidecar(out_dir / sidecar_name)
         if traj.termination in (agent.TERM_SENSING, agent.TERM_NON_FINITE):

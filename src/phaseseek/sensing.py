@@ -194,7 +194,8 @@ def spectral_sample(field, x, t0, theta, config):
 def analytic_sample(field, x, theta):
     """Idealized sample from the field's exact spectra (no windowing error).
     A field with no analytic_spectra raises ValueError."""
-    _require("theta", theta, "finite")
+    for name, value in (("x", x), ("theta", theta)):
+        _require(name, value, "finite")
     spectra = getattr(field, "analytic_spectra", None)
     if spectra is None:
         raise ValueError(f"{type(field).__name__} has no analytic spectra")

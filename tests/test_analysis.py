@@ -711,6 +711,18 @@ def test_bifurcation_scan_no_transition():
         bifurcation_scan(2.0, 7.0, 6.0)
 
 
+@pytest.mark.parametrize("ell_min, message", [
+    (math.nan, "proportional gain needs a positive decay length ell_min"),
+    (0.0, "proportional gain needs a positive decay length ell_min"),
+    (math.inf, "ell_min must be finite, got inf"),
+], ids=["nan", "zero", "inf"])
+def test_bifurcation_scan_names_a_bad_ell_min(ell_min, message):
+    # the lower bound is named as the argument it is, not as ell
+    with pytest.raises(ValueError) as exc:
+        bifurcation_scan(2.0, ell_min, 7.0)
+    assert str(exc.value) == message
+
+
 # ----------------------------------------------------------------------
 # Convergence taxonomy
 # ----------------------------------------------------------------------

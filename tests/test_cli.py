@@ -965,8 +965,8 @@ def test_readme_outputs_runs_every_readme_command():
     assert commands == [c for _, c in tool.COMMANDS]
 
 
-def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
-    tool = _load_tool("csv_moves")
+def test_csv_moves_counts_each_columns_moved_values(tmp_path):
+    tool = _load_tool("parent_moves")
     old, new = tmp_path / "old", tmp_path / "new"
     for root in (old, new):
         (root / "sub").mkdir(parents=True)
@@ -989,8 +989,8 @@ def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
     (new / "rows.csv").write_text("x\n1.0\n")
     (old / "rows.csv").write_text("x\n1.0\n2.0\n")
 
-    assert tool.main([str(old), str(new)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
+    lines = tool.compare(old, new)
+    assert lines == [
         f"only in {old}: gone.csv",
         "differs: report.json",
         "differs: rows.csv",
@@ -1009,7 +1009,10 @@ def test_csv_moves_counts_each_columns_moved_values(tmp_path, capsys):
     # a NaN on one side differs by inf, more than 0.25 -> 0.26
     assert moves == {"m": (2, math.inf, math.inf), "phi": (2, 0.5, 0.5)}
     assert tool.compare(old / "sub", old / "sub") == []
-    assert tool.main([str(old / "sub"), str(old / "sub")]) == 0
+    # a rerun that differs fails the gate with the same lines, marked
+    assert tool.rerun_report(old, new, {}, {}) == [
+        f"rerun {line}" for line in lines]
+    assert tool.rerun_report(old / "sub", old / "sub", {}, {}) == []
 
 
 def test_parent_moves_gates_each_move_on_the_declared_list(tmp_path):
@@ -1075,9 +1078,95 @@ def test_parent_moves_gates_printed_text_on_the_declared_list():
     assert "  -runs/b.json" in stdout and "  +runs/c.json" in stdout
 
 
+def _gate(tool, monkeypatch, tmp_path, runs):
+    """tool.main's exit code with REF's README run and this tree's two
+    written as the trees runs[0], runs[1] and runs[2], {name: text}
+    each, and no move declared."""
+    runs = iter(runs)
+
+    def printed(tree, out_dir):
+        out_dir.mkdir(parents=True)
+        for name, text in next(runs).items():
+            (out_dir / name).write_text(text)
+        return {("stdout", "*"): ""}
+    monkeypatch.setattr(tool, "_extract", lambda ref, dest: None)
+    monkeypatch.setattr(tool, "_printed", printed)
+    declared = tmp_path / "declared.txt"
+    declared.write_text("")
+    return tool.main(["REF", str(declared)])
+
+
+def test_parent_moves_names_a_rerun_difference(tmp_path, monkeypatch,
+                                               capsys):
+    tool = _load_tool("parent_moves")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, value in ((a, "1.0"), (b, "1.5")):
+        root.mkdir()
+        (root / "run.csv").write_text(f"x\n{value}\n")
+    # one byte differs
+    assert tool.rerun_report(a, b, {}, {}) == [
+        "rerun run.csv: column moved max_abs max_rel", "rerun   x 1 0.5 0.5"]
+    assert tool.rerun_report(a, a, {("stdout", "*"): "run.csv\n"},
+                             {("stdout", "*"): "run.json\n"})[0] == (
+        "rerun differs: stdout *")
+    assert tool.rerun_report(a, a, {}, {}) == []
+
+    same = {"run.csv": "x\n1.0\n", "run.json": "{}"}
+    assert _gate(tool, monkeypatch, tmp_path, [same, same, same]) == 0
+    capsys.readouterr()
+    assert _gate(tool, monkeypatch, tmp_path,
+                 [same, same, {**same, "run.csv": "x\n1.5\n"}]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "rerun run.csv: column moved max_abs max_rel", "rerun   x 1 0.5 0.5"]
+
+
+@pytest.mark.parametrize("tree, named", [
+    ({"a.json": '{"q": NaN}'}, "not strict JSON: a.json: bare NaN"),
+    ({"a.json": '{"q": -Infinity}'},
+     "not strict JSON: a.json: bare -Infinity"),
+    ({"a.json": '{"q": 1}', "b.json": '{"q":'}, "not strict JSON: b.json: "),
+    ({"a.csv": "x\n1.0\n"}, "no JSON file in "),
+], ids=["nan", "infinity", "unparsed", "none"])
+def test_parent_moves_names_output_that_is_not_strict_json(
+        tmp_path, monkeypatch, capsys, tree, named):
+    tool = _load_tool("parent_moves")
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, text in tree.items():
+        (out / name).write_text(text)
+    lines = tool.json_report(out)
+    assert len(lines) == 1 and lines[0].startswith(named), lines
+    (out / "ok.json").write_text('{"q": "inf"}')
+    assert tool.json_report(out) == ([] if "no JSON" in named else lines)
+
+    # the same tree from every run: no move and no rerun difference
+    assert _gate(tool, monkeypatch, tmp_path, [tree] * 3) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(named)
+
+
 def test_declared_moves_file_parses():
     tool = _load_tool("parent_moves")
     assert isinstance(tool.read_declared(tool.DECLARED), dict)
+
+
+def test_bench_sensing_step_names_each_figure_that_is_not_positive():
+    tool = _load_tool("bench_sensing_step")
+    result = {"polar_step_us": {}, "theory_us": {}}
+    for name in tool.FIGURES:
+        key, _, kind = name.partition(".")
+        if kind:
+            result[key][kind] = 1.5
+        else:
+            result[key] = 1.5
+    assert len(tool.FIGURES) == 13 and tool.bad_figures(result) == []
+    result["map_build_ms"] = None
+    result["theory_us"]["inverse"] = 0.0
+    result["csv_row_us"] = math.nan
+    del result["polar_step_us"]["static"]
+    assert tool.bad_figures(result) == [
+        "csv_row_us", "map_build_ms", "polar_step_us.static",
+        "theory_us.inverse"]
+    assert tool.bad_figures({}) == list(tool.FIGURES)
 
 
 def test_simulate_rejects_a_step_that_stalls_the_clock(tmp_path, capsys):
@@ -1220,7 +1309,7 @@ def test_every_numeric_flag_keeps_the_contract(tmp_path, capsys, command,
     ["synth-wake", "--nx", _CLI_HUGE_COUNT, "--dx", "1e-12", "--out",
      "w.wavf"],
     ["simulate", "--field", "radial", "--ell", "6.5", "--sensing", "windowed",
-     "--n-samples", _CLI_HUGE_COUNT],
+     "--n-samples", _CLI_HUGE_COUNT, "--out", "runs"],
 ], ids=["analyze", "fields", "synth-wake", "simulate"])
 def test_a_count_too_large_to_allocate_exits_2(tmp_path, capsys,
                                                monkeypatch, argv):
@@ -1231,3 +1320,5 @@ def test_a_count_too_large_to_allocate_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 7.28 TiB")
     assert err.count("\n") == 1
+    # nothing is written, not even an empty output directory
+    assert list(tmp_path.iterdir()) == []

@@ -344,6 +344,16 @@ def test_analytic_sample_names_a_field_without_spectra():
         analytic_sample(Plain(), (3.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("point", [(math.inf, 4.0), (3.0, math.nan)])
+def test_analytic_sample_names_a_non_finite_point(point):
+    # spectral_sample's rule: the point is named before the field is read,
+    # not met later as a phase gradient with no direction
+    with pytest.raises(ValueError) as exc:
+        analytic_sample(RadialField(6.5), point, 1.0)
+    assert str(exc.value) == f"x must be finite, got {point}"
+    assert type(exc.value) is ValueError
+
+
 def test_quasi_steady_warning():
     # nominal radial parameters travel a full wavelength per window: warn
     with pytest.warns(QuasiSteadyWarning):

@@ -39,6 +39,9 @@ over ROUNDS (default 5) scaled runs, of 2 s of simulated time unless
 stated, divided by the run's step count, so a run's one-off set-up (the
 map build included) is spread over its steps.
 The map, grid and CSV figures are medians over 4 * ROUNDS scaled calls.
+
+Exits 1, after printing the object and naming each on stderr, when a
+figure listed in FIGURES is missing or is not a finite positive float.
 """
 
 from __future__ import annotations
@@ -51,6 +54,26 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+
+# every documented figure; one keyed by gain kind reads NAME.KIND
+FIGURES = ("analytic_step_us", "bundle_step_us", "csv_row_us", "grid_csv_ms",
+           "map_build_ms", "radial_windowed_step_us", "spectral_grids_ms",
+           *(f"{name}.{kind}" for name in ("polar_step_us", "theory_us")
+             for kind in ("static", "proportional", "inverse")))
+
+
+def bad_figures(result):
+    """The names in FIGURES whose value in result is missing or not a
+    finite positive float (a null map_build_ms included)."""
+    bad = []
+    for name in FIGURES:
+        key, _, kind = name.partition(".")
+        value = result.get(key)
+        if kind:
+            value = value.get(kind) if isinstance(value, dict) else None
+        if not (isinstance(value, float) and 0.0 < value < math.inf):
+            bad.append(name)
+    return bad
 
 
 def main(argv):
@@ -144,7 +167,10 @@ def main(argv):
         result["grid_csv_ms"] = timed(lambda: report.write_grid_csv(path),
                                       rounds * 4) * 1e3
     print(json.dumps(result, sort_keys=True))
-    return 0
+    bad = bad_figures(result)
+    if bad:
+        print(f"not finite and positive: {', '.join(bad)}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

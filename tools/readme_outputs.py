@@ -8,9 +8,9 @@ the ``src/`` next to this file, with OUT_DIR/<group> as its working
 directory. The README section runs top to bottom in one directory; the
 groups only sort the outputs by topic, and each group holds the files its
 later commands read (the --config rerun, the bundle map and the wake
-seek). The outputs are deterministic, so two runs compared with
-``diff -r`` must show no difference, and a run on another checkout shows
-what a change did to the README outputs.
+seek). The outputs are deterministic: tools/parent_moves.py runs this
+tool twice on this tree and once on another commit, and fails when the
+two runs differ or when an output moved without being declared.
 """
 
 from __future__ import annotations
