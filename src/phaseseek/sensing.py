@@ -174,11 +174,16 @@ def spectral_sample(field, x, t0, theta, config):
     magnitude must reach config.m_floor. The centre phase is rotated by
     exp(-i omega1 t0) so estimates are referenced to absolute time t = 0
     regardless of when the window starts; the probe phases share t0, so it
-    cancels in their differences.
+    cancels in their differences. A t0 so large that ulp(|t0| + period)
+    reaches stencil_h raises ValueError: the window's times would round
+    the probes together, and the gradient would read that rounding.
     """
     for name, value in (("x", x), ("t0", t0), ("theta", theta)):
         _require(name, value, "finite")
     h = config.stencil_h
+    if not math.ulp(abs(t0) + field.period) < h:
+        raise ValueError(f"t0 must keep ulp(|t0| + period) below stencil_h "
+                         f"= {h!r} so that the probes stay apart, got {t0}")
     windows = field.eval_windows(
         _stencil_points(float(x[0]), float(x[1]), h), t0, config.n_samples)
     coeffs = first_mode_coeffs(windows, field.period).tolist()

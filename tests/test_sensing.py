@@ -354,6 +354,19 @@ def test_analytic_sample_names_a_non_finite_point(point):
     assert type(exc.value) is ValueError
 
 
+@pytest.mark.parametrize("t0", [1e15, -1e15, 1e308])
+def test_spectral_sample_names_a_t0_that_rounds_the_probes_together(t0):
+    # at |t0| = 1e15 the window's times step by 0.125, so the probes at
+    # +/- stencil_h read one phase and the gradient was (0, 0)
+    with pytest.raises(ValueError) as exc:
+        spectral_sample(RadialField(6.5), (3.0, 4.0), t0, 1.0,
+                        SensingConfig(16))
+    assert str(exc.value) == (
+        "t0 must keep ulp(|t0| + period) below stencil_h = 0.01 so that "
+        f"the probes stay apart, got {t0}")
+    assert type(exc.value) is ValueError
+
+
 def test_quasi_steady_warning():
     # nominal radial parameters travel a full wavelength per window: warn
     with pytest.warns(QuasiSteadyWarning):
