@@ -29,6 +29,7 @@ from .fields import (
 )
 from .sensing import (
     SensingConfig,
+    _check_resolution,
     _stencil_mode,
     _stencil_points,
     check_quasi_steady,
@@ -90,9 +91,14 @@ class PolarState:
 
 
 def to_polar(state):
-    """Cartesian pose to source-centred PolarState; undefined at the source."""
+    """Cartesian pose to source-centred PolarState. A pose at the source
+    has no bearing: it raises OriginSingularityError."""
     x, y, theta = (_require(f"state.{name}", getattr(state, name), "finite")
                    for name in ("x", "y", "theta"))
+    if x == 0.0 and y == 0.0:
+        raise OriginSingularityError(
+            f"state.x = {x} and state.y = {y} put the pose at the source, "
+            "where it has no polar form")
     eta = math.atan2(y, x)
     return PolarState(r=math.hypot(x, y), eta=eta,
                       psi=wrap_angle(math.pi - (theta - eta)))
@@ -146,12 +152,8 @@ def _check_simulate(init, field, config, sensing, dt, t_end, r_stop,
     under each stencil probe. Returns _check_run's values and the mode."""
     mode = _resolve_sensing(field, sensing)
     checked = _check_run(init, dt, t_end, r_stop, r_escape, v)
-    (x, y, *_), h = checked[0], config.stencil_h
-    if mode == WINDOWED and not (
-            x + h != x and x - h != x and y + h != y and y - h != y):
-        raise ValueError(
-            f"stencil_h = {h} is below the float resolution of the start "
-            f"({x}, {y}): a stencil probe rounds onto it")
+    if mode == WINDOWED:
+        _check_resolution(*checked[0][:2], config.stencil_h)
     return (*checked, mode)
 
 
@@ -228,7 +230,8 @@ class Trajectory:
     """Sampled closed-loop run plus its provenance.
 
     Columns follow TRAJECTORY_COLUMNS; Q is NaN when no conserved level is
-    defined for the field/law combination.
+    defined for the field/law combination. failure is the message of the
+    ValueError that ended a sensing_failure run, and None otherwise.
     """
 
     t: np.ndarray
@@ -246,6 +249,7 @@ class Trajectory:
     dt: float
     termination: str
     params: dict
+    failure: str | None = None
 
     def __len__(self):
         return len(self.t)
@@ -342,6 +346,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     buf = array("d")
     record = buf.fromlist
     t_last = t_end - 0.5 * dt
+    failure = None
     while True:
         r = math.hypot(x, y)
         if r == 0.0:
@@ -363,12 +368,12 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
             break
         try:
             x1, y1, th1, t1, (m, s, g) = _rk4_step(deriv, dt, t, x, y, th)
-        except ValueError:
+        except ValueError as exc:
             # a step from a pose that the last step overflowed fails in
             # its trig or its sensing: the pose is the fault
-            termination = (TERM_SENSING
-                           if all(map(math.isfinite, (x, y, th)))
-                           else TERM_NON_FINITE)
+            termination = TERM_NON_FINITE
+            if all(map(math.isfinite, (x, y, th))):
+                termination, failure = TERM_SENSING, str(exc)
             break
         record([x, y, th, r, m, s, g])
         x, y, th, t = x1, y1, th1, t1
@@ -413,7 +418,7 @@ def simulate(init, field, law, config=None, dt=1e-3, t_end=100.0,
     return Trajectory(
         t=t, x=x, y=y, theta=theta, r=r, eta=eta, psi=psi, m=m,
         s=s, gain=g, omega=omega, q=q, dt=dt, termination=termination,
-        params=params,
+        params=params, failure=failure,
     )
 
 

@@ -23,7 +23,8 @@ summary, are written before it.
 
 Exit codes: 0 success, 2 configuration or validation error or a count
 too large to allocate, 3 a run ended as a sensing failure (one stderr
-line per failed run; its files are written), 4 scan found no transition.
+line per failed run, which gives the reason; its files are written), 4
+scan found no transition.
 """
 
 from __future__ import annotations
@@ -258,7 +259,8 @@ def cmd_simulate(args):
         traj.write_sidecar(out_dir / sidecar_name)
         if traj.termination in (agent.TERM_SENSING, agent.TERM_NON_FINITE):
             failed.append(index)
-            print(f"error: run {index:03d} ended {traj.termination}",
+            reason = "" if traj.failure is None else f": {traj.failure}"
+            print(f"error: run {index:03d} ended {traj.termination}{reason}",
                   file=sys.stderr)
         drift = traj.q_drift()
         runs.append({

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_MIN_SAMPLES = 8  # fewest samples in a first-mode window; _twiddle checks
 
 
 class OriginSingularityError(ValueError):
@@ -203,9 +204,9 @@ def _whole(name, value):
 
 @functools.lru_cache(maxsize=32)
 def _offsets(n, period):
-    """k * period / n for k = 0..n-1: a window from t0 samples at
-    t0 + _offsets(n, period). Cached and shared, so it is read-only."""
-    offsets = np.arange(n) * (period / n)
+    """k * period / n for k = 0..n-1, none for n < 1: a window from t0
+    samples at t0 + _offsets(n, period). Cached and shared, read-only."""
+    offsets = np.arange(n) * (period / max(n, 1))
     offsets.flags.writeable = False
     return offsets
 
@@ -216,6 +217,9 @@ def _twiddle(n, period):
 
     Cached per (n, period) and shared by every caller, so it is read-only.
     """
+    if n < _MIN_SAMPLES:
+        raise ValueError(
+            f"window must hold at least {_MIN_SAMPLES} samples, got {n}")
     _require("period", period, "finite", "positive")
     omega1 = _require("2 pi / period", TWO_PI / period, "finite")
     twiddle = np.exp(-1j * omega1 * _offsets(n, period))
@@ -239,8 +243,6 @@ def _first_mode(windows, period):
     # without the finite rule: Field.window_coeffs runs this per RK4 stage
     windows = np.ascontiguousarray(windows, dtype=float)
     n = windows.shape[-1]
-    if n < 8:
-        raise ValueError(f"window must hold at least 8 samples, got {n}")
     # the same rounding as np.mean, without its per-call overhead
     return np.add.reduce(windows * _twiddle(n, period), axis=-1) / n
 
@@ -334,8 +336,7 @@ class Field(ABC):
         A subclass may compute the same linear functional another way.
         n < 8 raises ValueError.
         """
-        if n < 8:
-            raise ValueError(f"window must hold at least 8 samples, got {n}")
+        _twiddle(n, self.period)  # the window rule, before a subclass samples
         return _first_mode(self.eval_windows(points, t0, n),
                            self.period).tolist()
 

@@ -28,6 +28,7 @@ import numpy as np
 from .fields import (
     TWO_PI,
     UndefinedDirectionError,
+    _MIN_SAMPLES,
     _at_least,
     _require,
     _whole,
@@ -65,8 +66,8 @@ class SensingConfig:
     m_floor: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "n_samples", _require(
-            "n_samples", _whole("n_samples", self.n_samples), _at_least(8)))
+        object.__setattr__(self, "n_samples", _require("n_samples", _whole(
+            "n_samples", self.n_samples), _at_least(_MIN_SAMPLES)))
         # Python floats, so a run's sidecar can write them
         object.__setattr__(self, "stencil_h", float(_require(
             "stencil_h", self.stencil_h,
@@ -120,6 +121,14 @@ def _stencil_points(x, y, h):
             (x + h * -0.0, y + h * -1.0))
 
 
+def _check_resolution(x, y, h):
+    """ValueError unless the five _stencil_points at (x, y) are distinct."""
+    if len(set(_stencil_points(x, y, h))) < 5:
+        raise ValueError(
+            f"stencil_h = {h} is below the float resolution of the start "
+            f"({x}, {y}): a stencil probe rounds onto it")
+
+
 def _stencil_mode(coeffs, h, m_floor):
     """Magnitude and phase gradient from the five stencil coefficients.
 
@@ -130,20 +139,16 @@ def _stencil_mode(coeffs, h, m_floor):
     difference of each probe pair. Returns the floats (m, gx, gy).
     """
     centre, east, west, north, south = coeffs
-    m = abs(centre)
-    # each one tested: min() would drop a NaN that is not its first
-    # argument; the ordered loop runs only to name the first that failed
-    if not (m >= m_floor and abs(east) >= m_floor and abs(west) >= m_floor
-            and abs(north) >= m_floor and abs(south) >= m_floor):
-        for a in (m, abs(east), abs(west), abs(north), abs(south)):
-            if not a >= m_floor:
-                raise DegenerateMagnitudeError(
-                    f"magnitude {a:.3e} below floor {m_floor:.3e}")
+    # not min(): it would drop a NaN that is not its first argument
+    for c in coeffs:
+        if not abs(c) >= m_floor:
+            raise DegenerateMagnitudeError(
+                f"magnitude {abs(c):.3e} below floor {m_floor:.3e}")
     gx = wrap_angle(math.atan2(east.imag, east.real)
                     - math.atan2(west.imag, west.real)) / (2.0 * h)
     gy = wrap_angle(math.atan2(north.imag, north.real)
                     - math.atan2(south.imag, south.real)) / (2.0 * h)
-    return m, gx, gy
+    return abs(centre), gx, gy
 
 
 def lateral_signal(gx, gy, sin_theta, cos_theta):

@@ -35,6 +35,7 @@ from .fields import (
     TWO_PI,
     Field,
     SpectralGrids,
+    _MIN_SAMPLES,
     _at_least,
     _first_mode,
     _offsets,
@@ -105,7 +106,7 @@ class GridFieldBundle:
         for name in ("nx", "ny", "nt"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         _check_axes(self.nx, self.ny, self.x0, self.y0, self.dx, self.dy)
-        _require("nt", self.nt, _at_least(8))
+        _require("nt", self.nt, _at_least(_MIN_SAMPLES))
         _require("dt", self.dt, "positive", "finite", got=False)
         for name in _META_FIELDS:
             if getattr(self, name) is not None:
@@ -474,8 +475,8 @@ class BundleField(Field):
         take the window DFT.
         """
         b = self.bundle
-        # the base class rejects n < 8
-        if n < 8 or n % b.nt:
+        # the base class rejects n < _MIN_SAMPLES; n % nt alone passes n = 0
+        if n < _MIN_SAMPLES or n % b.nt:
             return super().window_coeffs(points, t0, n)
         if self._map is None:
             object.__setattr__(self, "_map",

@@ -11,8 +11,11 @@ polar loop shares nothing. All spell the gain law out (gain_ref), and the
 closed loops spell the steering signal out too (steer_ref). The
 linearization pair (eigenvalues_ref) differences the reduced flow in
 mpmath, so it shares neither the closed form nor the float Jacobian. The
-inverse-gain turning radii (inverse_turning_radius_ref) are bisected in
-mpmath on the log of the envelope, so no level underflows. The float CSV
+turning radii (turning_radius_ref) are bisected in mpmath on the log of
+the envelope, so no level underflows, and the orbit's clock
+(orbit_clock_ref), its radial period and the advance of eta per period,
+is integrated in mpmath over the level set between them, so it shares no
+rate with either driver or with polar_ref. The float CSV
 (float_csv_ref) and the grid CSV (grid_csv_ref) are spelled a row at a
 time.
 """
@@ -108,45 +111,135 @@ def eigenvalues_ref(kind, r_star, psi_star, rho, ell=None, v=1.0):
     return sorted(pair, key=lambda z: (z.real, z.imag))
 
 
-def inverse_turning_radius_ref(q, rho, ell, side):
-    """Inverse-gain turning radius at level |q| != 0 on one side ("min" or
-    "max") of the envelope's peak, as a float.
+def _log_envelope(kind, rho, ell):
+    """log h(e^u) in mpmath, as a function of u = log r, for the envelope
+    h(r) = (r / rho) exp(-int G/V dr) with the gain integral in the
+    library's convention: r / rho (static), -(ell / rho) e^(-r / ell)
+    (proportional) or (ell / rho) e^(r / ell) (inverse)."""
+    import mpmath
 
-    The envelope is h(r) = (r / rho) exp(-(ell / rho) e^(r / ell)), which
-    peaks where r e^(r / ell) = rho. At 60 digits, with u = log r, the
-    peak is bisected, unit steps in u away from it bracket the root of
-    log h = log |q|, and 300 bisections in u resolve it.
+    def log_h(u):
+        r = mpmath.exp(u)
+        if kind == "static":
+            integral = r / rho
+        elif kind == "proportional":
+            integral = -(ell / rho) * mpmath.exp(-r / ell)
+        else:
+            integral = (ell / rho) * mpmath.exp(r / ell)
+        return u - mpmath.log(rho) - integral
+    return log_h
+
+
+def _bisect_mp(fn, lo, hi, iters):
+    """Root of fn on [lo, hi] by plain bisection, in mpmath."""
+    f_lo = fn(lo)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        f_mid = fn(mid)
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _turning_logs(kind, log_q, rho, ell, iters):
+    """(u_min, u_max), the logs of the two radii where log h = log_q, in
+    mpmath at the working precision.
+
+    The envelope peaks where r G(r) / V = 1: at rho for static gain, and
+    bisected below rho (inverse) or below ell (proportional, its centre).
+    Unit steps in u away from the peak bracket each root, except the outer
+    root of proportional gain, which lies between the peak and the saddle,
+    where r G / V falls back to 1 above ell.
+    """
+    import mpmath
+
+    log_h = _log_envelope(kind, rho, ell)
+
+    def excess(u):
+        return log_h(u) - log_q
+
+    def turn_rate(u):
+        # r G(r) / V - 1; never called for static gain
+        r = mpmath.exp(u)
+        return r / rho * mpmath.exp(
+            -r / ell if kind == "proportional" else r / ell) - 1
+
+    if kind == "static":
+        u_peak = mpmath.log(rho)
+    else:
+        top = mpmath.log(rho if kind == "inverse" else ell)
+        u_peak = _bisect_mp(turn_rate, top - 60, top, iters)
+    assert excess(u_peak) > 0, "level above the envelope's peak"
+    logs = []
+    for step in (-1, 1):
+        if kind == "proportional" and step == 1:
+            u_saddle = _bisect_mp(turn_rate, mpmath.log(ell),
+                                  mpmath.log(ell) + 60, iters)
+            logs.append(_bisect_mp(excess, u_peak, u_saddle, iters))
+            continue
+        near = u_peak
+        while excess(near + step) > 0:
+            near += step
+        logs.append(_bisect_mp(excess, near, near + step, iters))
+    return tuple(logs)
+
+
+def turning_radius_ref(kind, q, rho, ell, side):
+    """Turning radius of a trapped orbit at level |q| != 0 on one side
+    ("min" or "max") of the envelope's peak, as a float.
+
+    At 60 digits, with u = log r, the two roots of log h(e^u) = log |q|
+    are bracketed by _turning_logs and resolved by 300 bisections in u, so
+    no level underflows. For proportional gain the level must lie above
+    the critical one, so that the outer root lies inside the saddle.
     """
     import mpmath
 
     with mpmath.workdps(60):
-        rho, ell = mpmath.mpf(rho), mpmath.mpf(ell)
-        log_q = mpmath.log(abs(mpmath.mpf(q)))
+        rho = mpmath.mpf(rho)
+        ell = None if ell is None else mpmath.mpf(ell)
+        logs = _turning_logs(kind, mpmath.log(abs(mpmath.mpf(q))), rho, ell,
+                             300)
+        return float(mpmath.exp(logs[side == "max"]))
 
-        def excess(u):
-            # log h(e^u) - log |q|
-            return (u - mpmath.log(rho) - (ell / rho) * mpmath.exp(
-                mpmath.exp(u) / ell) - log_q)
 
-        def root(fn, lo, hi):
-            f_lo = fn(lo)
-            for _ in range(300):
-                mid = (lo + hi) / 2
-                f_mid = fn(mid)
-                if (f_mid > 0) == (f_lo > 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            return (lo + hi) / 2
+def orbit_clock_ref(kind, rho, ell, r0, psi0, v=1.0):
+    """The clock of the trapped orbit through (r0, psi0) from its geometry:
+    (period, advance), floats.
 
-        u_peak = root(lambda u: mpmath.exp(u) * mpmath.exp(
-            mpmath.exp(u) / ell) - rho, mpmath.log(rho) - 60, mpmath.log(rho))
-        assert excess(u_peak) > 0, "level above the envelope's peak"
-        step = -1 if side == "min" else 1
-        near = u_peak
-        while excess(near + step) > 0:
-            near += step
-        return float(mpmath.exp(root(excess, near, near + step)))
+    On the level set |Q| = h(r) |sin psi|, with Q = h(r0) sin psi0,
+    dr/dt = -V cos psi and deta/dt = V sin psi / r, so the radial period
+    is T = 2 int dr / (V sqrt(1 - Q^2 / h^2)) from r_min to r_max, and
+    eta advances by 2 int (Q / (h r)) / sqrt(1 - Q^2 / h^2) dr per period
+    (signed as Q). At 30 digits the turning radii come from _turning_logs,
+    r = r_min + (r_max - r_min) (1 - cos w) / 2 takes the endpoint
+    singularities out, and mpmath.quad integrates over w in [0, pi] by
+    Gauss-Legendre, whose nodes stay clear of the ends.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        rho, v = mpmath.mpf(rho), mpmath.mpf(v)
+        ell = None if ell is None else mpmath.mpf(ell)
+        log_h = _log_envelope(kind, rho, ell)
+        q = mpmath.exp(log_h(mpmath.log(r0))) * mpmath.sin(psi0)
+        a, b = map(mpmath.exp, _turning_logs(kind, mpmath.log(abs(q)), rho,
+                                             ell, 110))
+
+        def rates(w):
+            # dt/dw and deta/dw, where sin psi = Q / h(r)
+            r = a + (b - a) * (1 - mpmath.cos(w)) / 2
+            sin_psi = q / mpmath.exp(log_h(mpmath.log(r)))
+            dt = (b - a) / 2 * mpmath.sin(w) / (
+                v * mpmath.sqrt(1 - sin_psi * sin_psi))
+            return dt, v * sin_psi / r * dt
+
+        period, advance = (
+            2 * mpmath.quad(lambda w: rates(w)[i], [0, mpmath.pi],
+                            method="gauss-legendre") for i in (0, 1))
+        return float(period), float(advance)
 
 
 def float_csv_ref(header, columns):

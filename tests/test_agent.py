@@ -21,6 +21,7 @@ from phaseseek import (
     Field,
     GainKind,
     GainLaw,
+    OriginSingularityError,
     PolarState,
     QuasiSteadyWarning,
     RadialField,
@@ -158,6 +159,13 @@ def test_polar_state_validation():
         PolarState(r=0.0, eta=0.0, psi=0.0)
     with pytest.raises(ValueError):
         to_polar(AgentState(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0])
+def test_to_polar_names_a_pose_at_the_source(x):
+    with pytest.raises(OriginSingularityError, match=(
+            rf"^state.x = {x} and state.y = 0.0 put the pose at the source")):
+        to_polar(AgentState(x, 0.0, 1.5))
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +588,25 @@ def test_simulate_sensing_failure_in_dead_zone():
                          dt=5e-3, t_end=2.0)
     assert tr.termination == "sensing_failure"
     assert len(tr) >= 1
+    assert tr.failure.startswith("magnitude 0.000e+00 below floor")
+
+
+def test_only_a_sensing_failure_keeps_its_message():
+    # the message of the ValueError that ended the run, which the CLI
+    # prints; a run that ends any other way has none
+    field = TravelingWaveField(
+        [TravelingWaveMode(0.0, 0.0, 1.0, (1.0, 0.0))])
+    tr = simulate(AgentState(1.0, 1.0, 0.0), field, STATIC, dt=1e-2,
+                  t_end=1.0, sensing="analytic")
+    with pytest.raises(ValueError) as exc:
+        field.analytic_mode(1.0, 1.0)
+    assert tr.failure == str(exc.value)
+    assert simulate(AgentState(4.0, 0.0, 1.5), FIELD, STATIC, dt=1e-2,
+                    t_end=0.1).failure is None
+    overflow = simulate(AgentState(4.0, 0.0, 1.5), FIELD,
+                        GainLaw("static", 1e308), dt=1e-2, t_end=0.05)
+    assert overflow.termination == "non_finite_state"
+    assert overflow.failure is None
 
 
 def test_simulate_sensing_failure_on_vanishing_first_mode():

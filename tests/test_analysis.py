@@ -619,10 +619,10 @@ def test_inverse_turning_radii_match_mpmath_at_tiny_levels(q):
     b = radial_bounds("inverse", q, 2.0, 5.8)
     assert b.status == "bounded"
     assert b.r_min == pytest.approx(
-        oracles.inverse_turning_radius_ref(q, 2.0, 5.8, "min"), rel=1e-12,
+        oracles.turning_radius_ref("inverse", q, 2.0, 5.8, "min"), rel=1e-12,
         abs=0.0)
     assert b.r_max == pytest.approx(
-        oracles.inverse_turning_radius_ref(q, 2.0, 5.8, "max"), rel=1e-12,
+        oracles.turning_radius_ref("inverse", q, 2.0, 5.8, "max"), rel=1e-12,
         abs=0.0)
 
 

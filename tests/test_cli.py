@@ -191,7 +191,8 @@ def test_simulate_names_each_failed_run_on_stderr(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 3
     captured = capsys.readouterr()
-    assert captured.err == "error: run 000 ended sensing_failure\n"
+    assert captured.err == ("error: run 000 ended sensing_failure: phase "
+                            "gradient (0, 0) has no direction\n")
     assert captured.out == f"{tmp_path / 'run_summary.json'}\n"
     summary = json.loads((tmp_path / "run_summary.json").read_text())
     assert [run["termination"] for run in summary["runs"]] == [

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from phaseseek import (
     OriginSingularityError,
     PortraitGrid,
     RadialField,
+    SensingConfig,
     alignment_error,
+    dft_first_mode,
+    field_from_bundle,
     first_mode_coeffs,
     portrait,
+    spectral_sample,
     spectral_grids,
     synth_wake,
     wrap_angle,
@@ -179,6 +184,47 @@ def test_window_coeffs_are_the_window_dft(field):
     for n in (0, 7):
         with pytest.raises(ValueError):
             field.window_coeffs(points, 0.0, n)
+
+
+class _SplitPeriod(Field):
+    # a user field whose own window divides the period by n
+    period = 2.5
+
+    def eval_windows(self, points, t0, n):
+        t = t0 + np.arange(n) * (2.5 / n)
+        return np.cos(np.asarray(points, dtype=float)[:, :1] - t)
+
+
+_BUNDLE_FIELD = field_from_bundle(synth_wake(nx=9, ny=7, nt=8))
+_POINTS = [(1.0, 0.5), (1.2, 0.5)]
+# every entry that reads a first-mode window of n samples
+_WINDOW_ENTRIES = {
+    "first_mode_coeffs": lambda n: first_mode_coeffs(np.ones((2, n)), 6.0),
+    "dft_first_mode": lambda n: dft_first_mode(np.ones(n), 6.0),
+    "spectral_sample": lambda n: spectral_sample(
+        RadialField(6.5), (3.0, 4.0), 0.0, 1.0, types.SimpleNamespace(
+            n_samples=n, stencil_h=0.01, m_floor=1e-9)),
+    "SensingConfig": lambda n: SensingConfig(n_samples=n),
+    "RadialField.window_coeffs": lambda n: RadialField(6.5).window_coeffs(
+        _POINTS, 0.0, n),
+    # n = 0 is a multiple of nt, so it reaches the map path's guard
+    "BundleField.window_coeffs": lambda n: _BUNDLE_FIELD.window_coeffs(
+        _POINTS, 0.0, n),
+    "BundleField.window_coeffs[dft]": lambda n: Field.window_coeffs(
+        _BUNDLE_FIELD, _POINTS, 0.0, n),
+    "Field.window_coeffs[subclass]": lambda n: _SplitPeriod().window_coeffs(
+        _POINTS, 0.0, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, 7])
+@pytest.mark.parametrize("entry", list(_WINDOW_ENTRIES))
+def test_every_window_entry_keeps_the_one_window_rule(entry, n):
+    # the one rule, in the words of the window or of SensingConfig's slot
+    with pytest.raises(ValueError,
+                       match=rf"^(window must hold|n_samples must be) at "
+                             rf"least 8( samples)?, got {n}$"):
+        _WINDOW_ENTRIES[entry](n)
 
 
 def test_a_field_writes_its_signal_in_eval_windows_only():
