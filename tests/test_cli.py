@@ -7,7 +7,7 @@ import inspect
 import json
 import math
 import os
-import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -956,14 +956,49 @@ def _load_tool(name):
 def test_readme_outputs_runs_every_readme_command():
     tool = _load_tool("readme_outputs")
     readme = (ROOT / "README.md").read_text()
-    commands = [
-        " ".join(line.split())
-        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-        for line in block.replace("\\\n", " ").splitlines()
-        if line.startswith("phaseseek ")
-    ]
-    # same commands in the same order: the README runs top to bottom
-    assert commands == [c for _, c in tool.COMMANDS]
+    commands = tool.readme_commands(readme)
+    # each README line that starts a command is run, in README order, and
+    # the CLI parses every one of them
+    starts = [line.split()[:2] for line in readme.splitlines()
+              if line.startswith("phaseseek ")]
+    assert starts and [c.split()[:2] for c in commands] == starts
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
+
+
+def test_readme_outputs_reads_only_the_commands_of_sh_blocks():
+    tool = _load_tool("readme_outputs")
+    readme = """Run phaseseek like this:
+
+```sh
+phaseseek simulate --field radial \\
+    --ell 6.5   --out runs/
+pytest
+  phaseseek indented --no
+```
+
+phaseseek in prose is not a command, nor is `phaseseek fields`.
+
+```python
+phaseseek fields --out python.csv
+```
+
+```text
+phaseseek fields --out text.csv
+```
+
+```
+phaseseek fields --out bare.csv
+```
+
+```sh
+phaseseek synth-wake --out wake.wavf
+```
+"""
+    assert tool.readme_commands(readme) == [
+        "phaseseek simulate --field radial --ell 6.5 --out runs/",
+        "phaseseek synth-wake --out wake.wavf"]
+    assert tool.readme_commands("phaseseek fields --out maps.csv\n") == []
 
 
 def test_csv_moves_counts_each_columns_moved_values(tmp_path):
@@ -1057,10 +1092,12 @@ def test_parent_moves_gates_each_move_on_the_declared_list(tmp_path):
 
 def test_parent_moves_gates_printed_text_on_the_declared_list():
     tool = _load_tool("parent_moves")
-    # the --help texts compared cover the top level and every subcommand
+    # the --help texts compared cover the top level and every subcommand,
+    # read from the usage line of phaseseek --help
     commands, = (action.choices for action in build_parser()._actions
                  if isinstance(action, argparse._SubParsersAction))
-    assert tool.HELP_COMMANDS == ("phaseseek", *commands)
+    assert tool.subcommands(build_parser().format_help()) == tuple(commands)
+    assert tool.subcommands("usage: phaseseek [-h]\n") == ()
     old = {("stdout", "*"): "runs/a.json\nruns/b.json\n",
            ("help", "scan"): "usage: scan\n", ("help", "fields"): "f\n"}
     new = {("stdout", "*"): "runs/a.json\nruns/c.json\n",

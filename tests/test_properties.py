@@ -47,7 +47,9 @@ def test_wrap_angle_range(a):
 
 @given(moderate)
 def test_wrap_angle_keeps_the_angle(a):
-    assert abs(math.remainder(wrap_angle(a) - a, TWO_PI)) < 1e-9
+    # within two roundings of the larger of |a| and pi
+    assert (abs(math.remainder(wrap_angle(a) - a, TWO_PI))
+            <= 2 * math.ulp(max(abs(a), math.pi)))
 
 
 @given(finite)
@@ -59,7 +61,10 @@ def test_wrap_phase_range(a):
 
 @given(moderate)
 def test_wrap_phase_keeps_the_angle(a):
-    assert abs(math.remainder(wrap_phase(a) - a, TWO_PI)) < 1e-9
+    # within two roundings of the larger of |a| and 2 pi, on both paths
+    bound = 2 * math.ulp(max(abs(a), TWO_PI))
+    for w in (wrap_phase(a), wrap_phase(np.array([a]))[0]):
+        assert abs(math.remainder(w - a, TWO_PI)) <= bound
 
 
 coord = st.floats(min_value=-1e3, max_value=1e3)

@@ -4,6 +4,7 @@ maps, and time/space interpolation."""
 import dataclasses
 import hashlib
 import inspect
+import io
 import math
 import re
 import struct
@@ -150,6 +151,22 @@ def test_load_rejects_bad_sizes(tmp_path):
         path.write_bytes(payload)
         with pytest.raises(BundleFormatError):
             load_bundle(path)
+
+
+def test_load_rejects_a_payload_read_that_comes_back_short(tmp_path,
+                                                          monkeypatch):
+    # the file holds the whole payload, but the read stops 8 bytes short
+    class ShortReader(io.BufferedReader):
+        def readinto(self, buffer):
+            return super().readinto(memoryview(buffer)[:-8])
+
+    monkeypatch.setattr(phaseseek.wake, "open", lambda path, mode:
+                        ShortReader(io.FileIO(path, mode)), raising=False)
+    path = tmp_path / "b.wavf"
+    path.write_bytes(_header_bytes() + b"\0" * (8 * 4 * 4 * 8))
+    with pytest.raises(BundleFormatError, match=re.escape(
+            "read 1016 payload bytes, header promises 1024")):
+        load_bundle(path)
 
 
 def test_load_rejects_non_finite_header(tmp_path):

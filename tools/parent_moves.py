@@ -3,15 +3,18 @@ only as declared against a commit.
 
 Usage: python tools/parent_moves.py REF [DECLARED]
 
-Extracts REF (HEAD^, say) with ``git archive``, runs that tree's own
-tools/readme_outputs.py once and this tree's twice, and reads what each
-run prints: the stdout of the README commands and the ``--help`` text of
-``phaseseek`` and of each subcommand, run against the tree's own src/
-with COLUMNS=80. It fails, naming each fault, when this tree's two runs
-differ in any byte (each difference marked ``rerun``), when a JSON file
-of its run holds a bare ``NaN`` or ``Infinity`` or does not parse, or
-there is none, and when an item moved against REF that DECLARED does not
-allow.
+Extracts REF (HEAD^, say) with ``git archive`` and, with the one runner
+of tools/readme_outputs.py, runs REF's README commands against REF's
+src/ once and this tree's against this tree's twice, each run in its own
+OUT_DIR. It reads what each run prints: the stdout of the README
+commands and the ``--help`` text of ``phaseseek`` and of each subcommand
+that the ``{...}`` of the tree's own ``phaseseek --help`` usage line
+names, run against the tree's src/ with COLUMNS=80. A subcommand on one
+side only is a ``help COMMAND`` move. It fails, naming each fault, when
+this tree's two runs differ in any byte (each difference marked
+``rerun``), when a JSON file of its run holds a bare ``NaN`` or
+``Infinity`` or does not parse, or there is none, and when an item
+moved against REF that DECLARED does not allow.
 
 Trees are compared file by file. A CSV gets one line per column with
 moved values: how many moved and the largest |new - old| and
@@ -26,22 +29,24 @@ is the move ``stdout *`` or ``help COMMAND`` with MAX_ABS inf, and its
 unified diff is printed.
 
 DECLARED (default tools/declared_moves.txt next to this file) allows a
-move by a line ``FILE ITEM MAX_ABS``: FILE a path under the output tree,
-ITEM a CSV column, a JSON key path or ``*`` for the whole file, and
-MAX_ABS the largest absolute difference allowed (``inf`` for any). ``#``
-starts a comment. Uses local git only and removes its temporary
-directory. Exits 0 when the gate passes, 1 when it fails, and 2 on a
-usage or git error.
+move by a line ``FILE ITEM MAX_ABS``: FILE a path under OUT_DIR, such as
+``runs/run_summary.json``, ITEM a CSV column, a JSON key path or ``*``
+for the whole file, and MAX_ABS the largest absolute difference allowed
+(``inf`` for any). ``#`` starts a comment. Uses local git only and
+removes its temporary directory. Exits 0 when the gate passes, 1 when it
+fails, and 2 on a usage or git error or a README command that fails.
 """
 
 from __future__ import annotations
 
 import difflib
 import filecmp
+import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -51,9 +56,12 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
 DECLARED = TOOLS / "declared_moves.txt"
-# the --help texts compared: the top level, then each subcommand
-HELP_COMMANDS = ("phaseseek", "simulate", "analyze", "scan", "fields",
-                 "synth-wake")
+
+# tools/ is not a package: load the one README runner from its file
+_spec = importlib.util.spec_from_file_location(
+    "readme_outputs", TOOLS / "readme_outputs.py")
+readme_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(readme_outputs)
 
 
 def _files(root):
@@ -271,38 +279,39 @@ def _extract(ref, dest):
         tar.extractall(dest, filter="data")
 
 
-def _readme_outputs(tree, out_dir):
-    """Run tree's tools/readme_outputs.py into out_dir; its stdout."""
-    tool = Path(tree) / "tools" / "readme_outputs.py"
-    if not tool.is_file():
-        raise FileNotFoundError(f"no tools/readme_outputs.py in {tree}")
-    return subprocess.run([sys.executable, str(tool), str(out_dir)],
-                          check=True, stdout=subprocess.PIPE,
-                          text=True).stdout
+def subcommands(help_text):
+    """The subcommands that the first ``{...}`` of a ``phaseseek --help``
+    text names, in its order; none when it has no ``{...}``."""
+    found = re.search(r"\{([^}]*)\}", help_text)
+    return tuple(found.group(1).split(",")) if found else ()
 
 
 def _help_texts(tree):
-    """{("help", command): --help text} of tree's CLI, at COLUMNS=80. A
-    command that fails, such as one the tree does not have, reads as its
-    exit code and stderr, so that it differs from a working one."""
+    """{("help", command): --help text} of tree's CLI, at COLUMNS=80, for
+    phaseseek and each subcommand its usage line names. A command that
+    fails reads as its exit code and stderr, so that it differs from a
+    working one."""
     env = {**os.environ, "COLUMNS": "80"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(tree) / "src"), env.get("PYTHONPATH")) if p)
-    texts = {}
-    for command in HELP_COMMANDS:
-        args = [] if command == "phaseseek" else [command]
+
+    def text(*args):
         ran = subprocess.run(
             [sys.executable, "-m", "phaseseek.cli", *args, "--help"],
             env=env, capture_output=True, text=True)
-        texts["help", command] = (ran.stdout if ran.returncode == 0 else
-                                  f"exit {ran.returncode}\n{ran.stderr}")
-    return texts
+        return (ran.stdout if ran.returncode == 0 else
+                f"exit {ran.returncode}\n{ran.stderr}")
+
+    top = text()
+    return {("help", "phaseseek"): top,
+            **{("help", command): text(command)
+               for command in subcommands(top)}}
 
 
 def _printed(tree, out_dir):
     """{(file, item): text} of what tree prints: the stdout of its README
     commands, run into out_dir, and its --help texts."""
-    return {("stdout", "*"): _readme_outputs(tree, out_dir),
+    return {("stdout", "*"): readme_outputs.run(tree, out_dir),
             **_help_texts(tree)}
 
 

@@ -2,46 +2,60 @@
 
 Usage: python tools/readme_outputs.py OUT_DIR
 
-Each command below is copied verbatim from README.md (continuation lines
-joined), in README order, and runs as ``python -m phaseseek.cli`` against
-the ``src/`` next to this file, with OUT_DIR/<group> as its working
-directory. The README section runs top to bottom in one directory; the
-groups only sort the outputs by topic, and each group holds the files its
-later commands read (the --config rerun, the bundle map and the wake
-seek). The outputs are deterministic: tools/parent_moves.py runs this
-tool twice on this tree and once on another commit, and fails when the
-two runs differ or when an output moved without being declared.
+The commands are read from README.md next to this file: each line that
+starts with ``phaseseek `` inside a ```sh block, with its continuation
+lines joined. They run top to bottom in OUT_DIR itself, as the README's
+"Command line" section says they run, each as ``python -m phaseseek.cli``
+against the ``src/`` next to this file, and their stdout is printed. The
+outputs are deterministic: tools/parent_moves.py runs these commands
+twice on this tree and once on another commit, each tree's README
+against that tree's src/, and fails when the two runs differ or when an
+output moved without being declared.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
 
-# (group, command) in README order
-COMMANDS = (
-    ("radial", "phaseseek simulate --field radial --ell 6.5 --gain static "
-               "--g0 0.5 --t-end 100 --out runs/"),
-    ("radial", "phaseseek simulate --config runs/run_summary.json "
-               "--out rerun/"),
-    ("analysis", "phaseseek analyze --gain proportional --rho 2.0 --ell 6.5 "
-                 "--out reports/"),
-    ("analysis", "phaseseek scan --rho 2.0 --ell-min 4.0 --ell-max 7.0 "
-                 "--out reports/"),
-    ("maps", "phaseseek fields --field radial --ell 6.5 --out maps.csv"),
-    ("wake", "phaseseek synth-wake --out wake.wavf"),
-    ("wake", "phaseseek fields --field bundle --bundle wake.wavf "
-             "--source 0,0 --out wake_maps.csv"),
-    ("wake", "phaseseek simulate --field bundle --bundle wake.wavf "
-             "--gain proportional --g0 0.5 --init 8,0,3.141592653589793 "
-             "--dt 5e-3 --t-end 40 --r-stop 0.5 --sensing windowed "
-             "--out wake_runs/"),
-)
+
+def readme_commands(readme):
+    """The ``phaseseek`` commands of a README's ```sh blocks, in order,
+    each with its continuation lines joined and its spaces collapsed."""
+    return [" ".join(line.split())
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("phaseseek ")]
+
+
+def run(tree, out_dir):
+    """Run the README commands of tree (a checkout holding README.md and
+    src/) top to bottom in out_dir against tree's src/; their stdout.
+
+    A command that exits nonzero raises CalledProcessError naming it.
+    """
+    tree, out_dir = Path(tree), Path(out_dir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    printed = []
+    for command in readme_commands((tree / "README.md").read_text()):
+        cli = [sys.executable, "-m", "phaseseek.cli",
+               *shlex.split(command)[1:]]
+        done = subprocess.run(cli, cwd=out_dir, env=env,
+                              stdout=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            raise subprocess.CalledProcessError(done.returncode, command,
+                                                done.stdout)
+        printed.append(done.stdout)
+    return "".join(printed)
 
 
 def main(argv):
@@ -49,19 +63,11 @@ def main(argv):
         print("usage: python tools/readme_outputs.py OUT_DIR",
               file=sys.stderr)
         return 2
-    out_dir = Path(argv[0])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    for group, command in COMMANDS:
-        cwd = out_dir / group
-        cwd.mkdir(parents=True, exist_ok=True)
-        cli = [sys.executable, "-m", "phaseseek.cli",
-               *shlex.split(command)[1:]]
-        done = subprocess.run(cli, cwd=cwd, env=env)
-        if done.returncode != 0:
-            print(f"{command!r} exited {done.returncode}", file=sys.stderr)
-            return 1
+    try:
+        sys.stdout.write(run(ROOT, argv[0]))
+    except subprocess.CalledProcessError as exc:
+        print(f"{exc.cmd!r} exited {exc.returncode}", file=sys.stderr)
+        return 1
     return 0
 
 
